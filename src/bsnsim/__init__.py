@@ -17,7 +17,7 @@ from .energy import (
     battery_life_hours,
     simulate_energy,
 )
-from .errors import FrameError, ParameterError, ScenarioError, UndefinedBatteryLifeError
+from .errors import BsnsimError, FrameError, ParameterError, ScenarioError, UndefinedBatteryLifeError
 from .frames import FRAME_LEN, SensorFrame, crc16_ccitt, decode_frame, encode_frame
 from .linksim import EchoTestConfig, RunStats, run_echo_test, run_star_network
 from .motion import (

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -48,24 +48,23 @@ class CalibrationResult:
         return self.achieved_pct[key] - target.target_mean_pct
 
     def to_json(self) -> str:
-        payload = {
-            "logistic_midpoint_db": self.calibration.logistic_midpoint_db,
-            "logistic_scale_db": self.calibration.logistic_scale_db,
-            "oven_slope_low_db_per_mhz": self.calibration.oven_slope_low_db_per_mhz,
-            "oven_slope_high_db_per_mhz": self.calibration.oven_slope_high_db_per_mhz,
-            "interferer_overrides": self.interferer_overrides,
-        }
+        payload = {**asdict(self.calibration), "interferer_overrides": self.interferer_overrides}
         return json.dumps(payload, indent=2)
 
 
 def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, dict[str, dict[str, float]]]:
-    payload = json.loads(Path(path).read_text())
-    calib = InterferenceCalibration(
-        logistic_midpoint_db=payload["logistic_midpoint_db"],
-        logistic_scale_db=payload["logistic_scale_db"],
-        oven_slope_low_db_per_mhz=payload["oven_slope_low_db_per_mhz"],
-        oven_slope_high_db_per_mhz=payload["oven_slope_high_db_per_mhz"],
-    )
+    """Read a `CalibrationResult.to_json` file back into constants and overrides."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise ParameterError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ParameterError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    names = [f.name for f in fields(InterferenceCalibration)]
+    missing = [name for name in names if name not in payload]
+    if missing:
+        raise ParameterError(f"{path}: missing key(s) {', '.join(missing)}")
+    calib = InterferenceCalibration(**{name: payload[name] for name in names})
     return calib, payload.get("interferer_overrides", {})
 
 

@@ -33,7 +33,7 @@ from .energy import (
     battery_life_hours,
     paper_components,
 )
-from .errors import ParameterError, ScenarioError
+from .errors import BsnsimError
 from .linksim import EchoTestConfig, RunStats, read_frame_log, run_echo_test, run_star_network
 from .motion import ActivityKind, compose_schedule, generate_trace
 from .rf import ChannelSpec, InterferenceCalibration
@@ -78,7 +78,7 @@ def gnuplot_dat(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
 
 
 def _maybe_png(args, path: Path, title: str, xlabel: str, ylabel: str, xs, ys) -> None:
-    if not getattr(args, "png", False):
+    if not args.png:
         return
     try:
         import matplotlib
@@ -107,15 +107,10 @@ def _result_json(kind: str, scenario_name: str, seed: int, config: dict, payload
     )
 
 
-def _load_calibration(args):
-    if getattr(args, "calibration", None):
-        calib, overrides = calibrate_mod.load_calibration_file(args.calibration)
-        return calib, overrides
-    return InterferenceCalibration(), {}
-
-
 def _scenario_for(args):
-    calib, overrides = _load_calibration(args)
+    calib, overrides = InterferenceCalibration(), {}
+    if args.calibration:
+        calib, overrides = calibrate_mod.load_calibration_file(args.calibration)
     scenario = load_scenario(args.scenario)
     if overrides:
         scenario = apply_overrides(scenario, overrides)
@@ -265,8 +260,8 @@ def _cmd_replay_log(args, out: Path | None) -> int:
         lines.append(f"{f.node_id},{f.seq},{f.timestamp_ms},{f.codes[0]},{f.codes[1]},{f.codes[2]},"
                      f"{f.range_codes[0]},{f.range_codes[1]},{f.range_codes[2]}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        atomic_write(Path(args.out) / "replay.csv", text)
+    if out is not None:
+        atomic_write(out / "replay.csv", text)
     else:
         sys.stdout.write(text)
     return 0
@@ -277,50 +272,54 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("kind", choices=["echo", "star", "classify", "energy", "scan"])
-    run.add_argument("--scenario", default="apartment", help="preset name or scenario file path")
-    run.add_argument("--channel", type=int, default=None, help="802.15.4 channel 11..26")
-    run.add_argument("--power", type=float, default=None, help="transmit power in dBm")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--runs", type=int, default=10)
-    run.add_argument("--messages", type=int, default=1000)
-    run.add_argument("--nodes", type=int, default=3, help="sensor node count for star runs")
-    run.add_argument("--duration", type=float, default=30.0, help="trace duration in seconds")
-    run.add_argument("--activity", default="fall", choices=[k.value for k in ActivityKind])
-    run.add_argument("--profile", default="continuous", choices=sorted(ENERGY_PROFILES))
-    run.add_argument("--calibration", default=None, help="calibration JSON from `calibrate`")
-    run.add_argument("--png", action="store_true", help="also render PNG plots (needs matplotlib)")
-    run.add_argument("--out", default="out")
+    # flag groups shared by the `run` experiments that use them
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out", type=Path, default="out")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", default="apartment", help="preset name or scenario file path")
+    scenario.add_argument("--calibration", default=None, help="calibration JSON from `calibrate`")
+    png = argparse.ArgumentParser(add_help=False)
+    png.add_argument("--png", action="store_true", help="also render PNG plots (needs matplotlib)")
+    duration = argparse.ArgumentParser(add_help=False)
+    duration.add_argument("--duration", type=float, default=30.0, help="trace duration in seconds")
+
+    run = sub.add_parser("run", help="run one experiment").add_subparsers(dest="kind", required=True)
+    echo = run.add_parser("echo", parents=[common, scenario, png], help="two-module echo test")
+    echo.add_argument("--channel", type=int, default=None, help="802.15.4 channel 11..26")
+    echo.add_argument("--power", type=float, default=None, help="transmit power in dBm")
+    echo.add_argument("--runs", type=int, default=10)
+    echo.add_argument("--messages", type=int, default=1000)
+    echo.set_defaults(handler=_cmd_run_echo)
+    scan = run.add_parser("scan", parents=[common, scenario, png], help="full-band interference scan")
+    scan.set_defaults(handler=_cmd_run_scan)
+    star = run.add_parser("star", parents=[common, scenario, duration], help="sensor nodes streaming to a logger")
+    star.add_argument("--nodes", type=int, default=3, help="sensor node count")
+    star.set_defaults(handler=_cmd_run_star)
+    classify = run.add_parser("classify", parents=[common, duration], help="abnormal-event detection on a trace")
+    classify.add_argument("--activity", default="fall", choices=[k.value for k in ActivityKind])
+    classify.set_defaults(handler=_cmd_run_classify)
+    energy = run.add_parser("energy", parents=[common], help="battery life of a duty-cycle profile")
+    energy.add_argument("--profile", default="continuous", choices=sorted(ENERGY_PROFILES))
+    energy.set_defaults(handler=_cmd_run_energy)
 
     cal = sub.add_parser("calibrate", help="fit interference constants to the test tables")
     cal.add_argument("--targets", default=None, help="targets CSV (defaults to the built-in tables)")
-    cal.add_argument("--out", default="out")
+    cal.add_argument("--out", type=Path, default="out")
+    cal.set_defaults(handler=_cmd_calibrate)
 
     replay = sub.add_parser("replay-log", help="decode a binary frame log to CSV")
     replay.add_argument("logfile")
-    replay.add_argument("--out", default=None)
+    replay.add_argument("--out", type=Path, default=None)
+    replay.set_defaults(handler=_cmd_replay_log)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            out = Path(args.out)
-            handler = {
-                "echo": _cmd_run_echo,
-                "scan": _cmd_run_scan,
-                "star": _cmd_run_star,
-                "classify": _cmd_run_classify,
-                "energy": _cmd_run_energy,
-            }[args.kind]
-            return handler(args, out)
-        if args.command == "calibrate":
-            return _cmd_calibrate(args, Path(args.out))
-        return _cmd_replay_log(args, None)
-    except (ParameterError, ScenarioError, FileNotFoundError, OSError) as exc:
+        return args.handler(args, args.out)
+    except (BsnsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

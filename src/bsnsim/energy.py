@@ -14,13 +14,18 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ParameterError, UndefinedBatteryLifeError
+from .frames import FRAME_LEN
+from .linksim import TX_OVERHEAD_MS, TX_RATE_BPS
 from .sensor import SensorMode, TimelineInterval
 
 ACCELEROMETER = "accelerometer"
 MICROCONTROLLER = "microcontroller"
 RADIO = "radio"
 
-FRAME_AIRTIME_S = (16 * 8) / 250_000 + 0.001  # one 16-byte frame at 250 kbps plus turnaround
+# Seconds on air per frame. Written in seconds rather than as
+# linksim.FRAME_AIRTIME_MS / 1000, which rounds to a different float
+# (0.001512 instead of 0.0015119999999999999) and so changes the reports.
+FRAME_AIRTIME_S = FRAME_LEN * 8 / TX_RATE_BPS + TX_OVERHEAD_MS / 1000.0
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,19 @@
 """Shared exception types."""
 
 
-class ParameterError(ValueError):
+class BsnsimError(ValueError):
+    """Base of every error bsnsim raises for bad input or parameters."""
+
+
+class ParameterError(BsnsimError):
     """An argument violates an operation's precondition."""
 
 
-class FrameError(ValueError):
+class FrameError(BsnsimError):
     """A sensor frame buffer is malformed (short buffer, bad CRC, field overflow)."""
 
 
-class ScenarioError(ValueError):
+class ScenarioError(BsnsimError):
     """A scenario file failed to parse or validate.
 
     Carries the offending line number when the error is tied to a
@@ -23,5 +27,5 @@ class ScenarioError(ValueError):
         super().__init__(message)
 
 
-class UndefinedBatteryLifeError(ValueError):
+class UndefinedBatteryLifeError(BsnsimError):
     """Battery life is undefined because the average current is zero."""

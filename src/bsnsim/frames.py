@@ -13,6 +13,7 @@ Frame layout (big-endian, 16 bytes total):
 
 from __future__ import annotations
 
+import binascii
 import struct
 from dataclasses import dataclass
 
@@ -21,29 +22,10 @@ from .errors import FrameError
 FRAME_LEN = 16
 _HEADER = struct.Struct(">BHIHHHB")
 
-_CRC_POLY = 0x1021
-_CRC_INIT = 0xFFFF
-
-
-def _build_crc_table() -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ _CRC_POLY) if crc & 0x8000 else (crc << 1)
-        table.append(crc & 0xFFFF)
-    return tuple(table)
-
-
-_CRC_TABLE = _build_crc_table()
-
 
 def crc16_ccitt(data: bytes) -> int:
     """CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no reflection)."""
-    crc = _CRC_INIT
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[((crc >> 8) ^ byte) & 0xFF]
-    return crc
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 @dataclass(frozen=True)

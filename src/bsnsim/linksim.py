@@ -23,12 +23,14 @@ from .sensor import ReplayResult, initial_state, replay_trace
 TX_RATE_BPS = 250_000
 TX_OVERHEAD_MS = 1.0
 LOG_MAGIC = b"BSLOG1\x00\x00"
-FRAME_AIRTIME_MS = FRAME_LEN * 8 / TX_RATE_BPS * 1000.0 + TX_OVERHEAD_MS
 MAC_CAPACITY = 0.9  # carrier-sense MAC defers cleanly below this offered load
 
 
 def message_airtime_ms(n_chars: int) -> float:
     return n_chars * 8 / TX_RATE_BPS * 1000.0 + TX_OVERHEAD_MS
+
+
+FRAME_AIRTIME_MS = message_airtime_ms(FRAME_LEN)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,6 @@ RATE_HZ_MIN = 10.0
 RATE_HZ_MAX = 100.0
 DEFAULT_RATE_HZ = 60.0
 
-REST_TOTAL_BAND = (0.95, 1.05)
-SLOW_TOTAL_BAND = (0.9, 1.3)
-
 
 class ActivityKind(Enum):
     REST = "rest"
@@ -43,12 +40,6 @@ class ActivityKind(Enum):
     RUN = "run"
     JUMP = "jump"
     FALL = "fall"
-
-
-SLOW_KINDS = frozenset(
-    {ActivityKind.SIT_STAND, ActivityKind.LEFT_RIGHT_ROTATION, ActivityKind.SLOW_WALK}
-)
-EVENT_KINDS = frozenset({ActivityKind.JUMP, ActivityKind.FALL})
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,10 @@ Grammar (one `key = value` pair per line, `#` starts a comment):
     [materials]                 # optional loss-table overrides
     brick = 4.0
 
-Scenarios must define at least the `base` and `remote` nodes.
+Every number must be finite (`nan` and `inf` are rejected). `radius`,
+`near_field_m` and `influence_radius_m` must be non-negative, and
+`activity_factor` must lie in [0, 1]. Scenarios must define at least the
+`base` and `remote` nodes. Errors raise `ScenarioError` naming the line.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ScenarioError
+from .errors import ParameterError, ScenarioError
 from .rf import (
     DEFAULT_MATERIAL_LOSS_DB,
     ChannelSpec,
@@ -120,22 +123,31 @@ class _Section:
         self.fields: dict[str, tuple[str, int]] = {}
 
 
-def _parse_float(section: _Section, key: str, default: float | None = None) -> float:
-    if key not in section.fields:
-        if default is not None:
-            return default
-        raise ScenarioError(f"[{section.kind} {section.name}] is missing field {key!r}", section.line)
-    value, line = section.fields[key]
+def _number(value: str, key: str, line: int) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ScenarioError(f"field {key!r} must be a number, got {value!r}", line) from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"field {key!r} must be finite, got {value!r}", line)
+    return number
 
 
-def _parse_int(section: _Section, key: str, default: int | None = None) -> int:
+def _parse_float(section: _Section, key: str, optional: bool = False, non_negative: bool = False) -> float | None:
+    """A finite number; an absent optional field gives None."""
     if key not in section.fields:
-        if default is not None:
-            return default
+        if optional:
+            return None
+        raise ScenarioError(f"[{section.kind} {section.name}] is missing field {key!r}", section.line)
+    value, line = section.fields[key]
+    number = _number(value, key, line)
+    if non_negative and number < 0:
+        raise ScenarioError(f"field {key!r} must be non-negative, got {value!r}", line)
+    return number
+
+
+def _parse_int(section: _Section, key: str) -> int:
+    if key not in section.fields:
         raise ScenarioError(f"[{section.kind} {section.name}] is missing field {key!r}", section.line)
     value, line = section.fields[key]
     try:
@@ -169,15 +181,17 @@ def _build_interferer(section: _Section) -> Interferer:
             channel = ChannelSpec.wlan(index) if standard is RadioStandard.WLAN_80211 else ChannelSpec.wpan(index)
         except Exception as exc:
             raise ScenarioError(str(exc), ch_line) from None
-    radius = _parse_float(section, "influence_radius_m", default=math.inf)
-    return Interferer(
-        channel=channel,
-        position=(_parse_float(section, "x"), _parse_float(section, "y")),
-        tx_power_dbm=_parse_float(section, "tx_power_dbm"),
-        activity_factor=_parse_float(section, "activity_factor"),
-        enabled=_parse_bool(section, "enabled", True),
-        influence_radius_m=None if math.isinf(radius) else radius,
-    )
+    try:
+        return Interferer(
+            channel=channel,
+            position=(_parse_float(section, "x"), _parse_float(section, "y")),
+            tx_power_dbm=_parse_float(section, "tx_power_dbm"),
+            activity_factor=_parse_float(section, "activity_factor"),
+            enabled=_parse_bool(section, "enabled", True),
+            influence_radius_m=_parse_float(section, "influence_radius_m", optional=True, non_negative=True),
+        )
+    except ParameterError as exc:  # Interferer rejects an activity_factor outside [0, 1]
+        raise ScenarioError(str(exc), section.fields["activity_factor"][1]) from None
 
 
 def _parse_material(raw: str, line: int) -> Material:
@@ -200,16 +214,15 @@ def _build_obstacle(section: _Section) -> Obstacle:
             _parse_float(section, "y2"),
         )
     elif shape_raw == "disc":
-        shape = Disc(_parse_float(section, "x"), _parse_float(section, "y"), _parse_float(section, "radius"))
+        radius = _parse_float(section, "radius", non_negative=True)
+        shape = Disc(_parse_float(section, "x"), _parse_float(section, "y"), radius)
     else:
         raise ScenarioError(f"unknown obstacle shape {shape_raw!r} (wall|disc)", shape_line)
-    loss = _parse_float(section, "loss_db", default=math.inf)
-    near = _parse_float(section, "near_field_m", default=math.inf)
     return Obstacle(
         material=material,
         shape=shape,
-        loss_db=None if math.isinf(loss) else loss,
-        near_field_m=None if math.isinf(near) else near,
+        loss_db=_parse_float(section, "loss_db", optional=True),
+        near_field_m=_parse_float(section, "near_field_m", optional=True, non_negative=True),
     )
 
 
@@ -257,10 +270,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             raise ScenarioError(f"channel must be an integer, got {value!r}", lineno) from None
     if "tx_power_dbm" in top:
         value, lineno = top["tx_power_dbm"]
-        try:
-            scenario.tx_power_dbm = float(value)
-        except ValueError:
-            raise ScenarioError(f"tx_power_dbm must be a number, got {value!r}", lineno) from None
+        scenario.tx_power_dbm = _number(value, "tx_power_dbm", lineno)
 
     for section in sections:
         if section.kind == "node":
@@ -277,11 +287,7 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             scenario.obstacles[section.name] = _build_obstacle(section)
         else:  # materials
             for key, (value, lineno) in section.fields.items():
-                material = _parse_material(key, lineno)
-                try:
-                    scenario.material_loss[material] = float(value)
-                except ValueError:
-                    raise ScenarioError(f"material loss must be a number, got {value!r}", lineno) from None
+                scenario.material_loss[_parse_material(key, lineno)] = _number(value, key, lineno)
 
     scenario.validate()
     return scenario

@@ -56,12 +56,6 @@ RANGE_LADDER = (
 )
 
 
-def range_from_code(code: int) -> MeasurementRange:
-    if not 0 <= code < len(RANGE_LADDER):
-        raise ParameterError(f"range code out of bounds: {code}")
-    return RANGE_LADDER[code]
-
-
 @dataclass(frozen=True)
 class AxisReading:
     """One quantized axis sample."""

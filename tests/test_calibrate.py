@@ -56,6 +56,24 @@ def test_calibration_file_round_trip(result, tmp_path):
     assert overrides == result.interferer_overrides
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ('{"logistic_midpoint_db": 14.0, "logistic_scale_db": 2.0}', "missing key(s) oven_slope_low_db_per_mhz"),
+        ('{"logistic_midpoint_db": 14.0,', "not valid JSON"),
+        ("[14.0, 2.0]", "expected a JSON object"),
+    ],
+    ids=["missing_key", "malformed_json", "not_an_object"],
+)
+def test_bad_calibration_file_rejected(tmp_path, text, problem):
+    path = tmp_path / "calibration.json"
+    path.write_text(text)
+    with pytest.raises(ParameterError) as err:
+        load_calibration_file(path)
+    assert str(path) in str(err.value)
+    assert problem in str(err.value)
+
+
 def test_bad_targets_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("scenario,channel\napartment,12\n")

@@ -1,9 +1,17 @@
 """CLI surface: experiment outputs, exit codes, table export."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import bsnsim
 from bsnsim.cli import export_table, main
-from bsnsim.linksim import RunStats
+from bsnsim.frames import SensorFrame, encode_frame
+from bsnsim.linksim import LOG_MAGIC, RunStats
 
 
 def test_export_table_format():
@@ -119,3 +127,47 @@ def test_replay_log_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "junk.log"
     bad.write_bytes(b"this is not a log")
     assert main(["replay-log", str(bad)]) == 2
+
+
+def test_run_rejects_flags_of_other_experiments(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "classify", "--nodes", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--nodes" in capsys.readouterr().err
+
+
+def _flipped_log(tmp_path):
+    log = bytearray(LOG_MAGIC + encode_frame(SensorFrame(1, 2, 3, (4, 5, 6), (1, 2, 3))))
+    log[len(LOG_MAGIC) + 4] ^= 0x01
+    path = tmp_path / "flipped.log"
+    path.write_bytes(bytes(log))
+    return ["replay-log", str(path)]
+
+
+def _bad_calibration(text):
+    def argv(tmp_path):
+        path = tmp_path / "calibration.json"
+        path.write_text(text)
+        return ["run", "echo", "--runs", "1", "--messages", "10", "--calibration", str(path), "--out", str(tmp_path)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        _flipped_log,
+        lambda tmp_path: ["run", "star", "--nodes", "256", "--duration", "1", "--out", str(tmp_path)],
+        _bad_calibration('{"logistic_midpoint_db": 14.0}'),
+        _bad_calibration("{not json"),
+    ],
+    ids=["flipped_log_byte", "node_id_over_255", "calibration_missing_key", "calibration_malformed"],
+)
+def test_bad_input_exits_2_with_one_error_line(tmp_path, make_argv):
+    # a fresh interpreter, so an uncaught exception would show as a traceback on stderr
+    env = {**os.environ, "PYTHONPATH": str(Path(bsnsim.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "bsnsim.cli", *make_argv(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")

@@ -1,6 +1,10 @@
 """Frame codec round trips and CRC behavior."""
 
+import struct
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bsnsim.errors import FrameError
 from bsnsim.frames import FRAME_LEN, SensorFrame, crc16_ccitt, decode_frame, encode_frame
@@ -13,6 +17,21 @@ def test_crc_known_vector():
 
 def test_crc_empty_is_init():
     assert crc16_ccitt(b"") == 0xFFFF
+
+
+def _crc16_ccitt_false_bitwise(data: bytes) -> int:
+    """Reference CRC-16/CCITT-FALSE, one bit at a time: poly 0x1021, init 0xFFFF, no reflection."""
+    crc = 0xFFFF
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x1021 if crc & 0x8000 else crc << 1) & 0xFFFF
+    return crc
+
+
+@given(st.binary(max_size=64))
+def test_crc_matches_bitwise_reference(data):
+    assert crc16_ccitt(data) == _crc16_ccitt_false_bitwise(data)
 
 
 def test_round_trip_bit_exact():
@@ -53,16 +72,32 @@ def test_field_width_validation():
         SensorFrame(0, 0, 0, (0, 0, 0), (0, 0, 4))
 
 
-def test_random_frames_round_trip():
-    import random
+_u16 = st.integers(0, 0xFFFF)
+_frames = st.builds(
+    SensorFrame,
+    node_id=st.integers(0, 0xFF),
+    seq=_u16,
+    timestamp_ms=st.integers(0, 0xFFFFFFFF),
+    codes=st.tuples(_u16, _u16, _u16),
+    range_codes=st.tuples(*[st.integers(0, 3)] * 3),
+)
 
-    rng = random.Random(1)
-    for _ in range(500):
-        frame = SensorFrame(
-            node_id=rng.randrange(256),
-            seq=rng.randrange(65536),
-            timestamp_ms=rng.randrange(2**32),
-            codes=tuple(rng.randrange(65536) for _ in range(3)),
-            range_codes=tuple(rng.randrange(4) for _ in range(3)),
-        )
-        assert decode_frame(encode_frame(frame)) == frame
+
+@given(_frames)
+def test_random_frames_round_trip(frame):
+    assert decode_frame(encode_frame(frame)) == frame
+
+
+# arbitrary bytes rarely carry a valid CRC, so half the buffers get one
+_with_crc = st.binary(min_size=FRAME_LEN - 2, max_size=FRAME_LEN - 2).map(
+    lambda body: body + struct.pack(">H", crc16_ccitt(body))
+)
+
+
+@given(st.one_of(st.binary(max_size=2 * FRAME_LEN), _with_crc))
+def test_decode_arbitrary_bytes_raises_only_frame_error(buf):
+    try:
+        frame = decode_frame(buf)
+    except FrameError:
+        return
+    assert isinstance(frame, SensorFrame)

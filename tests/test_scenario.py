@@ -67,12 +67,40 @@ def test_empty_file_rejected():
         parse_scenario("")
 
 
-def test_parse_error_carries_line_number():
-    bad = MINIMAL + "\n[obstacle thing]\nmaterial = stone\nshape = wall\nx1=0\ny1=0\nx2=1\ny2=1\n"
+WALL = "\n[obstacle thing]\nmaterial = {material}\nshape = wall\nx1=0\ny1=0\nx2=1\ny2=1\n"
+LILY = "\n[obstacle lily]\nmaterial = plant_foliage\nshape = disc\nx = 1.0\ny = 1.0\n{fields}\n"
+ROUTER = ("\n[interferer router]\nstandard = wlan\nchannel = 6\nx = 3.0\ny = 4.0\n"
+          "tx_power_dbm = 15.0\n{fields}\n")
+
+
+@pytest.mark.parametrize(
+    "text, bad_line",
+    [
+        (MINIMAL + WALL.format(material="stone"), "material = stone"),
+        (MINIMAL.replace("x = 3.0", "x = nan"), "x = nan"),
+        (MINIMAL.replace("tx_power_dbm = -5.0", "tx_power_dbm = inf"), "tx_power_dbm = inf"),
+        (MINIMAL + WALL.format(material="brick") + "loss_db = -inf\n", "loss_db = -inf"),
+        (MINIMAL + LILY.format(fields="radius = 0.3\nnear_field_m = inf"), "near_field_m = inf"),
+        (MINIMAL + LILY.format(fields="radius = 0.3\nnear_field_m = -0.5"), "near_field_m = -0.5"),
+        (MINIMAL + LILY.format(fields="radius = -0.3"), "radius = -0.3"),
+        (MINIMAL + ROUTER.format(fields="activity_factor = 0.1\ninfluence_radius_m = -2"),
+         "influence_radius_m = -2"),
+        (MINIMAL + ROUTER.format(fields="activity_factor = 1.5"), "activity_factor = 1.5"),
+        (MINIMAL + "\n[materials]\nbrick = nan\n", "brick = nan"),
+    ],
+    ids=[
+        "unknown_material", "nan_coordinate", "inf_tx_power", "inf_loss", "inf_near_field",
+        "negative_near_field", "negative_radius", "negative_influence_radius",
+        "activity_factor_out_of_range", "nan_material_loss",
+    ],
+)
+def test_parse_error_carries_line_number(text, bad_line):
     with pytest.raises(ScenarioError) as err:
-        parse_scenario(bad)
-    assert "line" in str(err.value)
-    assert "stone" in str(err.value)
+        parse_scenario(text)
+    assert err.value.line == text.splitlines().index(bad_line) + 1
+    key, value = (part.strip() for part in bad_line.split("="))
+    assert key in str(err.value)
+    assert value in str(err.value)
 
 
 def test_missing_required_node():
