@@ -52,10 +52,18 @@ class CalibrationResult:
         return json.dumps(payload, indent=2)
 
 
+# Interferer fields a calibration file may override: the ones `fit` adjusts.
+_OVERRIDE_FIELDS = ("activity_factor", "tx_power_dbm")
+
+
 def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, dict[str, dict[str, float]]]:
-    """Read a `CalibrationResult.to_json` file back into constants and overrides."""
+    """Read a `CalibrationResult.to_json` file back into constants and overrides.
+
+    Every constant and override value must be a finite number; JSON integers
+    are read as floats.
+    """
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(), parse_int=float)
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ParameterError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
@@ -64,8 +72,23 @@ def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, di
     missing = [name for name in names if name not in payload]
     if missing:
         raise ParameterError(f"{path}: missing key(s) {', '.join(missing)}")
-    calib = InterferenceCalibration(**{name: payload[name] for name in names})
-    return calib, payload.get("interferer_overrides", {})
+
+    def number(key: str, value) -> float:
+        if not (isinstance(value, float) and math.isfinite(value)):
+            raise ParameterError(f"{path}: {key} must be a finite number, got {value!r}")
+        return value
+
+    calib = InterferenceCalibration(**{name: number(name, payload[name]) for name in names})
+    overrides = payload.get("interferer_overrides", {})
+    if not isinstance(overrides, dict) or not all(isinstance(o, dict) for o in overrides.values()):
+        raise ParameterError(f"{path}: interferer_overrides must map interferer names to objects")
+    for name, override in overrides.items():
+        for key, value in override.items():
+            if key not in _OVERRIDE_FIELDS:
+                raise ParameterError(f"{path}: interferer_overrides.{name}.{key} is not one of "
+                                     f"{', '.join(_OVERRIDE_FIELDS)}")
+            number(f"interferer_overrides.{name}.{key}", value)
+    return calib, overrides
 
 
 def default_targets_path():

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -94,9 +96,10 @@ def _maybe_png(args, path: Path, title: str, xlabel: str, ylabel: str, xs, ys) -
     ax.set_xlabel(xlabel)
     ax.set_ylabel(ylabel)
     fig.tight_layout()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fig.savefig(path, dpi=120)
+    png = io.BytesIO()
+    fig.savefig(png, format="png", dpi=120)
     plt.close(fig)
+    atomic_write(path, png.getvalue())
 
 
 def _result_json(kind: str, scenario_name: str, seed: int, config: dict, payload: dict) -> str:
@@ -267,6 +270,23 @@ def _cmd_replay_log(args, out: Path | None) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not positive: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bsn-sim", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -282,12 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     png = argparse.ArgumentParser(add_help=False)
     png.add_argument("--png", action="store_true", help="also render PNG plots (needs matplotlib)")
     duration = argparse.ArgumentParser(add_help=False)
-    duration.add_argument("--duration", type=float, default=30.0, help="trace duration in seconds")
+    duration.add_argument("--duration", type=_positive_float, default=30.0, help="trace duration in seconds")
 
     run = sub.add_parser("run", help="run one experiment").add_subparsers(dest="kind", required=True)
     echo = run.add_parser("echo", parents=[common, scenario, png], help="two-module echo test")
     echo.add_argument("--channel", type=int, default=None, help="802.15.4 channel 11..26")
-    echo.add_argument("--power", type=float, default=None, help="transmit power in dBm")
+    echo.add_argument("--power", type=_finite_float, default=None, help="transmit power in dBm")
     echo.add_argument("--runs", type=int, default=10)
     echo.add_argument("--messages", type=int, default=1000)
     echo.set_defaults(handler=_cmd_run_echo)

@@ -45,10 +45,13 @@ class SensorFrame:
             raise FrameError(f"seq out of range: {self.seq}")
         if not 0 <= self.timestamp_ms <= 0xFFFFFFFF:
             raise FrameError(f"timestamp_ms out of range: {self.timestamp_ms}")
-        if len(self.codes) != 3 or any(not 0 <= c <= 0xFFFF for c in self.codes):
-            raise FrameError(f"bad ADC codes: {self.codes}")
-        if len(self.range_codes) != 3 or any(not 0 <= r <= 3 for r in self.range_codes):
-            raise FrameError(f"bad range codes: {self.range_codes}")
+        # spelled out per axis: one frame is built per sensor sample
+        c = self.codes
+        if len(c) != 3 or not (0 <= c[0] <= 0xFFFF and 0 <= c[1] <= 0xFFFF and 0 <= c[2] <= 0xFFFF):
+            raise FrameError(f"bad ADC codes: {c}")
+        r = self.range_codes
+        if len(r) != 3 or not (0 <= r[0] <= 3 and 0 <= r[1] <= 3 and 0 <= r[2] <= 3):
+            raise FrameError(f"bad range codes: {r}")
 
 
 def encode_frame(frame: SensorFrame) -> bytes:

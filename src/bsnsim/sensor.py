@@ -7,6 +7,12 @@ exceeds the activation threshold on any axis switches the node to continuous
 sampling; each active sample re-selects the measurement range per axis for
 the next sample. After the movement stays below the threshold for the full
 inactivity window the node returns to sleep.
+
+`step()` is the single-step reference: it advances one `SensorState` by one
+sample. `replay_trace()` is the batched kernel that runs a whole trace and
+must match a loop of `step()` calls frame for frame, interval for interval
+and in its final state. Both read the ADC and pick the next range through
+the same per-range-index helpers, so each formula has one home.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+
+import numpy as np
 
 from .errors import ParameterError
 from .frames import SensorFrame
@@ -55,6 +63,44 @@ RANGE_LADDER = (
     MeasurementRange.G6_0,
 )
 
+# Span and sensitivity by range index (the frame's range code).
+_RANGE_G = tuple(r.range_g for r in RANGE_LADDER)
+_SENSITIVITY = tuple(r.sensitivity_mv_per_g for r in RANGE_LADDER)
+_TOP = len(RANGE_LADDER) - 1
+
+
+def _quantize(a_g: float, idx: int) -> tuple[int, bool]:
+    """ADC code and clip flag of one axis read on range index `idx`."""
+    if not math.isfinite(a_g):
+        raise ParameterError(f"acceleration must be finite, got {a_g}")
+    v = V_REF / 2.0 + a_g * _SENSITIVITY[idx] / 1000.0
+    if v < 0.0:
+        v = 0.0
+    elif v > V_REF:
+        v = V_REF
+    return round(v / V_REF * ADC_FULL_SCALE), abs(a_g) > _RANGE_G[idx]
+
+
+def _dequantize(code: int, idx: int, clipped: bool) -> float:
+    v = code / ADC_FULL_SCALE * V_REF
+    if clipped:
+        v_mid = V_REF / 2.0
+        return math.copysign(_RANGE_G[idx], v - v_mid if v != v_mid else 1.0)
+    return (v - V_REF / 2.0) / (_SENSITIVITY[idx] / 1000.0)
+
+
+def _next_index(value_g: float, idx: int, clipped: bool) -> int:
+    """Next range index of one axis: a clipped reading, or one beyond the
+    current span, steps up one level (saturating at +/-6 g); otherwise the
+    smallest range covering the reading wins."""
+    mag = abs(value_g)
+    if clipped or mag > _RANGE_G[idx]:
+        return min(idx + 1, _TOP)
+    for k, span in enumerate(_RANGE_G):
+        if mag <= span:
+            return k
+    return _TOP
+
 
 @dataclass(frozen=True)
 class AxisReading:
@@ -76,29 +122,20 @@ class AdcReading:
         return (self.x, self.y, self.z)
 
 
-def quantize(a_g: float, meas_range: MeasurementRange, v_ref: float = V_REF) -> AxisReading:
+def quantize(a_g: float, meas_range: MeasurementRange) -> AxisReading:
     """Quantize one axis value.
 
-    Voltage model: v = v_ref/2 + a * sensitivity, clamped to [0, v_ref];
-    code = round(v / v_ref * 65535). The clipped flag is set when |a|
+    Voltage model: v = V_REF/2 + a * sensitivity, clamped to [0, V_REF];
+    code = round(v / V_REF * 65535). The clipped flag is set when |a|
     exceeds the selected range, independent of ADC saturation.
     """
-    if not math.isfinite(a_g):
-        raise ParameterError(f"acceleration must be finite, got {a_g}")
-    v = v_ref / 2.0 + a_g * meas_range.sensitivity_mv_per_g / 1000.0
-    v = min(max(v, 0.0), v_ref)
-    code = round(v / v_ref * ADC_FULL_SCALE)
-    return AxisReading(code=code, range=meas_range, clipped=abs(a_g) > meas_range.range_g)
+    code, clipped = _quantize(a_g, meas_range.code)
+    return AxisReading(code=code, range=meas_range, clipped=clipped)
 
 
 def dequantize(reading: AxisReading) -> float:
     """Invert the quantize voltage model; clipped readings saturate at the range bound."""
-    if reading.clipped:
-        v_mid = V_REF / 2.0
-        v = reading.code / ADC_FULL_SCALE * V_REF
-        return math.copysign(reading.range.range_g, v - v_mid if v != v_mid else 1.0)
-    v = reading.code / ADC_FULL_SCALE * V_REF
-    return (v - V_REF / 2.0) / (reading.range.sensitivity_mv_per_g / 1000.0)
+    return _dequantize(reading.code, reading.range.code, reading.clipped)
 
 
 def select_range_axis(reading_g: float, current: MeasurementRange) -> MeasurementRange:
@@ -108,14 +145,7 @@ def select_range_axis(reading_g: float, current: MeasurementRange) -> Measuremen
     at +/-6 g); otherwise the smallest range covering the reading wins, which
     keeps sensitivity maximal without clipping.
     """
-    mag = abs(reading_g)
-    idx = RANGE_LADDER.index(current)
-    if mag > current.range_g:
-        return RANGE_LADDER[min(idx + 1, len(RANGE_LADDER) - 1)]
-    for candidate in RANGE_LADDER:
-        if mag <= candidate.range_g:
-            return candidate
-    return RANGE_LADDER[-1]
+    return RANGE_LADDER[_next_index(reading_g, current.code, False)]
 
 
 def select_range(
@@ -158,6 +188,9 @@ class SensorState:
             raise ParameterError("low_activity_timer_s outside [0, inactivity_window]")
         if not 10.0 <= self.sample_rate_hz <= 100.0:
             raise ParameterError(f"sample_rate_hz must be within [10, 100], got {self.sample_rate_hz}")
+        for name in ("wake_period_s", "time_s", "next_sample_at_s", "last_sample_t_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def initial_state(**kwargs) -> SensorState:
@@ -169,25 +202,26 @@ def initial_state(**kwargs) -> SensorState:
 
 
 def _measure(sample: AccelSample, ranges) -> tuple[AdcReading, tuple[float, float, float]]:
-    rx = quantize(sample.ax, ranges[0])
-    ry = quantize(sample.ay, ranges[1])
-    rz = quantize(sample.az, ranges[2])
-    reading = AdcReading(rx, ry, rz)
-    return reading, (dequantize(rx), dequantize(ry), dequantize(rz))
+    reading = AdcReading(*(quantize(a, r) for a, r in zip((sample.ax, sample.ay, sample.az), ranges)))
+    return reading, tuple(dequantize(ax) for ax in reading.axes)  # type: ignore[return-value]
 
 
-def _deviation(measured: tuple[float, float, float]) -> float:
+def _deviation(x: float, y: float, z: float) -> float:
     """Largest gravity-compensated axis magnitude (1 g removed from z)."""
-    return max(abs(measured[0]), abs(measured[1]), abs(measured[2] - 1.0))
+    return max(abs(x), abs(y), abs(z - 1.0))
 
 
-def _frame(state: SensorState, t: float, reading: AdcReading) -> SensorFrame:
-    return SensorFrame(
-        node_id=state.node_id,
-        seq=state.seq,
-        timestamp_ms=int(round(t * 1000.0)) & 0xFFFFFFFF,
-        codes=tuple(ax.code for ax in reading.axes),  # type: ignore[arg-type]
-        range_codes=tuple(ax.range.code for ax in reading.axes),  # type: ignore[arg-type]
+def _frame(node_id: int, seq: int, t: float, codes, range_codes) -> SensorFrame:
+    return SensorFrame(node_id, seq, int(round(t * 1000.0)) & 0xFFFFFFFF, codes, range_codes)
+
+
+def _reading_frame(state: SensorState, t: float, reading: AdcReading) -> SensorFrame:
+    return _frame(
+        state.node_id,
+        state.seq,
+        t,
+        tuple(ax.code for ax in reading.axes),
+        tuple(ax.range.code for ax in reading.axes),
     )
 
 
@@ -205,14 +239,12 @@ def step(state: SensorState, true_accel: AccelSample, dt: float) -> tuple[Sensor
 
     if state.mode is SensorMode.SLEEP:
         reading, measured = _measure(true_accel, _SLEEP_RANGES)
-        frame = _frame(state, now, reading)
-        if _deviation(measured) > state.activation_threshold_g:
-            clipped = tuple(ax.clipped for ax in reading.axes)
-            next_ranges = _next_ranges(measured, _SLEEP_RANGES, clipped)
+        frame = _reading_frame(state, now, reading)
+        if _deviation(*measured) > state.activation_threshold_g:
             new_state = replace(
                 state,
                 mode=SensorMode.ACTIVE,
-                ranges=next_ranges,
+                ranges=_next_ranges(reading, measured),
                 low_activity_timer_s=0.0,
                 seq=(state.seq + 1) & 0xFFFF,
                 time_s=now,
@@ -233,9 +265,9 @@ def step(state: SensorState, true_accel: AccelSample, dt: float) -> tuple[Sensor
         return new_state, frame
 
     reading, measured = _measure(true_accel, state.ranges)
-    frame = _frame(state, now, reading)
+    frame = _reading_frame(state, now, reading)
     elapsed = now - state.last_sample_t_s
-    if _deviation(measured) < state.activation_threshold_g:
+    if _deviation(*measured) < state.activation_threshold_g:
         timer = min(state.low_activity_timer_s + elapsed, state.inactivity_window_s)
     else:
         timer = 0.0
@@ -251,10 +283,9 @@ def step(state: SensorState, true_accel: AccelSample, dt: float) -> tuple[Sensor
             last_sample_t_s=now,
         )
     else:
-        clipped = tuple(ax.clipped for ax in reading.axes)
         new_state = replace(
             state,
-            ranges=_next_ranges(measured, state.ranges, clipped),
+            ranges=_next_ranges(reading, measured),
             low_activity_timer_s=timer,
             seq=(state.seq + 1) & 0xFFFF,
             time_s=now,
@@ -264,17 +295,12 @@ def step(state: SensorState, true_accel: AccelSample, dt: float) -> tuple[Sensor
     return new_state, frame
 
 
-def _next_ranges(measured, current, clipped):
-    """Range update as the microcontroller sees it: a clipped axis steps up
-    one level; an in-range axis takes the smallest covering range."""
-    out = []
-    for value, rng, clip in zip(measured, current, clipped):
-        if clip:
-            idx = RANGE_LADDER.index(rng)
-            out.append(RANGE_LADDER[min(idx + 1, len(RANGE_LADDER) - 1)])
-        else:
-            out.append(select_range_axis(value, rng))
-    return tuple(out)
+def _next_ranges(reading: AdcReading, measured):
+    """Range update as the microcontroller sees it, axis by axis."""
+    return tuple(
+        RANGE_LADDER[_next_index(value, ax.range.code, ax.clipped)]
+        for value, ax in zip(measured, reading.axes)
+    )
 
 
 @dataclass(frozen=True)
@@ -294,20 +320,106 @@ class ReplayResult:
 
 
 def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
-    """Run the state machine over a full trace, one step per sample."""
-    dt = 1.0 / trace.rate_hz
+    """Run the state machine over a full trace; equal to one step() per sample.
+
+    Sample i is taken at time_s + dt + ... + dt (i + 1 terms), summed in
+    order as repeated step() calls do. A sleeping node jumps straight to the
+    sample of its next wake tick; an active node walks sample by sample on
+    plain Python scalars.
+    """
+    n = len(trace)
     frames: list[tuple[float, SensorFrame]] = []
     intervals: list[TimelineInterval] = []
+    if n == 0:
+        return ReplayResult(frames=frames, intervals=intervals, final_state=state)
+    dt = 1.0 / trace.rate_hz
+    if dt <= 0:
+        raise ParameterError(f"dt must be positive, got {dt}")
+    times = np.full(n + 1, dt)
+    times[0] = state.time_s
+    times = np.cumsum(times, out=times)[1:]
+    wake = times + _TIME_EPS
+
+    node_id, threshold = state.node_id, state.activation_threshold_g
+    wake_period, window = state.wake_period_s, state.inactivity_window_s
+    period = 1.0 / state.sample_rate_hz
+    active = state.mode is SensorMode.ACTIVE
+    r0, r1, r2 = (rng.code for rng in state.ranges)
+    timer, seq = state.low_activity_timer_s, state.seq
+    next_at, last = state.next_sample_at_s, state.last_sample_t_s
     seg_start = state.time_s
-    seg_mode = state.mode
-    for i in range(len(trace)):
-        state, frame = step(state, trace.sample(i), dt)
-        if frame is not None:
-            frames.append((state.time_s, frame))
-        if state.mode is not seg_mode:
-            intervals.append(TimelineInterval(seg_start, state.time_s, seg_mode))
-            seg_start = state.time_s
-            seg_mode = state.mode
-    if state.time_s > seg_start:
-        intervals.append(TimelineInterval(seg_start, state.time_s, seg_mode))
-    return ReplayResult(frames=frames, intervals=intervals, final_state=state)
+    t_list = None  # the trace as Python lists, made when the node first wakes
+    i = 0
+    while i < n:
+        if not active:
+            i += int(wake[i:].searchsorted(next_at))
+            if i == n:
+                break
+            now = float(times[i])
+            cx, kx = _quantize(float(trace.ax[i]), 0)
+            cy, ky = _quantize(float(trace.ay[i]), 0)
+            cz, kz = _quantize(float(trace.az[i]), 0)
+            vx, vy, vz = _dequantize(cx, 0, kx), _dequantize(cy, 0, ky), _dequantize(cz, 0, kz)
+            frames.append((now, _frame(node_id, seq, now, (cx, cy, cz), (0, 0, 0))))
+            seq = (seq + 1) & 0xFFFF
+            last = now
+            i += 1
+            if _deviation(vx, vy, vz) > threshold:
+                active = True
+                r0, r1, r2 = _next_index(vx, 0, kx), _next_index(vy, 0, ky), _next_index(vz, 0, kz)
+                timer = 0.0
+                next_at = now + period
+                intervals.append(TimelineInterval(seg_start, now, SensorMode.SLEEP))
+                seg_start = now
+            else:
+                next_tick = next_at + wake_period
+                if next_tick <= now + _TIME_EPS:
+                    next_tick = now + wake_period
+                next_at = next_tick
+            continue
+
+        if t_list is None:
+            t_list, ax, ay, az = times.tolist(), trace.ax.tolist(), trace.ay.tolist(), trace.az.tolist()
+        while i < n:
+            now = t_list[i]
+            i += 1
+            if now + _TIME_EPS < next_at:
+                continue
+            cx, kx = _quantize(ax[i - 1], r0)
+            cy, ky = _quantize(ay[i - 1], r1)
+            cz, kz = _quantize(az[i - 1], r2)
+            vx, vy, vz = _dequantize(cx, r0, kx), _dequantize(cy, r1, ky), _dequantize(cz, r2, kz)
+            frames.append((now, _frame(node_id, seq, now, (cx, cy, cz), (r0, r1, r2))))
+            seq = (seq + 1) & 0xFFFF
+            if _deviation(vx, vy, vz) < threshold:
+                # step() clamps at the window; a timer that reaches it is reset below
+                timer += now - last
+            else:
+                timer = 0.0
+            last = now
+            if timer >= window:
+                active = False
+                r0 = r1 = r2 = 0
+                timer = 0.0
+                next_at = now + wake_period
+                intervals.append(TimelineInterval(seg_start, now, SensorMode.ACTIVE))
+                seg_start = now
+                break
+            r0, r1, r2 = _next_index(vx, r0, kx), _next_index(vy, r1, ky), _next_index(vz, r2, kz)
+            next_at = now + period
+
+    end = float(times[-1])
+    mode = SensorMode.ACTIVE if active else SensorMode.SLEEP
+    if end > seg_start:
+        intervals.append(TimelineInterval(seg_start, end, mode))
+    final_state = replace(
+        state,
+        mode=mode,
+        ranges=(RANGE_LADDER[r0], RANGE_LADDER[r1], RANGE_LADDER[r2]),
+        low_activity_timer_s=timer,
+        seq=seq,
+        time_s=end,
+        next_sample_at_s=next_at,
+        last_sample_t_s=last,
+    )
+    return ReplayResult(frames=frames, intervals=intervals, final_state=final_state)

@@ -1,5 +1,8 @@
 """Calibration fit: residuals, holdout, and file round trip."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from bsnsim.calibrate import (
@@ -9,6 +12,7 @@ from bsnsim.calibrate import (
     load_targets,
 )
 from bsnsim.errors import ParameterError
+from bsnsim.rf import InterferenceCalibration
 
 
 @pytest.fixture(scope="module")
@@ -56,14 +60,29 @@ def test_calibration_file_round_trip(result, tmp_path):
     assert overrides == result.interferer_overrides
 
 
+def calibration_text(**changes):
+    """A calibration file's text: the default constants with `changes` applied."""
+    return json.dumps({**asdict(InterferenceCalibration()), **changes})
+
+
 @pytest.mark.parametrize(
     "text, problem",
     [
         ('{"logistic_midpoint_db": 14.0, "logistic_scale_db": 2.0}', "missing key(s) oven_slope_low_db_per_mhz"),
         ('{"logistic_midpoint_db": 14.0,', "not valid JSON"),
         ("[14.0, 2.0]", "expected a JSON object"),
+        (calibration_text(logistic_midpoint_db="abc"), "logistic_midpoint_db must be a finite number"),
+        (calibration_text(logistic_scale_db=True), "logistic_scale_db must be a finite number"),
+        (calibration_text(oven_slope_low_db_per_mhz=float("nan")), "oven_slope_low_db_per_mhz must be a finite"),
+        (calibration_text(interferer_overrides=[1.0]), "interferer_overrides must map interferer names to objects"),
+        (calibration_text(interferer_overrides={"oven": 3.0}), "interferer_overrides must map"),
+        (calibration_text(interferer_overrides={"oven": {"tx_power_dbm": "hot"}}),
+         "interferer_overrides.oven.tx_power_dbm must be a finite number"),
+        (calibration_text(interferer_overrides={"oven": {"channel": 3.0}}),
+         "interferer_overrides.oven.channel is not one of"),
     ],
-    ids=["missing_key", "malformed_json", "not_an_object"],
+    ids=["missing_key", "malformed_json", "not_an_object", "string_constant", "bool_constant", "nan_constant",
+         "overrides_not_object", "override_not_object", "override_value_string", "override_unknown_field"],
 )
 def test_bad_calibration_file_rejected(tmp_path, text, problem):
     path = tmp_path / "calibration.json"
@@ -82,3 +101,11 @@ def test_bad_targets_rejected(tmp_path):
     path.write_text("scenario,channel,tx_power_dbm,target_mean_pct,role\napartment,12,0,99,maybe\n")
     with pytest.raises(ParameterError):
         load_targets(path)
+
+
+def test_integer_constants_read_as_floats(tmp_path):
+    path = tmp_path / "calibration.json"
+    path.write_text(calibration_text(logistic_midpoint_db=14, interferer_overrides={"oven": {"tx_power_dbm": -5}}))
+    calib, overrides = load_calibration_file(path)
+    assert calib.logistic_midpoint_db == 14.0 and isinstance(calib.logistic_midpoint_db, float)
+    assert overrides == {"oven": {"tx_power_dbm": -5.0}}

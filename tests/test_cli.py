@@ -4,14 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import types
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import bsnsim
+from bsnsim import cli
 from bsnsim.cli import export_table, main
 from bsnsim.frames import SensorFrame, encode_frame
 from bsnsim.linksim import LOG_MAGIC, RunStats
+from bsnsim.rf import InterferenceCalibration
 
 
 def test_export_table_format():
@@ -144,12 +148,16 @@ def _flipped_log(tmp_path):
     return ["replay-log", str(path)]
 
 
-def _bad_calibration(text):
+def _bad_calibration(text, experiment=("echo", "--runs", "1", "--messages", "10")):
     def argv(tmp_path):
         path = tmp_path / "calibration.json"
         path.write_text(text)
-        return ["run", "echo", "--runs", "1", "--messages", "10", "--calibration", str(path), "--out", str(tmp_path)]
+        return ["run", *experiment, "--calibration", str(path), "--out", str(tmp_path)]
     return argv
+
+
+def _calibration_text(**changes):
+    return json.dumps({**asdict(InterferenceCalibration()), **changes})
 
 
 @pytest.mark.parametrize(
@@ -159,8 +167,12 @@ def _bad_calibration(text):
         lambda tmp_path: ["run", "star", "--nodes", "256", "--duration", "1", "--out", str(tmp_path)],
         _bad_calibration('{"logistic_midpoint_db": 14.0}'),
         _bad_calibration("{not json"),
+        _bad_calibration(_calibration_text(logistic_midpoint_db="abc"), ("scan",)),
+        _bad_calibration(_calibration_text(logistic_scale_db=True), ("scan",)),
+        _bad_calibration(_calibration_text(interferer_overrides={"oven": 3.0}), ("scan",)),
     ],
-    ids=["flipped_log_byte", "node_id_over_255", "calibration_missing_key", "calibration_malformed"],
+    ids=["flipped_log_byte", "node_id_over_255", "calibration_missing_key", "calibration_malformed",
+         "calibration_string_constant", "calibration_bool_constant", "calibration_override_not_object"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, make_argv):
     # a fresh interpreter, so an uncaught exception would show as a traceback on stderr
@@ -171,3 +183,64 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, make_argv):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "star", "--duration", "nan"], "--duration"),
+        (["run", "classify", "--duration", "nan"], "--duration"),
+        (["run", "star", "--duration", "inf"], "--duration"),
+        (["run", "star", "--duration", "0"], "--duration"),
+        (["run", "classify", "--duration", "-2"], "--duration"),
+        (["run", "echo", "--power", "nan"], "--power"),
+    ],
+    ids=["star_nan_duration", "classify_nan_duration", "star_inf_duration", "star_zero_duration",
+         "classify_negative_duration", "echo_nan_power"],
+)
+def test_bad_number_flag_is_usage_error(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: argument {flag}:" in err.splitlines()[-1]
+    assert not any(tmp_path.iterdir())
+
+
+def test_png_is_written_through_atomic_write(tmp_path, monkeypatch):
+    saved_to = []
+
+    class Figure:
+        def savefig(self, target, **kwargs):
+            saved_to.append(target)
+            target.write(b"\x89PNG stub")
+
+        def tight_layout(self):
+            pass
+
+    class Axes:
+        def __getattr__(self, name):
+            return lambda *args, **kwargs: None
+
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda **kwargs: (Figure(), Axes())
+    pyplot.close = lambda fig: None
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.use = lambda backend: None
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+
+    written = []
+    atomic_write = cli.atomic_write
+
+    def recording_write(path, data):
+        written.append(path)
+        atomic_write(path, data)
+
+    monkeypatch.setattr(cli, "atomic_write", recording_write)
+    assert main(["run", "scan", "--png", "--out", str(tmp_path)]) == 0
+    assert len(saved_to) == 1 and not isinstance(saved_to[0], (str, os.PathLike))
+    assert (tmp_path / "scan.png").read_bytes() == b"\x89PNG stub"
+    assert sorted(tmp_path.iterdir()) == sorted(written)

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsnsim.errors import ParameterError
 from bsnsim.motion import AccelSample, ActivityKind, compose_schedule, generate_trace
 from bsnsim.sensor import (
+    _TIME_EPS,
     RANGE_LADDER,
     MeasurementRange,
+    ReplayResult,
     SensorMode,
+    TimelineInterval,
     dequantize,
     initial_state,
     quantize,
@@ -179,3 +184,104 @@ class TestWorkflow:
         seqs = [frame.seq for _, frame in result.frames]
         assert seqs[0] == 65534
         assert 0 in seqs  # wrapped past 65535
+
+
+def _step_replay(state, trace):
+    """Reference replay: one step() per sample, the behaviour replay_trace must match."""
+    dt = 1.0 / trace.rate_hz
+    frames, intervals = [], []
+    seg_start, seg_mode = state.time_s, state.mode
+    for i in range(len(trace)):
+        state, frame = step(state, trace.sample(i), dt)
+        if frame is not None:
+            frames.append((state.time_s, frame))
+        if state.mode is not seg_mode:
+            intervals.append(TimelineInterval(seg_start, state.time_s, seg_mode))
+            seg_start, seg_mode = state.time_s, state.mode
+    if state.time_s > seg_start:
+        intervals.append(TimelineInterval(seg_start, state.time_s, seg_mode))
+    return ReplayResult(frames=frames, intervals=intervals, final_state=state)
+
+
+def _assert_replay_matches_steps(state, trace):
+    expected = _step_replay(state, trace)
+    got = replay_trace(state, trace)
+    assert got.frames == expected.frames
+    assert got.intervals == expected.intervals
+    assert got.final_state == expected.final_state
+    # repr also tells a numpy scalar from a Python float
+    assert repr(got.final_state) == repr(expected.final_state)
+    return expected
+
+
+# whole-number rates make sample instants coincide with ticks up to rounding
+_RATES = st.one_of(st.sampled_from([10.0, 20.0, 25.0, 30.0, 50.0, 60.0, 100.0]), st.floats(10.0, 100.0))
+
+
+class TestReplayMatchesStep:
+    """replay_trace is a batched kernel; step() is the reference it must equal."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_criterion_5_rest(self, seed):
+        trace = generate_trace(ActivityKind.REST, 7.0, 60.0, seed=seed)
+        _assert_replay_matches_steps(initial_state(), trace)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_criterion_5_rest_then_fall(self, seed):
+        trace = compose_schedule([(ActivityKind.REST, 2.0), (ActivityKind.FALL, 2.0)], seed=seed)
+        _assert_replay_matches_steps(initial_state(), trace)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_criterion_5_fall_then_inactivity_window(self, seed):
+        trace = compose_schedule(
+            [(ActivityKind.FALL, 2.0), (ActivityKind.REST, 310.0)], rate_hz=10.0, seed=seed
+        )
+        result = _assert_replay_matches_steps(initial_state(sample_rate_hz=10.0), trace)
+        assert result.final_state.mode is SensorMode.SLEEP
+
+    @pytest.mark.parametrize("k", [1, 7, 60])
+    def test_wake_tick_on_the_epsilon_boundary(self, k):
+        # the k-th sample lands exactly _TIME_EPS before the wake tick: step() takes it
+        trace = generate_trace(ActivityKind.FALL, 2.0, 60.0, seed=k)
+        t = 0.0
+        for _ in range(k):
+            t += 1.0 / trace.rate_hz
+        result = _assert_replay_matches_steps(initial_state(next_sample_at_s=t + _TIME_EPS), trace)
+        assert result.frames[0][0] == t
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        segments=st.lists(
+            st.tuples(st.sampled_from(list(ActivityKind)), st.floats(0.2, 5.0)), min_size=1, max_size=4
+        ),
+        rate_hz=_RATES,
+        seed=st.integers(0, 2**30),
+        sample_rate_hz=_RATES,
+        wake_period_s=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 2.5)),
+        first_tick_s=st.one_of(st.none(), st.floats(-2.0, 2.0)),
+        inactivity_window_s=st.sampled_from([0.5, 1.7, 300.0]),
+        node_id=st.integers(0, 255),
+        seq=st.integers(65500, 65535),
+    )
+    def test_random_schedules_and_states(
+        self, segments, rate_hz, seed, sample_rate_hz, wake_period_s, first_tick_s, inactivity_window_s,
+        node_id, seq,
+    ):
+        state = initial_state(
+            sample_rate_hz=sample_rate_hz,
+            wake_period_s=wake_period_s,
+            inactivity_window_s=inactivity_window_s,
+            node_id=node_id,
+            seq=seq,
+            **({} if first_tick_s is None else {"next_sample_at_s": first_tick_s}),
+        )
+        first = compose_schedule(segments, rate_hz=rate_hz, seed=seed)
+        mid_run = _assert_replay_matches_steps(state, first).final_state
+        # resume from wherever the first trace left the node, asleep or active
+        second = compose_schedule(segments[::-1], rate_hz=rate_hz, seed=seed + 1)
+        _assert_replay_matches_steps(mid_run, second)
+
+    def test_non_finite_state_time_rejected(self):
+        for name in ("wake_period_s", "time_s", "next_sample_at_s", "last_sample_t_s"):
+            with pytest.raises(ParameterError, match=name):
+                initial_state(**{name: float("nan")})
