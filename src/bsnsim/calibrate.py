@@ -96,30 +96,30 @@ def default_targets_path():
 
 
 def load_targets(path: str | Path | None = None) -> list[CalibrationTarget]:
-    if path is None:
-        text = default_targets_path().read_text()
-    else:
-        text = Path(path).read_text()
+    """Read a targets CSV; a missing, non-numeric or non-finite value names its file and line."""
+    source = default_targets_path() if path is None else Path(path)
+    reader = csv.DictReader(source.read_text().splitlines())
+    expected = [f.name for f in fields(CalibrationTarget)]
+    if reader.fieldnames is None or not set(expected).issubset(reader.fieldnames):
+        raise ParameterError(f"{source}: targets CSV needs columns {sorted(expected)}, got {reader.fieldnames}")
     targets = []
-    reader = csv.DictReader(text.splitlines())
-    expected = {"scenario", "channel", "tx_power_dbm", "target_mean_pct", "role"}
-    if reader.fieldnames is None or not expected.issubset(reader.fieldnames):
-        raise ParameterError(f"targets CSV needs columns {sorted(expected)}, got {reader.fieldnames}")
     for row in reader:
-        role = row["role"].strip().lower()
-        if role not in ("fit", "holdout"):
-            raise ParameterError(f"target role must be fit|holdout, got {row['role']!r}")
-        targets.append(
-            CalibrationTarget(
-                scenario=row["scenario"].strip(),
-                channel=int(row["channel"]),
-                tx_power_dbm=float(row["tx_power_dbm"]),
-                target_mean_pct=float(row["target_mean_pct"]),
-                role=role,
-            )
-        )
+        where = f"{source}, line {reader.line_num}"
+        cells = {key: (row[key] or "").strip() for key in expected}  # a short row leaves None
+        values = {}
+        for key, kind in (("channel", int), ("tx_power_dbm", float), ("target_mean_pct", float)):
+            try:
+                values[key] = kind(cells[key])
+            except ValueError:
+                values[key] = math.nan
+            if not math.isfinite(values[key]):
+                noun = "an integer" if kind is int else "a finite number"
+                raise ParameterError(f"{where}: {key} must be {noun}, got {cells[key]!r}")
+        if cells["role"].lower() not in ("fit", "holdout"):
+            raise ParameterError(f"{where}: target role must be fit|holdout, got {cells['role']!r}")
+        targets.append(CalibrationTarget(cells["scenario"], role=cells["role"].lower(), **values))
     if not targets:
-        raise ParameterError("targets CSV holds no rows")
+        raise ParameterError(f"{source}: targets CSV holds no rows")
     return targets
 
 
@@ -144,6 +144,9 @@ def fit(targets: list[CalibrationTarget] | None = None, verbose: bool = False) -
     targets = targets or load_targets()
     fit_targets = [t for t in targets if t.role == "fit"]
     scenarios = {name: load_scenario(name) for name in {t.scenario for t in targets}}
+    missing = [name for name in ("apartment", "single_house", "apartment_microwave") if name not in scenarios]
+    if missing:
+        raise ParameterError(f"the fit seeds its parameters from scenario(s) the targets lack: {', '.join(missing)}")
 
     seed_calib = InterferenceCalibration()
     seed_af_ap = scenarios["apartment"].interferers[_APARTMENT_STRONG[0]].activity_factor

@@ -287,6 +287,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bsn-sim", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -294,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # flag groups shared by the `run` experiments that use them
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_seed, default=0, help="non-negative integer")
     common.add_argument("--out", type=Path, default="out")
     scenario = argparse.ArgumentParser(add_help=False)
     scenario.add_argument("--scenario", default="apartment", help="preset name or scenario file path")

@@ -156,22 +156,21 @@ def run_star_network(
     duration_s: float,
     seed: int,
     calibration: InterferenceCalibration | None = None,
-    logger_node: str = "base",
 ) -> StarResult:
     """Drive each sensor node's state machine and transport its frames.
 
     Sensor nodes share the channel via carrier sensing: below the MAC
     capacity every frame gets airtime; above it the excess offered load is
     dropped at random. Surviving frames face the per-link interference
-    probability independently. The logger records deliveries in emission
-    order (ties broken by node name).
+    probability independently. The logger, node `base`, records deliveries
+    in emission order (ties broken by node name).
     """
     if not traces:
         raise ParameterError("star network needs at least one sensor node trace")
     if duration_s <= 0:
         raise ParameterError(f"duration_s must be positive, got {duration_s}")
-    if logger_node not in scenario.nodes:
-        raise ScenarioError(f"scenario {scenario.name!r} has no logger node {logger_node!r}")
+    if "base" not in scenario.nodes:
+        raise ScenarioError(f"scenario {scenario.name!r} has no logger node 'base'")
     channel = ChannelSpec.wpan(scenario.channel)
     rng = np.random.default_rng(seed)
 
@@ -200,7 +199,7 @@ def run_star_network(
     for name in sorted(emissions):
         frames = emissions[name].frames
         p_link = direction_success_prob(
-            scenario, channel, scenario.tx_power_dbm, name, logger_node, calibration
+            scenario, channel, scenario.tx_power_dbm, name, "base", calibration
         )
         p = p_link * (1.0 - drop_prob)
         if frames:

@@ -228,7 +228,6 @@ def path_loss(
 class LinkBudget:
     tx_power_dbm: float
     path_loss_db: float
-    sensitivity_dbm: float = RECEIVER_SENSITIVITY_DBM
 
     @property
     def rx_power_dbm(self) -> float:
@@ -236,7 +235,7 @@ class LinkBudget:
 
     @property
     def margin_db(self) -> float:
-        return self.rx_power_dbm - self.sensitivity_dbm
+        return self.rx_power_dbm - RECEIVER_SENSITIVITY_DBM
 
 
 def link_budget(
@@ -246,14 +245,12 @@ def link_budget(
     obstacles: Sequence[Obstacle] = (),
     freq_mhz: float = 2450.0,
     material_loss: Mapping[Material, float] | None = None,
-    sensitivity_dbm: float = RECEIVER_SENSITIVITY_DBM,
 ) -> LinkBudget:
     d = max(0.05, math.hypot(rx_pos[0] - tx_pos[0], rx_pos[1] - tx_pos[1]))
     crossed = crossed_obstacles(tx_pos, rx_pos, obstacles)
     return LinkBudget(
         tx_power_dbm=tx_power_dbm,
         path_loss_db=path_loss(d, crossed, freq_mhz, material_loss),
-        sensitivity_dbm=sensitivity_dbm,
     )
 
 

@@ -12,7 +12,7 @@ Grammar (one `key = value` pair per line, `#` starts a comment):
 
     [interferer router]
     standard = wlan             # wlan | wpan | oven
-    channel = 6                 # ignored for oven
+    channel = 6                 # wlan | wpan only; ignored for oven
     x = 3.0
     y = 4.0
     tx_power_dbm = 15.0
@@ -33,19 +33,22 @@ Grammar (one `key = value` pair per line, `#` starts a comment):
     [materials]                 # optional loss-table overrides
     brick = 4.0
 
-Every number must be finite (`nan` and `inf` are rejected). `radius`,
-`near_field_m` and `influence_radius_m` must be non-negative, and
-`activity_factor` must lie in [0, 1]. Scenarios must define at least the
-`base` and `remote` nodes. Errors raise `ScenarioError` naming the line.
+Each section takes only the keys shown for its kind (a wall only x1 y1 x2
+y2, a disc only x y radius); any other key is an error. Every number must be
+finite (`nan` and `inf` are rejected). `radius`, `near_field_m` and
+`influence_radius_m` must be non-negative, and `activity_factor` must lie in
+[0, 1]. Scenarios must define at least the `base` and `remote` nodes. Errors
+raise `ScenarioError` naming the line.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .errors import ParameterError, ScenarioError
 from .rf import (
@@ -108,152 +111,168 @@ class Scenario:
             raise ScenarioError(f"scenario channel must be 11..26, got {self.channel}")
 
 
-_STANDARDS = {
-    "wlan": RadioStandard.WLAN_80211,
-    "wpan": RadioStandard.WPAN_154,
-    "oven": RadioStandard.MICROWAVE_OVEN,
+# A reader turns a field's text into its value or raises a ScenarioError on
+# the field's line.
+Reader = Callable[[str, str, int], Any]
+Fields = dict[str, tuple[str, int]]  # key -> (text, line)
+Table = dict[str, tuple[Reader, bool]]  # key -> (reader, optional), in file order
+
+
+def _text(text: str, key: str, line: int) -> str:
+    return text
+
+
+def _finite(low: float = -math.inf, high: float = math.inf) -> Reader:
+    """A finite number in [low, high]."""
+
+    def read(text: str, key: str, line: int) -> float:
+        try:
+            number = float(text)
+        except ValueError:
+            raise ScenarioError(f"field {key!r} must be a number, got {text!r}", line) from None
+        if not math.isfinite(number):
+            raise ScenarioError(f"field {key!r} must be finite, got {text!r}", line)
+        if not low <= number <= high:
+            raise ScenarioError(f"field {key!r} must lie in [{low:g}, {high:g}], got {text!r}", line)
+        return number
+
+    return read
+
+
+_number, _non_negative, _fraction = _finite(), _finite(0.0), _finite(0.0, 1.0)
+
+
+def _integer(text: str, key: str, line: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ScenarioError(f"field {key!r} must be an integer, got {text!r}", line) from None
+
+
+def _choice(options: Mapping[str, Any]) -> Reader:
+    """One of the option words, in any letter case."""
+
+    def read(text: str, key: str, line: int) -> Any:
+        try:
+            return options[text.lower()]
+        except KeyError:
+            raise ScenarioError(f"field {key!r} must be one of {', '.join(options)}, got {text!r}", line) from None
+
+    return read
+
+
+_bool = _choice({"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False})
+_material = _choice({m.value: m for m in Material})
+_REQUIRED, _OPTIONAL = False, True
+
+_TOP: Table = {"name": (_text, _OPTIONAL), "channel": (_integer, _OPTIONAL), "tx_power_dbm": (_number, _OPTIONAL)}
+_NODE: Table = {"x": (_number, _REQUIRED), "y": (_number, _REQUIRED)}
+_INTERFERER: Table = {
+    "standard": (_choice({s.value: s for s in RadioStandard}), _REQUIRED),
+    "channel": (_integer, _OPTIONAL),  # required unless the standard is oven
+    "x": (_number, _REQUIRED),
+    "y": (_number, _REQUIRED),
+    "tx_power_dbm": (_number, _REQUIRED),
+    "activity_factor": (_fraction, _REQUIRED),
+    "enabled": (_bool, _OPTIONAL),
+    "influence_radius_m": (_non_negative, _OPTIONAL),
+}
+# shape keyword -> (geometry class, its keys in field order)
+_SHAPES: dict[str, tuple[type, Table]] = {
+    "wall": (Wall, {key: (_number, _REQUIRED) for key in ("x1", "y1", "x2", "y2")}),
+    "disc": (Disc, {"x": (_number, _REQUIRED), "y": (_number, _REQUIRED), "radius": (_non_negative, _REQUIRED)}),
+}
+_OBSTACLE: dict[str, Table] = {
+    shape: {
+        "material": (_material, _REQUIRED),
+        "shape": (_text, _OPTIONAL),
+        **geometry,
+        "loss_db": (_number, _OPTIONAL),
+        "near_field_m": (_non_negative, _OPTIONAL),
+    }
+    for shape, (_, geometry) in _SHAPES.items()
 }
 
 
-class _Section:
-    def __init__(self, kind: str, name: str, line: int):
-        self.kind = kind
-        self.name = name
-        self.line = line
-        self.fields: dict[str, tuple[str, int]] = {}
+def _read(fields: Fields, table: Table, where: str, line: int | None) -> dict[str, Any]:
+    """The typed values of the keys present; an unknown or missing required key is an error."""
+    if not fields.keys() <= table.keys():
+        key, (text, key_line) = next((k, v) for k, v in fields.items() if k not in table)
+        raise ScenarioError(f"{where}: unknown key {key!r} = {text!r} (known: {', '.join(table)})", key_line)
+    values = {}
+    for key, (reader, optional) in table.items():
+        if key in fields:
+            text, key_line = fields[key]
+            values[key] = reader(text, key, key_line)
+        elif not optional:
+            raise ScenarioError(f"{where} is missing field {key!r}", line)
+    return values
 
 
-def _number(value: str, key: str, line: int) -> float:
-    try:
-        number = float(value)
-    except ValueError:
-        raise ScenarioError(f"field {key!r} must be a number, got {value!r}", line) from None
-    if not math.isfinite(number):
-        raise ScenarioError(f"field {key!r} must be finite, got {value!r}", line)
-    return number
+def _node(fields: Fields, where: str, line: int) -> Point:
+    values = _read(fields, _NODE, where, line)
+    return (values["x"], values["y"])
 
 
-def _parse_float(section: _Section, key: str, optional: bool = False, non_negative: bool = False) -> float | None:
-    """A finite number; an absent optional field gives None."""
-    if key not in section.fields:
-        if optional:
-            return None
-        raise ScenarioError(f"[{section.kind} {section.name}] is missing field {key!r}", section.line)
-    value, line = section.fields[key]
-    number = _number(value, key, line)
-    if non_negative and number < 0:
-        raise ScenarioError(f"field {key!r} must be non-negative, got {value!r}", line)
-    return number
-
-
-def _parse_int(section: _Section, key: str) -> int:
-    if key not in section.fields:
-        raise ScenarioError(f"[{section.kind} {section.name}] is missing field {key!r}", section.line)
-    value, line = section.fields[key]
-    try:
-        return int(value)
-    except ValueError:
-        raise ScenarioError(f"field {key!r} must be an integer, got {value!r}", line) from None
-
-
-def _parse_bool(section: _Section, key: str, default: bool) -> bool:
-    if key not in section.fields:
-        return default
-    value, line = section.fields[key]
-    if value.lower() in ("true", "yes", "1"):
-        return True
-    if value.lower() in ("false", "no", "0"):
-        return False
-    raise ScenarioError(f"field {key!r} must be true/false, got {value!r}", line)
-
-
-def _build_interferer(section: _Section) -> Interferer:
-    std_raw, std_line = section.fields.get("standard", ("", section.line))
-    standard = _STANDARDS.get(std_raw.lower())
-    if standard is None:
-        raise ScenarioError(f"unknown interferer standard {std_raw!r} (wlan|wpan|oven)", std_line)
+def _interferer(fields: Fields, where: str, line: int) -> Interferer:
+    values = _read(fields, _INTERFERER, where, line)
+    standard, index = values.pop("standard"), values.pop("channel", None)
     if standard is RadioStandard.MICROWAVE_OVEN:
         channel = ChannelSpec.microwave_oven()
+    elif index is None:
+        raise ScenarioError(f"{where} is missing field 'channel'", line)
     else:
-        index = _parse_int(section, "channel")
-        _, ch_line = section.fields["channel"]
         try:
             channel = ChannelSpec.wlan(index) if standard is RadioStandard.WLAN_80211 else ChannelSpec.wpan(index)
-        except Exception as exc:
-            raise ScenarioError(str(exc), ch_line) from None
-    try:
-        return Interferer(
-            channel=channel,
-            position=(_parse_float(section, "x"), _parse_float(section, "y")),
-            tx_power_dbm=_parse_float(section, "tx_power_dbm"),
-            activity_factor=_parse_float(section, "activity_factor"),
-            enabled=_parse_bool(section, "enabled", True),
-            influence_radius_m=_parse_float(section, "influence_radius_m", optional=True, non_negative=True),
-        )
-    except ParameterError as exc:  # Interferer rejects an activity_factor outside [0, 1]
-        raise ScenarioError(str(exc), section.fields["activity_factor"][1]) from None
+        except ParameterError as exc:
+            raise ScenarioError(str(exc), fields["channel"][1]) from None
+    return Interferer(channel, (values.pop("x"), values.pop("y")), **values)
 
 
-def _parse_material(raw: str, line: int) -> Material:
-    try:
-        return Material(raw.lower())
-    except ValueError:
-        valid = ", ".join(m.value for m in Material)
-        raise ScenarioError(f"unknown material {raw!r} (expected one of: {valid})", line) from None
-
-
-def _build_obstacle(section: _Section) -> Obstacle:
-    mat_raw, mat_line = section.fields.get("material", ("", section.line))
-    material = _parse_material(mat_raw, mat_line)
-    shape_raw, shape_line = section.fields.get("shape", ("wall", section.line))
-    if shape_raw == "wall":
-        shape: Wall | Disc = Wall(
-            _parse_float(section, "x1"),
-            _parse_float(section, "y1"),
-            _parse_float(section, "x2"),
-            _parse_float(section, "y2"),
-        )
-    elif shape_raw == "disc":
-        radius = _parse_float(section, "radius", non_negative=True)
-        shape = Disc(_parse_float(section, "x"), _parse_float(section, "y"), radius)
-    else:
-        raise ScenarioError(f"unknown obstacle shape {shape_raw!r} (wall|disc)", shape_line)
+def _obstacle(fields: Fields, where: str, line: int) -> Obstacle:
+    shape, shape_line = fields.get("shape", ("wall", line))
+    if shape not in _SHAPES:
+        raise ScenarioError(f"unknown obstacle shape {shape!r} (wall|disc)", shape_line)
+    geometry_class, geometry = _SHAPES[shape]
+    values = _read(fields, _OBSTACLE[shape], where, line)
     return Obstacle(
-        material=material,
-        shape=shape,
-        loss_db=_parse_float(section, "loss_db", optional=True),
-        near_field_m=_parse_float(section, "near_field_m", optional=True, non_negative=True),
+        values["material"],
+        geometry_class(*(values[key] for key in geometry)),
+        values.get("loss_db"),
+        values.get("near_field_m"),
     )
+
+
+_BUILDERS = {"node": _node, "interferer": _interferer, "obstacle": _obstacle}
 
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     """Parse scenario text, reporting the offending line on error."""
-    top: dict[str, tuple[str, int]] = {}
-    sections: list[_Section] = []
-    current: _Section | None = None
+    top: Fields = {}
+    sections: list[tuple[str, str, int, Fields]] = []  # (kind, name, header line, fields)
+    target = top
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ScenarioError(f"unterminated section header {raw.strip()!r}", lineno)
             parts = line[1:-1].split()
-            if len(parts) == 1 and parts[0] == "materials":
-                current = _Section("materials", "", lineno)
-            elif len(parts) == 2 and parts[0] in ("node", "interferer", "obstacle"):
-                current = _Section(parts[0], parts[1], lineno)
-            else:
+            if parts == ["materials"]:
+                parts.append("")
+            elif len(parts) != 2 or parts[0] not in _BUILDERS:
                 raise ScenarioError(f"bad section header {line!r}", lineno)
-            sections.append(current)
+            target = {}
+            sections.append((parts[0], parts[1], lineno, target))
             continue
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not equals:
             raise ScenarioError(f"expected `key = value`, got {raw.strip()!r}", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ScenarioError("empty key", lineno)
-        target = current.fields if current is not None else top
         if key in target:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
         target[key] = (value, lineno)
@@ -261,84 +280,51 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     if not top and not sections:
         raise ScenarioError(f"{source}: scenario file is empty")
 
-    scenario = Scenario(name=top.get("name", (Path(source).stem, 0))[0])
-    if "channel" in top:
-        value, lineno = top["channel"]
-        try:
-            scenario.channel = int(value)
-        except ValueError:
-            raise ScenarioError(f"channel must be an integer, got {value!r}", lineno) from None
-    if "tx_power_dbm" in top:
-        value, lineno = top["tx_power_dbm"]
-        scenario.tx_power_dbm = _number(value, "tx_power_dbm", lineno)
-
-    for section in sections:
-        if section.kind == "node":
-            if section.name in scenario.nodes:
-                raise ScenarioError(f"duplicate node {section.name!r}", section.line)
-            scenario.nodes[section.name] = (_parse_float(section, "x"), _parse_float(section, "y"))
-        elif section.kind == "interferer":
-            if section.name in scenario.interferers:
-                raise ScenarioError(f"duplicate interferer {section.name!r}", section.line)
-            scenario.interferers[section.name] = _build_interferer(section)
-        elif section.kind == "obstacle":
-            if section.name in scenario.obstacles:
-                raise ScenarioError(f"duplicate obstacle {section.name!r}", section.line)
-            scenario.obstacles[section.name] = _build_obstacle(section)
-        else:  # materials
-            for key, (value, lineno) in section.fields.items():
-                scenario.material_loss[_parse_material(key, lineno)] = _number(value, key, lineno)
+    scenario = Scenario(**{"name": Path(source).stem, **_read(top, _TOP, "top level", None)})
+    entries = {"node": scenario.nodes, "interferer": scenario.interferers, "obstacle": scenario.obstacles}
+    for kind, name, line, fields in sections:
+        if kind == "materials":
+            for key, (value, lineno) in fields.items():
+                scenario.material_loss[_material(key, "material", lineno)] = _number(value, key, lineno)
+            continue
+        if name in entries[kind]:
+            raise ScenarioError(f"duplicate {kind} {name!r}", line)
+        entries[kind][name] = _BUILDERS[kind](fields, f"[{kind} {name}]", line)
 
     scenario.validate()
     return scenario
 
 
+def _format(value: Any) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    return value if isinstance(value, str) else repr(value)
+
+
+def _block(header: str, keys: Iterable[str], values: Mapping[str, Any]) -> list[str]:
+    """One section of the file: `key = value` lines in `keys` order, absent (None) values left out."""
+    lines = [f"{key} = {_format(value)}" for key in keys if (value := values.get(key)) is not None]
+    return [header, *lines, ""] if header else [*lines, ""]
+
+
 def serialize_scenario(scenario: Scenario) -> str:
     """Render a scenario back to its file form (parse round-trips exactly)."""
-    out = [f"name = {scenario.name}", f"channel = {scenario.channel}", f"tx_power_dbm = {scenario.tx_power_dbm!r}", ""]
+    out = _block("", _TOP, vars(scenario))
     for name, (x, y) in scenario.nodes.items():
-        out += [f"[node {name}]", f"x = {x!r}", f"y = {y!r}", ""]
+        out += _block(f"[node {name}]", _NODE, {"x": x, "y": y})
     for name, it in scenario.interferers.items():
-        out += [f"[interferer {name}]", f"standard = {it.channel.standard.value}"]
-        if it.channel.standard is not RadioStandard.MICROWAVE_OVEN:
-            out.append(f"channel = {it.channel.index}")
-        out += [
-            f"x = {it.position[0]!r}",
-            f"y = {it.position[1]!r}",
-            f"tx_power_dbm = {it.tx_power_dbm!r}",
-            f"activity_factor = {it.activity_factor!r}",
-            f"enabled = {'true' if it.enabled else 'false'}",
-        ]
-        if it.influence_radius_m is not None:
-            out.append(f"influence_radius_m = {it.influence_radius_m!r}")
-        out.append("")
+        oven = it.channel.standard is RadioStandard.MICROWAVE_OVEN
+        values = {**vars(it), "standard": it.channel.standard, "channel": None if oven else it.channel.index,
+                  "x": it.position[0], "y": it.position[1]}
+        out += _block(f"[interferer {name}]", _INTERFERER, values)
     for name, ob in scenario.obstacles.items():
-        out += [f"[obstacle {name}]", f"material = {ob.material.value}"]
-        if isinstance(ob.shape, Wall):
-            out += [
-                "shape = wall",
-                f"x1 = {ob.shape.x1!r}",
-                f"y1 = {ob.shape.y1!r}",
-                f"x2 = {ob.shape.x2!r}",
-                f"y2 = {ob.shape.y2!r}",
-            ]
-        else:
-            out += [
-                "shape = disc",
-                f"x = {ob.shape.x!r}",
-                f"y = {ob.shape.y!r}",
-                f"radius = {ob.shape.radius!r}",
-            ]
-        if ob.loss_db is not None:
-            out.append(f"loss_db = {ob.loss_db!r}")
-        if ob.near_field_m is not None:
-            out.append(f"near_field_m = {ob.near_field_m!r}")
-        out.append("")
+        shape = "wall" if isinstance(ob.shape, Wall) else "disc"
+        out += _block(f"[obstacle {name}]", _OBSTACLE[shape], {**vars(ob), "shape": shape, **vars(ob.shape)})
     if scenario.material_loss:
-        out.append("[materials]")
-        for material, loss in scenario.material_loss.items():
-            out.append(f"{material.value} = {loss!r}")
-        out.append("")
+        losses = {material.value: loss for material, loss in scenario.material_loss.items()}
+        out += _block("[materials]", losses, losses)
     return "\n".join(out)
 
 

@@ -42,25 +42,12 @@ class ScanReport:
         return buf.getvalue()
 
 
-def scan(
-    scenario: Scenario,
-    calibration: InterferenceCalibration | None = None,
-    tx_power_dbm: float | None = None,
-    noise_sigma: float = 0.0,
-    seed: int = 0,
-) -> ScanReport:
-    """Score every channel as 1 - round-trip success probability.
-
-    noise_sigma > 0 adds seeded measurement noise for robustness tests.
-    """
-    power = scenario.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
+def scan(scenario: Scenario, calibration: InterferenceCalibration | None = None) -> ScanReport:
+    """Score every channel at the scenario's power as 1 - round-trip success probability."""
     scores = []
     for index in WPAN_INDEX_RANGE:
-        p_out, p_in = echo_success_probs(scenario, ChannelSpec.wpan(index), power, calibration)
+        p_out, p_in = echo_success_probs(scenario, ChannelSpec.wpan(index), scenario.tx_power_dbm, calibration)
         scores.append(1.0 - p_out * p_in)
-    if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        scores = [max(0.0, s + rng.normal(0.0, noise_sigma)) for s in scores]
     return ScanReport(scores=tuple(scores))
 
 
@@ -75,13 +62,12 @@ def adaptive_policy(
     horizon_s: float,
     rescan_period_s: float,
     initial_channel: int | None = None,
-    hysteresis: float = DEFAULT_HYSTERESIS,
     calibration: InterferenceCalibration | None = None,
 ) -> list[tuple[float, int]]:
     """Rescan on a fixed period over a piecewise-constant environment.
 
     The channel changes only when the scan's best channel beats the current
-    channel's fresh score by more than the hysteresis margin.
+    channel's fresh score by more than the DEFAULT_HYSTERESIS margin.
     """
     if rescan_period_s <= 0:
         raise ParameterError(f"rescan_period_s must be positive, got {rescan_period_s}")
@@ -106,7 +92,7 @@ def adaptive_policy(
         best = select_channel(report)
         if current is None:
             current = best
-        elif report.score(best) < report.score(current) - hysteresis:
+        elif report.score(best) < report.score(current) - DEFAULT_HYSTERESIS:
             current = best
         schedule.append((t, current))
         t += rescan_period_s

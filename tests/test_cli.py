@@ -160,6 +160,14 @@ def _calibration_text(**changes):
     return json.dumps({**asdict(InterferenceCalibration()), **changes})
 
 
+def _bad_targets(*rows):
+    def argv(tmp_path):
+        path = tmp_path / "targets.csv"
+        path.write_text("\n".join(["scenario,channel,tx_power_dbm,target_mean_pct,role", *rows]) + "\n")
+        return ["calibrate", "--targets", str(path), "--out", str(tmp_path)]
+    return argv
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -170,9 +178,14 @@ def _calibration_text(**changes):
         _bad_calibration(_calibration_text(logistic_midpoint_db="abc"), ("scan",)),
         _bad_calibration(_calibration_text(logistic_scale_db=True), ("scan",)),
         _bad_calibration(_calibration_text(interferer_overrides={"oven": 3.0}), ("scan",)),
+        _bad_targets("apartment,twelve,0,99.36,fit"),
+        _bad_targets("apartment,12,0"),
+        _bad_targets("apartment,12,0,nan,fit"),
+        _bad_targets("apartment,12,0,99.36,fit", "apartment_microwave,20,-10,96.85,fit"),
     ],
     ids=["flipped_log_byte", "node_id_over_255", "calibration_missing_key", "calibration_malformed",
-         "calibration_string_constant", "calibration_bool_constant", "calibration_override_not_object"],
+         "calibration_string_constant", "calibration_bool_constant", "calibration_override_not_object",
+         "targets_channel_not_a_number", "targets_short_row", "targets_nan_target", "targets_without_single_house"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, make_argv):
     # a fresh interpreter, so an uncaught exception would show as a traceback on stderr
@@ -194,9 +207,13 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, make_argv):
         (["run", "star", "--duration", "0"], "--duration"),
         (["run", "classify", "--duration", "-2"], "--duration"),
         (["run", "echo", "--power", "nan"], "--power"),
+        (["run", "star", "--seed", "-1"], "--seed"),
+        (["run", "echo", "--seed", "-1"], "--seed"),
+        (["run", "classify", "--seed", "-1"], "--seed"),
     ],
     ids=["star_nan_duration", "classify_nan_duration", "star_inf_duration", "star_zero_duration",
-         "classify_negative_duration", "echo_nan_power"],
+         "classify_negative_duration", "echo_nan_power", "star_negative_seed", "echo_negative_seed",
+         "classify_negative_seed"],
 )
 def test_bad_number_flag_is_usage_error(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:

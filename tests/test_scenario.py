@@ -3,11 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bsnsim.errors import ScenarioError
-from bsnsim.rf import Material, RadioStandard
+from bsnsim.rf import ChannelSpec, Disc, Interferer, Material, Obstacle, RadioStandard, Wall
 from bsnsim.scenario import (
     PRESET_NAMES,
+    Scenario,
     load_scenario,
     parse_scenario,
     serialize_scenario,
@@ -87,11 +90,16 @@ ROUTER = ("\n[interferer router]\nstandard = wlan\nchannel = 6\nx = 3.0\ny = 4.0
          "influence_radius_m = -2"),
         (MINIMAL + ROUTER.format(fields="activity_factor = 1.5"), "activity_factor = 1.5"),
         (MINIMAL + "\n[materials]\nbrick = nan\n", "brick = nan"),
+        (MINIMAL.replace("channel = 15", "chanel = 20"), "chanel = 20"),
+        (MINIMAL + ROUTER.format(fields="activity_factor = 0.1\nenabeld = false"), "enabeld = false"),
+        (MINIMAL + LILY.format(fields="raduis = 0.3"), "raduis = 0.3"),
+        (MINIMAL + WALL.format(material="brick") + "radius = 0.3\n", "radius = 0.3"),
     ],
     ids=[
         "unknown_material", "nan_coordinate", "inf_tx_power", "inf_loss", "inf_near_field",
         "negative_near_field", "negative_radius", "negative_influence_radius",
-        "activity_factor_out_of_range", "nan_material_loss",
+        "activity_factor_out_of_range", "nan_material_loss", "unknown_top_level_key",
+        "unknown_interferer_key", "unknown_disc_key", "disc_key_on_wall",
     ],
 )
 def test_parse_error_carries_line_number(text, bad_line):
@@ -138,6 +146,41 @@ def test_round_trip_all_presets(name):
     s = load_scenario(name)
     again = parse_scenario(serialize_scenario(s))
     assert again == s
+
+
+_names = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_non_negative = st.floats(min_value=0.0, allow_infinity=False)
+_points = st.tuples(_finite, _finite)
+_channels = st.one_of(
+    st.builds(ChannelSpec.wlan, st.integers(1, 11)),
+    st.builds(ChannelSpec.wpan, st.integers(11, 26)),
+    st.just(ChannelSpec.microwave_oven()),
+)
+_interferers = st.builds(
+    Interferer, _channels, _points, _finite, st.floats(0.0, 1.0), st.booleans(), st.none() | _non_negative
+)
+_shapes = st.builds(Wall, _finite, _finite, _finite, _finite) | st.builds(Disc, _finite, _finite, _non_negative)
+_obstacles = st.builds(Obstacle, st.sampled_from(Material), _shapes, st.none() | _finite, st.none() | _non_negative)
+_scenarios = st.builds(
+    Scenario,
+    name=_names,
+    nodes=st.builds(lambda base, remote, extra: {**extra, "base": base, "remote": remote},
+                    _points, _points, st.dictionaries(_names, _points, max_size=3)),
+    interferers=st.dictionaries(_names, _interferers, max_size=4),
+    obstacles=st.dictionaries(_names, _obstacles, max_size=4),
+    channel=st.integers(11, 26),
+    tx_power_dbm=_finite,
+    material_loss=st.dictionaries(st.sampled_from(Material), _finite, max_size=3),
+)
+
+
+@given(_scenarios)
+def test_serialize_parse_round_trip(scenario):
+    text = serialize_scenario(scenario)
+    again = parse_scenario(text)
+    assert again == scenario
+    assert serialize_scenario(again) == text
 
 
 def test_unknown_preset_or_path():
