@@ -1,12 +1,10 @@
 """Fit the interference-model constants against the published test tables.
 
-Free parameters: the collision logistic (midpoint, scale), the two magnetron
-spectral slopes, the apartment strong-neighbor airtime, the house WLAN
-airtime, and the oven's effective in-band emission power. Targets marked
-`holdout` are excluded from the fit and only verified afterwards.
-
-The fit is fully analytic (no Monte Carlo inside the loop): each target's
-predicted mean is the product of the two per-direction message probabilities.
+The free parameters are the rows of `_FREE`, which also give their seeds,
+their bounds and the overrides a calibration file may hold. Targets marked
+`holdout` are excluded from the fit and only verified afterwards. The fit is
+analytic (no Monte Carlo inside the loop): each target's predicted mean is the
+product of the two per-direction message probabilities.
 """
 
 from __future__ import annotations
@@ -14,9 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -24,7 +23,7 @@ from scipy.optimize import least_squares
 from .errors import ParameterError
 from .linksim import echo_success_probs
 from .rf import ChannelSpec, InterferenceCalibration
-from .scenario import Scenario, apply_overrides, load_scenario
+from .scenario import Scenario, load_scenario
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,27 @@ class CalibrationResult:
         return json.dumps(payload, indent=2)
 
 
+class _Free(NamedTuple):
+    scenario: str | None  # seed scenario; None for an InterferenceCalibration constant
+    interferers: tuple[str, ...]  # all take the fitted value; the seed is the first one's
+    field: str
+    lower: float  # bounds in optimizer scale
+    upper: float
+    log10: bool = False  # moves in log10
+
+
+# The fit's free parameters, in optimizer order.
+_FREE = (
+    _Free(None, (), "logistic_midpoint_db", 0.0, 40.0),
+    _Free(None, (), "logistic_scale_db", 0.5, 15.0),
+    _Free("apartment", ("neighbor_ch1_a", "neighbor_ch1_b"), "activity_factor", -5.0, -0.7, log10=True),
+    _Free("single_house", ("house_wlan",), "activity_factor", -5.0, -0.7, log10=True),
+    _Free("apartment_microwave", ("oven",), "tx_power_dbm", -80.0, 20.0),
+    _Free(None, (), "oven_slope_low_db_per_mhz", 0.05, 10.0),
+    _Free(None, (), "oven_slope_high_db_per_mhz", 0.05, 10.0),
+)
 # Interferer fields a calibration file may override: the ones `fit` adjusts.
-_OVERRIDE_FIELDS = ("activity_factor", "tx_power_dbm")
+_OVERRIDE_FIELDS = tuple(dict.fromkeys(row.field for row in _FREE if row.interferers))
 
 
 def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, dict[str, dict[str, float]]]:
@@ -91,13 +109,9 @@ def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, di
     return calib, overrides
 
 
-def default_targets_path():
-    return resources.files("bsnsim").joinpath("data/calibration_targets.csv")
-
-
 def load_targets(path: str | Path | None = None) -> list[CalibrationTarget]:
     """Read a targets CSV; a missing, non-numeric or non-finite value names its file and line."""
-    source = default_targets_path() if path is None else Path(path)
+    source = resources.files("bsnsim").joinpath("data/calibration_targets.csv") if path is None else Path(path)
     reader = csv.DictReader(source.read_text().splitlines())
     expected = [f.name for f in fields(CalibrationTarget)]
     if reader.fieldnames is None or not set(expected).issubset(reader.fieldnames):
@@ -123,95 +137,60 @@ def load_targets(path: str | Path | None = None) -> list[CalibrationTarget]:
     return targets
 
 
-def predicted_mean_pct(
-    scenario: Scenario,
-    channel: int,
-    tx_power_dbm: float,
-    calibration: InterferenceCalibration,
-) -> float:
+def predicted_mean_pct(scenario: Scenario, channel: int, tx_power_dbm: float,
+                       calibration: InterferenceCalibration) -> float:
     p_out, p_in = echo_success_probs(scenario, ChannelSpec.wpan(channel), tx_power_dbm, calibration)
     return p_out * p_in * 100.0
 
-# (interferer name, field) pairs the fit may adjust, with bounds and the
-# parameter scale used inside the optimizer (activity factors move in log10).
-_APARTMENT_STRONG = ("neighbor_ch1_a", "neighbor_ch1_b")
-_HOUSE_WLAN = "house_wlan"
-_OVEN = "oven"
+
+def apply_overrides(scenario: Scenario, overrides: Mapping[str, Mapping[str, float]]) -> Scenario:
+    """Apply calibration overrides ({interferer: {field: value}}) by name."""
+    interferers = dict(scenario.interferers)
+    for name in overrides.keys() & interferers.keys():
+        interferers[name] = replace(interferers[name], **overrides[name])
+    return replace(scenario, interferers=interferers)
 
 
-def fit(targets: list[CalibrationTarget] | None = None, verbose: bool = False) -> CalibrationResult:
+def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
     """Least-squares fit of the model constants to the `fit` targets."""
-    targets = targets or load_targets()
+    targets = load_targets() if targets is None else targets
     fit_targets = [t for t in targets if t.role == "fit"]
+    if not fit_targets:
+        raise ParameterError("the targets hold no `fit` row, so there is nothing to fit")
     scenarios = {name: load_scenario(name) for name in {t.scenario for t in targets}}
-    missing = [name for name in ("apartment", "single_house", "apartment_microwave") if name not in scenarios]
+    missing = [name for name in dict.fromkeys(row.scenario for row in _FREE if row.scenario) if name not in scenarios]
     if missing:
         raise ParameterError(f"the fit seeds its parameters from scenario(s) the targets lack: {', '.join(missing)}")
 
-    seed_calib = InterferenceCalibration()
-    seed_af_ap = scenarios["apartment"].interferers[_APARTMENT_STRONG[0]].activity_factor
-    seed_af_house = scenarios["single_house"].interferers[_HOUSE_WLAN].activity_factor
-    seed_oven = scenarios["apartment_microwave"].interferers[_OVEN].tx_power_dbm
-
-    x0 = np.array(
-        [
-            seed_calib.logistic_midpoint_db,
-            seed_calib.logistic_scale_db,
-            math.log10(seed_af_ap),
-            math.log10(seed_af_house),
-            seed_oven,
-            seed_calib.oven_slope_low_db_per_mhz,
-            seed_calib.oven_slope_high_db_per_mhz,
-        ]
-    )
-    lower = [0.0, 0.5, -5.0, -5.0, -80.0, 0.05, 0.05]
-    upper = [40.0, 15.0, -0.7, -0.7, 20.0, 10.0, 10.0]
+    x0 = []
+    for row in _FREE:
+        owner = scenarios[row.scenario].interferers[row.interferers[0]] if row.scenario else InterferenceCalibration()
+        value = getattr(owner, row.field)
+        x0.append(math.log10(value) if row.log10 else value)
 
     def unpack(params):
-        calib = InterferenceCalibration(
-            logistic_midpoint_db=float(params[0]),
-            logistic_scale_db=float(params[1]),
-            oven_slope_low_db_per_mhz=float(params[5]),
-            oven_slope_high_db_per_mhz=float(params[6]),
-        )
-        overrides = {
-            _APARTMENT_STRONG[0]: {"activity_factor": 10.0 ** float(params[2])},
-            _APARTMENT_STRONG[1]: {"activity_factor": 10.0 ** float(params[2])},
-            _HOUSE_WLAN: {"activity_factor": 10.0 ** float(params[3])},
-            _OVEN: {"tx_power_dbm": float(params[4])},
-        }
-        return calib, overrides
+        constants, overrides = {}, {}
+        for row, x in zip(_FREE, params):
+            value = 10.0 ** float(x) if row.log10 else float(x)
+            if row.scenario is None:
+                constants[row.field] = value
+            for name in row.interferers:
+                overrides.setdefault(name, {})[row.field] = value
+        return InterferenceCalibration(**constants), overrides
+
+    def predict(target, calib, overrides):
+        scen = apply_overrides(scenarios[target.scenario], overrides)
+        return predicted_mean_pct(scen, target.channel, target.tx_power_dbm, calib)
 
     def residuals(params):
         calib, overrides = unpack(params)
-        res = []
-        for target in fit_targets:
-            scen = apply_overrides(scenarios[target.scenario], overrides)
-            res.append(predicted_mean_pct(scen, target.channel, target.tx_power_dbm, calib) - target.target_mean_pct)
-        return np.array(res)
+        return np.array([predict(t, calib, overrides) - t.target_mean_pct for t in fit_targets])
 
-    solution = least_squares(residuals, x0, bounds=(lower, upper), xtol=1e-12, ftol=1e-12)
+    bounds = ([row.lower for row in _FREE], [row.upper for row in _FREE])
+    solution = least_squares(residuals, np.array(x0), bounds=bounds, xtol=1e-12, ftol=1e-12)
     calib, overrides = unpack(solution.x)
-
-    achieved = {}
-    for target in targets:
-        scen = apply_overrides(scenarios[target.scenario], overrides)
-        achieved[(target.scenario, target.channel, target.tx_power_dbm)] = predicted_mean_pct(
-            scen, target.channel, target.tx_power_dbm, calib
-        )
-    if verbose:
-        for target in targets:
-            key = (target.scenario, target.channel, target.tx_power_dbm)
-            print(
-                f"{target.scenario} ch{target.channel} {target.tx_power_dbm:+.0f} dBm "
-                f"[{target.role}]: target {target.target_mean_pct:.2f}%, model {achieved[key]:.2f}%"
-            )
-    return CalibrationResult(
-        calibration=calib,
-        interferer_overrides=overrides,
-        targets=targets,
-        achieved_pct=achieved,
-    )
+    achieved = {(t.scenario, t.channel, t.tx_power_dbm): predict(t, calib, overrides) for t in targets}
+    return CalibrationResult(calib, overrides, targets, achieved)
 
 
 def calibrated_scenario(name: str, result: CalibrationResult) -> Scenario:

@@ -39,7 +39,7 @@ from .errors import BsnsimError
 from .linksim import EchoTestConfig, RunStats, read_frame_log, run_echo_test, run_star_network
 from .motion import ActivityKind, compose_schedule, generate_trace
 from .rf import ChannelSpec, InterferenceCalibration
-from .scenario import apply_overrides, load_scenario
+from .scenario import load_scenario
 from .selector import scan as scan_channels
 from .selector import select_channel
 
@@ -116,7 +116,7 @@ def _scenario_for(args):
         calib, overrides = calibrate_mod.load_calibration_file(args.calibration)
     scenario = load_scenario(args.scenario)
     if overrides:
-        scenario = apply_overrides(scenario, overrides)
+        scenario = calibrate_mod.apply_overrides(scenario, overrides)
     return scenario, calib
 
 
@@ -243,13 +243,15 @@ def _cmd_run_energy(args, out: Path) -> int:
 
 def _cmd_calibrate(args, out: Path) -> int:
     targets = calibrate_mod.load_targets(args.targets)
-    result = calibrate_mod.fit(targets, verbose=True)
-    atomic_write(out / "calibration.json", result.to_json())
+    result = calibrate_mod.fit(targets)
     report = ["scenario,channel,tx_power_dbm,role,target_pct,model_pct,residual_pp"]
     for t in result.targets:
-        key = (t.scenario, t.channel, t.tx_power_dbm)
+        model = result.achieved_pct[(t.scenario, t.channel, t.tx_power_dbm)]
+        print(f"{t.scenario} ch{t.channel} {t.tx_power_dbm:+.0f} dBm [{t.role}]: "
+              f"target {t.target_mean_pct:.2f}%, model {model:.2f}%")
         report.append(f"{t.scenario},{t.channel},{t.tx_power_dbm:g},{t.role},"
-                      f"{t.target_mean_pct:.2f},{result.achieved_pct[key]:.2f},{result.residual_pp(t):+.3f}")
+                      f"{t.target_mean_pct:.2f},{model:.2f},{result.residual_pp(t):+.3f}")
+    atomic_write(out / "calibration.json", result.to_json())
     atomic_write(out / "fit_report.csv", "\n".join(report) + "\n")
     print(f"calibration written to {out / 'calibration.json'}")
     return 0

@@ -8,24 +8,16 @@ carries small nonzero standby currents for honest timeline integration.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import ParameterError, UndefinedBatteryLifeError
-from .frames import FRAME_LEN
-from .linksim import TX_OVERHEAD_MS, TX_RATE_BPS
+from .linksim import FRAME_AIRTIME_S
 from .sensor import SensorMode, TimelineInterval
 
 ACCELEROMETER = "accelerometer"
 MICROCONTROLLER = "microcontroller"
 RADIO = "radio"
-
-# Seconds on air per frame. Written in seconds rather than as
-# linksim.FRAME_AIRTIME_MS / 1000, which rounds to a different float
-# (0.001512 instead of 0.0015119999999999999) and so changes the reports.
-FRAME_AIRTIME_S = FRAME_LEN * 8 / TX_RATE_BPS + TX_OVERHEAD_MS / 1000.0
 
 
 @dataclass(frozen=True)
@@ -111,21 +103,10 @@ class EnergyReport:
     projected_remaining_h: float
     over_capacity: bool
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["component", "duty", "avg_ma", "mah_consumed"])
-        for name, mah in self.per_component_mah.items():
-            duty = self.per_component_duty[name]
-            avg = mah / self.duration_h if self.duration_h > 0 else 0.0
-            writer.writerow([name, f"{duty:.6g}", f"{avg:.6g}", f"{mah:.6g}"])
-        return buf.getvalue()
-
 
 def simulate_energy(
     intervals: Sequence[TimelineInterval],
     n_frames: int,
-    components: Sequence[ComponentCurrent] | None = None,
     battery: Battery | None = None,
 ) -> EnergyReport:
     """Integrate component currents over a sensor-node mode timeline.
@@ -134,12 +115,8 @@ def simulate_energy(
     Active intervals and their sleep current otherwise; the radio is active
     only for the airtime of the frames actually transmitted.
     """
-    components = components or default_components()
     battery = battery or PACK_BATTERY
-    by_name = {c.name: c for c in components}
-    for required in (ACCELEROMETER, MICROCONTROLLER, RADIO):
-        if required not in by_name:
-            raise ParameterError(f"component set must include {required!r}")
+    by_name = {c.name: c for c in default_components()}
 
     active_h = sum((iv.t_end - iv.t_start) for iv in intervals if iv.mode is SensorMode.ACTIVE) / 3600.0
     total_h = sum(iv.t_end - iv.t_start for iv in intervals) / 3600.0

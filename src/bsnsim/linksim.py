@@ -24,13 +24,13 @@ TX_RATE_BPS = 250_000
 TX_OVERHEAD_MS = 1.0
 LOG_MAGIC = b"BSLOG1\x00\x00"
 MAC_CAPACITY = 0.9  # carrier-sense MAC defers cleanly below this offered load
+MESSAGE_LEN_CHARS = 32  # echo-test message length
+TIMEOUT_MS = 100.0  # a lost echo round trip costs exactly this
+FRAME_AIRTIME_S = FRAME_LEN * 8 / TX_RATE_BPS + TX_OVERHEAD_MS / 1000.0
 
 
 def message_airtime_ms(n_chars: int) -> float:
     return n_chars * 8 / TX_RATE_BPS * 1000.0 + TX_OVERHEAD_MS
-
-
-FRAME_AIRTIME_MS = message_airtime_ms(FRAME_LEN)
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,11 @@ class EchoTestConfig:
     channel: ChannelSpec
     tx_power_dbm: float
     n_messages: int = 1000
-    message_len_chars: int = 32
-    timeout_ms: float = 100.0
     runs: int = 10
 
     def __post_init__(self):
-        if self.n_messages <= 0 or self.runs <= 0 or self.timeout_ms <= 0:
-            raise ParameterError("n_messages, runs and timeout_ms must be positive")
+        if self.n_messages <= 0 or self.runs <= 0:
+            raise ParameterError("n_messages and runs must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,14 +109,14 @@ def echo_success_probs(
 def simulate_echo_runs(p_out: float, p_in: float, cfg: EchoTestConfig, seed: int) -> RunStats:
     """Monte Carlo echo runs with pinned per-direction probabilities."""
     rng = np.random.default_rng(seed)
-    airtime = message_airtime_ms(cfg.message_len_chars)
+    airtime = message_airtime_ms(MESSAGE_LEN_CHARS)
     counts = []
     elapsed = []
     for _ in range(cfg.runs):
         ok = (rng.random(cfg.n_messages) < p_out) & (rng.random(cfg.n_messages) < p_in)
         n_ok = int(ok.sum())
         counts.append(n_ok)
-        elapsed.append(n_ok * 2.0 * airtime + (cfg.n_messages - n_ok) * cfg.timeout_ms)
+        elapsed.append(n_ok * 2.0 * airtime + (cfg.n_messages - n_ok) * TIMEOUT_MS)
     return RunStats.from_counts(counts, cfg.n_messages, elapsed)
 
 
@@ -191,7 +189,7 @@ def run_star_network(
         state = initial_state(node_id=idx + 1, sample_rate_hz=trace.rate_hz)
         emissions[name] = replay_trace(state, clipped)
 
-    offered = sum(len(r.frames) for r in emissions.values()) * (FRAME_AIRTIME_MS / 1000.0) / duration_s
+    offered = sum(len(r.frames) for r in emissions.values()) * FRAME_AIRTIME_S / duration_s
     drop_prob = 0.0 if offered <= MAC_CAPACITY else 1.0 - MAC_CAPACITY / offered
 
     deliveries: dict[str, NodeDelivery] = {}

@@ -16,11 +16,9 @@ Traces are deterministic for a fixed (kind, duration, rate, seed) tuple.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -93,43 +91,6 @@ class AccelTrace:
 
     def duration(self) -> float:
         return len(self) / self.rate_hz
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write `t,ax,ay,az,label` rows, accelerations with 8 significant digits."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "ax", "ay", "az", "label"])
-            for i in range(len(self)):
-                writer.writerow(
-                    [
-                        f"{self.t[i]:.8g}",
-                        f"{self.ax[i]:.8g}",
-                        f"{self.ay[i]:.8g}",
-                        f"{self.az[i]:.8g}",
-                        self.labels[i].value,
-                    ]
-                )
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "AccelTrace":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["t", "ax", "ay", "az", "label"]:
-                raise ParameterError(f"unexpected trace CSV header: {header}")
-            rows = list(reader)
-        if not rows:
-            raise ParameterError("trace CSV holds no samples")
-        t = np.array([float(r[0]) for r in rows])
-        ax = np.array([float(r[1]) for r in rows])
-        ay = np.array([float(r[2]) for r in rows])
-        az = np.array([float(r[3]) for r in rows])
-        labels = [ActivityKind(r[4]) for r in rows]
-        if len(t) > 1:
-            rate = 1.0 / float(np.median(np.diff(t)))
-        else:
-            rate = DEFAULT_RATE_HZ
-        return cls(rate_hz=rate, t=t, ax=ax, ay=ay, az=az, labels=labels)
 
 
 def _require_rate(rate_hz: float) -> None:

@@ -285,7 +285,10 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     for kind, name, line, fields in sections:
         if kind == "materials":
             for key, (value, lineno) in fields.items():
-                scenario.material_loss[_material(key, "material", lineno)] = _number(value, key, lineno)
+                material = _material(key, "material", lineno)
+                if material in scenario.material_loss:
+                    raise ScenarioError(f"duplicate material {key!r} = {value!r}", lineno)
+                scenario.material_loss[material] = _number(value, key, lineno)
             continue
         if name in entries[kind]:
             raise ScenarioError(f"duplicate {kind} {name!r}", line)
@@ -339,12 +342,3 @@ def load_scenario(path_or_preset: str | Path) -> Scenario:
         raise ScenarioError(f"no scenario file or preset named {name!r}")
     return parse_scenario(path.read_text(), source=str(path))
 
-
-def apply_overrides(scenario: Scenario, overrides: Mapping[str, Mapping[str, float]]) -> Scenario:
-    """Apply calibration overrides ({interferer: {field: value}}) by name."""
-    interferers = dict(scenario.interferers)
-    for name, fields in overrides.items():
-        if name not in interferers:
-            continue
-        interferers[name] = replace(interferers[name], **fields)
-    return replace(scenario, interferers=interferers)

@@ -1,7 +1,7 @@
 """Calibration fit: residuals, holdout, and file round trip."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -109,3 +109,16 @@ def test_integer_constants_read_as_floats(tmp_path):
     calib, overrides = load_calibration_file(path)
     assert calib.logistic_midpoint_db == 14.0 and isinstance(calib.logistic_midpoint_db, float)
     assert overrides == {"oven": {"tx_power_dbm": -5.0}}
+
+
+def test_fit_without_fit_rows_rejected():
+    holdout_only = [replace(t, role="holdout") for t in load_targets()]
+    with pytest.raises(ParameterError, match="no `fit` row"):
+        fit(holdout_only)
+    with pytest.raises(ParameterError, match="no `fit` row"):
+        fit([])
+
+
+def test_fit_prints_nothing(capsys):
+    fit(load_targets())
+    assert capsys.readouterr().out == ""

@@ -108,12 +108,20 @@ def test_star_then_replay_log(tmp_path, capsys):
     assert len(lines) > 1
 
 
-def test_calibrate_command(tmp_path):
+def test_calibrate_command(tmp_path, capsys):
     assert main(["calibrate", "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "calibration.json").read_text())
     assert "logistic_midpoint_db" in payload
     report = (tmp_path / "fit_report.csv").read_text().strip().splitlines()
     assert len(report) == 10
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 10
+    for line, row in zip(printed, report[1:]):
+        scenario, channel, power, role, target, model, _ = row.split(",")
+        assert line == (f"{scenario} ch{channel} {float(power):+.0f} dBm [{role}]: "
+                        f"target {target}%, model {model}%")
+    assert printed[5] == "single_house ch20 -10 dBm [holdout]: target 99.91%, model 100.00%"
+    assert printed[-1] == f"calibration written to {tmp_path / 'calibration.json'}"
 
 
 def test_unknown_scenario_exit_code(tmp_path, capsys):
@@ -182,10 +190,13 @@ def _bad_targets(*rows):
         _bad_targets("apartment,12,0"),
         _bad_targets("apartment,12,0,nan,fit"),
         _bad_targets("apartment,12,0,99.36,fit", "apartment_microwave,20,-10,96.85,fit"),
+        _bad_targets("apartment,12,0,99.36,holdout", "single_house,22,0,99.89,holdout",
+                     "apartment_microwave,20,-10,96.85,holdout"),
     ],
     ids=["flipped_log_byte", "node_id_over_255", "calibration_missing_key", "calibration_malformed",
          "calibration_string_constant", "calibration_bool_constant", "calibration_override_not_object",
-         "targets_channel_not_a_number", "targets_short_row", "targets_nan_target", "targets_without_single_house"],
+         "targets_channel_not_a_number", "targets_short_row", "targets_nan_target", "targets_without_single_house",
+         "targets_without_fit_rows"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, make_argv):
     # a fresh interpreter, so an uncaught exception would show as a traceback on stderr

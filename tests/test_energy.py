@@ -106,9 +106,3 @@ class TestSimulateEnergy:
         week_active = [TimelineInterval(0.0, 7 * 24 * 3600.0, SensorMode.ACTIVE)]
         report = simulate_energy(week_active, n_frames=10**6, battery=BUTTON_CELL)
         assert report.over_capacity
-
-    def test_csv_shape(self):
-        report = simulate_energy([TimelineInterval(0.0, 3600.0, SensorMode.SLEEP)], n_frames=10)
-        lines = report.to_csv().strip().splitlines()
-        assert lines[0] == "component,duty,avg_ma,mah_consumed"
-        assert len(lines) == 4

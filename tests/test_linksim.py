@@ -11,6 +11,8 @@ from bsnsim.frames import FRAME_LEN
 from bsnsim.linksim import (
     EchoTestConfig,
     LOG_MAGIC,
+    MESSAGE_LEN_CHARS,
+    TIMEOUT_MS,
     message_airtime_ms,
     read_frame_log,
     run_echo_test,
@@ -103,7 +105,7 @@ def test_timeout_consumes_exact_time():
     stats = simulate_echo_runs(0.5, 1.0, cfg, seed=3)
     n_ok = stats.per_run_success[0]
     n_fail = cfg.n_messages - n_ok
-    expected_ms = n_ok * 2 * message_airtime_ms(cfg.message_len_chars) + n_fail * cfg.timeout_ms
+    expected_ms = n_ok * 2 * message_airtime_ms(MESSAGE_LEN_CHARS) + n_fail * TIMEOUT_MS
     assert stats.per_run_elapsed_ms[0] == pytest.approx(expected_ms)
 
 

@@ -1,4 +1,4 @@
-"""Trace generator contracts: envelopes, determinism, scheduling, CSV I/O."""
+"""Trace generator contracts: envelopes, determinism, scheduling."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from bsnsim.errors import ParameterError
 from bsnsim.motion import (
     AccelSample,
-    AccelTrace,
     ActivityKind,
     compose_schedule,
     generate_trace,
@@ -134,22 +133,3 @@ def test_schedule_walk_then_run_envelope():
     first, second = total[:half], total[half:]
     assert ((first >= 0.9) & (first <= 1.3)).all()
     assert ((second > 1.3) | (second < 0.9)).any()
-
-
-def test_csv_round_trip(tmp_path):
-    trace = compose_schedule([(ActivityKind.REST, 1.0), (ActivityKind.JUMP, 2.0)], seed=5)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    loaded = AccelTrace.from_csv(path)
-    assert loaded.rate_hz == pytest.approx(trace.rate_hz)
-    assert np.allclose(loaded.az, trace.az, atol=1e-6)
-    assert loaded.labels == trace.labels
-
-
-def test_csv_has_six_significant_digits(tmp_path):
-    trace = generate_trace(ActivityKind.REST, 0.2, 60.0, seed=0)
-    path = tmp_path / "t.csv"
-    trace.to_csv(path)
-    row = path.read_text().splitlines()[1].split(",")
-    value = float(row[3])
-    assert abs(value - trace.az[0]) < 1e-6 * max(1.0, abs(value))

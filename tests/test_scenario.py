@@ -94,12 +94,13 @@ ROUTER = ("\n[interferer router]\nstandard = wlan\nchannel = 6\nx = 3.0\ny = 4.0
         (MINIMAL + ROUTER.format(fields="activity_factor = 0.1\nenabeld = false"), "enabeld = false"),
         (MINIMAL + LILY.format(fields="raduis = 0.3"), "raduis = 0.3"),
         (MINIMAL + WALL.format(material="brick") + "radius = 0.3\n", "radius = 0.3"),
+        (MINIMAL + "\n[materials]\nbrick = 4.0\nBrick = 9.5\n", "Brick = 9.5"),
     ],
     ids=[
         "unknown_material", "nan_coordinate", "inf_tx_power", "inf_loss", "inf_near_field",
         "negative_near_field", "negative_radius", "negative_influence_radius",
         "activity_factor_out_of_range", "nan_material_loss", "unknown_top_level_key",
-        "unknown_interferer_key", "unknown_disc_key", "disc_key_on_wall",
+        "unknown_interferer_key", "unknown_disc_key", "disc_key_on_wall", "material_repeated_in_other_case",
     ],
 )
 def test_parse_error_carries_line_number(text, bad_line):
