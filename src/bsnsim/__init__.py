@@ -20,14 +20,7 @@ from .energy import (
 from .errors import BsnsimError, FrameError, ParameterError, ScenarioError, UndefinedBatteryLifeError
 from .frames import FRAME_LEN, SensorFrame, crc16_ccitt, decode_frame, encode_frame
 from .linksim import EchoTestConfig, RunStats, run_echo_test, run_star_network
-from .motion import (
-    AccelSample,
-    AccelTrace,
-    ActivityKind,
-    compose_schedule,
-    generate_trace,
-    total_acceleration,
-)
+from .motion import AccelTrace, ActivityKind, compose_schedule, generate_trace
 from .rf import (
     ChannelSpec,
     Interferer,
@@ -44,7 +37,6 @@ from .rf import (
 from .scenario import Scenario, load_scenario, parse_scenario, serialize_scenario
 from .selector import ScanReport, adaptive_policy, scan, select_channel
 from .sensor import (
-    AdcReading,
     AxisReading,
     MeasurementRange,
     SensorMode,
@@ -54,7 +46,6 @@ from .sensor import (
     quantize,
     replay_trace,
     select_range,
-    step,
 )
 
 __version__ = "0.1.0"

@@ -110,7 +110,8 @@ def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, di
 
 
 def load_targets(path: str | Path | None = None) -> list[CalibrationTarget]:
-    """Read a targets CSV; a missing, non-numeric or non-finite value names its file and line."""
+    """Read a targets CSV; a missing, non-numeric or non-finite value, or a
+    target outside [0, 100] %, names its file and line."""
     source = resources.files("bsnsim").joinpath("data/calibration_targets.csv") if path is None else Path(path)
     reader = csv.DictReader(source.read_text().splitlines())
     expected = [f.name for f in fields(CalibrationTarget)]
@@ -129,6 +130,8 @@ def load_targets(path: str | Path | None = None) -> list[CalibrationTarget]:
             if not math.isfinite(values[key]):
                 noun = "an integer" if kind is int else "a finite number"
                 raise ParameterError(f"{where}: {key} must be {noun}, got {cells[key]!r}")
+        if not 0.0 <= values["target_mean_pct"] <= 100.0:
+            raise ParameterError(f"{where}: target_mean_pct must lie in [0, 100], got {cells['target_mean_pct']!r}")
         if cells["role"].lower() not in ("fit", "holdout"):
             raise ParameterError(f"{where}: target role must be fit|holdout, got {cells['role']!r}")
         targets.append(CalibrationTarget(cells["scenario"], role=cells["role"].lower(), **values))

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .motion import AccelSample, AccelTrace
+from .motion import AccelTrace
 
 
 class ActivityClass(Enum):
@@ -57,19 +57,17 @@ class AbnormalEvent:
     peak_total_a: float
 
 
-def classify_window(samples: Sequence[AccelSample], cfg: ClassifierConfig | None = None) -> ActivityClass:
+def classify_window(window: AccelTrace, cfg: ClassifierConfig | None = None) -> ActivityClass:
     """Classify one window of samples as rest, slow, or fast activity.
 
     Order-invariant: every criterion depends only on per-axis extrema,
     variance, and the set of total-acceleration values.
     """
     cfg = cfg or ClassifierConfig()
-    if not samples:
+    if len(window) == 0:
         raise ParameterError("window holds no samples")
-    ax = np.array([s.ax for s in samples])
-    ay = np.array([s.ay for s in samples])
-    az = np.array([s.az for s in samples])
-    total = np.sqrt(ax**2 + ay**2 + az**2)
+    ax, ay, az = window.ax, window.ay, window.az
+    total = window.total()
 
     lo, hi = cfg.rest_band_g
     in_rest_band = bool(total.min() >= lo and total.max() <= hi)

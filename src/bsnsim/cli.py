@@ -38,7 +38,7 @@ from .energy import (
 from .errors import BsnsimError
 from .linksim import EchoTestConfig, RunStats, read_frame_log, run_echo_test, run_star_network
 from .motion import ActivityKind, compose_schedule, generate_trace
-from .rf import ChannelSpec, InterferenceCalibration
+from .rf import ChannelSpec, InterferenceCalibration, WPAN_INDEX_RANGE
 from .scenario import load_scenario
 from .selector import scan as scan_channels
 from .selector import select_channel
@@ -162,7 +162,7 @@ def _cmd_run_scan(args, out: Path) -> int:
     report = scan_channels(scenario, calib)
     best = select_channel(report)
     atomic_write(out / "scan.csv", report.to_csv())
-    channels = list(range(11, 27))
+    channels = list(WPAN_INDEX_RANGE)
     atomic_write(out / "scan.dat",
                  gnuplot_dat(("channel", "score"), list(zip(channels, report.scores))))
     _maybe_png(args, out / "scan.png", f"{scenario.name} interference scan",

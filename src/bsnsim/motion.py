@@ -16,10 +16,9 @@ Traces are deterministic for a fixed (kind, duration, rate, seed) tuple.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,21 +39,6 @@ class ActivityKind(Enum):
     FALL = "fall"
 
 
-@dataclass(frozen=True)
-class AccelSample:
-    """One timestamped triaxial reading in g."""
-
-    t: float
-    ax: float
-    ay: float
-    az: float
-
-
-def total_acceleration(sample: AccelSample) -> float:
-    """Magnitude sqrt(ax^2 + ay^2 + az^2) of one sample, in g."""
-    return math.sqrt(sample.ax**2 + sample.ay**2 + sample.az**2)
-
-
 @dataclass
 class AccelTrace:
     """A uniformly sampled trace with per-sample ground-truth labels."""
@@ -67,6 +51,7 @@ class AccelTrace:
     labels: list[ActivityKind]
 
     def __post_init__(self):
+        _require_rate(self.rate_hz)
         n = len(self.t)
         if not (len(self.ax) == len(self.ay) == len(self.az) == len(self.labels) == n):
             raise ParameterError("trace arrays must share one length")
@@ -79,18 +64,8 @@ class AccelTrace:
     def __len__(self) -> int:
         return len(self.t)
 
-    def sample(self, i: int) -> AccelSample:
-        return AccelSample(float(self.t[i]), float(self.ax[i]), float(self.ay[i]), float(self.az[i]))
-
-    def samples(self) -> Iterator[AccelSample]:
-        for i in range(len(self)):
-            yield self.sample(i)
-
     def total(self) -> np.ndarray:
         return np.sqrt(self.ax**2 + self.ay**2 + self.az**2)
-
-    def duration(self) -> float:
-        return len(self) / self.rate_hz
 
 
 def _require_rate(rate_hz: float) -> None:

@@ -8,11 +8,12 @@ sampling; each active sample re-selects the measurement range per axis for
 the next sample. After the movement stays below the threshold for the full
 inactivity window the node returns to sleep.
 
-`step()` is the single-step reference: it advances one `SensorState` by one
-sample. `replay_trace()` is the batched kernel that runs a whole trace and
-must match a loop of `step()` calls frame for frame, interval for interval
-and in its final state. Both read the ADC and pick the next range through
-the same per-range-index helpers, so each formula has one home.
+`replay_trace()` is the node's one state machine: it runs a whole trace,
+jumping from wake tick to wake tick while asleep and walking sample by
+sample while active. To advance one sample, replay a one-sample trace.
+`tests/sensor_reference.py` holds a one-sample-at-a-time reference that
+the tests require it to match frame for frame, interval for interval and
+in its final state.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .frames import SensorFrame
-from .motion import AccelSample, AccelTrace
+from .motion import AccelTrace
 
 ADC_FULL_SCALE = 65535
 V_REF = 3.3
@@ -56,12 +57,7 @@ class MeasurementRange(Enum):
         return RANGE_LADDER.index(self)
 
 
-RANGE_LADDER = (
-    MeasurementRange.G1_5,
-    MeasurementRange.G2_0,
-    MeasurementRange.G4_0,
-    MeasurementRange.G6_0,
-)
+RANGE_LADDER = tuple(MeasurementRange)
 
 # Span and sensitivity by range index (the frame's range code).
 _RANGE_G = tuple(r.range_g for r in RANGE_LADDER)
@@ -111,17 +107,6 @@ class AxisReading:
     clipped: bool
 
 
-@dataclass(frozen=True)
-class AdcReading:
-    x: AxisReading
-    y: AxisReading
-    z: AxisReading
-
-    @property
-    def axes(self) -> tuple[AxisReading, AxisReading, AxisReading]:
-        return (self.x, self.y, self.z)
-
-
 def quantize(a_g: float, meas_range: MeasurementRange) -> AxisReading:
     """Quantize one axis value.
 
@@ -166,7 +151,7 @@ _SLEEP_RANGES = (MeasurementRange.G1_5, MeasurementRange.G1_5, MeasurementRange.
 
 @dataclass(frozen=True)
 class SensorState:
-    """Value-type node state; step() returns the successor state."""
+    """Value-type node state; replay_trace() returns the state a trace leaves."""
 
     mode: SensorMode = SensorMode.SLEEP
     ranges: tuple[MeasurementRange, MeasurementRange, MeasurementRange] = _SLEEP_RANGES
@@ -201,11 +186,6 @@ def initial_state(**kwargs) -> SensorState:
     return state
 
 
-def _measure(sample: AccelSample, ranges) -> tuple[AdcReading, tuple[float, float, float]]:
-    reading = AdcReading(*(quantize(a, r) for a, r in zip((sample.ax, sample.ay, sample.az), ranges)))
-    return reading, tuple(dequantize(ax) for ax in reading.axes)  # type: ignore[return-value]
-
-
 def _deviation(x: float, y: float, z: float) -> float:
     """Largest gravity-compensated axis magnitude (1 g removed from z)."""
     return max(abs(x), abs(y), abs(z - 1.0))
@@ -213,94 +193,6 @@ def _deviation(x: float, y: float, z: float) -> float:
 
 def _frame(node_id: int, seq: int, t: float, codes, range_codes) -> SensorFrame:
     return SensorFrame(node_id, seq, int(round(t * 1000.0)) & 0xFFFFFFFF, codes, range_codes)
-
-
-def _reading_frame(state: SensorState, t: float, reading: AdcReading) -> SensorFrame:
-    return _frame(
-        state.node_id,
-        state.seq,
-        t,
-        tuple(ax.code for ax in reading.axes),
-        tuple(ax.range.code for ax in reading.axes),
-    )
-
-
-def step(state: SensorState, true_accel: AccelSample, dt: float) -> tuple[SensorState, SensorFrame | None]:
-    """Advance the node by dt with the given true acceleration present.
-
-    Emits a frame whenever a sample is taken: at every sleep wake tick and
-    at every active-mode sample instant.
-    """
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    now = state.time_s + dt
-    if now + _TIME_EPS < state.next_sample_at_s:
-        return replace(state, time_s=now), None
-
-    if state.mode is SensorMode.SLEEP:
-        reading, measured = _measure(true_accel, _SLEEP_RANGES)
-        frame = _reading_frame(state, now, reading)
-        if _deviation(*measured) > state.activation_threshold_g:
-            new_state = replace(
-                state,
-                mode=SensorMode.ACTIVE,
-                ranges=_next_ranges(reading, measured),
-                low_activity_timer_s=0.0,
-                seq=(state.seq + 1) & 0xFFFF,
-                time_s=now,
-                next_sample_at_s=now + 1.0 / state.sample_rate_hz,
-                last_sample_t_s=now,
-            )
-        else:
-            next_tick = state.next_sample_at_s + state.wake_period_s
-            if next_tick <= now + _TIME_EPS:
-                next_tick = now + state.wake_period_s
-            new_state = replace(
-                state,
-                seq=(state.seq + 1) & 0xFFFF,
-                time_s=now,
-                next_sample_at_s=next_tick,
-                last_sample_t_s=now,
-            )
-        return new_state, frame
-
-    reading, measured = _measure(true_accel, state.ranges)
-    frame = _reading_frame(state, now, reading)
-    elapsed = now - state.last_sample_t_s
-    if _deviation(*measured) < state.activation_threshold_g:
-        timer = min(state.low_activity_timer_s + elapsed, state.inactivity_window_s)
-    else:
-        timer = 0.0
-    if timer >= state.inactivity_window_s:
-        new_state = replace(
-            state,
-            mode=SensorMode.SLEEP,
-            ranges=_SLEEP_RANGES,
-            low_activity_timer_s=0.0,
-            seq=(state.seq + 1) & 0xFFFF,
-            time_s=now,
-            next_sample_at_s=now + state.wake_period_s,
-            last_sample_t_s=now,
-        )
-    else:
-        new_state = replace(
-            state,
-            ranges=_next_ranges(reading, measured),
-            low_activity_timer_s=timer,
-            seq=(state.seq + 1) & 0xFFFF,
-            time_s=now,
-            next_sample_at_s=now + 1.0 / state.sample_rate_hz,
-            last_sample_t_s=now,
-        )
-    return new_state, frame
-
-
-def _next_ranges(reading: AdcReading, measured):
-    """Range update as the microcontroller sees it, axis by axis."""
-    return tuple(
-        RANGE_LADDER[_next_index(value, ax.range.code, ax.clipped)]
-        for value, ax in zip(measured, reading.axes)
-    )
 
 
 @dataclass(frozen=True)
@@ -320,12 +212,13 @@ class ReplayResult:
 
 
 def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
-    """Run the state machine over a full trace; equal to one step() per sample.
+    """Run the state machine over a full trace.
 
     Sample i is taken at time_s + dt + ... + dt (i + 1 terms), summed in
-    order as repeated step() calls do. A sleeping node jumps straight to the
-    sample of its next wake tick; an active node walks sample by sample on
-    plain Python scalars.
+    order. A sleeping node jumps straight to the sample of its next wake
+    tick; an active node walks sample by sample on plain Python scalars.
+    `tests/sensor_reference.py` advances the same node one sample at a time
+    and must give the same frames, intervals and final state.
     """
     n = len(trace)
     frames: list[tuple[float, SensorFrame]] = []
@@ -333,8 +226,6 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
     if n == 0:
         return ReplayResult(frames=frames, intervals=intervals, final_state=state)
     dt = 1.0 / trace.rate_hz
-    if dt <= 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
     times = np.full(n + 1, dt)
     times[0] = state.time_s
     times = np.cumsum(times, out=times)[1:]
@@ -392,7 +283,7 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
             frames.append((now, _frame(node_id, seq, now, (cx, cy, cz), (r0, r1, r2))))
             seq = (seq + 1) & 0xFFFF
             if _deviation(vx, vy, vz) < threshold:
-                # step() clamps at the window; a timer that reaches it is reset below
+                # no clamp at the window: a timer that reaches it is reset below
                 timer += now - last
             else:
                 timer = 0.0

@@ -1,6 +1,7 @@
 """Calibration fit: residuals, holdout, and file round trip."""
 
 import json
+import re
 from dataclasses import asdict, replace
 
 import pytest
@@ -101,6 +102,10 @@ def test_bad_targets_rejected(tmp_path):
     path.write_text("scenario,channel,tx_power_dbm,target_mean_pct,role\napartment,12,0,99,maybe\n")
     with pytest.raises(ParameterError):
         load_targets(path)
+    for pct in ("150.0", "-1.0"):
+        path.write_text(f"scenario,channel,tx_power_dbm,target_mean_pct,role\napartment,12,0,{pct},fit\n")
+        with pytest.raises(ParameterError, match=re.escape(f"{path}, line 2: target_mean_pct must lie in [0, 100]")):
+            load_targets(path)
 
 
 def test_integer_constants_read_as_floats(tmp_path):

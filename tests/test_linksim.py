@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from bsnsim.errors import ScenarioError
-from bsnsim.frames import FRAME_LEN
+from bsnsim.errors import BsnsimError, ScenarioError
+from bsnsim.frames import FRAME_LEN, SensorFrame, crc16_ccitt
 from bsnsim.linksim import (
     EchoTestConfig,
     LOG_MAGIC,
@@ -198,3 +201,23 @@ class TestStarNetwork:
         assert {k: (d.emitted, d.delivered) for k, d in a.deliveries.items()} == {
             k: (d.emitted, d.delivered) for k, d in b.deliveries.items()
         }
+
+
+# a log body of whole records, each with a valid CRC, reaches the field checks of every record
+_record = st.binary(min_size=FRAME_LEN - 2, max_size=FRAME_LEN - 2).map(
+    lambda body: body + struct.pack(">H", crc16_ccitt(body))
+)
+_logs = st.one_of(
+    st.binary(max_size=4 * FRAME_LEN),
+    st.binary(max_size=4 * FRAME_LEN).map(LOG_MAGIC.__add__),
+    st.lists(_record, max_size=4).map(lambda records: LOG_MAGIC + b"".join(records)),
+)
+
+
+@given(_logs)
+def test_read_arbitrary_bytes_raises_only_bsnsim_errors(data):
+    try:
+        frames = read_frame_log(data)
+    except BsnsimError:
+        return
+    assert all(isinstance(frame, SensorFrame) for frame in frames)

@@ -4,28 +4,9 @@ import numpy as np
 import pytest
 
 from bsnsim.errors import ParameterError
-from bsnsim.motion import (
-    AccelSample,
-    ActivityKind,
-    compose_schedule,
-    generate_trace,
-    total_acceleration,
-)
+from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_trace
 
 SLOW = (ActivityKind.SIT_STAND, ActivityKind.LEFT_RIGHT_ROTATION, ActivityKind.SLOW_WALK)
-
-
-def test_total_acceleration_gravity_rest():
-    assert total_acceleration(AccelSample(0.0, 0.0, 0.0, 1.0)) == 1.0
-
-
-def test_total_acceleration_freefall():
-    assert total_acceleration(AccelSample(0.0, 0.0, 0.0, 0.0)) == 0.0
-
-
-def test_total_acceleration_hand_value():
-    # sqrt(0.09 + 0.16 + 1.44) = sqrt(1.69)
-    assert total_acceleration(AccelSample(0.0, 0.3, 0.4, 1.2)) == pytest.approx(1.3)
 
 
 def test_rest_total_band():
@@ -109,6 +90,13 @@ def test_parameter_errors():
         compose_schedule([(ActivityKind.REST, -1.0)])
 
 
+@pytest.mark.parametrize("rate_hz", [0.0, float("nan"), float("inf"), -60.0, 5.0])
+def test_trace_rejects_rate_outside_band(rate_hz):
+    t = np.arange(3) / 60.0
+    with pytest.raises(ParameterError, match="rate_hz must be within"):
+        AccelTrace(rate_hz=rate_hz, t=t, ax=0 * t, ay=0 * t, az=1 + 0 * t, labels=[ActivityKind.REST] * 3)
+
+
 def test_single_segment_schedule_matches_generate():
     single = compose_schedule([(ActivityKind.REST, 2.0)], seed=4)
     direct = generate_trace(ActivityKind.REST, 2.0, seed=4)
@@ -118,7 +106,7 @@ def test_single_segment_schedule_matches_generate():
 
 def test_schedule_concatenation_boundary():
     trace = compose_schedule([(ActivityKind.REST, 2.0), (ActivityKind.FALL, 1.0)], seed=0)
-    assert trace.duration() == pytest.approx(3.0)
+    assert len(trace) / trace.rate_hz == pytest.approx(3.0)
     assert np.allclose(np.diff(trace.t), 1.0 / 60.0)
     boundary = 120  # 2 s at 60 Hz
     assert all(l is ActivityKind.REST for l in trace.labels[:boundary])

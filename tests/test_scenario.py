@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bsnsim.errors import ScenarioError
+from bsnsim.errors import BsnsimError, ScenarioError
 from bsnsim.rf import ChannelSpec, Disc, Interferer, Material, Obstacle, RadioStandard, Wall
 from bsnsim.scenario import (
     PRESET_NAMES,
@@ -182,6 +182,28 @@ def test_serialize_parse_round_trip(scenario):
     again = parse_scenario(text)
     assert again == scenario
     assert serialize_scenario(again) == text
+
+
+# scenario text: grammar-shaped lines built from real keys and headers, mixed with junk
+_keys = st.sampled_from(["name", "channel", "tx_power_dbm", "x", "y", "standard", "enabled", "activity_factor",
+                         "influence_radius_m", "material", "shape", "x1", "y1", "x2", "y2", "radius", "loss_db",
+                         "near_field_m", "brick", "Brick"]) | _names
+_values = (st.sampled_from(["0", "12", "-1", "1e400", "nan", "-inf", "true", "maybe", "wlan", "oven", "wall",
+                            "disc", "brick", ""])
+           | st.floats().map(repr) | st.integers().map(str) | st.text(max_size=8))
+_headers = st.builds("[{} {}]".format, st.sampled_from(["node", "interferer", "obstacle", "materials", "bogus"]),
+                     st.sampled_from(["base", "remote", "router", ""]) | _names)
+_lines = st.one_of(st.builds("{} = {}".format, _keys, _values), _headers, st.just("[materials]"), st.text(max_size=20))
+
+
+@given(st.booleans(), st.lists(_lines, max_size=12))
+def test_parse_arbitrary_lines_raises_only_bsnsim_errors(start_minimal, lines):
+    text = (MINIMAL if start_minimal else "") + "\n".join(lines)
+    try:
+        scenario = parse_scenario(text)
+    except BsnsimError:
+        return
+    assert isinstance(scenario, Scenario)
 
 
 def test_unknown_preset_or_path():

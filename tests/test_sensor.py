@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsnsim.errors import ParameterError
-from bsnsim.motion import AccelSample, ActivityKind, compose_schedule, generate_trace
+from bsnsim.motion import ActivityKind, compose_schedule, generate_trace
 from bsnsim.sensor import (
     _TIME_EPS,
     RANGE_LADDER,
@@ -20,8 +20,8 @@ from bsnsim.sensor import (
     replay_trace,
     select_range,
     select_range_axis,
-    step,
 )
+from sensor_reference import AccelSample, step
 
 
 class TestQuantize:
@@ -119,20 +119,16 @@ class TestSelectRange:
                         assert out[other] is base[other]
 
 
-def _drive(state, trace):
-    return replay_trace(state, trace)
-
-
 class TestWorkflow:
     def test_rest_trace_stays_asleep_with_duty_bound(self):
         trace = generate_trace(ActivityKind.REST, 10.0, 60.0, seed=2)
-        result = _drive(initial_state(), trace)
+        result = replay_trace(initial_state(), trace)
         assert result.final_state.mode is SensorMode.SLEEP
         assert len(result.frames) <= 10  # ceil(10 s / 1 s wake period)
 
     def test_fall_wakes_within_one_wake_period(self):
         trace = compose_schedule([(ActivityKind.REST, 3.0), (ActivityKind.FALL, 3.0)], seed=4)
-        result = _drive(initial_state(), trace)
+        result = replay_trace(initial_state(), trace)
         assert result.final_state.mode is SensorMode.ACTIVE
         active = [iv for iv in result.intervals if iv.mode is SensorMode.ACTIVE]
         assert active, "node never woke"
@@ -144,32 +140,32 @@ class TestWorkflow:
         trace = compose_schedule(
             [(ActivityKind.FALL, 2.0), (ActivityKind.REST, 310.0)], rate_hz=rate, seed=1
         )
-        result = _drive(initial_state(sample_rate_hz=rate), trace)
+        result = replay_trace(initial_state(sample_rate_hz=rate), trace)
         assert result.final_state.mode is SensorMode.SLEEP
         sleeps = [iv for iv in result.intervals if iv.mode is SensorMode.SLEEP]
         assert len(sleeps) >= 2  # initial sleep and the return to sleep
 
     def test_active_emits_per_sample(self):
         trace = compose_schedule([(ActivityKind.FALL, 1.0), (ActivityKind.RUN, 3.0)], seed=0)
-        result = _drive(initial_state(), trace)
+        result = replay_trace(initial_state(), trace)
         # active from the first wake tick onward: roughly one frame per sample
         assert len(result.frames) > 2.5 * 60
 
     def test_step_determinism(self):
         trace = generate_trace(ActivityKind.FALL, 4.0, 60.0, seed=8)
-        r1 = _drive(initial_state(), trace)
-        r2 = _drive(initial_state(), trace)
+        r1 = replay_trace(initial_state(), trace)
+        r2 = replay_trace(initial_state(), trace)
         assert [f for _, f in r1.frames] == [f for _, f in r2.frames]
 
     def test_sleep_mode_uses_low_range(self):
         trace = generate_trace(ActivityKind.REST, 5.0, 60.0, seed=3)
-        result = _drive(initial_state(), trace)
+        result = replay_trace(initial_state(), trace)
         for _, frame in result.frames:
             assert frame.range_codes == (0, 0, 0)
 
     def test_range_steps_up_during_fall(self):
         trace = compose_schedule([(ActivityKind.REST, 1.5), (ActivityKind.FALL, 2.0)], seed=6)
-        result = _drive(initial_state(), trace)
+        result = replay_trace(initial_state(), trace)
         assert any(frame.range_codes[2] > 0 for _, frame in result.frames)
 
     def test_step_rejects_bad_dt(self):
@@ -180,7 +176,7 @@ class TestWorkflow:
     def test_seq_increments_and_wraps(self):
         trace = generate_trace(ActivityKind.RUN, 3.0, 60.0, seed=1)
         state = initial_state(seq=65534)
-        result = _drive(state, trace)
+        result = replay_trace(state, trace)
         seqs = [frame.seq for _, frame in result.frames]
         assert seqs[0] == 65534
         assert 0 in seqs  # wrapped past 65535
@@ -191,8 +187,8 @@ def _step_replay(state, trace):
     dt = 1.0 / trace.rate_hz
     frames, intervals = [], []
     seg_start, seg_mode = state.time_s, state.mode
-    for i in range(len(trace)):
-        state, frame = step(state, trace.sample(i), dt)
+    for sample in zip(trace.t.tolist(), trace.ax.tolist(), trace.ay.tolist(), trace.az.tolist()):
+        state, frame = step(state, AccelSample(*sample), dt)
         if frame is not None:
             frames.append((state.time_s, frame))
         if state.mode is not seg_mode:
@@ -219,7 +215,7 @@ _RATES = st.one_of(st.sampled_from([10.0, 20.0, 25.0, 30.0, 50.0, 60.0, 100.0]),
 
 
 class TestReplayMatchesStep:
-    """replay_trace is a batched kernel; step() is the reference it must equal."""
+    """replay_trace is a batched kernel; sensor_reference.step() is the reference it must equal."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_criterion_5_rest(self, seed):
@@ -248,6 +244,31 @@ class TestReplayMatchesStep:
             t += 1.0 / trace.rate_hz
         result = _assert_replay_matches_steps(initial_state(next_sample_at_s=t + _TIME_EPS), trace)
         assert result.frames[0][0] == t
+
+    @pytest.mark.parametrize("k", [1, 7, 60])
+    def test_active_sample_on_the_epsilon_boundary(self, k):
+        # an active node's next sample instant lies _TIME_EPS after the k-th sample: step() takes it
+        trace = generate_trace(ActivityKind.FALL, 2.0, 60.0, seed=k)
+        t = 0.0
+        for _ in range(k):
+            t += 1.0 / trace.rate_hz
+        state = initial_state(mode=SensorMode.ACTIVE, next_sample_at_s=t + _TIME_EPS)
+        result = _assert_replay_matches_steps(state, trace)
+        assert result.frames[0][0] == t
+
+    @pytest.mark.parametrize("k", [1, 7, 60])
+    def test_missed_wake_tick_on_the_epsilon_boundary(self, k):
+        # the tick after the one the last sample takes lands within _TIME_EPS after that
+        # sample, so step() re-arms one wake period after the sample instead
+        trace = generate_trace(ActivityKind.REST, k / 10.0, 10.0, seed=k)
+        t = 0.0
+        for _ in range(k):
+            t += 1.0 / trace.rate_hz
+        wake_period = 0.05
+        state = initial_state(wake_period_s=wake_period, next_sample_at_s=t - wake_period + _TIME_EPS / 2)
+        result = _assert_replay_matches_steps(state, trace)
+        assert [time for time, _ in result.frames] == [t]
+        assert result.final_state.next_sample_at_s == t + wake_period
 
     @settings(max_examples=100, deadline=None)
     @given(
