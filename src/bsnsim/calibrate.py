@@ -110,16 +110,23 @@ def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, di
 
 
 def load_targets(path: str | Path | None = None) -> list[CalibrationTarget]:
-    """Read a targets CSV; a missing, non-numeric or non-finite value, or a
-    target outside [0, 100] %, names its file and line."""
+    """Read a targets CSV; text that is not UTF-8 or not CSV, a missing,
+    non-numeric or non-finite value, or a target outside [0, 100] %, names
+    its file (and line)."""
     source = resources.files("bsnsim").joinpath("data/calibration_targets.csv") if path is None else Path(path)
-    reader = csv.DictReader(source.read_text().splitlines())
+    try:
+        reader = csv.DictReader(source.read_text().splitlines())
+        rows = [(reader.line_num, row) for row in reader]
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{source}: not UTF-8 text ({exc})") from None
+    except csv.Error as exc:
+        raise ParameterError(f"{source}, line {reader.line_num + 1}: {exc}") from None
     expected = [f.name for f in fields(CalibrationTarget)]
     if reader.fieldnames is None or not set(expected).issubset(reader.fieldnames):
         raise ParameterError(f"{source}: targets CSV needs columns {sorted(expected)}, got {reader.fieldnames}")
     targets = []
-    for row in reader:
-        where = f"{source}, line {reader.line_num}"
+    for line, row in rows:
+        where = f"{source}, line {line}"
         cells = {key: (row[key] or "").strip() for key in expected}  # a short row leaves None
         values = {}
         for key, kind in (("channel", int), ("tx_power_dbm", float), ("target_mean_pct", float)):

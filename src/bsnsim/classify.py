@@ -31,14 +31,16 @@ class AbnormalTrigger(Enum):
     PER_AXIS_DELTA = "per_axis_delta"
 
 
+_AXIS_DELTA_THRESHOLD_G = 2.0  # method (i): per-axis peak-to-peak change within one window
+_REST_BAND_G = (0.95, 1.05)  # a rest window keeps every total inside this band
+_REST_STD_BOUND_G = 0.05  # and every axis's standard deviation at or below this
+
+
 @dataclass(frozen=True)
 class ClassifierConfig:
     low_threshold_g: float = 0.9
     high_threshold_g: float = 1.3
-    axis_delta_threshold_g: float = 2.0
     window_s: float = 1.0
-    rest_band_g: tuple[float, float] = (0.95, 1.05)
-    rest_std_bound_g: float = 0.05
 
     def __post_init__(self):
         if not (0.0 < self.low_threshold_g < 1.0 < self.high_threshold_g):
@@ -69,15 +71,15 @@ def classify_window(window: AccelTrace, cfg: ClassifierConfig | None = None) -> 
     ax, ay, az = window.ax, window.ay, window.az
     total = window.total()
 
-    lo, hi = cfg.rest_band_g
+    lo, hi = _REST_BAND_G
     in_rest_band = bool(total.min() >= lo and total.max() <= hi)
-    quiet = all(float(np.std(a)) <= cfg.rest_std_bound_g for a in (ax, ay, az))
+    quiet = all(float(np.std(a)) <= _REST_STD_BOUND_G for a in (ax, ay, az))
     if in_rest_band and quiet:
         return ActivityClass.REST
 
     out_of_band = bool(total.min() < cfg.low_threshold_g or total.max() > cfg.high_threshold_g)
     axis_delta = max(float(a.max() - a.min()) for a in (ax, ay, az))
-    if out_of_band or axis_delta > cfg.axis_delta_threshold_g:
+    if out_of_band or axis_delta > _AXIS_DELTA_THRESHOLD_G:
         return ActivityClass.FAST_ACTIVITY
     return ActivityClass.SLOW_ACTIVITY
 
@@ -103,7 +105,7 @@ def detect_abnormal(trace: AccelTrace, cfg: ClassifierConfig | None = None) -> l
         end = min(n, start + w)
         for arr in (trace.ax, trace.ay, trace.az):
             seg = arr[start:end]
-            if seg.max() - seg.min() > cfg.axis_delta_threshold_g:
+            if seg.max() - seg.min() > _AXIS_DELTA_THRESHOLD_G:
                 fire_axis[start:end] = True
                 break
         if end == n:
@@ -114,16 +116,8 @@ def detect_abnormal(trace: AccelTrace, cfg: ClassifierConfig | None = None) -> l
     if idx.size == 0:
         return []
 
-    events: list[AbnormalEvent] = []
-    run_start = idx[0]
-    prev = idx[0]
-    for i in idx[1:]:
-        if i - prev > w:  # gap longer than one window: close the run
-            events.append(_make_event(trace, total, fire_total, run_start, prev))
-            run_start = i
-        prev = i
-    events.append(_make_event(trace, total, fire_total, run_start, prev))
-    return events
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) > w) + 1)  # a gap longer than one window closes a run
+    return [_make_event(trace, total, fire_total, run[0], run[-1]) for run in runs]
 
 
 def _make_event(trace: AccelTrace, total, fire_total, start: int, end: int) -> AbnormalEvent:
@@ -136,8 +130,8 @@ def _make_event(trace: AccelTrace, total, fire_total, start: int, end: int) -> A
         fired = np.arange(start, end + 1)
     peak_idx = fired[np.argmax(np.abs(total[fired] - 1.0))]
     return AbnormalEvent(
-        t_start=float(trace.t[start]),
-        t_end=float(trace.t[end]),
+        t_start=float(start / trace.rate_hz),
+        t_end=float(end / trace.rate_hz),
         trigger=trigger,
         peak_total_a=float(total[peak_idx]),
     )

@@ -36,7 +36,6 @@ class ComponentCurrent:
 @dataclass(frozen=True)
 class Battery:
     capacity_mah: float
-    nominal_v: float = 3.7
 
     def __post_init__(self):
         if self.capacity_mah <= 0:

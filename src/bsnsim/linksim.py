@@ -178,14 +178,8 @@ def run_star_network(
             raise ScenarioError(f"scenario {scenario.name!r} has no node {name!r}")
         trace = traces[name]
         n_keep = min(len(trace), int(round(duration_s * trace.rate_hz)))
-        clipped = AccelTrace(
-            rate_hz=trace.rate_hz,
-            t=trace.t[:n_keep],
-            ax=trace.ax[:n_keep],
-            ay=trace.ay[:n_keep],
-            az=trace.az[:n_keep],
-            labels=trace.labels[:n_keep],
-        )
+        clipped = AccelTrace(rate_hz=trace.rate_hz, ax=trace.ax[:n_keep], ay=trace.ay[:n_keep],
+                             az=trace.az[:n_keep], labels=trace.labels[:n_keep])
         state = initial_state(node_id=idx + 1, sample_rate_hz=trace.rate_hz)
         emissions[name] = replay_trace(state, clipped)
 

@@ -41,10 +41,12 @@ class ActivityKind(Enum):
 
 @dataclass
 class AccelTrace:
-    """A uniformly sampled trace with per-sample ground-truth labels."""
+    """A uniformly sampled trace with per-sample ground-truth labels.
+
+    The clock is the rate alone: sample i is at `t[i] = i / rate_hz` s.
+    """
 
     rate_hz: float
-    t: np.ndarray
     ax: np.ndarray
     ay: np.ndarray
     az: np.ndarray
@@ -52,17 +54,18 @@ class AccelTrace:
 
     def __post_init__(self):
         _require_rate(self.rate_hz)
-        n = len(self.t)
-        if not (len(self.ax) == len(self.ay) == len(self.az) == len(self.labels) == n):
+        if not (len(self.ax) == len(self.ay) == len(self.az) == len(self.labels)):
             raise ParameterError("trace arrays must share one length")
-        if n and (self.t[0] < 0 or (n > 1 and not (np.diff(self.t) > 0).all())):
-            raise ParameterError("timestamps must be non-negative and strictly increasing")
         for arr in (self.ax, self.ay, self.az):
             if not np.isfinite(arr).all():
                 raise ParameterError("acceleration values must be finite")
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.labels)
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(len(self)) / self.rate_hz
 
     def total(self) -> np.ndarray:
         return np.sqrt(self.ax**2 + self.ay**2 + self.az**2)
@@ -73,12 +76,12 @@ def _require_rate(rate_hz: float) -> None:
         raise ParameterError(f"rate_hz must be within [{RATE_HZ_MIN:g}, {RATE_HZ_MAX:g}] Hz, got {rate_hz}")
 
 
-def _oscillation(rng: np.random.Generator, n: int, rate_hz: float, f_lo: float, f_hi: float, components: int = 6) -> np.ndarray:
-    """Sum of random sinusoids in [f_lo, f_hi] Hz, normalized so |signal| <= 1."""
+def _oscillation(rng: np.random.Generator, n: int, rate_hz: float, f_lo: float, f_hi: float) -> np.ndarray:
+    """Sum of six random sinusoids in [f_lo, f_hi] Hz, normalized so |signal| <= 1."""
     t = np.arange(n) / rate_hz
-    freqs = rng.uniform(f_lo, f_hi, components)
-    phases = rng.uniform(0.0, 2.0 * np.pi, components)
-    weights = rng.uniform(0.4, 1.0, components)
+    freqs = rng.uniform(f_lo, f_hi, 6)
+    phases = rng.uniform(0.0, 2.0 * np.pi, 6)
+    weights = rng.uniform(0.4, 1.0, 6)
     sig = np.zeros(n)
     for f, p, w in zip(freqs, phases, weights):
         sig += w * np.sin(2.0 * np.pi * f * t + p)
@@ -90,7 +93,8 @@ def _noise(rng: np.random.Generator, n: int, sigma: float, bound: float) -> np.n
     return np.clip(rng.normal(0.0, sigma, n), -bound, bound)
 
 
-def _impact_train(rng: np.random.Generator, n: int, rate_hz: float, f_lo: float, f_hi: float, width_s: float) -> np.ndarray:
+def _impact_train(rng: np.random.Generator, n: int, rate_hz: float, f_lo: float, f_hi: float,
+                  width_s: float) -> np.ndarray:
     """Periodic unit-peak Gaussian bumps, each centered exactly on a sample.
 
     Snapping centers onto the sample grid guarantees the full bump amplitude
@@ -100,105 +104,80 @@ def _impact_train(rng: np.random.Generator, n: int, rate_hz: float, f_lo: float,
     period = 1.0 / rng.uniform(f_lo, f_hi)
     sig = np.zeros(n)
     center = rng.uniform(0.2, 0.8) * period
-    first = True
-    while True:
-        i = int(round(center * rate_hz))
-        if i >= n:
-            if first:
-                i = n - 1  # short trace still gets one full-amplitude impact
-            else:
-                break
+    i = min(int(round(center * rate_hz)), n - 1)  # a short trace still gets one full-amplitude impact
+    while i < n:
         sig = np.maximum(sig, np.exp(-(((t - t[i]) / width_s) ** 2)))
-        first = False
         center += period
+        i = int(round(center * rate_hz))
     return sig
 
 
-def _gen_rest(rng: np.random.Generator, n: int, rate_hz: float):
-    ax = 0.006 * _oscillation(rng, n, rate_hz, 1.0, 3.0) + _noise(rng, n, 0.002, 0.006)
-    ay = 0.006 * _oscillation(rng, n, rate_hz, 1.0, 3.0) + _noise(rng, n, 0.002, 0.006)
-    az = 1.0 + 0.008 * _oscillation(rng, n, rate_hz, 1.0, 3.0) + _noise(rng, n, 0.002, 0.006)
-    return ax, ay, az
-
-
-# amp_x, amp_y, amp_z, oscillation band (Hz); amplitudes keep the total
-# acceleration inside [0.9, 1.3] for any draw (see module docstring).
-_SLOW_PROFILES = {
-    ActivityKind.SIT_STAND: (0.30, 0.10, 0.08, (1.0, 2.0)),
-    ActivityKind.LEFT_RIGHT_ROTATION: (0.10, 0.30, 0.06, (1.0, 2.5)),
-    ActivityKind.SLOW_WALK: (0.24, 0.18, 0.09, (1.5, 3.5)),
+# Per activity: the oscillation band (Hz), then per axis in draw order
+# (offset g, amplitude g, noise sigma g, noise bound g). The axes are x, y, z,
+# except for the run, which draws z first. The amplitudes keep every draw
+# inside the activity's envelope (see module docstring).
+_SWAY = {
+    ActivityKind.REST: (
+        (1.0, 3.0), ((0.0, 0.006, 0.002, 0.006), (0.0, 0.006, 0.002, 0.006), (1.0, 0.008, 0.002, 0.006))),
+    ActivityKind.SIT_STAND: (
+        (1.0, 2.0), ((0.0, 0.30, 0.005, 0.015), (0.0, 0.10, 0.005, 0.015), (1.02, 0.08, 0.004, 0.012))),
+    ActivityKind.LEFT_RIGHT_ROTATION: (
+        (1.0, 2.5), ((0.0, 0.10, 0.005, 0.015), (0.0, 0.30, 0.005, 0.015), (1.02, 0.06, 0.004, 0.012))),
+    ActivityKind.SLOW_WALK: (
+        (1.5, 3.5), ((0.0, 0.24, 0.005, 0.015), (0.0, 0.18, 0.005, 0.015), (1.02, 0.09, 0.004, 0.012))),
+    ActivityKind.RUN: (
+        (2.0, 6.0), ((0.78, 0.04, 0.01, 0.03), (0.0, 0.25, 0.01, 0.03), (0.0, 0.18, 0.01, 0.03))),
+    ActivityKind.JUMP: (
+        (1.0, 4.0), ((0.0, 0.08, 0.005, 0.015), (0.0, 0.08, 0.005, 0.015), (1.0, 0.04, 0.005, 0.015))),
 }
 
 
-def _gen_slow(rng: np.random.Generator, n: int, rate_hz: float, kind: ActivityKind):
-    amp_x, amp_y, amp_z, (f_lo, f_hi) = _SLOW_PROFILES[kind]
-    ax = amp_x * _oscillation(rng, n, rate_hz, f_lo, f_hi) + _noise(rng, n, 0.005, 0.015)
-    ay = amp_y * _oscillation(rng, n, rate_hz, f_lo, f_hi) + _noise(rng, n, 0.005, 0.015)
-    az = 1.02 + amp_z * _oscillation(rng, n, rate_hz, f_lo, f_hi) + _noise(rng, n, 0.004, 0.012)
-    return ax, ay, az
+def _sway(rng: np.random.Generator, n: int, rate_hz: float, band, axes) -> list[np.ndarray]:
+    """Per axis in draw order: offset + amplitude * oscillation in band + clipped noise."""
+    return [off + amp * _oscillation(rng, n, rate_hz, *band) + _noise(rng, n, sigma, bound)
+            for off, amp, sigma, bound in axes]
+
+
+def _write_event(rng: np.random.Generator, n: int, start: int, samples) -> int:
+    """Write one event from sample `start` on, stopping at the trace end.
+
+    Each sample is a list of (axis array, level g, jitter g) writes; each
+    write draws a uniform jitter in list order. Returns the index after the
+    last sample written.
+    """
+    for j, writes in zip(range(start, n), samples):
+        for axis, level, jitter in writes:
+            axis[j] = level + float(rng.uniform(-jitter, jitter))
+    return min(n, start + len(samples))
 
 
 def _gen_run(rng: np.random.Generator, n: int, rate_hz: float):
     train = _impact_train(rng, n, rate_hz, 2.4, 3.0, width_s=0.05)
-    az = 0.78 + 0.97 * train + 0.04 * _oscillation(rng, n, rate_hz, 2.0, 6.0) + _noise(rng, n, 0.01, 0.03)
-    ax = 0.25 * _oscillation(rng, n, rate_hz, 2.0, 6.0) + _noise(rng, n, 0.01, 0.03)
-    ay = 0.18 * _oscillation(rng, n, rate_hz, 2.0, 6.0) + _noise(rng, n, 0.01, 0.03)
+    band, ((z_off, *z_rest), *xy) = _SWAY[ActivityKind.RUN]  # the footfall train rides on z's offset
+    az, ax, ay = _sway(rng, n, rate_hz, band, [(z_off + 0.97 * train, *z_rest), *xy])
     return ax, ay, az
 
 
 def _gen_jump(rng: np.random.Generator, n: int, rate_hz: float):
-    ax = 0.08 * _oscillation(rng, n, rate_hz, 1.0, 4.0) + _noise(rng, n, 0.005, 0.015)
-    ay = 0.08 * _oscillation(rng, n, rate_hz, 1.0, 4.0) + _noise(rng, n, 0.005, 0.015)
-    az = 1.0 + 0.04 * _oscillation(rng, n, rate_hz, 1.0, 4.0) + _noise(rng, n, 0.005, 0.015)
-
+    ax, ay, az = _sway(rng, n, rate_hz, *_SWAY[ActivityKind.JUMP])
     if n < 5:
         if n >= 2:  # degenerate segment: flight sample followed by impact
-            az[n - 2] = 0.12
-            az[n - 1] = 3.0
+            az[n - 2:] = 0.12, 3.0
         return ax, ay, az
 
-    k_crouch = max(1, int(round(0.15 * rate_hz)))
-    k_flight = max(1, int(round(0.20 * rate_hz)))
-    k_settle = max(1, int(round(0.12 * rate_hz)))
-    event_len = k_crouch + 1 + k_flight + 1 + k_settle
-    if n < event_len:
+    k_crouch, k_flight, k_settle = (max(1, int(round(s * rate_hz))) for s in (0.15, 0.20, 0.12))
+    if n < k_crouch + 1 + k_flight + 1 + k_settle:
         # compress to the minimum that still spans flight and impact
         k_crouch = k_flight = k_settle = 1
-        event_len = 5
+    # crouch, launch, flight, landing, settle
+    event = ([[(az, 0.74, 0.03)]] * k_crouch + [[(az, 2.55, 0.05)]]
+             + [[(az, 0.12, 0.04), (ax, 0.0, 0.08), (ay, 0.0, 0.08)]] * k_flight + [[(az, 3.0, 0.05)]]
+             + [[(az, 0.85 + 0.15 * (s + 1) / k_settle, 0.03)] for s in range(k_settle)])
 
     period = int(round(rng.uniform(1.2, 1.8) * rate_hz))
-    start = min(max(0, int(round(0.1 * n))), max(0, n - event_len))
-    placed = False
-    i = start
-    while i + 2 <= n:
-        j = i
-        end = min(n, i + event_len)
-        # crouch
-        for _ in range(k_crouch):
-            if j < end:
-                az[j] = 0.74 + float(rng.uniform(-0.03, 0.03))
-                j += 1
-        if j < end:
-            az[j] = 2.55 + float(rng.uniform(-0.05, 0.05))  # launch
-            j += 1
-        for _ in range(k_flight):
-            if j < end:
-                az[j] = 0.12 + float(rng.uniform(-0.04, 0.04))
-                ax[j] = float(rng.uniform(-0.08, 0.08))
-                ay[j] = float(rng.uniform(-0.08, 0.08))
-                j += 1
-        if j < end:
-            az[j] = 3.0 + float(rng.uniform(-0.05, 0.05))  # landing
-            j += 1
-        for s in range(k_settle):
-            if j < end:
-                az[j] = 0.85 + 0.15 * (s + 1) / k_settle + float(rng.uniform(-0.03, 0.03))
-                j += 1
-        placed = True
-        i += max(period, event_len)
-    if not placed and n >= 2:
-        az[n - 2] = 0.12
-        az[n - 1] = 3.0
+    start = min(int(round(0.1 * n)), n - len(event))
+    for i in range(start, n - 1, max(period, len(event))):
+        _write_event(rng, n, i, event)
     return ax, ay, az
 
 
@@ -215,23 +194,12 @@ def _gen_fall(rng: np.random.Generator, n: int, rate_hz: float):
 
     i_impact = min(lead + k_desc, n - 1)
     desc_lo = max(0, i_impact - k_desc)
-    # descent: vertical support drops away, body tips forward
-    for s, j in enumerate(range(desc_lo, i_impact)):
-        frac = (s + 1) / max(1, i_impact - desc_lo)
-        az[j] = 1.0 - 0.68 * frac + float(rng.uniform(-0.02, 0.02))
-        ax[j] = 0.52 * frac + float(rng.uniform(-0.03, 0.03))
-    az[i_impact] = 2.9 + float(rng.uniform(-0.05, 0.05))
-    j = i_impact + 1
-    if j < n:
-        az[j] = 1.6 + float(rng.uniform(-0.1, 0.1))  # rebound
-        j += 1
-    for s in range(k_settle):
-        if j >= n:
-            break
-        frac = (s + 1) / k_settle
-        az[j] = 1.0 - 0.94 * frac + float(rng.uniform(-0.02, 0.02))
-        ax[j] = 0.5 + 0.47 * frac + float(rng.uniform(-0.02, 0.02))
-        j += 1
+    # descent (vertical support drops away, body tips forward), impact, rebound, settle
+    descent = [(s + 1) / (i_impact - desc_lo) for s in range(i_impact - desc_lo)]
+    settle = [(s + 1) / k_settle for s in range(k_settle)]
+    j = _write_event(rng, n, desc_lo, [[(az, 1.0 - 0.68 * f, 0.02), (ax, 0.52 * f, 0.03)] for f in descent]
+                     + [[(az, 2.9, 0.05)], [(az, 1.6, 0.1)]]
+                     + [[(az, 1.0 - 0.94 * f, 0.02), (ax, 0.5 + 0.47 * f, 0.02)] for f in settle])
     if j < n:
         # lying on the front: gravity moves to the frontal axis
         m = n - j
@@ -242,7 +210,6 @@ def _gen_fall(rng: np.random.Generator, n: int, rate_hz: float):
 
 
 _GENERATORS = {
-    ActivityKind.REST: _gen_rest,
     ActivityKind.RUN: _gen_run,
     ActivityKind.JUMP: _gen_jump,
     ActivityKind.FALL: _gen_fall,
@@ -265,12 +232,11 @@ def generate_trace(
     _require_rate(rate_hz)
     n = max(1, int(round(duration_s * rate_hz)))
     rng = np.random.default_rng(seed)
-    if kind in _SLOW_PROFILES:
-        ax, ay, az = _gen_slow(rng, n, rate_hz, kind)
-    else:
+    if kind in _GENERATORS:
         ax, ay, az = _GENERATORS[kind](rng, n, rate_hz)
-    t = np.arange(n) / rate_hz
-    return AccelTrace(rate_hz=rate_hz, t=t, ax=ax, ay=ay, az=az, labels=[kind] * n)
+    else:
+        ax, ay, az = _sway(rng, n, rate_hz, *_SWAY[kind])
+    return AccelTrace(rate_hz=rate_hz, ax=ax, ay=ay, az=az, labels=[kind] * n)
 
 
 def compose_schedule(
@@ -297,5 +263,4 @@ def compose_schedule(
     labels: list[ActivityKind] = []
     for p in parts:
         labels.extend(p.labels)
-    t = np.arange(len(labels)) / rate_hz
-    return AccelTrace(rate_hz=rate_hz, t=t, ax=ax, ay=ay, az=az, labels=labels)
+    return AccelTrace(rate_hz=rate_hz, ax=ax, ay=ay, az=az, labels=labels)

@@ -340,5 +340,9 @@ def load_scenario(path_or_preset: str | Path) -> Scenario:
     path = Path(path_or_preset)
     if not path.exists():
         raise ScenarioError(f"no scenario file or preset named {name!r}")
-    return parse_scenario(path.read_text(), source=str(path))
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_scenario(text, source=str(path))
 

@@ -3,6 +3,7 @@ expected round-trip message loss, and hop only past a hysteresis margin."""
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 from dataclasses import dataclass
@@ -74,15 +75,11 @@ def adaptive_policy(
     if not timeline:
         raise ParameterError("environment timeline is empty")
     changes = sorted(timeline, key=lambda item: item[0])
+    change_times = [t_change for t_change, _ in changes]
 
     def environment_at(t: float) -> Scenario:
-        active = changes[0][1]
-        for t_change, env in changes:
-            if t_change <= t:
-                active = env
-            else:
-                break
-        return active
+        # the last change at or before t; the earliest environment before the first change
+        return changes[max(0, bisect.bisect_right(change_times, t) - 1)][1]
 
     current = initial_channel
     schedule: list[tuple[float, int]] = []

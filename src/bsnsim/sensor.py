@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .frames import SensorFrame
-from .motion import AccelTrace
+from .motion import AccelTrace, _require_rate
 
 ADC_FULL_SCALE = 65535
 V_REF = 3.3
@@ -171,11 +171,12 @@ class SensorState:
             raise ParameterError("sleep mode requires the lowest range on all axes")
         if not 0.0 <= self.low_activity_timer_s <= self.inactivity_window_s:
             raise ParameterError("low_activity_timer_s outside [0, inactivity_window]")
-        if not 10.0 <= self.sample_rate_hz <= 100.0:
-            raise ParameterError(f"sample_rate_hz must be within [10, 100], got {self.sample_rate_hz}")
+        _require_rate(self.sample_rate_hz)
         for name in ("wake_period_s", "time_s", "next_sample_at_s", "last_sample_t_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.wake_period_s <= 0:
+            raise ParameterError(f"wake_period_s must be positive, got {self.wake_period_s}")
 
 
 def initial_state(**kwargs) -> SensorState:

@@ -2,17 +2,22 @@
 
 import json
 import re
+import tempfile
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsnsim.calibrate import (
+    _OVERRIDE_FIELDS,
     calibrated_scenario,
     fit,
     load_calibration_file,
     load_targets,
 )
-from bsnsim.errors import ParameterError
+from bsnsim.errors import BsnsimError, ParameterError
 from bsnsim.rf import InterferenceCalibration
 
 
@@ -106,6 +111,58 @@ def test_bad_targets_rejected(tmp_path):
         path.write_text(f"scenario,channel,tx_power_dbm,target_mean_pct,role\napartment,12,0,{pct},fit\n")
         with pytest.raises(ParameterError, match=re.escape(f"{path}, line 2: target_mean_pct must lie in [0, 100]")):
             load_targets(path)
+    header = "scenario,channel,tx_power_dbm,target_mean_pct,role\n"
+    path.write_bytes(header.encode() + b"apartment,12,0,\xff,fit\n")
+    with pytest.raises(ParameterError, match=re.escape(f"{path}: not UTF-8 text")):
+        load_targets(path)
+    path.write_text(header + "apartment,12,0,99.36,fit\n" + "apartment," + "9" * 131_073 + ",0,99,fit\n")
+    with pytest.raises(ParameterError, match=re.escape(f"{path}, line 3: field larger than field limit")):
+        load_targets(path)
+
+
+def _load_allowing_only_bsnsim_errors(load, data: bytes, suffix: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"input{suffix}"
+        path.write_bytes(data)
+        try:
+            load(path)
+        except BsnsimError:
+            pass
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_DEFAULTS = asdict(InterferenceCalibration())
+_overrides = st.dictionaries(
+    st.sampled_from(["oven", "neighbor_ch1_a"]) | st.text(max_size=6),
+    st.dictionaries(st.sampled_from(_OVERRIDE_FIELDS) | st.text(max_size=6), _json, max_size=3) | _json,
+    max_size=3,
+)
+_payloads = st.one_of(
+    _json,
+    st.dictionaries(st.sampled_from(sorted(_DEFAULTS)), _json, max_size=3).map(lambda d: {**_DEFAULTS, **d}),
+    _overrides.map(lambda o: {**_DEFAULTS, "interferer_overrides": o}),
+)
+
+
+@settings(max_examples=50)
+@given(_payloads)
+def test_arbitrary_calibration_json_raises_only_bsnsim_errors(payload):
+    _load_allowing_only_bsnsim_errors(load_calibration_file, json.dumps(payload).encode(), ".json")
+
+
+_words = ["apartment", "12", "0", "-10", "99.36", "fit", "holdout", "nan", "", '"a,b"']
+_cell = st.sampled_from(_words) | st.text(max_size=6)
+_rows = st.lists(st.lists(_cell, max_size=6).map(",".join), max_size=4).map("\n".join)
+
+
+@settings(max_examples=50)
+@given(st.one_of(st.text(max_size=80), _rows.map("scenario,channel,tx_power_dbm,target_mean_pct,role\n".__add__)))
+def test_arbitrary_targets_csv_raises_only_bsnsim_errors(text):
+    _load_allowing_only_bsnsim_errors(load_targets, text.encode(), ".csv")
 
 
 def test_integer_constants_read_as_floats(tmp_path):

@@ -18,8 +18,7 @@ from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_t
 def _window(values):
     """A 60 Hz window holding the given (ax, ay, az) rows."""
     ax, ay, az = np.array(values, dtype=float).reshape(-1, 3).T
-    return AccelTrace(rate_hz=60.0, t=np.arange(len(ax)) / 60.0, ax=ax, ay=ay, az=az,
-                      labels=[ActivityKind.REST] * len(ax))
+    return AccelTrace(rate_hz=60.0, ax=ax, ay=ay, az=az, labels=[ActivityKind.REST] * len(ax))
 
 
 def test_constant_gravity_is_rest():

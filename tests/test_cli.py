@@ -1,14 +1,19 @@
 """CLI surface: experiment outputs, exit codes, table export."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import types
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsnsim
 from bsnsim import cli
@@ -234,6 +239,33 @@ def test_bad_number_flag_is_usage_error(tmp_path, capsys, argv, flag):
     assert "Traceback" not in err
     assert f"error: argument {flag}:" in err.splitlines()[-1]
     assert not any(tmp_path.iterdir())
+
+
+# per input file the CLI reads: its argv ({} is the file) and a valid start for the fuzzed bytes
+_FILE_INPUTS = {
+    "scenario": (["run", "scan", "--scenario", "{}"], b"channel = 12\n[node base]\nx = 0\ny = 0\n"
+                 b"[node remote]\nx = 3\ny = 4\n"),
+    "calibration": (["run", "scan", "--calibration", "{}"], json.dumps(asdict(InterferenceCalibration())).encode()),
+    "targets": (["calibrate", "--targets", "{}"], b"scenario,channel,tx_power_dbm,target_mean_pct,role\n"),
+    "frame_log": (["replay-log", "{}"], LOG_MAGIC),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_FILE_INPUTS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.binary(max_size=64), after_valid_start=st.booleans())
+def test_arbitrary_input_file_exits_0_or_2_with_one_error_line(which, data, after_valid_start):
+    # in-process: an uncaught exception fails the test instead of showing a traceback
+    argv, valid_start = _FILE_INPUTS[which]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(valid_start + data if after_valid_start else data)
+        argv = [arg.format(path) for arg in argv] + ["--out", str(Path(tmp) / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code == 0 and not lines or code == 2 and len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_png_is_written_through_atomic_write(tmp_path, monkeypatch):

@@ -94,7 +94,7 @@ def test_parameter_errors():
 def test_trace_rejects_rate_outside_band(rate_hz):
     t = np.arange(3) / 60.0
     with pytest.raises(ParameterError, match="rate_hz must be within"):
-        AccelTrace(rate_hz=rate_hz, t=t, ax=0 * t, ay=0 * t, az=1 + 0 * t, labels=[ActivityKind.REST] * 3)
+        AccelTrace(rate_hz=rate_hz, ax=0 * t, ay=0 * t, az=1 + 0 * t, labels=[ActivityKind.REST] * 3)
 
 
 def test_single_segment_schedule_matches_generate():

@@ -1,6 +1,7 @@
 """Scenario file parsing, presets, and round-trip serialization."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -209,3 +210,10 @@ def test_parse_arbitrary_lines_raises_only_bsnsim_errors(start_minimal, lines):
 def test_unknown_preset_or_path():
     with pytest.raises(ScenarioError):
         load_scenario("never_heard_of_it")
+
+
+def test_non_utf8_file_names_the_file(tmp_path):
+    path = tmp_path / "bad.scn"
+    path.write_bytes(b"channel = 12\n\xff\xfe\n")
+    with pytest.raises(ScenarioError, match=re.escape(f"{path}: not UTF-8 text")):
+        load_scenario(path)

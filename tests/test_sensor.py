@@ -306,3 +306,13 @@ class TestReplayMatchesStep:
         for name in ("wake_period_s", "time_s", "next_sample_at_s", "last_sample_t_s"):
             with pytest.raises(ParameterError, match=name):
                 initial_state(**{name: float("nan")})
+
+    @pytest.mark.parametrize(
+        "name, value, problem",
+        [("wake_period_s", 0.0, "wake_period_s must be positive"),
+         ("wake_period_s", -1.0, "wake_period_s must be positive"),
+         *(("sample_rate_hz", rate, "rate_hz must be within") for rate in (0.0, 5.0, float("nan"), float("inf")))],
+    )
+    def test_bad_wake_period_or_rate_rejected(self, name, value, problem):
+        with pytest.raises(ParameterError, match=problem):
+            initial_state(**{name: value})
