@@ -25,13 +25,11 @@ from .rf import (
     ChannelSpec,
     Interferer,
     InterferenceCalibration,
-    LinkBudget,
     Material,
     Obstacle,
     RadioStandard,
     channel_center_freq,
     message_success_prob,
-    path_loss,
     spectral_overlap,
 )
 from .scenario import Scenario, load_scenario, parse_scenario, serialize_scenario

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import ParameterError
-from .linksim import echo_success_probs
+from .linksim import Direction, echo_directions, echo_success_probs
 from .rf import ChannelSpec, InterferenceCalibration
 from .scenario import Scenario, load_scenario
 
@@ -82,7 +82,7 @@ def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, di
     """
     try:
         payload = json.loads(Path(path).read_text(), parse_int=float)
-    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+    except (ValueError, RecursionError) as exc:  # malformed, not UTF-8, or nested too deeply
         raise ParameterError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise ParameterError(f"{path}: expected a JSON object, got {type(payload).__name__}")
@@ -147,9 +147,9 @@ def load_targets(path: str | Path | None = None) -> list[CalibrationTarget]:
     return targets
 
 
-def predicted_mean_pct(scenario: Scenario, channel: int, tx_power_dbm: float,
-                       calibration: InterferenceCalibration) -> float:
-    p_out, p_in = echo_success_probs(scenario, ChannelSpec.wpan(channel), tx_power_dbm, calibration)
+def predicted_mean_pct(scenario: Scenario, directions: tuple[Direction, Direction], channel: int,
+                       tx_power_dbm: float, calibration: InterferenceCalibration) -> float:
+    p_out, p_in = echo_success_probs(scenario, directions, ChannelSpec.wpan(channel), tx_power_dbm, calibration)
     return p_out * p_in * 100.0
 
 
@@ -168,6 +168,7 @@ def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
     if not fit_targets:
         raise ParameterError("the targets hold no `fit` row, so there is nothing to fit")
     scenarios = {name: load_scenario(name) for name in {t.scenario for t in targets}}
+    directions = {name: echo_directions(scen) for name, scen in scenarios.items()}  # overrides move nothing
     missing = [name for name in dict.fromkeys(row.scenario for row in _FREE if row.scenario) if name not in scenarios]
     if missing:
         raise ParameterError(f"the fit seeds its parameters from scenario(s) the targets lack: {', '.join(missing)}")
@@ -190,7 +191,7 @@ def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
 
     def predict(target, calib, overrides):
         scen = apply_overrides(scenarios[target.scenario], overrides)
-        return predicted_mean_pct(scen, target.channel, target.tx_power_dbm, calib)
+        return predicted_mean_pct(scen, directions[target.scenario], target.channel, target.tx_power_dbm, calib)
 
     def residuals(params):
         calib, overrides = unpack(params)

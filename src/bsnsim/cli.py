@@ -347,12 +347,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # every character str.splitlines breaks at
+# each mapped to its escape, so an error message prints as one line
+_ESCAPED_LINE_BREAKS = {ord(c): c.encode("unicode_escape").decode() for c in _LINE_BREAKS}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args, args.out)
     except (BsnsimError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_ESCAPED_LINE_BREAKS)}", file=sys.stderr)
         return 2
 
 

@@ -9,6 +9,7 @@ exactly the timeout before the next message goes out.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import ParameterError, ScenarioError
 from .frames import FRAME_LEN, SensorFrame, encode_frame
 from .motion import AccelTrace
-from .rf import ChannelSpec, InterferenceCalibration, link_budget, message_success_prob
+from .rf import ChannelSpec, InterferenceCalibration, RadioPath, message_success_prob, radio_path
 from .scenario import Scenario
 from .sensor import ReplayResult, initial_state, replay_trace
 
@@ -66,43 +67,58 @@ class RunStats:
         )
 
 
+@dataclass(frozen=True)
+class Direction:
+    """One tx -> rx direction of a link as placed: the link's path and each
+    interferer's path to the receiver, by name. Overrides and enabled flags
+    move nothing placed, so they reuse it."""
+
+    link: RadioPath
+    interferers: dict[str, RadioPath]
+
+    @classmethod
+    def of(cls, scenario: Scenario, tx_node: str, rx_node: str) -> "Direction":
+        tx_pos, rx_pos = scenario.node(tx_node), scenario.node(rx_node)
+        obstacles = tuple(scenario.obstacles.values())
+        table = scenario.material_table()
+        return cls(
+            radio_path(tx_pos, rx_pos, obstacles, table),
+            {name: radio_path(it.position, rx_pos, obstacles, table) for name, it in scenario.interferers.items()},
+        )
+
+
 def direction_success_prob(
     scenario: Scenario,
+    direction: Direction,
     channel: ChannelSpec,
     tx_power_dbm: float,
-    tx_node: str,
-    rx_node: str,
     calibration: InterferenceCalibration | None = None,
 ) -> float:
-    """Per-message delivery probability for one direction of a link."""
-    tx_pos = scenario.node(tx_node)
-    rx_pos = scenario.node(rx_node)
-    obstacles = tuple(scenario.obstacles.values())
-    table = scenario.material_table()
-    budget = link_budget(tx_power_dbm, tx_pos, rx_pos, obstacles, channel.center_mhz, table)
-    return message_success_prob(
-        budget,
-        channel,
-        tuple(scenario.interferers.values()),
-        rx_position=rx_pos,
-        obstacles=obstacles,
-        material_loss=table,
-        calibration=calibration,
-    )
+    """Per-message delivery probability for one direction of a link, with the
+    scenario's interferers as they are set now."""
+    try:
+        pairs = [(it, direction.interferers[name]) for name, it in scenario.interferers.items()]
+    except KeyError as exc:
+        raise ParameterError(f"direction has no path for interferer {exc.args[0]!r}") from None
+    return message_success_prob(tx_power_dbm, direction.link, channel, pairs, calibration)
+
+
+def echo_directions(scenario: Scenario) -> tuple[Direction, Direction]:
+    """(outbound, inbound) directions of the base<->remote pair."""
+    return Direction.of(scenario, "base", "remote"), Direction.of(scenario, "remote", "base")
 
 
 def echo_success_probs(
     scenario: Scenario,
+    directions: tuple[Direction, Direction],
     channel: ChannelSpec,
     tx_power_dbm: float,
     calibration: InterferenceCalibration | None = None,
 ) -> tuple[float, float]:
     """(outbound, inbound) per-message probabilities for the base<->remote pair."""
-    for node in ("base", "remote"):
-        if node not in scenario.nodes:
-            raise ScenarioError(f"echo test needs node {node!r} in scenario {scenario.name!r}")
-    p_out = direction_success_prob(scenario, channel, tx_power_dbm, "base", "remote", calibration)
-    p_in = direction_success_prob(scenario, channel, tx_power_dbm, "remote", "base", calibration)
+    outbound, inbound = directions
+    p_out = direction_success_prob(scenario, outbound, channel, tx_power_dbm, calibration)
+    p_in = direction_success_prob(scenario, inbound, channel, tx_power_dbm, calibration)
     return p_out, p_in
 
 
@@ -127,7 +143,7 @@ def run_echo_test(
     calibration: InterferenceCalibration | None = None,
 ) -> RunStats:
     """The full echo experiment: probabilities from the scenario, then runs."""
-    p_out, p_in = echo_success_probs(scenario, cfg.channel, cfg.tx_power_dbm, calibration)
+    p_out, p_in = echo_success_probs(scenario, echo_directions(scenario), cfg.channel, cfg.tx_power_dbm, calibration)
     return simulate_echo_runs(p_out, p_in, cfg, seed)
 
 
@@ -165,8 +181,8 @@ def run_star_network(
     """
     if not traces:
         raise ParameterError("star network needs at least one sensor node trace")
-    if duration_s <= 0:
-        raise ParameterError(f"duration_s must be positive, got {duration_s}")
+    if not 0 < duration_s < math.inf:
+        raise ParameterError(f"duration_s must be positive and finite, got {duration_s}")
     if "base" not in scenario.nodes:
         raise ScenarioError(f"scenario {scenario.name!r} has no logger node 'base'")
     channel = ChannelSpec.wpan(scenario.channel)
@@ -190,9 +206,8 @@ def run_star_network(
     logged: list[tuple[float, str, SensorFrame]] = []
     for name in sorted(emissions):
         frames = emissions[name].frames
-        p_link = direction_success_prob(
-            scenario, channel, scenario.tx_power_dbm, name, "base", calibration
-        )
+        uplink = Direction.of(scenario, name, "base")
+        p_link = direction_success_prob(scenario, uplink, channel, scenario.tx_power_dbm, calibration)
         p = p_link * (1.0 - drop_prob)
         if frames:
             keep = rng.random(len(frames)) < p

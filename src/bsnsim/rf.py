@@ -1,5 +1,10 @@
-"""2.4 GHz spectrum model: channel geometry, path loss with material
+"""2.4 GHz spectrum model: channel geometry, radio paths with material
 attenuation, and per-message success probability under interference.
+
+Placement and channel are kept apart. A `RadioPath` holds what placement
+alone decides, the distance and the crossed obstacles' losses, and gives its
+loss at any frequency; `message_success_prob` judges one channel against the
+link's path and each interferer's path to the receiver.
 
 Channel plans
     802.15.4: channels 11..26, center 2405 + 5*(index-11) MHz, 2 MHz occupied.
@@ -135,16 +140,11 @@ class Obstacle:
     loss_db: float | None = None          # None: use the material table
     near_field_m: float | None = None     # None: use the material default
 
-    def effective_loss_db(self, table: Mapping[Material, float] | None = None) -> float:
-        if self.loss_db is not None:
-            return self.loss_db
-        table = table or DEFAULT_MATERIAL_LOSS_DB
-        return table[self.material]
+    def effective_loss_db(self, table: Mapping[Material, float]) -> float:
+        return table[self.material] if self.loss_db is None else self.loss_db
 
     def effective_near_field_m(self) -> float | None:
-        if self.near_field_m is not None:
-            return self.near_field_m
-        return DEFAULT_NEAR_FIELD_M.get(self.material)
+        return DEFAULT_NEAR_FIELD_M.get(self.material) if self.near_field_m is None else self.near_field_m
 
 
 def _orient(a: Point, b: Point, c: Point) -> float:
@@ -209,49 +209,26 @@ def crossed_obstacles(p1: Point, p2: Point, obstacles: Sequence[Obstacle]) -> li
     return hit
 
 
-def path_loss(
-    distance_m: float,
-    obstacles_crossed: Sequence[Obstacle] = (),
-    freq_mhz: float = 2450.0,
-    material_loss: Mapping[Material, float] | None = None,
-) -> float:
-    """Free-space loss 20*log10(d) + 20*log10(f) - 27.55 plus obstacle losses."""
-    if distance_m <= 0:
-        raise ParameterError(f"distance_m must be positive, got {distance_m}")
-    loss = 20.0 * math.log10(distance_m) + 20.0 * math.log10(freq_mhz) - 27.55
-    for ob in obstacles_crossed:
-        loss += ob.effective_loss_db(material_loss)
-    return loss
-
-
 @dataclass(frozen=True)
-class LinkBudget:
-    tx_power_dbm: float
-    path_loss_db: float
+class RadioPath:
+    """The straight path from a transmitter to a receiver, without a channel."""
 
-    @property
-    def rx_power_dbm(self) -> float:
-        return self.tx_power_dbm - self.path_loss_db
+    distance_m: float  # unclamped, so an influence radius can test it
+    losses_db: tuple[float, ...]  # the crossed obstacles' losses, in obstacle order
 
-    @property
-    def margin_db(self) -> float:
-        return self.rx_power_dbm - RECEIVER_SENSITIVITY_DBM
+    def loss_db(self, freq_mhz: float) -> float:
+        """Free-space loss 20*log10(d) + 20*log10(f) - 27.55, d at least 5 cm,
+        plus the obstacle losses."""
+        loss = 20.0 * math.log10(max(self.distance_m, 0.05)) + 20.0 * math.log10(freq_mhz) - 27.55
+        for obstacle_loss in self.losses_db:
+            loss += obstacle_loss
+        return loss
 
 
-def link_budget(
-    tx_power_dbm: float,
-    tx_pos: Point,
-    rx_pos: Point,
-    obstacles: Sequence[Obstacle] = (),
-    freq_mhz: float = 2450.0,
-    material_loss: Mapping[Material, float] | None = None,
-) -> LinkBudget:
-    d = max(0.05, math.hypot(rx_pos[0] - tx_pos[0], rx_pos[1] - tx_pos[1]))
-    crossed = crossed_obstacles(tx_pos, rx_pos, obstacles)
-    return LinkBudget(
-        tx_power_dbm=tx_power_dbm,
-        path_loss_db=path_loss(d, crossed, freq_mhz, material_loss),
-    )
+def radio_path(p1: Point, p2: Point, obstacles: Sequence[Obstacle], table: Mapping[Material, float]) -> RadioPath:
+    """The path p1 -> p2 through the obstacles, with losses from the material table."""
+    crossed = crossed_obstacles(p1, p2, obstacles)
+    return RadioPath(math.hypot(p2[0] - p1[0], p2[1] - p1[1]), tuple(ob.effective_loss_db(table) for ob in crossed))
 
 
 @dataclass(frozen=True)
@@ -317,45 +294,39 @@ def interference_power_factor(isr_db: float, calib: InterferenceCalibration) -> 
 
 
 def message_success_prob(
-    link: LinkBudget,
+    tx_power_dbm: float,
+    link: RadioPath,
     victim: ChannelSpec,
-    interferers: Sequence[Interferer] = (),
-    rx_position: Point | None = None,
-    obstacles: Sequence[Obstacle] = (),
-    material_loss: Mapping[Material, float] | None = None,
+    interferers: Sequence[tuple[Interferer, RadioPath]],
     calibration: InterferenceCalibration | None = None,
 ) -> float:
-    """Probability that one message on the victim link is delivered.
+    """Probability that one message on the victim channel is delivered over
+    the link, with each interferer reaching the receiver over its path.
 
     Zero below the sensitivity floor; otherwise the product over active
     interferers of their independent per-message survival terms.
     """
     if victim.standard is not RadioStandard.WPAN_154:
         raise ParameterError("victim channel must be an 802.15.4 channel")
-    if link.margin_db < 0:
+    rx_power_dbm = tx_power_dbm - link.loss_db(victim.center_mhz)
+    if rx_power_dbm - RECEIVER_SENSITIVITY_DBM < 0:
         return 0.0
     calib = calibration or DEFAULT_CALIBRATION
     p = 1.0
-    for it in interferers:
+    for it, path in interferers:
         if not it.enabled or it.activity_factor <= 0.0:
             continue
         overlap = spectral_overlap(victim, it.channel)
         if overlap <= 0.0:
             continue
-        if rx_position is None:
-            raise ParameterError("rx_position required to evaluate interferers")
-        d = math.hypot(rx_position[0] - it.position[0], rx_position[1] - it.position[1])
-        if it.influence_radius_m is not None and d > it.influence_radius_m:
+        if it.influence_radius_m is not None and path.distance_m > it.influence_radius_m:
             continue
-        d = max(d, 0.05)
-        crossed = crossed_obstacles(it.position, rx_position, obstacles)
         i_rx = (
             it.tx_power_dbm
-            - path_loss(d, crossed, it.channel.center_mhz, material_loss)
+            - path.loss_db(it.channel.center_mhz)
             + spectral_weight_db(it.channel.standard, victim.center_mhz - it.channel.center_mhz, calib)
         )
-        isr = i_rx - link.rx_power_dbm
+        isr = i_rx - rx_power_dbm
         pf = interference_power_factor(isr, calib)
         p *= 1.0 - min(1.0, it.activity_factor) * (overlap / victim.occupied_bw_mhz) * pf
     return max(0.0, min(1.0, p))
-

@@ -6,13 +6,14 @@ from __future__ import annotations
 import bisect
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .linksim import echo_success_probs
+from .linksim import echo_directions, echo_success_probs
 from .rf import ChannelSpec, InterferenceCalibration, WPAN_INDEX_RANGE
 from .scenario import Scenario
 
@@ -45,9 +46,11 @@ class ScanReport:
 
 def scan(scenario: Scenario, calibration: InterferenceCalibration | None = None) -> ScanReport:
     """Score every channel at the scenario's power as 1 - round-trip success probability."""
+    directions = echo_directions(scenario)
     scores = []
     for index in WPAN_INDEX_RANGE:
-        p_out, p_in = echo_success_probs(scenario, ChannelSpec.wpan(index), scenario.tx_power_dbm, calibration)
+        p_out, p_in = echo_success_probs(scenario, directions, ChannelSpec.wpan(index), scenario.tx_power_dbm,
+                                         calibration)
         scores.append(1.0 - p_out * p_in)
     return ScanReport(scores=tuple(scores))
 
@@ -70,8 +73,10 @@ def adaptive_policy(
     The channel changes only when the scan's best channel beats the current
     channel's fresh score by more than the DEFAULT_HYSTERESIS margin.
     """
-    if rescan_period_s <= 0:
-        raise ParameterError(f"rescan_period_s must be positive, got {rescan_period_s}")
+    if not math.isfinite(horizon_s):
+        raise ParameterError(f"horizon_s must be finite, got {horizon_s}")
+    if not 0 < rescan_period_s < math.inf:
+        raise ParameterError(f"rescan_period_s must be positive and finite, got {rescan_period_s}")
     if not timeline:
         raise ParameterError("environment timeline is empty")
     changes = sorted(timeline, key=lambda item: item[0])

@@ -86,9 +86,11 @@ def calibration_text(**changes):
          "interferer_overrides.oven.tx_power_dbm must be a finite number"),
         (calibration_text(interferer_overrides={"oven": {"channel": 3.0}}),
          "interferer_overrides.oven.channel is not one of"),
+        ("[" * 100_000, "not valid JSON (maximum recursion depth exceeded"),
     ],
     ids=["missing_key", "malformed_json", "not_an_object", "string_constant", "bool_constant", "nan_constant",
-         "overrides_not_object", "override_not_object", "override_value_string", "override_unknown_field"],
+         "overrides_not_object", "override_not_object", "override_value_string", "override_unknown_field",
+         "nested_too_deeply"],
 )
 def test_bad_calibration_file_rejected(tmp_path, text, problem):
     path = tmp_path / "calibration.json"

@@ -215,6 +215,29 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, make_argv):
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000, *(_calibration_text(interferer_overrides={f"ov{br}en": {f"bogus{br}key": 1.0}})
+                      for br in ("\n", "\r\n", "\u2028"))],
+    ids=["nested_too_deeply", "newline_in_names", "crlf_in_names", "line_separator_in_names"],
+)
+def test_calibration_error_prints_one_line(tmp_path, capsys, text):
+    # in-process: an uncaught exception fails the test instead of showing a traceback
+    path = tmp_path / "calibration.json"
+    path.write_text(text)
+    assert main(["run", "scan", "--calibration", str(path), "--out", str(tmp_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+
+
+def test_error_line_escapes_only_line_breaks(tmp_path, capsys):
+    path = tmp_path / "calibration.json"
+    path.write_text(_calibration_text(interferer_overrides={"ov\nen": {"bogus\tkey": 1.0}}))
+    assert main(["run", "scan", "--calibration", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: interferer_overrides.ov\\nen.bogus\tkey is not one of "
+                                       "activity_factor, tx_power_dbm\n")
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["run", "star", "--duration", "nan"], "--duration"),

@@ -1,0 +1,97 @@
+"""Golden values of the RF chain, fixed at the last version that evaluated
+every path per channel.
+
+The scan scores of every preset (as `float.hex`) and the text of the bundled
+calibration fit must not move by a single bit when the chain is restructured:
+a path's loss takes the free-space term first and adds each obstacle loss in
+obstacle order, so every float comes from the same operations.
+"""
+
+import pytest
+
+from bsnsim.calibrate import fit
+from bsnsim.scenario import PRESET_NAMES, load_scenario
+from bsnsim.selector import scan
+
+SCAN_SCORES_HEX = {
+    "apartment": (
+        "0x1.02cf3e04863c0p-7", "0x1.02d22344cf340p-7", "0x1.02d501ce26480p-7", "0x1.02d7d9b1ad1c0p-7",
+        "0x1.6df5338a40000p-17", "0x1.9042ba2193c00p-11", "0x1.90689ff472c00p-11", "0x1.908e2daf1b800p-11",
+        "0x1.90b3643138c00p-11", "0x1.32a52c6368000p-15", "0x1.273a550ef1580p-8", "0x1.27435ffb1f100p-8",
+        "0x1.274c56e8e6d00p-8", "0x1.27553a07cbd80p-8", "0x1.20bb1e0a40000p-18", "0x0.0p+0",
+    ),
+    "single_house": (
+        "0x1.742380ca01800p-12", "0x1.747fdfe6b3800p-12", "0x1.74db70c88b000p-12", "0x1.7536354fa8800p-12",
+        "0x1.6397ca9000000p-25", "0x1.5b51d1e83f800p-12", "0x1.5bd2efef43000p-12", "0x1.5c5314a967800p-12",
+        "0x1.5cd241cd6e800p-12", "0x1.0cd5ccdea0000p-18", "0x1.bdbaa0712fa00p-9", "0x1.bde3cd2c09200p-9",
+        "0x1.be0cac1f08a00p-9", "0x1.be353dec99200p-9", "0x1.f72a030c00000p-22", "0x0.0p+0",
+    ),
+    "apartment_microwave": (
+        "0x1.edb8a17b0b400p-8", "0x1.edba62d952380p-8", "0x1.edbc1f7078500p-8", "0x1.edbdd74ff6000p-8",
+        "0x1.621df01aa0000p-17", "0x1.97d42737bf800p-12", "0x1.97ec232365000p-12", "0x1.6d9fe3fa55400p-11",
+        "0x1.412090cec0f80p-8", "0x1.020c7e11bbeb0p-5", "0x1.b08d119b17b00p-8", "0x1.fdbb411951300p-9",
+        "0x1.edda7f59e2b00p-9", "0x1.eddded5c88d00p-9", "0x1.1ad2f2e760000p-18", "0x0.0p+0",
+    ),
+    "attenuation_aluminum": (
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+    ),
+    "attenuation_brick_glass": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x1.b382a88000000p-27", "0x1.6b3e797a4ec00p-11", "0x1.6e289503b4000p-11", "0x1.7116b2772a000p-11",
+        "0x1.7408d377b5400p-11", "0x1.97892c0000000p-30", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    ),
+    "attenuation_stove": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x1.ec64a666378f0p-4", "0x1.2c185605be32cp-2", "0x1.2c1b4c3c76fb4p-2", "0x1.2c1e3a93b0062p-2",
+        "0x1.2c21212422bf6p-2", "0x1.47bb85e1be850p-5", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    ),
+    "attenuation_plant": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x1.e2b806d650000p-17", "0x1.0287b6a21603cp-2", "0x1.0330e1acf259ep-2", "0x1.03d91dadfbac4p-2",
+        "0x1.04806b2507aeap-2", "0x1.c3ba1c2780000p-20", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    ),
+    "attenuation_plant_offset": (
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+        "0x1.dcd4b2c000000p-27", "0x1.a9124052a1800p-11", "0x1.acb7d924e0400p-11", "0x1.b0637f2a70000p-11",
+        "0x1.b4153924c8000p-11", "0x1.be339e0000000p-30", "0x0.0p+0", "0x0.0p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    ),
+}
+
+FIT_JSON = """\
+{
+  "logistic_midpoint_db": 14.128052492904809,
+  "logistic_scale_db": 2.085177170112822,
+  "oven_slope_low_db_per_mhz": 0.8296694435230524,
+  "oven_slope_high_db_per_mhz": 1.0308176038603578,
+  "interferer_overrides": {
+    "neighbor_ch1_a": {
+      "activity_factor": 0.00189177052632533
+    },
+    "neighbor_ch1_b": {
+      "activity_factor": 0.00189177052632533
+    },
+    "house_wlan": {
+      "activity_factor": 0.0015956107945155583
+    },
+    "oven": {
+      "tx_power_dbm": -29.974603155030053
+    }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_scan_scores_bit_identical(preset):
+    assert [score.hex() for score in scan(load_scenario(preset)).scores] == list(SCAN_SCORES_HEX[preset])
+
+
+def test_fit_json_text_identical():
+    assert fit().to_json() == FIT_JSON.rstrip("\n")

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bsnsim.errors import BsnsimError, ScenarioError
+from bsnsim.errors import BsnsimError, ParameterError, ScenarioError
 from bsnsim.frames import FRAME_LEN, SensorFrame, crc16_ccitt
 from bsnsim.linksim import (
+    Direction,
     EchoTestConfig,
     LOG_MAGIC,
     MESSAGE_LEN_CHARS,
     TIMEOUT_MS,
+    direction_success_prob,
     message_airtime_ms,
     read_frame_log,
     run_echo_test,
@@ -84,6 +86,22 @@ def test_missing_node_rejected():
     broken = dataclasses.replace(scenario, nodes={"base": (0.0, 0.0)})
     with pytest.raises(ScenarioError):
         run_echo_test(_cfg(), broken, seed=1)
+
+
+def test_direction_depends_only_on_placement():
+    scenario = load_scenario("apartment_microwave")
+    outbound = Direction.of(scenario, "base", "remote")
+    assert set(outbound.interferers) == set(scenario.interferers)
+    assert Direction.of(scenario.with_interferer_enabled("oven", False), "base", "remote") == outbound
+    assert Direction.of(scenario, "remote", "base") != outbound
+
+
+def test_direction_lacking_an_interferer_is_a_parameter_error():
+    scenario = load_scenario("apartment_microwave")
+    without_oven = {name: it for name, it in scenario.interferers.items() if name != "oven"}
+    outbound = Direction.of(dataclasses.replace(scenario, interferers=without_oven), "base", "remote")
+    with pytest.raises(ParameterError, match="direction has no path for interferer 'oven'"):
+        direction_success_prob(scenario, outbound, ChannelSpec.wpan(20), -10.0)
 
 
 def test_determinism():
@@ -188,6 +206,12 @@ class TestStarNetwork:
         frames = read_frame_log(blob)
         assert len(frames) == len(result.logged)
         assert (len(blob) - len(LOG_MAGIC)) == FRAME_LEN * len(frames)
+
+    @pytest.mark.parametrize("duration_s", [0.0, -1.0, math.nan, math.inf])
+    def test_duration_must_be_positive_and_finite(self, duration_s):
+        trace = generate_trace(ActivityKind.REST, 1.0, 60.0, seed=1)
+        with pytest.raises(ParameterError, match="duration_s must be positive and finite"):
+            run_star_network(_star_scenario(1), {"sensor_1": trace}, duration_s, seed=2)
 
     def test_star_determinism(self):
         scenario = _star_scenario(2)

@@ -1,5 +1,7 @@
 """Channel scanning, argmin selection, and hysteresis policy."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -114,3 +116,9 @@ def test_policy_parameter_errors():
         adaptive_policy([(0.0, env)], 10.0, 0.0)
     with pytest.raises(ParameterError):
         adaptive_policy([], 10.0, 1.0)
+    for period in (math.inf, math.nan, -1.0):
+        with pytest.raises(ParameterError, match="rescan_period_s must be positive and finite"):
+            adaptive_policy([(0.0, env)], 10.0, period)
+    for horizon in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ParameterError, match="horizon_s must be finite"):
+            adaptive_policy([(0.0, env)], horizon, 1.0)
