@@ -209,10 +209,7 @@ def run_star_network(
         uplink = Direction.of(scenario, name, "base")
         p_link = direction_success_prob(scenario, uplink, channel, scenario.tx_power_dbm, calibration)
         p = p_link * (1.0 - drop_prob)
-        if frames:
-            keep = rng.random(len(frames)) < p
-        else:
-            keep = np.zeros(0, dtype=bool)
+        keep = rng.random(len(frames)) < p
         delivered = [(t, name, frame) for (t, frame), ok in zip(frames, keep) if ok]
         logged.extend(delivered)
         deliveries[name] = NodeDelivery(

@@ -75,7 +75,7 @@ class ChannelSpec:
 
     @classmethod
     def microwave_oven(cls) -> "ChannelSpec":
-        return cls(RadioStandard.MICROWAVE_OVEN, 0, 2450.0, 20.0)
+        return cls(RadioStandard.MICROWAVE_OVEN, 0, channel_center_freq(RadioStandard.MICROWAVE_OVEN, 0), 20.0)
 
 
 def spectral_overlap(a: ChannelSpec, b: ChannelSpec) -> float:

@@ -70,8 +70,10 @@ def adaptive_policy(
 ) -> list[tuple[float, int]]:
     """Rescan on a fixed period over a piecewise-constant environment.
 
-    The channel changes only when the scan's best channel beats the current
-    channel's fresh score by more than the DEFAULT_HYSTERESIS margin.
+    Each timeline entry is scanned once, at the first rescan that falls in
+    it, and later rescans in the same entry reuse that report. The channel
+    changes only when the scan's best channel beats the current channel's
+    score by more than the DEFAULT_HYSTERESIS margin.
     """
     if not math.isfinite(horizon_s):
         raise ParameterError(f"horizon_s must be finite, got {horizon_s}")
@@ -81,16 +83,17 @@ def adaptive_policy(
         raise ParameterError("environment timeline is empty")
     changes = sorted(timeline, key=lambda item: item[0])
     change_times = [t_change for t_change, _ in changes]
-
-    def environment_at(t: float) -> Scenario:
-        # the last change at or before t; the earliest environment before the first change
-        return changes[max(0, bisect.bisect_right(change_times, t) - 1)][1]
+    reports: dict[int, ScanReport] = {}  # scan is deterministic: one per timeline entry
 
     current = initial_channel
     schedule: list[tuple[float, int]] = []
     t = 0.0
     while t < horizon_s:
-        report = scan(environment_at(t), calibration)
+        # the last change at or before t; the earliest environment before the first change
+        entry = max(0, bisect.bisect_right(change_times, t) - 1)
+        if entry not in reports:
+            reports[entry] = scan(changes[entry][1], calibration)
+        report = reports[entry]
         best = select_channel(report)
         if current is None:
             current = best

@@ -8,9 +8,10 @@ sampling; each active sample re-selects the measurement range per axis for
 the next sample. After the movement stays below the threshold for the full
 inactivity window the node returns to sleep.
 
-`replay_trace()` is the node's one state machine: it runs a whole trace,
-jumping from wake tick to wake tick while asleep and walking sample by
-sample while active. To advance one sample, replay a one-sample trace.
+`replay_trace()` is the node's one state machine: it runs a whole trace
+with one advance rule, jumping to the next sample that is due (the wake
+tick while asleep, the next sample instant while active), and one sample
+body for both modes. To advance one sample, replay a one-sample trace.
 `tests/sensor_reference.py` holds a one-sample-at-a-time reference that
 the tests require it to match frame for frame, interval for interval and
 in its final state.
@@ -19,6 +20,7 @@ in its final state.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .frames import SensorFrame
-from .motion import AccelTrace, _require_rate
+from .motion import DEFAULT_RATE_HZ, AccelTrace, _require_rate
 
 ADC_FULL_SCALE = 65535
 V_REF = 3.3
@@ -156,7 +158,7 @@ class SensorState:
     mode: SensorMode = SensorMode.SLEEP
     ranges: tuple[MeasurementRange, MeasurementRange, MeasurementRange] = _SLEEP_RANGES
     wake_period_s: float = DEFAULT_WAKE_PERIOD_S
-    sample_rate_hz: float = 60.0
+    sample_rate_hz: float = DEFAULT_RATE_HZ
     activation_threshold_g: float = DEFAULT_ACTIVATION_THRESHOLD_G
     inactivity_window_s: float = DEFAULT_INACTIVITY_WINDOW_S
     low_activity_timer_s: float = 0.0
@@ -216,10 +218,14 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
     """Run the state machine over a full trace.
 
     Sample i is taken at time_s + dt + ... + dt (i + 1 terms), summed in
-    order. A sleeping node jumps straight to the sample of its next wake
-    tick; an active node walks sample by sample on plain Python scalars.
-    `tests/sensor_reference.py` advances the same node one sample at a time
-    and must give the same frames, intervals and final state.
+    order. Asleep or active, the node jumps to the first due sample (the
+    first i with `times[i] + _TIME_EPS >= next_sample_at_s`), quantizes it
+    on the current ranges (the lowest while asleep) and emits its frame.
+    An active node then updates its inactivity timer and may fall asleep;
+    a sleeping one wakes past the threshold or re-arms its wake tick; a
+    node active after that steps its ranges and arms its next sample.
+    `tests/sensor_reference.py` advances the same node one sample at a
+    time and must give the same frames, intervals and final state.
     """
     n = len(trace)
     frames: list[tuple[float, SensorFrame]] = []
@@ -230,7 +236,8 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
     times = np.full(n + 1, dt)
     times[0] = state.time_s
     times = np.cumsum(times, out=times)[1:]
-    wake = times + _TIME_EPS
+    # float64 in native byte order, the one layout a memoryview reads as Python floats
+    columns = (times + _TIME_EPS, times, *(np.asarray(a, dtype=float) for a in (trace.ax, trace.ay, trace.az)))
 
     node_id, threshold = state.node_id, state.activation_threshold_g
     wake_period, window = state.wake_period_s, state.inactivity_window_s
@@ -240,63 +247,44 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
     timer, seq = state.low_activity_timer_s, state.seq
     next_at, last = state.next_sample_at_s, state.last_sample_t_s
     seg_start = state.time_s
-    t_list = None  # the trace as Python lists, made when the node first wakes
+    # a sleeping node reads one sample per wake tick, an active one nearly every sample
+    wake, t, ax, ay, az = (c.tolist() if active else memoryview(c) for c in columns)
     i = 0
     while i < n:
-        if not active:
-            i += int(wake[i:].searchsorted(next_at))
-            if i == n:
-                break
-            now = float(times[i])
-            cx, kx = _quantize(float(trace.ax[i]), 0)
-            cy, ky = _quantize(float(trace.ay[i]), 0)
-            cz, kz = _quantize(float(trace.az[i]), 0)
-            vx, vy, vz = _dequantize(cx, 0, kx), _dequantize(cy, 0, ky), _dequantize(cz, 0, kz)
-            frames.append((now, _frame(node_id, seq, now, (cx, cy, cz), (0, 0, 0))))
-            seq = (seq + 1) & 0xFFFF
-            last = now
-            i += 1
-            if _deviation(vx, vy, vz) > threshold:
-                active = True
-                r0, r1, r2 = _next_index(vx, 0, kx), _next_index(vy, 0, ky), _next_index(vz, 0, kz)
-                timer = 0.0
-                next_at = now + period
-                intervals.append(TimelineInterval(seg_start, now, SensorMode.SLEEP))
-                seg_start = now
-            else:
-                next_tick = next_at + wake_period
-                if next_tick <= now + _TIME_EPS:
-                    next_tick = now + wake_period
-                next_at = next_tick
+        if wake[i] < next_at:
+            i = bisect_left(wake, next_at, i)
             continue
-
-        if t_list is None:
-            t_list, ax, ay, az = times.tolist(), trace.ax.tolist(), trace.ay.tolist(), trace.az.tolist()
-        while i < n:
-            now = t_list[i]
-            i += 1
-            if now + _TIME_EPS < next_at:
-                continue
-            cx, kx = _quantize(ax[i - 1], r0)
-            cy, ky = _quantize(ay[i - 1], r1)
-            cz, kz = _quantize(az[i - 1], r2)
-            vx, vy, vz = _dequantize(cx, r0, kx), _dequantize(cy, r1, ky), _dequantize(cz, r2, kz)
-            frames.append((now, _frame(node_id, seq, now, (cx, cy, cz), (r0, r1, r2))))
-            seq = (seq + 1) & 0xFFFF
-            if _deviation(vx, vy, vz) < threshold:
-                # no clamp at the window: a timer that reaches it is reset below
-                timer += now - last
-            else:
-                timer = 0.0
-            last = now
-            if timer >= window:
-                active = False
+        now = t[i]
+        cx, kx = _quantize(ax[i], r0)
+        cy, ky = _quantize(ay[i], r1)
+        cz, kz = _quantize(az[i], r2)
+        vx, vy, vz = _dequantize(cx, r0, kx), _dequantize(cy, r1, ky), _dequantize(cz, r2, kz)
+        frames.append((now, _frame(node_id, seq, now, (cx, cy, cz), (r0, r1, r2))))
+        seq = (seq + 1) & 0xFFFF
+        i += 1
+        deviation = _deviation(vx, vy, vz)
+        if active:
+            # no clamp at the window: a timer that reaches it is reset below
+            timer = timer + (now - last) if deviation < threshold else 0.0
+            active = timer < window
+            if not active:
                 r0 = r1 = r2 = 0
                 timer = 0.0
                 next_at = now + wake_period
                 intervals.append(TimelineInterval(seg_start, now, SensorMode.ACTIVE))
                 seg_start = now
-                break
+        elif deviation > threshold:
+            active = True
+            timer = 0.0
+            intervals.append(TimelineInterval(seg_start, now, SensorMode.SLEEP))
+            seg_start = now
+            if isinstance(t, memoryview):
+                wake, t, ax, ay, az = (c.tolist() for c in columns)
+        else:
+            next_tick = next_at + wake_period
+            next_at = next_tick if next_tick > now + _TIME_EPS else now + wake_period
+        last = now
+        if active:
             r0, r1, r2 = _next_index(vx, r0, kx), _next_index(vy, r1, ky), _next_index(vz, r2, kz)
             next_at = now + period
 

@@ -122,3 +122,19 @@ def test_policy_parameter_errors():
     for horizon in (math.inf, math.nan, -math.inf):
         with pytest.raises(ParameterError, match="horizon_s must be finite"):
             adaptive_policy([(0.0, env)], horizon, 1.0)
+
+
+def test_policy_scans_each_timeline_entry_once(monkeypatch):
+    quiet = load_scenario("apartment_microwave").with_interferer_enabled("oven", False)
+    loud = load_scenario("apartment_microwave")
+    timeline = [(0.0, quiet), (35.0, loud), (55.0, quiet)]
+    scanned = []
+
+    def counting_scan(scenario, calibration=None):
+        scanned.append(scenario)
+        return scan(scenario, calibration)
+
+    monkeypatch.setattr("bsnsim.selector.scan", counting_scan)
+    adaptive_policy(timeline, 100.0, 10.0, initial_channel=20)
+    # 10 rescans over 3 entries; the two quiet entries share a scenario but are scanned apart
+    assert [s is quiet for s in scanned] == [True, False, True]

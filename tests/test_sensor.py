@@ -1,5 +1,7 @@
 """Sensor node: quantization, range selection, and the sleep/wake workflow."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,11 @@ class TestWorkflow:
         with pytest.raises(ParameterError):
             step(state, AccelSample(0.0, 0.0, 0.0, 1.0), 0.0)
 
+    def test_replay_reads_big_endian_arrays(self):
+        trace = compose_schedule([(ActivityKind.REST, 3.0), (ActivityKind.FALL, 2.0)], seed=2)
+        swapped = replace(trace, **{axis: getattr(trace, axis).astype(">f8") for axis in ("ax", "ay", "az")})
+        assert replay_trace(initial_state(), swapped) == replay_trace(initial_state(), trace)
+
     def test_seq_increments_and_wraps(self):
         trace = generate_trace(ActivityKind.RUN, 3.0, 60.0, seed=1)
         state = initial_state(seq=65534)
@@ -269,6 +276,43 @@ class TestReplayMatchesStep:
         result = _assert_replay_matches_steps(state, trace)
         assert [time for time, _ in result.frames] == [t]
         assert result.final_state.next_sample_at_s == t + wake_period
+
+    def test_active_at_half_the_trace_rate(self):
+        # every other sample of the 60 Hz trace is not due: the kernel jumps over it
+        trace = generate_trace(ActivityKind.FALL, 4.0, 60.0, seed=3)
+        state = initial_state(mode=SensorMode.ACTIVE, sample_rate_hz=30.0, next_sample_at_s=0.0)
+        result = _assert_replay_matches_steps(state, trace)
+        times = [time for time, _ in result.frames]
+        assert len(times) == len(trace) // 2
+        assert times == pytest.approx(trace.t[::2] + 1.0 / 60.0, abs=1e-9)
+
+    def test_resumed_active_with_high_ranges_falls_asleep(self):
+        # x holds 1.8 g, quiet under a 5 g threshold: the node falls asleep mid-trace on the 2 g range
+        # of that axis, and its wake-tick samples go back to the lowest range
+        rest = generate_trace(ActivityKind.REST, 3.0, 60.0, seed=5)
+        trace = replace(rest, ax=rest.ax + 1.8)
+        ranges = (MeasurementRange.G4_0, MeasurementRange.G2_0, MeasurementRange.G6_0)
+        state = initial_state(mode=SensorMode.ACTIVE, ranges=ranges, activation_threshold_g=5.0,
+                              inactivity_window_s=0.5, low_activity_timer_s=0.2, next_sample_at_s=0.0)
+        result = _assert_replay_matches_steps(state, trace)
+        assert result.frames[0][1].range_codes == (2, 1, 3)
+        assert [iv.mode for iv in result.intervals] == [SensorMode.ACTIVE, SensorMode.SLEEP]
+        asleep_at = result.intervals[0].t_end
+        assert 0.25 < asleep_at < 0.35
+        assert dict(result.frames)[asleep_at].range_codes == (1, 0, 0)
+        asleep = [frame.range_codes for t, frame in result.frames if t > asleep_at]
+        assert asleep and all(codes == (0, 0, 0) for codes in asleep)
+        assert result.final_state.ranges == (MeasurementRange.G1_5,) * 3
+
+    def test_waking_node_starts_a_fresh_inactivity_timer(self):
+        # a sleeping state may carry a timer; waking resets it, so a node woken by one jolt stays up a full window
+        rest = generate_trace(ActivityKind.REST, 3.0, 60.0, seed=1)
+        az = rest.az.copy()
+        az[59] += 2.0  # the sample of the first wake tick, at 1 s
+        state = initial_state(inactivity_window_s=1.7, low_activity_timer_s=1.69)
+        result = _assert_replay_matches_steps(state, replace(rest, az=az))
+        assert [iv.mode for iv in result.intervals] == [SensorMode.SLEEP, SensorMode.ACTIVE, SensorMode.SLEEP]
+        assert result.intervals[1].t_end - result.intervals[1].t_start > 1.6
 
     @settings(max_examples=100, deadline=None)
     @given(
