@@ -5,6 +5,11 @@ their bounds and the overrides a calibration file may hold. Targets marked
 `holdout` are excluded from the fit and only verified afterwards. The fit is
 analytic (no Monte Carlo inside the loop): each target's predicted mean is the
 product of the two per-direction message probabilities.
+
+No free parameter moves a node, an obstacle or a channel, so `fit` places each
+scenario and binds both directions of every target (`rf.Reception`) once,
+before the optimizer runs. Each residual call applies the overrides once per
+scenario and evaluates every target's two receptions with them.
 """
 
 from __future__ import annotations
@@ -15,14 +20,14 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import ParameterError
-from .linksim import Direction, echo_directions, echo_success_probs
-from .rf import ChannelSpec, InterferenceCalibration
+from .linksim import echo_directions
+from .rf import ChannelSpec, InterferenceCalibration, Interferer, Reception
 from .scenario import Scenario, load_scenario
 
 
@@ -70,7 +75,8 @@ _FREE = (
     _Free(None, (), "oven_slope_low_db_per_mhz", 0.05, 10.0),
     _Free(None, (), "oven_slope_high_db_per_mhz", 0.05, 10.0),
 )
-# Interferer fields a calibration file may override: the ones `fit` adjusts.
+# Interferers and fields a calibration file may override: the ones `fit` adjusts.
+_OVERRIDE_NAMES = tuple(dict.fromkeys(name for row in _FREE for name in row.interferers))
 _OVERRIDE_FIELDS = tuple(dict.fromkeys(row.field for row in _FREE if row.interferers))
 
 
@@ -78,7 +84,8 @@ def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, di
     """Read a `CalibrationResult.to_json` file back into constants and overrides.
 
     Every constant and override value must be a finite number; JSON integers
-    are read as floats.
+    are read as floats. Overrides may name only the interferers and fields
+    that `fit` adjusts, so a misspelt name is an error, not a no-op.
     """
     try:
         payload = json.loads(Path(path).read_text(), parse_int=float)
@@ -106,6 +113,8 @@ def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, di
                 raise ParameterError(f"{path}: interferer_overrides.{name}.{key} is not one of "
                                      f"{', '.join(_OVERRIDE_FIELDS)}")
             number(f"interferer_overrides.{name}.{key}", value)
+        if name not in _OVERRIDE_NAMES:
+            raise ParameterError(f"{path}: interferer_overrides.{name} is not one of {', '.join(_OVERRIDE_NAMES)}")
     return calib, overrides
 
 
@@ -147,9 +156,13 @@ def load_targets(path: str | Path | None = None) -> list[CalibrationTarget]:
     return targets
 
 
-def predicted_mean_pct(scenario: Scenario, directions: tuple[Direction, Direction], channel: int,
+def predicted_mean_pct(receptions: tuple[Reception, Reception], interferers: Sequence[Interferer],
                        tx_power_dbm: float, calibration: InterferenceCalibration) -> float:
-    p_out, p_in = echo_success_probs(scenario, directions, ChannelSpec.wpan(channel), tx_power_dbm, calibration)
+    """One target's predicted mean in %: its (outbound, inbound) receptions
+    with the scenario's interferers as overridden now."""
+    outbound, inbound = receptions
+    p_out = outbound.success_prob(tx_power_dbm, interferers, calibration)
+    p_in = inbound.success_prob(tx_power_dbm, interferers, calibration)
     return p_out * p_in * 100.0
 
 
@@ -164,14 +177,18 @@ def apply_overrides(scenario: Scenario, overrides: Mapping[str, Mapping[str, flo
 def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
     """Least-squares fit of the model constants to the `fit` targets."""
     targets = load_targets() if targets is None else targets
-    fit_targets = [t for t in targets if t.role == "fit"]
-    if not fit_targets:
+    if not any(t.role == "fit" for t in targets):
         raise ParameterError("the targets hold no `fit` row, so there is nothing to fit")
     scenarios = {name: load_scenario(name) for name in {t.scenario for t in targets}}
-    directions = {name: echo_directions(scen) for name, scen in scenarios.items()}  # overrides move nothing
     missing = [name for name in dict.fromkeys(row.scenario for row in _FREE if row.scenario) if name not in scenarios]
     if missing:
         raise ParameterError(f"the fit seeds its parameters from scenario(s) the targets lack: {', '.join(missing)}")
+    # Overrides move nothing placed and no channel, so each target's two
+    # directions are placed and bound once, before the optimizer runs.
+    directions = {name: echo_directions(scen) for name, scen in scenarios.items()}
+    bound = [(t, tuple(d.reception(scenarios[t.scenario], ChannelSpec.wpan(t.channel)) for d in directions[t.scenario]))
+             for t in targets]
+    fit_bound = [(t, receptions) for t, receptions in bound if t.role == "fit"]
 
     x0 = []
     for row in _FREE:
@@ -189,18 +206,20 @@ def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
                 overrides.setdefault(name, {})[row.field] = value
         return InterferenceCalibration(**constants), overrides
 
-    def predict(target, calib, overrides):
-        scen = apply_overrides(scenarios[target.scenario], overrides)
-        return predicted_mean_pct(scen, directions[target.scenario], target.channel, target.tx_power_dbm, calib)
+    def predictions(chosen, params):
+        calib, overrides = unpack(params)
+        interferers = {name: tuple(apply_overrides(scen, overrides).interferers.values())
+                       for name, scen in scenarios.items()}
+        return [predicted_mean_pct(receptions, interferers[t.scenario], t.tx_power_dbm, calib)
+                for t, receptions in chosen]
 
     def residuals(params):
-        calib, overrides = unpack(params)
-        return np.array([predict(t, calib, overrides) - t.target_mean_pct for t in fit_targets])
+        return np.array([p - t.target_mean_pct for p, (t, _) in zip(predictions(fit_bound, params), fit_bound)])
 
     bounds = ([row.lower for row in _FREE], [row.upper for row in _FREE])
     solution = least_squares(residuals, np.array(x0), bounds=bounds, xtol=1e-12, ftol=1e-12)
     calib, overrides = unpack(solution.x)
-    achieved = {(t.scenario, t.channel, t.tx_power_dbm): predict(t, calib, overrides) for t in targets}
+    achieved = {(t.scenario, t.channel, t.tx_power_dbm): p for (t, _), p in zip(bound, predictions(bound, solution.x))}
     return CalibrationResult(calib, overrides, targets, achieved)
 
 

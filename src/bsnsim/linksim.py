@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ParameterError, ScenarioError
 from .frames import FRAME_LEN, SensorFrame, encode_frame
 from .motion import AccelTrace
-from .rf import ChannelSpec, InterferenceCalibration, RadioPath, message_success_prob, radio_path
+from .rf import ChannelSpec, InterferenceCalibration, RadioPath, Reception, radio_path
 from .scenario import Scenario
 from .sensor import ReplayResult, initial_state, replay_trace
 
@@ -86,6 +86,15 @@ class Direction:
             {name: radio_path(it.position, rx_pos, obstacles, table) for name, it in scenario.interferers.items()},
         )
 
+    def reception(self, scenario: Scenario, channel: ChannelSpec) -> Reception:
+        """This direction bound to a victim channel, with the scenario's
+        interferers in scenario order."""
+        try:
+            paths = [(it.channel, self.interferers[name]) for name, it in scenario.interferers.items()]
+        except KeyError as exc:
+            raise ParameterError(f"direction has no path for interferer {exc.args[0]!r}") from None
+        return Reception.bind(self.link, channel, paths)
+
 
 def direction_success_prob(
     scenario: Scenario,
@@ -96,11 +105,8 @@ def direction_success_prob(
 ) -> float:
     """Per-message delivery probability for one direction of a link, with the
     scenario's interferers as they are set now."""
-    try:
-        pairs = [(it, direction.interferers[name]) for name, it in scenario.interferers.items()]
-    except KeyError as exc:
-        raise ParameterError(f"direction has no path for interferer {exc.args[0]!r}") from None
-    return message_success_prob(tx_power_dbm, direction.link, channel, pairs, calibration)
+    reception = direction.reception(scenario, channel)
+    return reception.success_prob(tx_power_dbm, tuple(scenario.interferers.values()), calibration)
 
 
 def echo_directions(scenario: Scenario) -> tuple[Direction, Direction]:

@@ -3,8 +3,13 @@ attenuation, and per-message success probability under interference.
 
 Placement and channel are kept apart. A `RadioPath` holds what placement
 alone decides, the distance and the crossed obstacles' losses, and gives its
-loss at any frequency; `message_success_prob` judges one channel against the
-link's path and each interferer's path to the receiver.
+loss at any frequency. A channel is judged in two stages: `Reception.bind`
+fixes the victim channel against the link's path and each interferer's
+channel and path to the receiver, and `Reception.success_prob` applies what
+can still change: tx power, enabled flags, activity factors, interferer
+powers, influence radii and the calibration constants. `message_success_prob`
+is the two stages in one call; the calibration fit binds each target once
+and evaluates it per optimizer step.
 
 Channel plans
     802.15.4: channels 11..26, center 2405 + 5*(index-11) MHz, 2 MHz occupied.
@@ -293,6 +298,71 @@ def interference_power_factor(isr_db: float, calib: InterferenceCalibration) -> 
     return _logistic((isr_db - calib.logistic_midpoint_db) / calib.logistic_scale_db)
 
 
+@dataclass(frozen=True)
+class Reception:
+    """One victim channel received over a link, with each interferer's channel
+    and path bound. What tx powers, enabled flags, activity factors, influence
+    radii and calibration constants cannot change is computed once: the link
+    loss at the victim centre and, per interferer that overlaps the victim,
+    its path loss at its own centre, overlap and offset."""
+
+    link_loss_db: float  # at the victim centre
+    channels: tuple[ChannelSpec, ...]  # every bound interferer's channel, in order
+    # Per interferer that overlaps the victim, in order: (index among the
+    # bound interferers, unclamped path distance, path loss at its own centre,
+    # overlap in MHz, overlap / victim occupied bandwidth, victim centre - its centre).
+    overlapping: tuple[tuple[int, float, float, float, float, float], ...]
+
+    @classmethod
+    def bind(cls, link: RadioPath, victim: ChannelSpec,
+             interferers: Sequence[tuple[ChannelSpec, RadioPath]]) -> "Reception":
+        """Bind the link and each (interferer channel, path to the receiver) to the victim channel."""
+        if victim.standard is not RadioStandard.WPAN_154:
+            raise ParameterError("victim channel must be an 802.15.4 channel")
+        center, width = victim.center_mhz, victim.occupied_bw_mhz
+        low, high = center - width / 2.0, center + width / 2.0
+        overlapping = []
+        for index, (channel, path) in enumerate(interferers):
+            # spectral_overlap(victim, channel), inlined: bind runs per channel of every scan
+            half = channel.occupied_bw_mhz / 2.0
+            overlap = min(high, channel.center_mhz + half) - max(low, channel.center_mhz - half)
+            if overlap > 0.0:
+                overlapping.append((index, path.distance_m, path.loss_db(channel.center_mhz), overlap,
+                                    overlap / width, center - channel.center_mhz))
+        return cls(link.loss_db(center), tuple([channel for channel, _ in interferers]), tuple(overlapping))
+
+    def success_prob(self, tx_power_dbm: float, interferers: Sequence[Interferer],
+                     calibration: InterferenceCalibration | None = None) -> float:
+        """Probability that one message is delivered, with the interferers set as
+        given, in the order and on the channels they were bound with.
+
+        Zero below the sensitivity floor; otherwise the product over active
+        interferers of their independent per-message survival terms.
+        """
+        if len(interferers) != len(self.channels):
+            raise ParameterError(f"reception was bound with {len(self.channels)} interferer(s), got {len(interferers)}")
+        for it, channel in zip(interferers, self.channels):
+            if it.channel is not channel and it.channel != channel:
+                raise ParameterError(f"interferer on {it.channel.standard.value} channel {it.channel.index} "
+                                     f"was bound on {channel.standard.value} channel {channel.index}")
+        rx_power_dbm = tx_power_dbm - self.link_loss_db
+        if rx_power_dbm - RECEIVER_SENSITIVITY_DBM < 0:
+            return 0.0
+        calib = calibration or DEFAULT_CALIBRATION
+        p = 1.0
+        for index, distance_m, loss_db, _, overlap_frac, delta_mhz in self.overlapping:
+            it = interferers[index]
+            if not it.enabled or it.activity_factor <= 0.0:
+                continue
+            if it.influence_radius_m is not None and distance_m > it.influence_radius_m:
+                continue
+            i_rx = it.tx_power_dbm - loss_db + spectral_weight_db(it.channel.standard, delta_mhz, calib)
+            isr = i_rx - rx_power_dbm
+            pf = interference_power_factor(isr, calib)
+            p *= 1.0 - min(1.0, it.activity_factor) * overlap_frac * pf
+        return max(0.0, min(1.0, p))
+
+
 def message_success_prob(
     tx_power_dbm: float,
     link: RadioPath,
@@ -301,32 +371,7 @@ def message_success_prob(
     calibration: InterferenceCalibration | None = None,
 ) -> float:
     """Probability that one message on the victim channel is delivered over
-    the link, with each interferer reaching the receiver over its path.
-
-    Zero below the sensitivity floor; otherwise the product over active
-    interferers of their independent per-message survival terms.
-    """
-    if victim.standard is not RadioStandard.WPAN_154:
-        raise ParameterError("victim channel must be an 802.15.4 channel")
-    rx_power_dbm = tx_power_dbm - link.loss_db(victim.center_mhz)
-    if rx_power_dbm - RECEIVER_SENSITIVITY_DBM < 0:
-        return 0.0
-    calib = calibration or DEFAULT_CALIBRATION
-    p = 1.0
-    for it, path in interferers:
-        if not it.enabled or it.activity_factor <= 0.0:
-            continue
-        overlap = spectral_overlap(victim, it.channel)
-        if overlap <= 0.0:
-            continue
-        if it.influence_radius_m is not None and path.distance_m > it.influence_radius_m:
-            continue
-        i_rx = (
-            it.tx_power_dbm
-            - path.loss_db(it.channel.center_mhz)
-            + spectral_weight_db(it.channel.standard, victim.center_mhz - it.channel.center_mhz, calib)
-        )
-        isr = i_rx - rx_power_dbm
-        pf = interference_power_factor(isr, calib)
-        p *= 1.0 - min(1.0, it.activity_factor) * (overlap / victim.occupied_bw_mhz) * pf
-    return max(0.0, min(1.0, p))
+    the link, with each interferer reaching the receiver over its path:
+    `Reception.bind`, then `Reception.success_prob`."""
+    reception = Reception.bind(link, victim, [(it.channel, path) for it, path in interferers])
+    return reception.success_prob(tx_power_dbm, [it for it, _ in interferers], calibration)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsnsim import calibrate
 from bsnsim.calibrate import (
     _OVERRIDE_FIELDS,
     calibrated_scenario,
@@ -18,7 +19,7 @@ from bsnsim.calibrate import (
     load_targets,
 )
 from bsnsim.errors import BsnsimError, ParameterError
-from bsnsim.rf import InterferenceCalibration
+from bsnsim.rf import InterferenceCalibration, Reception
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +87,13 @@ def calibration_text(**changes):
          "interferer_overrides.oven.tx_power_dbm must be a finite number"),
         (calibration_text(interferer_overrides={"oven": {"channel": 3.0}}),
          "interferer_overrides.oven.channel is not one of"),
+        (calibration_text(interferer_overrides={"ovn": {"tx_power_dbm": 50.0}}),
+         "interferer_overrides.ovn is not one of neighbor_ch1_a, neighbor_ch1_b, house_wlan, oven"),
         ("[" * 100_000, "not valid JSON (maximum recursion depth exceeded"),
     ],
     ids=["missing_key", "malformed_json", "not_an_object", "string_constant", "bool_constant", "nan_constant",
          "overrides_not_object", "override_not_object", "override_value_string", "override_unknown_field",
-         "nested_too_deeply"],
+         "override_unknown_name", "nested_too_deeply"],
 )
 def test_bad_calibration_file_rejected(tmp_path, text, problem):
     path = tmp_path / "calibration.json"
@@ -181,6 +184,28 @@ def test_fit_without_fit_rows_rejected():
         fit(holdout_only)
     with pytest.raises(ParameterError, match="no `fit` row"):
         fit([])
+
+
+def test_fit_binds_each_target_once_per_direction(monkeypatch):
+    binds, evals = [], []
+    bind, predict = Reception.bind.__func__, calibrate.predicted_mean_pct
+
+    def counting_bind(cls, link, victim, interferers):
+        binds.append(victim.index)
+        return bind(cls, link, victim, interferers)
+
+    def counting_predict(*args):
+        evals.append(args[0])
+        return predict(*args)
+
+    monkeypatch.setattr(Reception, "bind", classmethod(counting_bind))
+    monkeypatch.setattr(calibrate, "predicted_mean_pct", counting_predict)
+    targets = load_targets()
+    fit(targets)
+    assert sorted(binds) == sorted(2 * [t.channel for t in targets])  # outbound and inbound, once each
+    fit_rows = sum(t.role == "fit" for t in targets)
+    assert len(evals) > 10 * fit_rows  # many residual calls, all on the receptions bound before them
+    assert len({id(receptions) for receptions in evals}) == len(targets)
 
 
 def test_fit_prints_nothing(capsys):

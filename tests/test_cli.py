@@ -229,6 +229,15 @@ def test_calibration_error_prints_one_line(tmp_path, capsys, text):
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
 
 
+def test_misspelt_override_name_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "calibration.json"
+    path.write_text(_calibration_text(interferer_overrides={"ovn": {"tx_power_dbm": 50.0}}))
+    assert main(["run", "scan", "--calibration", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: interferer_overrides.ovn is not one of "
+                                       "neighbor_ch1_a, neighbor_ch1_b, house_wlan, oven\n")
+    assert not (tmp_path / "scan.csv").exists()
+
+
 def test_error_line_escapes_only_line_breaks(tmp_path, capsys):
     path = tmp_path / "calibration.json"
     path.write_text(_calibration_text(interferer_overrides={"ov\nen": {"bogus\tkey": 1.0}}))

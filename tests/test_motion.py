@@ -97,6 +97,23 @@ def test_trace_rejects_rate_outside_band(rate_hz):
         AccelTrace(rate_hz=rate_hz, ax=0 * t, ay=0 * t, az=1 + 0 * t, labels=[ActivityKind.REST] * 3)
 
 
+@pytest.mark.parametrize(
+    "axis, got",
+    [
+        ([0.0, 0.0, 0.0], "list"),
+        (np.zeros((3, 1)), "a 2-D float64 array"),
+        (np.zeros(3, dtype=np.int64), "a 1-D int64 array"),
+        (np.zeros(3, dtype=np.complex128), "a 1-D complex128 array"),
+    ],
+    ids=["list", "two_dimensional", "integer", "complex"],
+)
+def test_trace_axes_must_be_1d_real_float_arrays(axis, got):
+    # a list-built trace would otherwise fail later, outside the bsnsim errors, e.g. in detect_abnormal
+    ok = np.zeros(3)
+    with pytest.raises(ParameterError, match=f"trace axis ay must be a 1-D numpy array of real floats, got {got}$"):
+        AccelTrace(rate_hz=60.0, ax=ok, ay=axis, az=ok + 1.0, labels=[ActivityKind.REST] * 3)
+
+
 def test_single_segment_schedule_matches_generate():
     single = compose_schedule([(ActivityKind.REST, 2.0)], seed=4)
     direct = generate_trace(ActivityKind.REST, 2.0, seed=4)

@@ -1,17 +1,28 @@
 """Channel geometry, path loss, and the interference model."""
 
-import pytest
+import math
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rf_reference
 from bsnsim.errors import ParameterError
 from bsnsim.rf import (
     ChannelSpec,
     Disc,
     DEFAULT_MATERIAL_LOSS_DB,
+    RECEIVER_SENSITIVITY_DBM,
+    InterferenceCalibration,
     Interferer,
     Material,
     Obstacle,
     RadioPath,
     RadioStandard,
+    Reception,
+    WLAN_INDEX_RANGE,
+    WPAN_INDEX_RANGE,
     Wall,
     channel_center_freq,
     crossed_obstacles,
@@ -192,3 +203,105 @@ class TestMessageSuccess:
         heavy = [self._interferer(af=1.0, power=30.0) for _ in range(8)]
         p = message_success_prob(0.0, self.LINK, ChannelSpec.wpan(17), heavy)
         assert 0.0 <= p <= 1.0
+
+
+_WLAN = st.integers(1, 11).map(ChannelSpec.wlan)
+_CHANNELS = st.one_of(_WLAN, _WLAN, st.just(ChannelSpec.microwave_oven()), st.integers(11, 26).map(ChannelSpec.wpan))
+# Up to 80 dB of obstacles, so links also fall below the sensitivity floor; 0 m is clamped to 5 cm.
+_PATHS = st.builds(RadioPath, st.floats(0.0, 30.0), st.lists(st.floats(0.0, 40.0), max_size=2).map(tuple))
+# Anywhere within the fit's bounds, or the defaults.
+_CALIBRATIONS = st.none() | st.builds(
+    InterferenceCalibration, st.floats(0.0, 40.0), st.floats(0.5, 15.0), st.floats(0.05, 10.0), st.floats(0.05, 10.0)
+)
+
+
+@st.composite
+def _settings(draw, channels):
+    """Interferers on the given channels, with what may change after binding drawn anew."""
+    return [
+        Interferer(
+            channel,
+            (0.0, 0.0),
+            draw(st.floats(-40.0, 30.0)),
+            draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+            enabled=draw(st.booleans()),
+            influence_radius_m=draw(st.none() | st.floats(0.0, 50.0)),
+        )
+        for channel in channels
+    ]
+
+
+class TestReceptionMatchesReference:
+    """The two stages must give the one-call reference's probability bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), victim=st.integers(11, 26).map(ChannelSpec.wpan), link=_PATHS,
+           channels=st.lists(_CHANNELS, min_size=1, max_size=6))
+    def test_bind_once_evaluate_many(self, data, victim, link, channels):
+        paths = [data.draw(_PATHS) for _ in channels]
+        reception = Reception.bind(link, victim, list(zip(channels, paths)))
+        for _ in range(3):  # one binding serves every setting, as in the calibration fit
+            interferers = data.draw(_settings(channels))
+            tx_power_dbm = data.draw(st.floats(-40.0, 30.0))
+            calibration = data.draw(_CALIBRATIONS)
+            pairs = list(zip(interferers, paths))
+            expected = rf_reference.message_success_prob(tx_power_dbm, link, victim, pairs, calibration)
+            assert reception.success_prob(tx_power_dbm, interferers, calibration) == expected
+            assert message_success_prob(tx_power_dbm, link, victim, pairs, calibration) == expected
+
+    def test_every_channel_pair_alone(self):
+        # One strong interferer at a time keeps the low bits of its power factor in the result.
+        link = RadioPath(6.0, (3.0,))
+        channels = [ChannelSpec.wlan(i) for i in WLAN_INDEX_RANGE] + [ChannelSpec.microwave_oven()]
+        channels += [ChannelSpec.wpan(i) for i in WPAN_INDEX_RANGE]
+        calibrations = (None, InterferenceCalibration(9.5, 4.25, 0.37, 2.9))
+        for victim in (ChannelSpec.wpan(i) for i in WPAN_INDEX_RANGE):
+            for k, channel in enumerate(channels):
+                path = RadioPath(0.5 + 0.37 * k, (0.5,) * (k % 3))
+                reception = Reception.bind(link, victim, [(channel, path)])
+                for power in range(-30, 31, 4):
+                    for af in (1.0, 0.61):
+                        it = Interferer(channel, (0.0, 0.0), power + 0.1 * k, af)
+                        for calibration in calibrations:
+                            expected = rf_reference.message_success_prob(-3.0, link, victim, [(it, path)], calibration)
+                            assert reception.success_prob(-3.0, [it], calibration) == expected
+
+    def test_reference_reaches_every_branch(self):
+        # a link below the floor, a disabled, an idle, a distant and a live interferer
+        victim, wlan = ChannelSpec.wpan(12), ChannelSpec.wlan(1)
+        near, far = RadioPath(1.0, ()), RadioPath(30.0, (5.0,))
+        live = Interferer(wlan, (0.0, 0.0), 15.0, 0.5, influence_radius_m=10.0)
+        pairs = [(replace(live, enabled=False), near), (replace(live, activity_factor=0.0), near), (live, far),
+                 (live, near)]
+        for tx_power_dbm, link in ((0.0, RadioPath(5.0, ())), (-10.0, RadioPath(1.0, (100.0,)))):
+            expected = rf_reference.message_success_prob(tx_power_dbm, link, victim, pairs)
+            got = Reception.bind(link, victim, [(it.channel, path) for it, path in pairs]).success_prob(
+                tx_power_dbm, [it for it, _ in pairs])
+            assert got == expected
+        assert 0.0 < rf_reference.message_success_prob(0.0, RadioPath(5.0, ()), victim, pairs) < 1.0
+
+    def test_floor_and_radius_edges(self):
+        victim, link = ChannelSpec.wpan(20), RadioPath(5.0, ())
+        oven = Interferer(ChannelSpec.microwave_oven(), (0.0, 0.0), -20.0, 0.5, influence_radius_m=2.0)
+        pairs = [(oven, RadioPath(2.0, ()))]  # exactly at the influence radius: it counts
+        reception = Reception.bind(link, victim, [(oven.channel, RadioPath(2.0, ()))])
+        tx_power_dbm = link.loss_db(victim.center_mhz) + RECEIVER_SENSITIVITY_DBM
+        for _ in range(3):
+            tx_power_dbm = math.nextafter(tx_power_dbm, -math.inf)
+        probs = []
+        for _ in range(6):  # ulp by ulp across the sensitivity floor
+            expected = rf_reference.message_success_prob(tx_power_dbm, link, victim, pairs)
+            probs.append(reception.success_prob(tx_power_dbm, [oven]))
+            assert probs[-1] == expected
+            tx_power_dbm = math.nextafter(tx_power_dbm, math.inf)
+        assert probs[0] == 0.0 and 0.0 < probs[-1] < 1.0
+
+    def test_interferer_on_another_channel_rejected(self):
+        bound = Reception.bind(RadioPath(5.0, ()), ChannelSpec.wpan(12), [(ChannelSpec.wlan(1), RadioPath(3.0, ()))])
+        equal = Interferer(ChannelSpec.wlan(1), (0.0, 0.0), 15.0, 0.5)  # an equal channel, not the bound object
+        assert bound.success_prob(0.0, [equal]) == rf_reference.message_success_prob(
+            0.0, RadioPath(5.0, ()), ChannelSpec.wpan(12), [(equal, RadioPath(3.0, ()))])
+        with pytest.raises(ParameterError, match="interferer on wlan channel 2 was bound on wlan channel 1"):
+            bound.success_prob(0.0, [replace(equal, channel=ChannelSpec.wlan(2))])
+        with pytest.raises(ParameterError, match="bound with 1 interferer"):
+            bound.success_prob(0.0, [equal, equal])
