@@ -9,7 +9,9 @@ product of the two per-direction message probabilities.
 No free parameter moves a node, an obstacle or a channel, so `fit` places each
 scenario and binds both directions of every target (`rf.Reception`) once,
 before the optimizer runs. Each residual call applies the overrides once per
-scenario and evaluates every target's two receptions with them.
+scenario and evaluates every target's two receptions with them. A fitted
+result reaches a scenario, as in the CLI's runs, through
+`apply_overrides(load_scenario(name), result.interferer_overrides)`.
 """
 
 from __future__ import annotations
@@ -221,7 +223,3 @@ def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
     calib, overrides = unpack(solution.x)
     achieved = {(t.scenario, t.channel, t.tx_power_dbm): p for (t, _), p in zip(bound, predictions(bound, solution.x))}
     return CalibrationResult(calib, overrides, targets, achieved)
-
-
-def calibrated_scenario(name: str, result: CalibrationResult) -> Scenario:
-    return apply_overrides(load_scenario(name), result.interferer_overrides)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -47,8 +48,8 @@ class ClassifierConfig:
             raise ParameterError(
                 f"need 0 < low < 1 < high, got [{self.low_threshold_g}, {self.high_threshold_g}]"
             )
-        if self.window_s <= 0:
-            raise ParameterError(f"window_s must be positive, got {self.window_s}")
+        if not 0 < self.window_s < math.inf:
+            raise ParameterError(f"window_s must be positive and finite, got {self.window_s}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ carries small nonzero standby currents for honest timeline integration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -27,9 +28,9 @@ class ComponentCurrent:
     sleep_ma: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.sleep_ma <= self.active_ma:
+        if not 0.0 <= self.sleep_ma <= self.active_ma < math.inf:
             raise ParameterError(
-                f"{self.name}: need 0 <= sleep_ma <= active_ma, got {self.sleep_ma}/{self.active_ma}"
+                f"{self.name}: need 0 <= sleep_ma <= active_ma < inf, got {self.sleep_ma}/{self.active_ma}"
             )
 
 
@@ -38,8 +39,8 @@ class Battery:
     capacity_mah: float
 
     def __post_init__(self):
-        if self.capacity_mah <= 0:
-            raise ParameterError(f"capacity_mah must be positive, got {self.capacity_mah}")
+        if not 0 < self.capacity_mah < math.inf:
+            raise ParameterError(f"capacity_mah must be positive and finite, got {self.capacity_mah}")
 
 
 PACK_BATTERY = Battery(6600.0)       # Li-Ion 18650 pack
@@ -114,6 +115,8 @@ def simulate_energy(
     Active intervals and their sleep current otherwise; the radio is active
     only for the airtime of the frames actually transmitted.
     """
+    if not 0 <= n_frames < math.inf:
+        raise ParameterError(f"n_frames must be a non-negative count, got {n_frames}")
     battery = battery or PACK_BATTERY
     by_name = {c.name: c for c in default_components()}
 

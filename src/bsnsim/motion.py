@@ -16,6 +16,7 @@ Traces are deterministic for a fixed (kind, duration, rate, seed) tuple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -230,10 +231,10 @@ def generate_trace(
     """Generate one labeled activity trace.
 
     Deterministic for a fixed argument tuple. Raises ParameterError for a
-    non-positive duration or a rate outside [10, 100] Hz.
+    duration that is not positive and finite or a rate outside [10, 100] Hz.
     """
-    if duration_s <= 0:
-        raise ParameterError(f"duration_s must be positive, got {duration_s}")
+    if not 0 < duration_s < math.inf:
+        raise ParameterError(f"duration_s must be positive and finite, got {duration_s}")
     _require_rate(rate_hz)
     n = max(1, int(round(duration_s * rate_hz)))
     rng = np.random.default_rng(seed)
@@ -259,8 +260,8 @@ def compose_schedule(
     _require_rate(rate_hz)
     parts = []
     for i, (kind, duration_s) in enumerate(segments):
-        if duration_s <= 0:
-            raise ParameterError(f"segment {i} duration must be positive, got {duration_s}")
+        if not 0 < duration_s < math.inf:
+            raise ParameterError(f"segment {i} duration must be positive and finite, got {duration_s}")
         parts.append(generate_trace(kind, duration_s, rate_hz, seed + i))
     ax = np.concatenate([p.ax for p in parts])
     ay = np.concatenate([p.ay for p in parts])

@@ -7,8 +7,8 @@ loss at any frequency. A channel is judged in two stages: `Reception.bind`
 fixes the victim channel against the link's path and each interferer's
 channel and path to the receiver, and `Reception.success_prob` applies what
 can still change: tx power, enabled flags, activity factors, interferer
-powers, influence radii and the calibration constants. `message_success_prob`
-is the two stages in one call; the calibration fit binds each target once
+powers, influence radii and the calibration constants. A scan or an echo
+test binds each channel once; the calibration fit binds each target once
 and evaluates it per optimizer step.
 
 Channel plans
@@ -304,14 +304,14 @@ class Reception:
     and path bound. What tx powers, enabled flags, activity factors, influence
     radii and calibration constants cannot change is computed once: the link
     loss at the victim centre and, per interferer that overlaps the victim,
-    its path loss at its own centre, overlap and offset."""
+    its path loss at its own centre, overlap fraction and offset."""
 
     link_loss_db: float  # at the victim centre
     channels: tuple[ChannelSpec, ...]  # every bound interferer's channel, in order
     # Per interferer that overlaps the victim, in order: (index among the
     # bound interferers, unclamped path distance, path loss at its own centre,
-    # overlap in MHz, overlap / victim occupied bandwidth, victim centre - its centre).
-    overlapping: tuple[tuple[int, float, float, float, float, float], ...]
+    # overlap / victim occupied bandwidth, victim centre - its centre).
+    overlapping: tuple[tuple[int, float, float, float, float], ...]
 
     @classmethod
     def bind(cls, link: RadioPath, victim: ChannelSpec,
@@ -327,7 +327,7 @@ class Reception:
             half = channel.occupied_bw_mhz / 2.0
             overlap = min(high, channel.center_mhz + half) - max(low, channel.center_mhz - half)
             if overlap > 0.0:
-                overlapping.append((index, path.distance_m, path.loss_db(channel.center_mhz), overlap,
+                overlapping.append((index, path.distance_m, path.loss_db(channel.center_mhz),
                                     overlap / width, center - channel.center_mhz))
         return cls(link.loss_db(center), tuple([channel for channel, _ in interferers]), tuple(overlapping))
 
@@ -350,7 +350,7 @@ class Reception:
             return 0.0
         calib = calibration or DEFAULT_CALIBRATION
         p = 1.0
-        for index, distance_m, loss_db, _, overlap_frac, delta_mhz in self.overlapping:
+        for index, distance_m, loss_db, overlap_frac, delta_mhz in self.overlapping:
             it = interferers[index]
             if not it.enabled or it.activity_factor <= 0.0:
                 continue
@@ -361,17 +361,3 @@ class Reception:
             pf = interference_power_factor(isr, calib)
             p *= 1.0 - min(1.0, it.activity_factor) * overlap_frac * pf
         return max(0.0, min(1.0, p))
-
-
-def message_success_prob(
-    tx_power_dbm: float,
-    link: RadioPath,
-    victim: ChannelSpec,
-    interferers: Sequence[tuple[Interferer, RadioPath]],
-    calibration: InterferenceCalibration | None = None,
-) -> float:
-    """Probability that one message on the victim channel is delivered over
-    the link, with each interferer reaching the receiver over its path:
-    `Reception.bind`, then `Reception.success_prob`."""
-    reception = Reception.bind(link, victim, [(it.channel, path) for it, path in interferers])
-    return reception.success_prob(tx_power_dbm, [it for it, _ in interferers], calibration)

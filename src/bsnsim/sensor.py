@@ -12,9 +12,11 @@ inactivity window the node returns to sleep.
 with one advance rule, jumping to the next sample that is due (the wake
 tick while asleep, the next sample instant while active), and one sample
 body for both modes. To advance one sample, replay a one-sample trace.
+Per axis, the body calls `_quantize`, `_dequantize` and `_next_index`,
+the one copy of the ADC model and the range ladder.
 `tests/sensor_reference.py` holds a one-sample-at-a-time reference that
-the tests require it to match frame for frame, interval for interval and
-in its final state.
+shares those helpers and that the tests require the kernel to match frame
+for frame, interval for interval and in its final state.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ _TOP = len(RANGE_LADDER) - 1
 
 
 def _quantize(a_g: float, idx: int) -> tuple[int, bool]:
-    """ADC code and clip flag of one axis read on range index `idx`."""
+    """ADC code and clip flag of one axis on range index `idx`: the voltage
+    V_REF/2 + a * sensitivity, clamped to [0, V_REF], read as 0..65535; the
+    flag is set when |a| exceeds the range, whatever the ADC saturation."""
     if not math.isfinite(a_g):
         raise ParameterError(f"acceleration must be finite, got {a_g}")
     v = V_REF / 2.0 + a_g * _SENSITIVITY[idx] / 1000.0
@@ -80,6 +84,7 @@ def _quantize(a_g: float, idx: int) -> tuple[int, bool]:
 
 
 def _dequantize(code: int, idx: int, clipped: bool) -> float:
+    """Invert the voltage model; a clipped reading saturates at the range bound."""
     v = code / ADC_FULL_SCALE * V_REF
     if clipped:
         v_mid = V_REF / 2.0
@@ -98,49 +103,6 @@ def _next_index(value_g: float, idx: int, clipped: bool) -> int:
         if mag <= span:
             return k
     return _TOP
-
-
-@dataclass(frozen=True)
-class AxisReading:
-    """One quantized axis sample."""
-
-    code: int
-    range: MeasurementRange
-    clipped: bool
-
-
-def quantize(a_g: float, meas_range: MeasurementRange) -> AxisReading:
-    """Quantize one axis value.
-
-    Voltage model: v = V_REF/2 + a * sensitivity, clamped to [0, V_REF];
-    code = round(v / V_REF * 65535). The clipped flag is set when |a|
-    exceeds the selected range, independent of ADC saturation.
-    """
-    code, clipped = _quantize(a_g, meas_range.code)
-    return AxisReading(code=code, range=meas_range, clipped=clipped)
-
-
-def dequantize(reading: AxisReading) -> float:
-    """Invert the quantize voltage model; clipped readings saturate at the range bound."""
-    return _dequantize(reading.code, reading.range.code, reading.clipped)
-
-
-def select_range_axis(reading_g: float, current: MeasurementRange) -> MeasurementRange:
-    """Pick the next range for one axis.
-
-    A reading beyond the current span steps up exactly one level (saturating
-    at +/-6 g); otherwise the smallest range covering the reading wins, which
-    keeps sensitivity maximal without clipping.
-    """
-    return RANGE_LADDER[_next_index(reading_g, current.code, False)]
-
-
-def select_range(
-    readings_g: tuple[float, float, float],
-    current: tuple[MeasurementRange, MeasurementRange, MeasurementRange],
-) -> tuple[MeasurementRange, MeasurementRange, MeasurementRange]:
-    """Apply select_range_axis independently on all three axes."""
-    return tuple(select_range_axis(r, c) for r, c in zip(readings_g, current))  # type: ignore[return-value]
 
 
 class SensorMode(Enum):
@@ -179,6 +141,11 @@ class SensorState:
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.wake_period_s <= 0:
             raise ParameterError(f"wake_period_s must be positive, got {self.wake_period_s}")
+        # the frame's one-byte node id and 16-bit sequence number
+        if not 0 <= self.node_id <= 0xFF:
+            raise ParameterError(f"node_id must be within [0, 255], got {self.node_id}")
+        if not 0 <= self.seq <= 0xFFFF:
+            raise ParameterError(f"seq must be within [0, 65535], got {self.seq}")
 
 
 def initial_state(**kwargs) -> SensorState:

@@ -10,7 +10,7 @@ sample timestamps), not two copies of one formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 from bsnsim.errors import ParameterError
@@ -19,14 +19,13 @@ from bsnsim.sensor import (
     _SLEEP_RANGES,
     _TIME_EPS,
     RANGE_LADDER,
-    AxisReading,
     SensorMode,
     SensorState,
+    _dequantize,
     _deviation,
     _frame,
     _next_index,
-    dequantize,
-    quantize,
+    _quantize,
 )
 
 
@@ -39,30 +38,14 @@ class AccelSample(NamedTuple):
     az: float
 
 
-@dataclass(frozen=True)
-class AdcReading:
-    x: AxisReading
-    y: AxisReading
-    z: AxisReading
-
-    @property
-    def axes(self) -> tuple[AxisReading, AxisReading, AxisReading]:
-        return (self.x, self.y, self.z)
+def _measure(sample: AccelSample, ranges) -> tuple[tuple, tuple[float, float, float]]:
+    """Per axis (ADC code, clip flag) on the given ranges, and the values read back."""
+    reading = tuple(_quantize(a, r.code) for a, r in zip((sample.ax, sample.ay, sample.az), ranges))
+    return reading, tuple(_dequantize(code, r.code, clipped) for (code, clipped), r in zip(reading, ranges))
 
 
-def _measure(sample: AccelSample, ranges) -> tuple[AdcReading, tuple[float, float, float]]:
-    reading = AdcReading(*(quantize(a, r) for a, r in zip((sample.ax, sample.ay, sample.az), ranges)))
-    return reading, tuple(dequantize(ax) for ax in reading.axes)  # type: ignore[return-value]
-
-
-def _reading_frame(state: SensorState, t: float, reading: AdcReading) -> SensorFrame:
-    return _frame(
-        state.node_id,
-        state.seq,
-        t,
-        tuple(ax.code for ax in reading.axes),
-        tuple(ax.range.code for ax in reading.axes),
-    )
+def _reading_frame(state: SensorState, t: float, reading, ranges) -> SensorFrame:
+    return _frame(state.node_id, state.seq, t, tuple(code for code, _ in reading), tuple(r.code for r in ranges))
 
 
 def step(state: SensorState, true_accel: AccelSample, dt: float) -> tuple[SensorState, SensorFrame | None]:
@@ -79,12 +62,12 @@ def step(state: SensorState, true_accel: AccelSample, dt: float) -> tuple[Sensor
 
     if state.mode is SensorMode.SLEEP:
         reading, measured = _measure(true_accel, _SLEEP_RANGES)
-        frame = _reading_frame(state, now, reading)
+        frame = _reading_frame(state, now, reading, _SLEEP_RANGES)
         if _deviation(*measured) > state.activation_threshold_g:
             new_state = replace(
                 state,
                 mode=SensorMode.ACTIVE,
-                ranges=_next_ranges(reading, measured),
+                ranges=_next_ranges(_SLEEP_RANGES, reading, measured),
                 low_activity_timer_s=0.0,
                 seq=(state.seq + 1) & 0xFFFF,
                 time_s=now,
@@ -105,7 +88,7 @@ def step(state: SensorState, true_accel: AccelSample, dt: float) -> tuple[Sensor
         return new_state, frame
 
     reading, measured = _measure(true_accel, state.ranges)
-    frame = _reading_frame(state, now, reading)
+    frame = _reading_frame(state, now, reading, state.ranges)
     elapsed = now - state.last_sample_t_s
     if _deviation(*measured) < state.activation_threshold_g:
         timer = min(state.low_activity_timer_s + elapsed, state.inactivity_window_s)
@@ -125,7 +108,7 @@ def step(state: SensorState, true_accel: AccelSample, dt: float) -> tuple[Sensor
     else:
         new_state = replace(
             state,
-            ranges=_next_ranges(reading, measured),
+            ranges=_next_ranges(state.ranges, reading, measured),
             low_activity_timer_s=timer,
             seq=(state.seq + 1) & 0xFFFF,
             time_s=now,
@@ -135,9 +118,9 @@ def step(state: SensorState, true_accel: AccelSample, dt: float) -> tuple[Sensor
     return new_state, frame
 
 
-def _next_ranges(reading: AdcReading, measured):
+def _next_ranges(ranges, reading, measured):
     """Range update as the microcontroller sees it, axis by axis."""
     return tuple(
-        RANGE_LADDER[_next_index(value, ax.range.code, ax.clipped)]
-        for value, ax in zip(measured, reading.axes)
+        RANGE_LADDER[_next_index(value, r.code, clipped)]
+        for value, r, (_, clipped) in zip(measured, ranges, reading)
     )

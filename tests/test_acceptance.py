@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from bsnsim.calibrate import calibrated_scenario, fit
+from bsnsim.calibrate import apply_overrides, fit
 from bsnsim.classify import detect_abnormal
 from bsnsim.energy import (
     CONTINUOUS_PROFILE,
@@ -28,19 +28,19 @@ from bsnsim.linksim import (
     run_star_network,
     simulate_echo_runs,
 )
-from bsnsim.motion import ActivityKind, compose_schedule, generate_trace
+from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_trace
 from bsnsim.rf import ChannelSpec, RadioStandard, channel_center_freq, spectral_overlap
 from bsnsim.scenario import load_scenario, parse_scenario
 from bsnsim.selector import ScanReport, adaptive_policy, scan, select_channel
 from bsnsim.sensor import (
     RANGE_LADDER,
     SensorMode,
-    dequantize,
+    SensorState,
+    _dequantize,
+    _next_index,
+    _quantize,
     initial_state,
-    quantize,
     replay_trace,
-    select_range,
-    select_range_axis,
 )
 
 SEED = 42
@@ -93,7 +93,7 @@ def test_criterion_3_calibration_fit(calibration_result):
     with criterion("3 calibration fit", 30.0):
         result = calibration_result
         for target in result.targets:
-            scenario = calibrated_scenario(target.scenario, result)
+            scenario = apply_overrides(load_scenario(target.scenario), result.interferer_overrides)
             cfg = EchoTestConfig(
                 channel=ChannelSpec.wpan(target.channel),
                 tx_power_dbm=target.tx_power_dbm,
@@ -138,29 +138,36 @@ def test_criterion_5_sensor_state_machine_properties():
             meas_range = RANGE_LADDER[rng.integers(0, 4)]
             a = float(rng.uniform(-meas_range.range_g, meas_range.range_g))
             half_lsb_g = (3.3 / 65535) / 2.0 / (meas_range.sensitivity_mv_per_g / 1000.0)
-            assert abs(dequantize(quantize(a, meas_range)) - a) <= half_lsb_g
+            code, clipped = _quantize(a, meas_range.code)
+            assert abs(_dequantize(code, meas_range.code, clipped) - a) <= half_lsb_g
             cases += 1
 
         # range selection minimality (3,000 cases)
         for _ in range(3000):
             current = RANGE_LADDER[rng.integers(0, 4)]
             value = float(rng.uniform(-7.0, 7.0))
-            chosen = select_range_axis(value, current)
+            chosen = RANGE_LADDER[_next_index(value, current.code, False)]
             if abs(value) > current.range_g:
                 assert chosen is RANGE_LADDER[min(RANGE_LADDER.index(current) + 1, 3)]
             else:
                 assert chosen is next(r for r in RANGE_LADDER if abs(value) <= r.range_g)
             cases += 1
 
-        # per-axis independence (1,000 cases)
+        # per-axis independence of the kernel's range step, one active sample each (1,000 cases)
+        def next_ranges(ranges, readings):
+            ax, ay, az = (np.array([value]) for value in readings)
+            trace = AccelTrace(rate_hz=60.0, ax=ax, ay=ay, az=az, labels=[ActivityKind.REST])
+            state = SensorState(mode=SensorMode.ACTIVE, ranges=ranges, next_sample_at_s=0.0)
+            return replay_trace(state, trace).final_state.ranges
+
         for _ in range(1000):
             current = tuple(RANGE_LADDER[i] for i in rng.integers(0, 4, size=3))
             readings = tuple(float(v) for v in rng.uniform(-7, 7, size=3))
-            base = select_range(readings, current)
+            base = next_ranges(current, readings)
             axis = int(rng.integers(0, 3))
             perturbed = list(readings)
             perturbed[axis] = float(rng.uniform(-7, 7))
-            out = select_range(tuple(perturbed), current)
+            out = next_ranges(current, perturbed)
             assert all(out[i] is base[i] for i in range(3) if i != axis)
             cases += 1
 
@@ -230,7 +237,7 @@ def test_criterion_6_classifier_statistical_contract():
 def test_criterion_7_channel_selector(calibration_result):
     with criterion("7 channel selector", 60.0):
         result = calibration_result
-        scenario = calibrated_scenario("apartment", result)
+        scenario = apply_overrides(load_scenario("apartment"), result.interferer_overrides)
         report = scan(scenario, result.calibration)
         best = select_channel(report)
 

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from bsnsim import calibrate
 from bsnsim.calibrate import (
     _OVERRIDE_FIELDS,
-    calibrated_scenario,
+    apply_overrides,
     fit,
     load_calibration_file,
     load_targets,
 )
 from bsnsim.errors import BsnsimError, ParameterError
 from bsnsim.rf import InterferenceCalibration, Reception
+from bsnsim.scenario import load_scenario
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +55,7 @@ def test_fitted_constants_sane(result):
 
 
 def test_calibrated_scenario_applies_overrides(result):
-    scen = calibrated_scenario("apartment", result)
+    scen = apply_overrides(load_scenario("apartment"), result.interferer_overrides)
     fitted_af = result.interferer_overrides["neighbor_ch1_a"]["activity_factor"]
     assert scen.interferers["neighbor_ch1_a"].activity_factor == fitted_af
 

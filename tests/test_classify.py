@@ -116,6 +116,9 @@ def test_config_validation():
         ClassifierConfig(high_threshold_g=0.8)
     with pytest.raises(ParameterError):
         ClassifierConfig(window_s=0.0)
+    for window_s in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="window_s must be positive and finite"):
+            ClassifierConfig(window_s=window_s)
 
 
 def test_events_csv_shape():

@@ -203,14 +203,21 @@ def _bad_targets(*rows):
          "targets_channel_not_a_number", "targets_short_row", "targets_nan_target", "targets_without_single_house",
          "targets_without_fit_rows"],
 )
-def test_bad_input_exits_2_with_one_error_line(tmp_path, make_argv):
-    # a fresh interpreter, so an uncaught exception would show as a traceback on stderr
-    env = {**os.environ, "PYTHONPATH": str(Path(bsnsim.__file__).resolve().parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "bsnsim.cli", *make_argv(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, make_argv):
+    if make_argv is _flipped_log:
+        # one case through the real entry point in a fresh interpreter, where an
+        # uncaught exception would show as a traceback on stderr
+        env = {**os.environ, "PYTHONPATH": str(Path(bsnsim.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "bsnsim.cli", *make_argv(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        code, stderr = proc.returncode, proc.stderr
+    else:
+        # the rest in-process, without an interpreter start-up each: an exception escaping main fails the test
+        code = main(make_argv(tmp_path))
+        stderr = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 

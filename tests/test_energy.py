@@ -79,6 +79,13 @@ class TestBatteryLife:
             ComponentCurrent("x", 1.0, 2.0)
         with pytest.raises(ParameterError):
             Battery(0.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="capacity_mah must be positive and finite"):
+                Battery(value)
+            with pytest.raises(ParameterError, match="active_ma < inf"):
+                ComponentCurrent("x", value)
+            with pytest.raises(ParameterError, match="active_ma < inf"):
+                ComponentCurrent("x", value, value)
 
 
 class TestSimulateEnergy:
@@ -88,6 +95,11 @@ class TestSimulateEnergy:
         sleep = simulate_energy(hour_sleep, n_frames=3600)
         active = simulate_energy(hour_active, n_frames=216000)
         assert sleep.consumed_mah < active.consumed_mah
+
+    def test_negative_frame_count_rejected(self):
+        hour_sleep = [TimelineInterval(0.0, 3600.0, SensorMode.SLEEP)]
+        with pytest.raises(ParameterError, match="n_frames must be a non-negative count, got -1000"):
+            simulate_energy(hour_sleep, n_frames=-1000)
 
     def test_empty_timeline(self):
         report = simulate_energy([], n_frames=0)

@@ -88,6 +88,11 @@ def test_parameter_errors():
         compose_schedule([])
     with pytest.raises(ParameterError):
         compose_schedule([(ActivityKind.REST, -1.0)])
+    for duration_s in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="duration_s must be positive and finite"):
+            generate_trace(ActivityKind.REST, duration_s)
+        with pytest.raises(ParameterError, match="segment 1 duration must be positive and finite"):
+            compose_schedule([(ActivityKind.REST, 1.0), (ActivityKind.FALL, duration_s)])
 
 
 @pytest.mark.parametrize("rate_hz", [0.0, float("nan"), float("inf"), -60.0, 5.0])

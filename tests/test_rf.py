@@ -26,10 +26,14 @@ from bsnsim.rf import (
     Wall,
     channel_center_freq,
     crossed_obstacles,
-    message_success_prob,
     radio_path,
     spectral_overlap,
 )
+
+
+def _bind_then_evaluate(tx_power_dbm, link, victim, pairs):
+    reception = Reception.bind(link, victim, [(it.channel, path) for it, path in pairs])
+    return reception.success_prob(tx_power_dbm, [it for it, _ in pairs])
 
 
 class TestChannelGeometry:
@@ -110,7 +114,7 @@ class TestPathLoss:
         wall = Obstacle(Material.ALUMINUM_SIDING, Wall(-5, -5, -5, 5))
         link = radio_path((0, 0), (-10, 0), [wall], DEFAULT_MATERIAL_LOSS_DB)
         assert -10.0 - link.loss_db(2450.0) < -92.0
-        assert message_success_prob(-10.0, link, ChannelSpec.wpan(20), []) == 0.0
+        assert _bind_then_evaluate(-10.0, link, ChannelSpec.wpan(20), []) == 0.0
 
 
 class TestGeometry:
@@ -138,16 +142,16 @@ class TestMessageSuccess:
     RX = (5.0, 0.0)
 
     def test_clean_channel_is_exactly_one(self):
-        assert message_success_prob(0.0, self.LINK, ChannelSpec.wpan(20), []) == 1.0
+        assert _bind_then_evaluate(0.0, self.LINK, ChannelSpec.wpan(20), []) == 1.0
 
     def test_negative_margin_is_zero(self):
         link = RadioPath(1.0, (100.0,))
         assert -10.0 - link.loss_db(2450.0) < -92.0
-        assert message_success_prob(-10.0, link, ChannelSpec.wpan(20), []) == 0.0
+        assert _bind_then_evaluate(-10.0, link, ChannelSpec.wpan(20), []) == 0.0
 
     def test_requires_wpan_victim(self):
         with pytest.raises(ParameterError):
-            message_success_prob(0.0, self.LINK, ChannelSpec.wlan(6), [])
+            _bind_then_evaluate(0.0, self.LINK, ChannelSpec.wlan(6), [])
 
     def _interferer(self, af=0.5, power=15.0, pos=(5.0, 1.0), enabled=True):
         it = Interferer(ChannelSpec.wlan(6), pos, power, af, enabled=enabled)
@@ -157,31 +161,31 @@ class TestMessageSuccess:
         victim = ChannelSpec.wpan(17)
         last = 1.1
         for af in (0.1, 0.3, 0.5, 0.9):
-            p = message_success_prob(0.0, self.LINK, victim, [self._interferer(af)])
+            p = _bind_then_evaluate(0.0, self.LINK, victim, [self._interferer(af)])
             assert p < last
             last = p
 
     def test_monotone_in_tx_power(self):
         victim = ChannelSpec.wpan(17)
         interferer = self._interferer()
-        p_low = message_success_prob(-10.0, self.LINK, victim, [interferer])
-        p_high = message_success_prob(0.0, self.LINK, victim, [interferer])
+        p_low = _bind_then_evaluate(-10.0, self.LINK, victim, [interferer])
+        p_high = _bind_then_evaluate(0.0, self.LINK, victim, [interferer])
         assert p_high >= p_low
 
     def test_disabled_equals_removed(self):
         victim = ChannelSpec.wpan(17)
-        p_disabled = message_success_prob(0.0, self.LINK, victim, [self._interferer(enabled=False)])
-        p_removed = message_success_prob(0.0, self.LINK, victim, [])
+        p_disabled = _bind_then_evaluate(0.0, self.LINK, victim, [self._interferer(enabled=False)])
+        p_removed = _bind_then_evaluate(0.0, self.LINK, victim, [])
         assert p_disabled == p_removed == 1.0
 
     def test_no_spectral_overlap_no_effect(self):
-        p = message_success_prob(0.0, self.LINK, ChannelSpec.wpan(11), [self._interferer()])
+        p = _bind_then_evaluate(0.0, self.LINK, ChannelSpec.wpan(11), [self._interferer()])
         assert p == 1.0  # wlan 6 does not reach 2405 MHz
 
     def test_influence_radius(self):
         oven = Interferer(ChannelSpec.microwave_oven(), (20.0, 0.0), 0.0, 0.5, influence_radius_m=2.0)
         path = radio_path(oven.position, self.RX, [], DEFAULT_MATERIAL_LOSS_DB)
-        p = message_success_prob(0.0, self.LINK, ChannelSpec.wpan(20), [(oven, path)])
+        p = _bind_then_evaluate(0.0, self.LINK, ChannelSpec.wpan(20), [(oven, path)])
         assert p == 1.0
 
     def test_influence_radius_tests_the_unclamped_distance(self):
@@ -189,19 +193,19 @@ class TestMessageSuccess:
         inside, outside = RadioPath(0.0, ()), RadioPath(0.02, ())
         assert inside.loss_db(2450.0) == outside.loss_db(2450.0)  # both clamped to 5 cm
         victim = ChannelSpec.wpan(20)
-        assert message_success_prob(0.0, self.LINK, victim, [(oven, inside)]) < 1.0
-        assert message_success_prob(0.0, self.LINK, victim, [(oven, outside)]) == 1.0
+        assert _bind_then_evaluate(0.0, self.LINK, victim, [(oven, inside)]) < 1.0
+        assert _bind_then_evaluate(0.0, self.LINK, victim, [(oven, outside)]) == 1.0
 
     def test_oven_peaks_at_2450(self):
         oven = Interferer(ChannelSpec.microwave_oven(), (5.2, 0.0), -30.0, 0.5, influence_radius_m=2.0)
         pair = (oven, radio_path(oven.position, self.RX, [], DEFAULT_MATERIAL_LOSS_DB))
-        probs = {ch: message_success_prob(-10.0, self.LINK, ChannelSpec.wpan(ch), [pair]) for ch in (19, 20, 21)}
+        probs = {ch: _bind_then_evaluate(-10.0, self.LINK, ChannelSpec.wpan(ch), [pair]) for ch in (19, 20, 21)}
         assert probs[20] < probs[19]
         assert probs[20] < probs[21]
 
     def test_probability_bounds(self):
         heavy = [self._interferer(af=1.0, power=30.0) for _ in range(8)]
-        p = message_success_prob(0.0, self.LINK, ChannelSpec.wpan(17), heavy)
+        p = _bind_then_evaluate(0.0, self.LINK, ChannelSpec.wpan(17), heavy)
         assert 0.0 <= p <= 1.0
 
 
@@ -247,7 +251,6 @@ class TestReceptionMatchesReference:
             pairs = list(zip(interferers, paths))
             expected = rf_reference.message_success_prob(tx_power_dbm, link, victim, pairs, calibration)
             assert reception.success_prob(tx_power_dbm, interferers, calibration) == expected
-            assert message_success_prob(tx_power_dbm, link, victim, pairs, calibration) == expected
 
     def test_every_channel_pair_alone(self):
         # One strong interferer at a time keeps the low bits of its power factor in the result.

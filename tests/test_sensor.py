@@ -8,62 +8,62 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsnsim.errors import ParameterError
-from bsnsim.motion import ActivityKind, compose_schedule, generate_trace
+from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_trace
 from bsnsim.sensor import (
     _TIME_EPS,
     RANGE_LADDER,
     MeasurementRange,
     ReplayResult,
     SensorMode,
+    SensorState,
     TimelineInterval,
-    dequantize,
+    _dequantize,
+    _next_index,
+    _quantize,
     initial_state,
-    quantize,
     replay_trace,
-    select_range,
-    select_range_axis,
 )
 from sensor_reference import AccelSample, step
+
+G1_5, G2_0 = MeasurementRange.G1_5.code, MeasurementRange.G2_0.code
 
 
 class TestQuantize:
     def test_zero_g_mid_scale(self):
-        reading = quantize(0.0, MeasurementRange.G1_5)
-        assert abs(reading.code - 32768) <= 1
-        assert not reading.clipped
+        code, clipped = _quantize(0.0, G1_5)
+        assert abs(code - 32768) <= 1
+        assert not clipped
 
     def test_one_g_at_low_range(self):
         # v = 3.3/2 + 1.0 * 0.8 = 2.45 V -> round(2.45/3.3 * 65535) = 48655
-        reading = quantize(1.0, MeasurementRange.G1_5)
-        assert reading.code == 48655
-        assert not reading.clipped
+        code, clipped = _quantize(1.0, G1_5)
+        assert code == 48655
+        assert not clipped
 
     def test_beyond_range_clips(self):
-        assert quantize(2.0, MeasurementRange.G1_5).clipped
-        assert quantize(-2.0, MeasurementRange.G1_5).clipped
-        assert not quantize(1.5, MeasurementRange.G1_5).clipped
+        assert _quantize(2.0, G1_5)[1]
+        assert _quantize(-2.0, G1_5)[1]
+        assert not _quantize(1.5, G1_5)[1]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ParameterError):
-            quantize(float("nan"), MeasurementRange.G2_0)
+            _quantize(float("nan"), G2_0)
         with pytest.raises(ParameterError):
-            quantize(float("inf"), MeasurementRange.G2_0)
+            _quantize(float("inf"), G2_0)
 
     def test_round_trip_half_lsb(self):
-        value = dequantize(quantize(0.5, MeasurementRange.G2_0))
-        assert abs(value - 0.5) <= 6.3e-5
+        code, clipped = _quantize(0.5, G2_0)
+        assert abs(_dequantize(code, G2_0, clipped) - 0.5) <= 6.3e-5
 
     def test_mid_scale_dequantizes_to_zero(self):
         for rng in RANGE_LADDER:
-            from bsnsim.sensor import AxisReading
-
-            assert abs(dequantize(AxisReading(32768, rng, False))) < 1e-3
+            assert abs(_dequantize(32768, rng.code, False)) < 1e-3
 
     def test_clipped_saturates_at_range(self):
-        reading = quantize(2.4, MeasurementRange.G1_5)
-        assert dequantize(reading) == pytest.approx(1.5)
-        reading = quantize(-2.4, MeasurementRange.G1_5)
-        assert dequantize(reading) == pytest.approx(-1.5)
+        code, clipped = _quantize(2.4, G1_5)
+        assert _dequantize(code, G1_5, clipped) == pytest.approx(1.5)
+        code, clipped = _quantize(-2.4, G1_5)
+        assert _dequantize(code, G1_5, clipped) == pytest.approx(-1.5)
 
     def test_round_trip_property_10000(self):
         rng = np.random.default_rng(12)
@@ -71,33 +71,41 @@ class TestQuantize:
             meas_range = RANGE_LADDER[rng.integers(0, 4)]
             a = float(rng.uniform(-meas_range.range_g, meas_range.range_g))
             half_lsb_g = (3.3 / 65535) / 2.0 / (meas_range.sensitivity_mv_per_g / 1000.0)
-            reading = quantize(a, meas_range)
-            assert not reading.clipped
-            assert abs(dequantize(reading) - a) <= half_lsb_g
+            code, clipped = _quantize(a, meas_range.code)
+            assert not clipped
+            assert abs(_dequantize(code, meas_range.code, clipped) - a) <= half_lsb_g
+
+
+def _kernel_next_ranges(ranges, readings):
+    """The ranges an active node steps to after one sample, replayed as a one-sample 60 Hz trace."""
+    ax, ay, az = (np.array([value]) for value in readings)
+    trace = AccelTrace(rate_hz=60.0, ax=ax, ay=ay, az=az, labels=[ActivityKind.REST])
+    state = SensorState(mode=SensorMode.ACTIVE, ranges=ranges, next_sample_at_s=0.0)
+    return replay_trace(state, trace).final_state.ranges
 
 
 class TestSelectRange:
     def test_step_up_from_2g(self):
-        assert select_range_axis(2.3, MeasurementRange.G2_0) is MeasurementRange.G4_0
+        assert _next_index(2.3, G2_0, False) == MeasurementRange.G4_0.code
 
     def test_step_down_to_1_5(self):
-        assert select_range_axis(1.2, MeasurementRange.G2_0) is MeasurementRange.G1_5
+        assert _next_index(1.2, G2_0, False) == G1_5
 
     def test_minimal_stays(self):
-        assert select_range_axis(0.5, MeasurementRange.G1_5) is MeasurementRange.G1_5
+        assert _next_index(0.5, G1_5, False) == G1_5
 
     def test_saturates_at_6g(self):
-        assert select_range_axis(9.0, MeasurementRange.G6_0) is MeasurementRange.G6_0
+        assert _next_index(9.0, MeasurementRange.G6_0.code, False) == MeasurementRange.G6_0.code
 
     def test_one_step_at_a_time(self):
-        assert select_range_axis(5.9, MeasurementRange.G1_5) is MeasurementRange.G2_0
+        assert _next_index(5.9, G1_5, False) == G2_0
 
     def test_minimality_property(self):
         rng = np.random.default_rng(5)
         for _ in range(3000):
             current = RANGE_LADDER[rng.integers(0, 4)]
             value = float(rng.uniform(-7.0, 7.0))
-            chosen = select_range_axis(value, current)
+            chosen = RANGE_LADDER[_next_index(value, current.code, False)]
             if abs(value) > current.range_g:
                 # one step up from current
                 assert chosen is RANGE_LADDER[min(RANGE_LADDER.index(current) + 1, 3)]
@@ -111,11 +119,11 @@ class TestSelectRange:
         for _ in range(1000):
             current = tuple(RANGE_LADDER[i] for i in rng.integers(0, 4, size=3))
             readings = tuple(float(v) for v in rng.uniform(-7, 7, size=3))
-            base = select_range(readings, current)
+            base = _kernel_next_ranges(current, readings)
             for axis in range(3):
                 perturbed = list(readings)
                 perturbed[axis] = float(rng.uniform(-7, 7))
-                out = select_range(tuple(perturbed), current)
+                out = _kernel_next_ranges(current, perturbed)
                 for other in range(3):
                     if other != axis:
                         assert out[other] is base[other]
@@ -345,6 +353,12 @@ class TestReplayMatchesStep:
         # resume from wherever the first trace left the node, asleep or active
         second = compose_schedule(segments[::-1], rate_hz=rate_hz, seed=seed + 1)
         _assert_replay_matches_steps(mid_run, second)
+
+    def test_frame_fields_out_of_range_rejected(self):
+        # at construction, not once the first frame is built
+        for name, value in (("node_id", -1), ("node_id", 256), ("seq", -1), ("seq", 0x10000)):
+            with pytest.raises(ParameterError, match=f"{name} must be within"):
+                initial_state(**{name: value})
 
     def test_non_finite_state_time_rejected(self):
         for name in ("wake_period_s", "time_s", "next_sample_at_s", "last_sample_t_s"):
