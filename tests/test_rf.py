@@ -4,7 +4,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rf_reference
@@ -135,6 +135,71 @@ class TestGeometry:
         assert crossed_obstacles((0, 0), (5.5, 0), [plant]) == [plant]
         # same crossing geometry but both endpoints far away: ignored
         assert crossed_obstacles((0, 0), (10, 0), [plant]) == []
+
+
+def _crossed(sources, rx, obstacles):
+    return [crossed_obstacles(p, rx, obstacles) for p in sources]
+
+
+_MATERIALS = st.sampled_from([Material.DRYWALL, Material.BRICK, Material.PLANT_FOLIAGE])
+_NEAR_FIELDS = st.none() | st.floats(0.0, 3.0)
+_COORDS = st.floats(-20.0, 20.0)
+_POINTS = st.tuples(_COORDS, _COORDS)
+_SHAPES = st.builds(Wall, _COORDS, _COORDS, _COORDS, _COORDS) | st.builds(Disc, _COORDS, _COORDS, st.floats(0.0, 3.0))
+_GRID = st.tuples(st.integers(-3, 3).map(float), st.integers(-3, 3).map(float))
+
+
+@st.composite
+def _grid_cases(draw):
+    """Paths to one receiver and obstacles with every coordinate on an integer
+    grid, so orientations are exactly 0 as often as not: walls through and
+    ending at the nodes, zero-length walls and walls collinear with a path."""
+    rx = draw(_GRID)
+    sources = draw(st.lists(_GRID, max_size=4))
+    nodes = [rx, *sources]
+    obstacles = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["free", "from_node", "zero_length", "through_node", "collinear", "disc"]))
+        node, a, b = draw(st.sampled_from(nodes)), draw(_GRID), draw(_GRID)
+        if kind == "from_node":
+            a = node
+        elif kind == "zero_length":
+            a = b = draw(st.sampled_from([a, node]))
+        elif kind == "through_node":
+            a, b = (node[0] - a[0], node[1] - a[1]), (node[0] + a[0], node[1] + a[1])
+        elif kind == "collinear":  # two points on the line through a node and the receiver
+            s, t = draw(st.integers(-2, 3)), draw(st.integers(-2, 3))
+            a = (node[0] + s * (rx[0] - node[0]), node[1] + s * (rx[1] - node[1]))
+            b = (node[0] + t * (rx[0] - node[0]), node[1] + t * (rx[1] - node[1]))
+        shape = Disc(*a, float(draw(st.integers(0, 2)))) if kind == "disc" else Wall(*a, *b)
+        obstacles.append(Obstacle(draw(_MATERIALS), shape, near_field_m=draw(_NEAR_FIELDS)))
+    return sources, rx, obstacles
+
+
+class TestCrossingMatchesReference:
+    """Every path to a receiver must cross the obstacles the scalar reference finds, in obstacle order."""
+
+    @staticmethod
+    def _check(sources, rx, obstacles):
+        got = _crossed(sources, rx, obstacles)
+        expected = [rf_reference.crossed_obstacles(p, rx, obstacles) for p in sources]
+        assert [[id(ob) for ob in hits] for hits in got] == [[id(ob) for ob in hits] for hits in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(sources=st.lists(_POINTS, max_size=5), rx=_POINTS,
+           obstacles=st.lists(st.builds(Obstacle, _MATERIALS, _SHAPES, st.none(), _NEAR_FIELDS), max_size=8))
+    def test_random_floats(self, sources, rx, obstacles):
+        self._check(sources, rx, obstacles)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_grid_cases())
+    @example(case=([], (0.0, 0.0), []))
+    @example(case=([(1.0, 0.0)], (0.0, 0.0), []))
+    @example(case=([(1.0, 0.0)], (0.0, 0.0), [Obstacle(Material.DRYWALL, Wall(2.0, 0.0, -1.0, 0.0))]))
+    @example(case=([(1.0, 1.0)], (0.0, 0.0), [Obstacle(Material.DRYWALL, Wall(1.0, 1.0, 1.0, 1.0))]))
+    @example(case=([(1.0, 1.0)], (0.0, 0.0), [Obstacle(Material.DRYWALL, Wall(2.0, 2.0, 3.0, 3.0))]))
+    def test_integer_grid(self, case):
+        self._check(*case)
 
 
 class TestMessageSuccess:
