@@ -8,10 +8,12 @@ product of the two per-direction message probabilities.
 
 No free parameter moves a node, an obstacle or a channel, so `fit` places each
 scenario and binds both directions of every target (`rf.Reception`) once,
-before the optimizer runs. Each residual call applies the overrides once per
-scenario and evaluates every target's two receptions with them. A fitted
-result reaches a scenario, as in the CLI's runs, through
-`apply_overrides(load_scenario(name), result.interferer_overrides)`.
+before the optimizer runs. Each residual call builds only each scenario's
+interferers with the overrides applied, not a whole scenario, and evaluates
+every target's two receptions with them. A fitted result reaches a scenario,
+as in the CLI's runs, through
+`apply_overrides(load_scenario(name), result.interferer_overrides)`, which
+applies the overrides through the same helper.
 """
 
 from __future__ import annotations
@@ -168,12 +170,15 @@ def predicted_mean_pct(receptions: tuple[Reception, Reception], interferers: Seq
     return p_out * p_in * 100.0
 
 
+def _overridden(interferers: Mapping[str, Interferer],
+                overrides: Mapping[str, Mapping[str, float]]) -> dict[str, Interferer]:
+    """The interferers, in order, with the overrides ({interferer: {field: value}}) applied by name."""
+    return {name: replace(it, **overrides[name]) if name in overrides else it for name, it in interferers.items()}
+
+
 def apply_overrides(scenario: Scenario, overrides: Mapping[str, Mapping[str, float]]) -> Scenario:
     """Apply calibration overrides ({interferer: {field: value}}) by name."""
-    interferers = dict(scenario.interferers)
-    for name in overrides.keys() & interferers.keys():
-        interferers[name] = replace(interferers[name], **overrides[name])
-    return replace(scenario, interferers=interferers)
+    return replace(scenario, interferers=_overridden(scenario.interferers, overrides))
 
 
 def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
@@ -210,7 +215,7 @@ def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
 
     def predictions(chosen, params):
         calib, overrides = unpack(params)
-        interferers = {name: tuple(apply_overrides(scen, overrides).interferers.values())
+        interferers = {name: tuple(_overridden(scen.interferers, overrides).values())
                        for name, scen in scenarios.items()}
         return [predicted_mean_pct(receptions, interferers[t.scenario], t.tx_power_dbm, calib)
                 for t, receptions in chosen]

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError, ScenarioError
 from .frames import FRAME_LEN, SensorFrame, encode_frame
 from .motion import AccelTrace
-from .rf import ChannelSpec, InterferenceCalibration, RadioPath, Reception, radio_path
+from .rf import ChannelSpec, InterferenceCalibration, RadioPath, Reception, radio_paths
 from .scenario import Scenario
 from .sensor import ReplayResult, initial_state, replay_trace
 
@@ -69,31 +70,44 @@ class RunStats:
 
 @dataclass(frozen=True)
 class Direction:
-    """One tx -> rx direction of a link as placed: the link's path and each
-    interferer's path to the receiver, by name. Overrides and enabled flags
-    move nothing placed, so they reuse it."""
+    """One tx -> rx direction of a link as placed: the link's path and, by
+    name, each interferer's channel, path to the receiver and that path's loss
+    at the channel's centre. Overrides and enabled flags move nothing placed,
+    so they reuse it; an interferer moved to another channel needs a new one."""
 
     link: RadioPath
-    interferers: dict[str, RadioPath]
+    interferers: dict[str, tuple[ChannelSpec, RadioPath, float]]
 
     @classmethod
     def of(cls, scenario: Scenario, tx_node: str, rx_node: str) -> "Direction":
-        tx_pos, rx_pos = scenario.node(tx_node), scenario.node(rx_node)
-        obstacles = tuple(scenario.obstacles.values())
-        table = scenario.material_table()
-        return cls(
-            radio_path(tx_pos, rx_pos, obstacles, table),
-            {name: radio_path(it.position, rx_pos, obstacles, table) for name, it in scenario.interferers.items()},
-        )
+        return cls.to(scenario, [tx_node], rx_node)[0]
+
+    @classmethod
+    def to(cls, scenario: Scenario, tx_nodes: Sequence[str], rx_node: str) -> list["Direction"]:
+        """The direction from each tx node to one rx node, placed in one call;
+        they share the interferers' paths."""
+        rx_pos = scenario.node(rx_node)
+        sources = [scenario.node(name) for name in tx_nodes] + [it.position for it in scenario.interferers.values()]
+        paths = radio_paths(sources, rx_pos, tuple(scenario.obstacles.values()), scenario.material_table())
+        interferers = {name: (it.channel, path, path.loss_db(it.channel.center_mhz))
+                       for (name, it), path in zip(scenario.interferers.items(), paths[len(tx_nodes):])}
+        return [cls(link, interferers) for link in paths[:len(tx_nodes)]]
 
     def reception(self, scenario: Scenario, channel: ChannelSpec) -> Reception:
         """This direction bound to a victim channel, with the scenario's
-        interferers in scenario order."""
-        try:
-            paths = [(it.channel, self.interferers[name]) for name, it in scenario.interferers.items()]
-        except KeyError as exc:
-            raise ParameterError(f"direction has no path for interferer {exc.args[0]!r}") from None
-        return Reception.bind(self.link, channel, paths)
+        interferers in scenario order, each on the channel it was placed on."""
+        placed = []
+        for name, it in scenario.interferers.items():
+            if name not in self.interferers:
+                raise ParameterError(f"direction has no path for interferer {name!r}")
+            entry = self.interferers[name]
+            placed_on = entry[0]
+            if it.channel is not placed_on and it.channel != placed_on:
+                raise ParameterError(f"interferer {name!r} is on {it.channel.standard.value} channel "
+                                     f"{it.channel.index} but was placed on {placed_on.standard.value} channel "
+                                     f"{placed_on.index}")
+            placed.append(entry)
+        return Reception.bind(self.link, channel, placed)
 
 
 def direction_success_prob(
@@ -210,9 +224,9 @@ def run_star_network(
 
     deliveries: dict[str, NodeDelivery] = {}
     logged: list[tuple[float, str, SensorFrame]] = []
-    for name in sorted(emissions):
+    uplinks = Direction.to(scenario, sorted(emissions), "base")
+    for name, uplink in zip(sorted(emissions), uplinks):
         frames = emissions[name].frames
-        uplink = Direction.of(scenario, name, "base")
         p_link = direction_success_prob(scenario, uplink, channel, scenario.tx_power_dbm, calibration)
         p = p_link * (1.0 - drop_prob)
         keep = rng.random(len(frames)) < p

@@ -3,9 +3,12 @@ attenuation, and per-message success probability under interference.
 
 Placement and channel are kept apart. A `RadioPath` holds what placement
 alone decides, the distance and the crossed obstacles' losses, and gives its
-loss at any frequency. A channel is judged in two stages: `Reception.bind`
-fixes the victim channel against the link's path and each interferer's
-channel and path to the receiver, and `Reception.success_prob` applies what
+loss at any frequency. `radio_paths` places every path to one receiver in one
+call: `crossed_obstacles` tests all of them against every wall at once, as
+numpy arrays. A channel is judged in two stages: `Reception.bind` fixes the
+victim channel against the link's path and each interferer as placed (its
+channel, its path to the receiver and that path's loss at its own centre),
+and `Reception.success_prob` applies what
 can still change: tx power, enabled flags, activity factors, interferer
 powers, influence radii and the calibration constants. A scan or an echo
 test binds each channel once; the calibration fit binds each target once
@@ -34,6 +37,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -152,28 +157,6 @@ class Obstacle:
         return DEFAULT_NEAR_FIELD_M.get(self.material) if self.near_field_m is None else self.near_field_m
 
 
-def _orient(a: Point, b: Point, c: Point) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    d1 = _orient(q1, q2, p1)
-    d2 = _orient(q1, q2, p2)
-    d3 = _orient(p1, p2, q1)
-    d4 = _orient(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-    # collinear touches count as a crossing
-    for d, a, b, c in ((d1, q1, q2, p1), (d2, q1, q2, p2), (d3, p1, p2, q1), (d4, p1, p2, q2)):
-        if d == 0 and _on_segment(a, b, c):
-            return True
-    return False
-
-
-def _on_segment(a: Point, b: Point, c: Point) -> bool:
-    return min(a[0], b[0]) <= c[0] <= max(a[0], b[0]) and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-
-
 def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
     abx, aby = b[0] - a[0], b[1] - a[1]
     apx, apy = p[0] - a[0], p[1] - a[1]
@@ -184,34 +167,74 @@ def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
     return math.hypot(p[0] - (a[0] + t * abx), p[1] - (a[1] + t * aby))
 
 
-def _path_hits(shape: Wall | Disc, p1: Point, p2: Point) -> bool:
-    if isinstance(shape, Wall):
-        return _segments_intersect(p1, p2, (shape.x1, shape.y1), (shape.x2, shape.y2))
-    return _point_segment_distance((shape.x, shape.y), p1, p2) <= shape.radius
-
-
 def _endpoint_distance(shape: Wall | Disc, p: Point) -> float:
     if isinstance(shape, Wall):
         return _point_segment_distance(p, (shape.x1, shape.y1), (shape.x2, shape.y2))
     return max(0.0, math.hypot(p[0] - shape.x, p[1] - shape.y) - shape.radius)
 
 
-def crossed_obstacles(p1: Point, p2: Point, obstacles: Sequence[Obstacle]) -> list[Obstacle]:
-    """Obstacles whose geometry intersects the straight path p1 -> p2.
+def _crossed_walls(sources: Sequence[Point], rx: Point, walls: Sequence[Wall]) -> list[tuple[int, int]]:
+    """(source, wall) index pairs whose path source -> rx intersects the wall,
+    collinear touches included, in row-major order.
 
-    Near-field-only materials count only when an endpoint lies within their
-    near-field distance of the obstacle.
+    Each orientation is (b0 - a0) * (c1 - a1) - (b1 - a1) * (c0 - a0) and
+    each bounding-box test uses <=, as elementwise float64 operations, so every
+    result matches the same test run one pair at a time in Python floats.
     """
-    hit = []
-    for ob in obstacles:
-        if not _path_hits(ob.shape, p1, p2):
-            continue
-        near = ob.effective_near_field_m()
-        if near is not None:
-            if min(_endpoint_distance(ob.shape, p1), _endpoint_distance(ob.shape, p2)) > near:
+    s = np.array(sources, dtype=float).reshape(-1, 2)
+    sx, sy = s[:, :1], s[:, 1:]  # one row per source
+    ax, ay, bx, by = np.array([(w.x1, w.y1, w.x2, w.y2) for w in walls], dtype=float).T  # one column per wall
+    rx0, rx1 = rx
+    wx, wy = bx - ax, by - ay  # each wall's b - a
+    px, py = rx0 - sx, rx1 - sy  # each path's b - a
+    d1 = wx * (sy - ay) - wy * (sx - ax)  # the source against the wall
+    d2 = wx * (rx1 - ay) - wy * (rx0 - ax)  # the receiver against the wall
+    d3 = px * (ay - sy) - py * (ax - sx)  # the wall's ends against the path
+    d4 = px * (by - sy) - py * (bx - sx)
+    hit = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+    z1, z2, z3, z4 = d1 == 0, d2 == 0, d3 == 0, d4 == 0
+    if z1.any() or z2.any() or z3.any() or z4.any():
+        # collinear touches count as a crossing: a zero orientation whose point lies in the other segment's box
+        wx0, wx1, wy0, wy1 = np.minimum(ax, bx), np.maximum(ax, bx), np.minimum(ay, by), np.maximum(ay, by)
+        px0, px1, py0, py1 = np.minimum(sx, rx0), np.maximum(sx, rx0), np.minimum(sy, rx1), np.maximum(sy, rx1)
+        hit |= z1 & (wx0 <= sx) & (sx <= wx1) & (wy0 <= sy) & (sy <= wy1)
+        hit |= z2 & (wx0 <= rx0) & (rx0 <= wx1) & (wy0 <= rx1) & (rx1 <= wy1)
+        hit |= z3 & (px0 <= ax) & (ax <= px1) & (py0 <= ay) & (ay <= py1)
+        hit |= z4 & (px0 <= bx) & (bx <= px1) & (py0 <= by) & (by <= py1)
+    rows, cols = np.nonzero(hit)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def crossed_obstacles(sources: Sequence[Point], rx: Point, obstacles: Sequence[Obstacle]) -> list[list[Obstacle]]:
+    """Per source, the obstacles whose geometry intersects the straight path
+    source -> rx, in obstacle order.
+
+    Every path is tested against every wall at once; discs are tested one
+    path at a time. Near-field-only materials count only when an endpoint
+    lies within their near-field distance of the obstacle.
+    """
+    hits: list[set[int]] = [set() for _ in sources]
+    walls = [k for k, ob in enumerate(obstacles) if isinstance(ob.shape, Wall)]
+    if walls and sources:
+        for i, w in _crossed_walls(sources, rx, [obstacles[k].shape for k in walls]):
+            hits[i].add(walls[w])
+    for k, ob in enumerate(obstacles):
+        shape = ob.shape
+        if isinstance(shape, Disc):
+            for p, hit in zip(sources, hits):
+                if _point_segment_distance((shape.x, shape.y), p, rx) <= shape.radius:
+                    hit.add(k)
+    crossed = []
+    for p, hit in zip(sources, hits):
+        kept = []
+        for k in sorted(hit):
+            ob = obstacles[k]
+            near = ob.effective_near_field_m()
+            if near is not None and min(_endpoint_distance(ob.shape, p), _endpoint_distance(ob.shape, rx)) > near:
                 continue
-        hit.append(ob)
-    return hit
+            kept.append(ob)
+        crossed.append(kept)
+    return crossed
 
 
 @dataclass(frozen=True)
@@ -230,10 +253,13 @@ class RadioPath:
         return loss
 
 
-def radio_path(p1: Point, p2: Point, obstacles: Sequence[Obstacle], table: Mapping[Material, float]) -> RadioPath:
-    """The path p1 -> p2 through the obstacles, with losses from the material table."""
-    crossed = crossed_obstacles(p1, p2, obstacles)
-    return RadioPath(math.hypot(p2[0] - p1[0], p2[1] - p1[1]), tuple(ob.effective_loss_db(table) for ob in crossed))
+def radio_paths(sources: Sequence[Point], rx: Point, obstacles: Sequence[Obstacle],
+                table: Mapping[Material, float]) -> list[RadioPath]:
+    """The path from each source to rx through the obstacles, with losses from
+    the material table, placed in one `crossed_obstacles` call."""
+    crossed = crossed_obstacles(sources, rx, obstacles)
+    return [RadioPath(math.hypot(rx[0] - p[0], rx[1] - p[1]), tuple(ob.effective_loss_db(table) for ob in hit))
+            for p, hit in zip(sources, crossed)]
 
 
 @dataclass(frozen=True)
@@ -304,7 +330,8 @@ class Reception:
     and path bound. What tx powers, enabled flags, activity factors, influence
     radii and calibration constants cannot change is computed once: the link
     loss at the victim centre and, per interferer that overlaps the victim,
-    its path loss at its own centre, overlap fraction and offset."""
+    its overlap fraction and offset. Each interferer's path loss at its own
+    centre comes computed at placement, once for every victim channel."""
 
     link_loss_db: float  # at the victim centre
     channels: tuple[ChannelSpec, ...]  # every bound interferer's channel, in order
@@ -315,21 +342,22 @@ class Reception:
 
     @classmethod
     def bind(cls, link: RadioPath, victim: ChannelSpec,
-             interferers: Sequence[tuple[ChannelSpec, RadioPath]]) -> "Reception":
-        """Bind the link and each (interferer channel, path to the receiver) to the victim channel."""
+             interferers: Sequence[tuple[ChannelSpec, RadioPath, float]]) -> "Reception":
+        """Bind the link and each interferer to the victim channel. An interferer
+        comes as placed: (its channel, its path to the receiver, that path's loss
+        at the channel's centre)."""
         if victim.standard is not RadioStandard.WPAN_154:
             raise ParameterError("victim channel must be an 802.15.4 channel")
         center, width = victim.center_mhz, victim.occupied_bw_mhz
         low, high = center - width / 2.0, center + width / 2.0
         overlapping = []
-        for index, (channel, path) in enumerate(interferers):
+        for index, (channel, path, loss_db) in enumerate(interferers):
             # spectral_overlap(victim, channel), inlined: bind runs per channel of every scan
             half = channel.occupied_bw_mhz / 2.0
             overlap = min(high, channel.center_mhz + half) - max(low, channel.center_mhz - half)
             if overlap > 0.0:
-                overlapping.append((index, path.distance_m, path.loss_db(channel.center_mhz),
-                                    overlap / width, center - channel.center_mhz))
-        return cls(link.loss_db(center), tuple([channel for channel, _ in interferers]), tuple(overlapping))
+                overlapping.append((index, path.distance_m, loss_db, overlap / width, center - channel.center_mhz))
+        return cls(link.loss_db(center), tuple([channel for channel, _, _ in interferers]), tuple(overlapping))
 
     def success_prob(self, tx_power_dbm: float, interferers: Sequence[Interferer],
                      calibration: InterferenceCalibration | None = None) -> float:

@@ -25,6 +25,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -142,6 +143,9 @@ class SensorState:
         if self.wake_period_s <= 0:
             raise ParameterError(f"wake_period_s must be positive, got {self.wake_period_s}")
         # the frame's one-byte node id and 16-bit sequence number
+        for name in ("node_id", "seq"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 <= self.node_id <= 0xFF:
             raise ParameterError(f"node_id must be within [0, 255], got {self.node_id}")
         if not 0 <= self.seq <= 0xFFFF:
@@ -170,6 +174,11 @@ class TimelineInterval:
     t_start: float
     t_end: float
     mode: SensorMode
+
+    def __post_init__(self):
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end) and self.t_end >= self.t_start):
+            raise ParameterError(f"interval needs finite bounds with t_end >= t_start, "
+                                 f"got [{self.t_start}, {self.t_end}]")
 
 
 @dataclass

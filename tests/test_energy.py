@@ -1,5 +1,7 @@
 """Battery-life arithmetic and timeline energy integration."""
 
+import math
+
 import pytest
 
 from bsnsim.energy import (
@@ -100,6 +102,13 @@ class TestSimulateEnergy:
         hour_sleep = [TimelineInterval(0.0, 3600.0, SensorMode.SLEEP)]
         with pytest.raises(ParameterError, match="n_frames must be a non-negative count, got -1000"):
             simulate_energy(hour_sleep, n_frames=-1000)
+
+    @pytest.mark.parametrize("t_start, t_end", [(10.0, 0.0), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
+                                                (-math.inf, 0.0)])
+    def test_reversed_or_non_finite_interval_rejected(self, t_start, t_end):
+        # a reversed interval used to report negative mAh, a NaN bound NaN mAh
+        with pytest.raises(ParameterError, match="interval needs finite bounds with t_end >= t_start"):
+            simulate_energy([TimelineInterval(t_start, t_end, SensorMode.ACTIVE)], 0)
 
     def test_empty_timeline(self):
         report = simulate_energy([], n_frames=0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rf_reference
 from bsnsim.errors import BsnsimError, ParameterError, ScenarioError
 from bsnsim.frames import FRAME_LEN, SensorFrame, crc16_ccitt
 from bsnsim.linksim import (
@@ -25,8 +26,9 @@ from bsnsim.linksim import (
     simulate_echo_runs,
 )
 from bsnsim.motion import ActivityKind, compose_schedule, generate_trace
-from bsnsim.rf import ChannelSpec
-from bsnsim.scenario import load_scenario, parse_scenario
+from bsnsim.rf import ChannelSpec, RadioPath, Wall
+from bsnsim.scenario import PRESET_NAMES, load_scenario, parse_scenario
+from bsnsim.selector import scan
 
 CLEAN = """
 name = clean
@@ -102,6 +104,66 @@ def test_direction_lacking_an_interferer_is_a_parameter_error():
     outbound = Direction.of(dataclasses.replace(scenario, interferers=without_oven), "base", "remote")
     with pytest.raises(ParameterError, match="direction has no path for interferer 'oven'"):
         direction_success_prob(scenario, outbound, ChannelSpec.wpan(20), -10.0)
+
+
+def test_direction_records_each_interferer_as_placed():
+    scenario = load_scenario("apartment_microwave")
+    outbound = Direction.of(scenario, "base", "remote")
+    rx = scenario.node("remote")
+    obstacles = list(scenario.obstacles.values())
+    for name, it in scenario.interferers.items():
+        channel, path, loss_db = outbound.interferers[name]
+        assert channel == it.channel
+        losses = tuple(ob.effective_loss_db(scenario.material_table())
+                       for ob in rf_reference.crossed_obstacles(it.position, rx, obstacles))
+        assert path == RadioPath(math.hypot(rx[0] - it.position[0], rx[1] - it.position[1]), losses)
+        assert loss_db == path.loss_db(it.channel.center_mhz)
+
+
+def _crowded(preset):
+    """A preset with sensor nodes on its interferers, on its obstacles' ends and centres, and on the base itself."""
+    scenario = load_scenario(preset)
+    spots = [it.position for it in scenario.interferers.values()] + [scenario.node("base")]
+    for ob in scenario.obstacles.values():
+        shape = ob.shape
+        spots += [(shape.x1, shape.y1), (shape.x2, shape.y2)] if isinstance(shape, Wall) else [(shape.x, shape.y)]
+    sensors = {f"sensor_{k}": spot for k, spot in enumerate(spots)}
+    return dataclasses.replace(scenario, nodes={**scenario.nodes, **sensors})
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_batched_uplinks_equal_directions_placed_alone(preset):
+    scenario = _crowded(preset)
+    names = sorted(scenario.nodes)
+    uplinks = Direction.to(scenario, names, "base")
+    assert uplinks == [Direction.of(scenario, name, "base") for name in names]
+    assert len({id(uplink.interferers) for uplink in uplinks}) == 1  # one placement of the interferers
+
+
+def test_scan_computes_each_interferer_loss_once_per_direction(monkeypatch):
+    scenario = load_scenario("apartment_microwave")
+    calls = []
+    loss_db = RadioPath.loss_db
+
+    def counting_loss_db(path, freq_mhz):
+        calls.append(freq_mhz)
+        return loss_db(path, freq_mhz)
+
+    monkeypatch.setattr(RadioPath, "loss_db", counting_loss_db)
+    scan(scenario)
+    # per direction: one per interferer at placement, then the link's loss at each of the 16 victim centres
+    assert len(calls) == 2 * (len(scenario.interferers) + 16)
+
+
+def test_direction_reused_with_an_interferer_on_another_channel_is_a_parameter_error():
+    scenario = load_scenario("apartment")
+    outbound = Direction.of(scenario, "base", "remote")
+    moved = dataclasses.replace(scenario.interferers["neighbor_ch1_a"], channel=ChannelSpec.wlan(6))
+    retuned = dataclasses.replace(scenario, interferers={**scenario.interferers, "neighbor_ch1_a": moved})
+    with pytest.raises(ParameterError, match="interferer 'neighbor_ch1_a' is on wlan channel 6 "
+                                             "but was placed on wlan channel 1"):
+        direction_success_prob(retuned, outbound, ChannelSpec.wpan(12), -10.0)
+    assert direction_success_prob(retuned, Direction.of(retuned, "base", "remote"), ChannelSpec.wpan(12), -10.0) > 0
 
 
 def test_determinism():

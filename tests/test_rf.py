@@ -26,13 +26,23 @@ from bsnsim.rf import (
     Wall,
     channel_center_freq,
     crossed_obstacles,
-    radio_path,
+    radio_paths,
     spectral_overlap,
 )
 
 
+def _placed(channel, path):
+    """An interferer as placement leaves it: (channel, path, path loss at the channel's centre)."""
+    return channel, path, path.loss_db(channel.center_mhz)
+
+
+def _radio_path(p1, p2, obstacles, table=DEFAULT_MATERIAL_LOSS_DB):
+    [path] = radio_paths([p1], p2, obstacles, table)
+    return path
+
+
 def _bind_then_evaluate(tx_power_dbm, link, victim, pairs):
-    reception = Reception.bind(link, victim, [(it.channel, path) for it, path in pairs])
+    reception = Reception.bind(link, victim, [_placed(it.channel, path) for it, path in pairs])
     return reception.success_prob(tx_power_dbm, [it for it, _ in pairs])
 
 
@@ -105,14 +115,15 @@ class TestPathLoss:
         brick = Obstacle(Material.BRICK, Wall(2, -1, 2, 1))
         glass = Obstacle(Material.GLASS, Wall(4, -1, 4, 1), loss_db=7.0)
         far = Obstacle(Material.CONCRETE, Wall(20, -1, 20, 1))
-        path = radio_path((0, 0), (3, 4), [], DEFAULT_MATERIAL_LOSS_DB)
-        assert path == RadioPath(5.0, ())
-        path = radio_path((0, 0), (10, 0), [glass, far, brick], {**DEFAULT_MATERIAL_LOSS_DB, Material.BRICK: 4.0})
-        assert path == RadioPath(10.0, (7.0, 4.0))
+        assert _radio_path((0, 0), (3, 4), []) == RadioPath(5.0, ())
+        paths = radio_paths([(0, 0), (10, 3), (3, 0)], (10, 0), [glass, far, brick],
+                            {**DEFAULT_MATERIAL_LOSS_DB, Material.BRICK: 4.0})
+        assert paths == [RadioPath(10.0, (7.0, 4.0)), RadioPath(3.0, ()), RadioPath(7.0, (7.0,))]
+        assert radio_paths([], (10, 0), [glass, far, brick], DEFAULT_MATERIAL_LOSS_DB) == []
 
     def test_aluminum_kills_link(self):
         wall = Obstacle(Material.ALUMINUM_SIDING, Wall(-5, -5, -5, 5))
-        link = radio_path((0, 0), (-10, 0), [wall], DEFAULT_MATERIAL_LOSS_DB)
+        link = _radio_path((0, 0), (-10, 0), [wall])
         assert -10.0 - link.loss_db(2450.0) < -92.0
         assert _bind_then_evaluate(-10.0, link, ChannelSpec.wpan(20), []) == 0.0
 
@@ -120,25 +131,21 @@ class TestPathLoss:
 class TestGeometry:
     def test_wall_crossing(self):
         wall = Obstacle(Material.DRYWALL, Wall(5, -5, 5, 5))
-        assert crossed_obstacles((0, 0), (10, 0), [wall]) == [wall]
-        assert crossed_obstacles((0, 0), (4, 0), [wall]) == []
-        assert crossed_obstacles((0, 6), (10, 6), [wall]) == []
+        assert crossed_obstacles([(0, 0), (4, 0), (10, 6)], (10, 0), [wall]) == [[wall], [wall], []]
+        assert crossed_obstacles([(0, 0)], (4, 0), [wall]) == [[]]
+        assert crossed_obstacles([(0, 6)], (10, 6), [wall]) == [[]]
 
     def test_disc_crossing(self):
         disc = Obstacle(Material.METAL_APPLIANCE, Disc(5, 0, 1.0))
-        assert crossed_obstacles((0, 0), (10, 0), [disc]) == [disc]
-        assert crossed_obstacles((0, 2), (10, 2), [disc]) == []
+        assert crossed_obstacles([(0, 0), (0, 2)], (10, 0), [disc]) == [[disc], [disc]]
+        assert crossed_obstacles([(0, 2)], (10, 2), [disc]) == [[]]
 
     def test_plant_near_field_rule(self):
         plant = Obstacle(Material.PLANT_FOLIAGE, Disc(5, 0, 0.3))
         # endpoint within 0.5 m of the foliage: counts
-        assert crossed_obstacles((0, 0), (5.5, 0), [plant]) == [plant]
+        assert crossed_obstacles([(0, 0)], (5.5, 0), [plant]) == [[plant]]
         # same crossing geometry but both endpoints far away: ignored
-        assert crossed_obstacles((0, 0), (10, 0), [plant]) == []
-
-
-def _crossed(sources, rx, obstacles):
-    return [crossed_obstacles(p, rx, obstacles) for p in sources]
+        assert crossed_obstacles([(0, 0)], (10, 0), [plant]) == [[]]
 
 
 _MATERIALS = st.sampled_from([Material.DRYWALL, Material.BRICK, Material.PLANT_FOLIAGE])
@@ -152,17 +159,22 @@ _GRID = st.tuples(st.integers(-3, 3).map(float), st.integers(-3, 3).map(float))
 @st.composite
 def _grid_cases(draw):
     """Paths to one receiver and obstacles with every coordinate on an integer
-    grid, so orientations are exactly 0 as often as not: walls through and
-    ending at the nodes, zero-length walls and walls collinear with a path."""
+    grid (or half-way between two grid points, still exact), so orientations
+    are exactly 0 as often as not: walls through and ending at the nodes,
+    walls ending half-way along a path, zero-length walls and walls collinear
+    with a path, each with its ends in either order."""
     rx = draw(_GRID)
     sources = draw(st.lists(_GRID, max_size=4))
     nodes = [rx, *sources]
     obstacles = []
     for _ in range(draw(st.integers(0, 6))):
-        kind = draw(st.sampled_from(["free", "from_node", "zero_length", "through_node", "collinear", "disc"]))
+        kind = draw(st.sampled_from(["free", "from_node", "on_path", "zero_length", "through_node", "collinear",
+                                     "disc"]))
         node, a, b = draw(st.sampled_from(nodes)), draw(_GRID), draw(_GRID)
         if kind == "from_node":
             a = node
+        elif kind == "on_path":
+            a = ((node[0] + rx[0]) / 2.0, (node[1] + rx[1]) / 2.0)
         elif kind == "zero_length":
             a = b = draw(st.sampled_from([a, node]))
         elif kind == "through_node":
@@ -171,6 +183,8 @@ def _grid_cases(draw):
             s, t = draw(st.integers(-2, 3)), draw(st.integers(-2, 3))
             a = (node[0] + s * (rx[0] - node[0]), node[1] + s * (rx[1] - node[1]))
             b = (node[0] + t * (rx[0] - node[0]), node[1] + t * (rx[1] - node[1]))
+        if draw(st.booleans()):
+            a, b = b, a
         shape = Disc(*a, float(draw(st.integers(0, 2)))) if kind == "disc" else Wall(*a, *b)
         obstacles.append(Obstacle(draw(_MATERIALS), shape, near_field_m=draw(_NEAR_FIELDS)))
     return sources, rx, obstacles
@@ -181,7 +195,7 @@ class TestCrossingMatchesReference:
 
     @staticmethod
     def _check(sources, rx, obstacles):
-        got = _crossed(sources, rx, obstacles)
+        got = crossed_obstacles(sources, rx, obstacles)
         expected = [rf_reference.crossed_obstacles(p, rx, obstacles) for p in sources]
         assert [[id(ob) for ob in hits] for hits in got] == [[id(ob) for ob in hits] for hits in expected]
 
@@ -198,6 +212,11 @@ class TestCrossingMatchesReference:
     @example(case=([(1.0, 0.0)], (0.0, 0.0), [Obstacle(Material.DRYWALL, Wall(2.0, 0.0, -1.0, 0.0))]))
     @example(case=([(1.0, 1.0)], (0.0, 0.0), [Obstacle(Material.DRYWALL, Wall(1.0, 1.0, 1.0, 1.0))]))
     @example(case=([(1.0, 1.0)], (0.0, 0.0), [Obstacle(Material.DRYWALL, Wall(2.0, 2.0, 3.0, 3.0))]))
+    # a path that only touches a wall: from inside it, into it, or with a wall's end on the path
+    @example(case=([(0.0, 0.0)], (1.0, 0.0), [Obstacle(Material.DRYWALL, Wall(0.0, -1.0, 0.0, 1.0))]))
+    @example(case=([(1.0, 0.0)], (0.0, 0.0), [Obstacle(Material.DRYWALL, Wall(0.0, -1.0, 0.0, 1.0))]))
+    @example(case=([(0.0, 0.0)], (2.0, 0.0), [Obstacle(Material.DRYWALL, Wall(1.0, -1.0, 1.0, 0.0))]))
+    @example(case=([(0.0, 0.0)], (2.0, 0.0), [Obstacle(Material.DRYWALL, Wall(1.0, 0.0, 1.0, -1.0))]))
     def test_integer_grid(self, case):
         self._check(*case)
 
@@ -220,7 +239,7 @@ class TestMessageSuccess:
 
     def _interferer(self, af=0.5, power=15.0, pos=(5.0, 1.0), enabled=True):
         it = Interferer(ChannelSpec.wlan(6), pos, power, af, enabled=enabled)
-        return it, radio_path(it.position, self.RX, [], DEFAULT_MATERIAL_LOSS_DB)
+        return it, _radio_path(it.position, self.RX, [])
 
     def test_monotone_in_activity_factor(self):
         victim = ChannelSpec.wpan(17)
@@ -249,7 +268,7 @@ class TestMessageSuccess:
 
     def test_influence_radius(self):
         oven = Interferer(ChannelSpec.microwave_oven(), (20.0, 0.0), 0.0, 0.5, influence_radius_m=2.0)
-        path = radio_path(oven.position, self.RX, [], DEFAULT_MATERIAL_LOSS_DB)
+        path = _radio_path(oven.position, self.RX, [])
         p = _bind_then_evaluate(0.0, self.LINK, ChannelSpec.wpan(20), [(oven, path)])
         assert p == 1.0
 
@@ -263,7 +282,7 @@ class TestMessageSuccess:
 
     def test_oven_peaks_at_2450(self):
         oven = Interferer(ChannelSpec.microwave_oven(), (5.2, 0.0), -30.0, 0.5, influence_radius_m=2.0)
-        pair = (oven, radio_path(oven.position, self.RX, [], DEFAULT_MATERIAL_LOSS_DB))
+        pair = (oven, _radio_path(oven.position, self.RX, []))
         probs = {ch: _bind_then_evaluate(-10.0, self.LINK, ChannelSpec.wpan(ch), [pair]) for ch in (19, 20, 21)}
         assert probs[20] < probs[19]
         assert probs[20] < probs[21]
@@ -308,7 +327,7 @@ class TestReceptionMatchesReference:
            channels=st.lists(_CHANNELS, min_size=1, max_size=6))
     def test_bind_once_evaluate_many(self, data, victim, link, channels):
         paths = [data.draw(_PATHS) for _ in channels]
-        reception = Reception.bind(link, victim, list(zip(channels, paths)))
+        reception = Reception.bind(link, victim, [_placed(channel, path) for channel, path in zip(channels, paths)])
         for _ in range(3):  # one binding serves every setting, as in the calibration fit
             interferers = data.draw(_settings(channels))
             tx_power_dbm = data.draw(st.floats(-40.0, 30.0))
@@ -326,7 +345,7 @@ class TestReceptionMatchesReference:
         for victim in (ChannelSpec.wpan(i) for i in WPAN_INDEX_RANGE):
             for k, channel in enumerate(channels):
                 path = RadioPath(0.5 + 0.37 * k, (0.5,) * (k % 3))
-                reception = Reception.bind(link, victim, [(channel, path)])
+                reception = Reception.bind(link, victim, [_placed(channel, path)])
                 for power in range(-30, 31, 4):
                     for af in (1.0, 0.61):
                         it = Interferer(channel, (0.0, 0.0), power + 0.1 * k, af)
@@ -343,7 +362,7 @@ class TestReceptionMatchesReference:
                  (live, near)]
         for tx_power_dbm, link in ((0.0, RadioPath(5.0, ())), (-10.0, RadioPath(1.0, (100.0,)))):
             expected = rf_reference.message_success_prob(tx_power_dbm, link, victim, pairs)
-            got = Reception.bind(link, victim, [(it.channel, path) for it, path in pairs]).success_prob(
+            got = Reception.bind(link, victim, [_placed(it.channel, path) for it, path in pairs]).success_prob(
                 tx_power_dbm, [it for it, _ in pairs])
             assert got == expected
         assert 0.0 < rf_reference.message_success_prob(0.0, RadioPath(5.0, ()), victim, pairs) < 1.0
@@ -352,7 +371,7 @@ class TestReceptionMatchesReference:
         victim, link = ChannelSpec.wpan(20), RadioPath(5.0, ())
         oven = Interferer(ChannelSpec.microwave_oven(), (0.0, 0.0), -20.0, 0.5, influence_radius_m=2.0)
         pairs = [(oven, RadioPath(2.0, ()))]  # exactly at the influence radius: it counts
-        reception = Reception.bind(link, victim, [(oven.channel, RadioPath(2.0, ()))])
+        reception = Reception.bind(link, victim, [_placed(oven.channel, RadioPath(2.0, ()))])
         tx_power_dbm = link.loss_db(victim.center_mhz) + RECEIVER_SENSITIVITY_DBM
         for _ in range(3):
             tx_power_dbm = math.nextafter(tx_power_dbm, -math.inf)
@@ -365,7 +384,8 @@ class TestReceptionMatchesReference:
         assert probs[0] == 0.0 and 0.0 < probs[-1] < 1.0
 
     def test_interferer_on_another_channel_rejected(self):
-        bound = Reception.bind(RadioPath(5.0, ()), ChannelSpec.wpan(12), [(ChannelSpec.wlan(1), RadioPath(3.0, ()))])
+        bound = Reception.bind(RadioPath(5.0, ()), ChannelSpec.wpan(12),
+                               [_placed(ChannelSpec.wlan(1), RadioPath(3.0, ()))])
         equal = Interferer(ChannelSpec.wlan(1), (0.0, 0.0), 15.0, 0.5)  # an equal channel, not the bound object
         assert bound.success_prob(0.0, [equal]) == rf_reference.message_success_prob(
             0.0, RadioPath(5.0, ()), ChannelSpec.wpan(12), [(equal, RadioPath(3.0, ()))])

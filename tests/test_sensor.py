@@ -360,6 +360,12 @@ class TestReplayMatchesStep:
             with pytest.raises(ParameterError, match=f"{name} must be within"):
                 initial_state(**{name: value})
 
+    def test_non_integer_frame_fields_rejected(self):
+        # a float node id used to fail only when its frame was encoded, a float seq inside the replay
+        for name, value in (("node_id", 1.5), ("node_id", 1.0), ("seq", 2.5), ("seq", "2")):
+            with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+                initial_state(**{name: value})
+
     def test_non_finite_state_time_rejected(self):
         for name in ("wake_period_s", "time_s", "next_sample_at_s", "last_sample_t_s"):
             with pytest.raises(ParameterError, match=name):
