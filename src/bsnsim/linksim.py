@@ -5,6 +5,10 @@ The echo protocol mirrors the two-module test bed: the base sends fixed
 as delivered only when the echoed copy returns before the timeout. Message
 airtime is 250 kbps plus 1 ms of fixed overhead; a lost round trip consumes
 exactly the timeout before the next message goes out.
+
+Placement is one `rf.radio_paths` call per receiver: a `Direction` places
+its link with every interferer's path, and a star run places every uplink to
+the base in one `Direction.to` call, whose directions share those paths.
 """
 
 from __future__ import annotations
