@@ -1,5 +1,7 @@
 """Trace generator contracts: envelopes, determinism, scheduling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,31 @@ def test_schedule_walk_then_run_envelope():
     first, second = total[:half], total[half:]
     assert ((first >= 0.9) & (first <= 1.3)).all()
     assert ((second > 1.3) | (second < 0.9)).any()
+
+
+# SHA-256 of the ax, ay and az bytes of generate_trace(kind, duration_s,
+# rate_hz, seed), fixed when every event jitter was its own rng.uniform call.
+# The 0.5 s falls and 2.0 s jumps have an event cut short at the trace end;
+# the 0.3 s jump at 10 Hz is a 3-sample segment, below the 5-sample event.
+MOTION_SHA256 = {
+    (ActivityKind.FALL, 4.0, 10.0, 3): "13947cbd9cfcf4c50d427056547c740a2539920db2e7a115d3f70e2d9921d772",
+    (ActivityKind.FALL, 0.5, 10.0, 5): "317106fe55c367cac2568d3814432dfc845709144d344c2219c778966648bd6b",
+    (ActivityKind.FALL, 4.0, 60.0, 3): "56abfec90427805481a9fd3beca8625e1df4c4d402d9d3293947148d5ae3544a",
+    (ActivityKind.FALL, 0.5, 60.0, 5): "12142657cc0f1fb346a411349adcb7fb37fb36ea3c9d01e5cc3f8816debd8ced",
+    (ActivityKind.FALL, 4.0, 100.0, 3): "009d0a145181572c5b90bba034fdaebfa8b47a48e4b6bc1bf498ffc1effc7195",
+    (ActivityKind.FALL, 0.5, 100.0, 5): "afd6c08c7d1878db60c963b713875e90a3e373dc1c0da2d860f45cf133120e85",
+    (ActivityKind.JUMP, 6.3, 10.0, 3): "9753614642c46879c6daf358dd340a8ca9c015836ef1b185dcf8649e223f8321",
+    (ActivityKind.JUMP, 2.0, 10.0, 8): "3e195d4f5fa81f69eb6ff04e846a8ea9fe8c31f03c0b00d700761551e7d7eafe",
+    (ActivityKind.JUMP, 6.3, 60.0, 3): "061cda23183bcb2dadb34ff2b7b476067d635ccb847665b6e3d26bea660e6658",
+    (ActivityKind.JUMP, 2.0, 60.0, 8): "cb3cb5702d025f4a04b1e8c710d25d376f9db2365ca4f5603d880daf48cdeb92",
+    (ActivityKind.JUMP, 6.3, 100.0, 3): "0b7ccaf5c5cc1b9a1949397b2cbe45fc61cc1984f1813a153f3d2ea1b9834c49",
+    (ActivityKind.JUMP, 2.0, 100.0, 8): "01f32f552dd5903d860991adb90347c31a49fc536e4d2c13043ea89e1ad78777",
+    (ActivityKind.JUMP, 0.3, 10.0, 4): "2425728e24ad6d7d02d349d3815e95736a840d48e438694015d71eb7c026c9ad",
+}
+
+
+@pytest.mark.parametrize("kind, duration_s, rate_hz, seed", MOTION_SHA256, ids=lambda v: getattr(v, "name", v))
+def test_event_traces_match_golden_bytes(kind, duration_s, rate_hz, seed):
+    trace = generate_trace(kind, duration_s, rate_hz, seed=seed)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (trace.ax, trace.ay, trace.az))).hexdigest()
+    assert digest == MOTION_SHA256[kind, duration_s, rate_hz, seed]
