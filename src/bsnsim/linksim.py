@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterError, ScenarioError
-from .frames import FRAME_LEN, SensorFrame, encode_frame
+# read_frame_log is here too for the callers that read logs through linksim
+from .frames import FRAME_LEN, LOG_MAGIC, SensorFrame, encode_frame, read_frame_log
 from .motion import AccelTrace
 from .rf import ChannelSpec, InterferenceCalibration, RadioPath, Reception, radio_paths
 from .scenario import Scenario
@@ -28,7 +30,6 @@ from .sensor import ReplayResult, initial_state, replay_trace
 
 TX_RATE_BPS = 250_000
 TX_OVERHEAD_MS = 1.0
-LOG_MAGIC = b"BSLOG1\x00\x00"
 MAC_CAPACITY = 0.9  # carrier-sense MAC defers cleanly below this offered load
 MESSAGE_LEN_CHARS = 32  # echo-test message length
 TIMEOUT_MS = 100.0  # a lost echo round trip costs exactly this
@@ -242,17 +243,6 @@ def run_star_network(
             delivered=len(delivered),
             stats=RunStats.from_counts([len(delivered)], max(1, len(frames))),
         )
-    logged.sort(key=lambda item: (item[0], item[1]))
+    logged.sort(key=itemgetter(0, 1))
     return StarResult(deliveries=deliveries, logged=logged)
 
-
-def read_frame_log(data: bytes) -> list[SensorFrame]:
-    """Decode a binary frame log, validating the magic and every CRC."""
-    from .frames import decode_frame
-
-    if not data.startswith(LOG_MAGIC):
-        raise ParameterError("not a frame log: bad magic header")
-    body = data[len(LOG_MAGIC):]
-    if len(body) % FRAME_LEN != 0:
-        raise ParameterError(f"frame log length {len(body)} is not a multiple of {FRAME_LEN}")
-    return [decode_frame(body[i : i + FRAME_LEN]) for i in range(0, len(body), FRAME_LEN)]

@@ -148,12 +148,15 @@ def _write_event(rng: np.random.Generator, n: int, start: int, samples) -> int:
     """Write one event from sample `start` on, stopping at the trace end.
 
     Each sample is a list of (axis array, level g, jitter g) writes; each
-    write draws a uniform jitter in list order. Returns the index after the
-    last sample written.
+    write adds a uniform jitter, drawn in list order in one call for the
+    whole event. Returns the index after the last sample written.
     """
-    for j, writes in zip(range(start, n), samples):
-        for axis, level, jitter in writes:
-            axis[j] = level + float(rng.uniform(-jitter, jitter))
+    written = samples[:max(0, n - start)]
+    jitters = np.array([jitter for writes in written for _, _, jitter in writes])
+    draws = iter(rng.uniform(-jitters, jitters).tolist())
+    for j, writes in enumerate(written, start):
+        for axis, level, _ in writes:
+            axis[j] = level + next(draws)
     return min(n, start + len(samples))
 
 

@@ -17,6 +17,11 @@ the one copy of the ADC model and the range ladder.
 `tests/sensor_reference.py` holds a one-sample-at-a-time reference that
 shares those helpers and that the tests require the kernel to match frame
 for frame, interval for interval and in its final state.
+
+`_frame` builds each frame with `frames._unchecked`, skipping the field
+checks of `SensorFrame`: `SensorState` has checked the node id, the sequence
+number and the timestamp are masked to their widths, `_quantize` clamps the
+codes to 0..65535 and the range indices are 0..3.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ParameterError
-from .frames import SensorFrame
+from .frames import SensorFrame, _unchecked
 from .motion import DEFAULT_RATE_HZ, AccelTrace, _require_rate
 
 ADC_FULL_SCALE = 65535
@@ -166,7 +171,7 @@ def _deviation(x: float, y: float, z: float) -> float:
 
 
 def _frame(node_id: int, seq: int, t: float, codes, range_codes) -> SensorFrame:
-    return SensorFrame(node_id, seq, int(round(t * 1000.0)) & 0xFFFFFFFF, codes, range_codes)
+    return _unchecked((node_id, seq, int(round(t * 1000.0)) & 0xFFFFFFFF, codes, range_codes))
 
 
 @dataclass(frozen=True)
