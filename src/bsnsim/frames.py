@@ -32,7 +32,7 @@ _HEADER = struct.Struct(">BHIHHHB")
 # One frame record as a numpy dtype, field for field the layout above.
 _RECORD = np.dtype([("node_id", "u1"), ("seq", ">u2"), ("timestamp_ms", ">u4"), ("codes", ">u2", (3,)),
                     ("ranges", "u1"), ("crc", ">u2")])
-# The range codes of every packed byte.
+# The (x, y, z) range codes carried by each value of the packed byte.
 _UNPACKED = tuple(((p >> 6) & 0x3, (p >> 4) & 0x3, (p >> 2) & 0x3) for p in range(256))
 
 

@@ -19,9 +19,10 @@ shares those helpers and that the tests require the kernel to match frame
 for frame, interval for interval and in its final state.
 
 `_frame` builds each frame with `frames._unchecked`, skipping the field
-checks of `SensorFrame`: `SensorState` has checked the node id, the sequence
-number and the timestamp are masked to their widths, `_quantize` clamps the
-codes to 0..65535 and the range indices are 0..3.
+checks of `SensorFrame`, because every field is in range by construction:
+`SensorState` checks the node id; the sequence number and the timestamp are
+masked to their widths; `_quantize` clamps the codes to 0..65535; the range
+indices are 0..3.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""Frame codec round trips and CRC behavior."""
+"""Frame codec round trips, CRC behavior and the frame log reader."""
 
+import re
 import struct
 
 import pytest
@@ -7,7 +8,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bsnsim.errors import FrameError
-from bsnsim.frames import FRAME_LEN, SensorFrame, crc16_ccitt, decode_frame, encode_frame
+from bsnsim.frames import (
+    FRAME_LEN,
+    LOG_MAGIC,
+    SensorFrame,
+    _unchecked,
+    crc16_ccitt,
+    decode_frame,
+    encode_frame,
+    read_frame_log,
+)
 
 
 def test_crc_known_vector():
@@ -72,6 +82,42 @@ def test_field_width_validation():
         SensorFrame(0, 0, 0, (0, 0, 0), (0, 0, 4))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((1.5, 0, 0, (0, 0, 0), (0, 0, 0)), "node_id must be an integer, got 1.5"),
+        ((0, 2.0, 0, (0, 0, 0), (0, 0, 0)), "seq must be an integer, got 2.0"),
+        ((0, 0, 3.0, (0, 0, 0), (0, 0, 0)), "timestamp_ms must be an integer, got 3.0"),
+        ((0, 0, 0, (0.5, 0, 0), (0, 0, 0)), "bad ADC codes: (0.5, 0, 0)"),
+        ((0, 0, 0, (0, 0, 0), (1.0, 0, 0)), "bad range codes: (1.0, 0, 0)"),
+    ],
+    ids=["node_id", "seq", "timestamp_ms", "codes", "range_codes"],
+)
+def test_fields_must_be_integers(fields, message):
+    # a float field would otherwise fail later, outside the bsnsim errors, in encode_frame
+    with pytest.raises(FrameError, match=f"^{re.escape(message)}$"):
+        SensorFrame(*fields)
+
+
+def test_make_and_replace_check_fields():
+    frame = SensorFrame(1, 2, 3, (4, 5, 6), (1, 2, 3))
+    assert SensorFrame._make(tuple(frame)) == frame
+    assert frame._replace(seq=9) == SensorFrame(1, 9, 3, (4, 5, 6), (1, 2, 3))
+    with pytest.raises(FrameError, match="node_id out of range: 256"):
+        SensorFrame._make((256, 2, 3, (4, 5, 6), (1, 2, 3)))
+    with pytest.raises(FrameError, match="bad range codes"):
+        frame._replace(range_codes=(0, 0, 4))
+    with pytest.raises(FrameError, match="seq must be an integer"):
+        frame._replace(seq=2.5)
+
+
+def test_frame_is_a_tuple_of_its_fields():
+    frame = SensorFrame(node_id=7, seq=513, timestamp_ms=123456789, codes=(1, 65535, 32768), range_codes=(0, 3, 2))
+    assert frame == (7, 513, 123456789, (1, 65535, 32768), (0, 3, 2))
+    assert repr(frame) == ("SensorFrame(node_id=7, seq=513, timestamp_ms=123456789, codes=(1, 65535, 32768), "
+                           "range_codes=(0, 3, 2))")
+
+
 _u16 = st.integers(0, 0xFFFF)
 _frames = st.builds(
     SensorFrame,
@@ -86,6 +132,40 @@ _frames = st.builds(
 @given(_frames)
 def test_random_frames_round_trip(frame):
     assert decode_frame(encode_frame(frame)) == frame
+
+
+@given(_frames)
+def test_unchecked_matches_checked_constructor(frame):
+    fields = tuple(frame)
+    unchecked = _unchecked(fields)
+    assert type(unchecked) is SensorFrame
+    assert unchecked == SensorFrame(*fields)
+    assert hash(unchecked) == hash(SensorFrame(*fields))
+    assert repr(unchecked) == repr(SensorFrame(*fields))
+
+
+@given(st.lists(_frames, max_size=12))
+def test_read_frame_log_matches_per_record_decode(frames):
+    body = b"".join(encode_frame(frame) for frame in frames)
+    decoded = read_frame_log(LOG_MAGIC + body)
+    assert decoded == [decode_frame(body[i : i + FRAME_LEN]) for i in range(0, len(body), FRAME_LEN)]
+    assert all(type(frame) is SensorFrame for frame in decoded)
+    assert all(type(v) is int for frame in decoded for v in (*frame[:3], *frame.codes, *frame.range_codes))
+
+
+@given(st.lists(_frames, min_size=1, max_size=8), st.data())
+def test_read_frame_log_reports_the_first_bad_record(frames, data):
+    body = bytearray(b"".join(encode_frame(frame) for frame in frames))
+    # one flipped byte in each of some records; the earliest of them is k
+    corrupted = data.draw(st.sets(st.integers(0, len(frames) - 1), min_size=1))
+    for record in corrupted:
+        body[record * FRAME_LEN + data.draw(st.integers(0, FRAME_LEN - 1))] ^= data.draw(st.integers(1, 0xFF))
+    k = min(corrupted)
+    bad = bytes(body[k * FRAME_LEN : (k + 1) * FRAME_LEN])
+    with pytest.raises(FrameError) as expected:
+        decode_frame(bad)
+    with pytest.raises(FrameError, match=f"^{re.escape(str(expected.value))}$"):
+        read_frame_log(LOG_MAGIC + bytes(body))
 
 
 # arbitrary bytes rarely carry a valid CRC, so half the buffers get one
