@@ -1,6 +1,7 @@
 """CLI surface: experiment outputs, exit codes, table export."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -111,6 +112,22 @@ def test_star_then_replay_log(tmp_path, capsys):
     lines = [l for l in out.splitlines() if l]
     assert lines[0].startswith("node_id,seq,")
     assert len(lines) > 1
+
+
+# SHA-256 of the files of the README star command with seed 1 and of its replay-log
+STAR_README_SHA256 = {
+    "frames.log": "961a15d2912d7cbcece3c2b3b86295bdcf1ad39cdf5deda120c0a36a5002b237",
+    "frames.csv": "e451a2b9ae6306905cec4d2fdfc43df6a5467f179e2e50c619b2abc175e50e68",
+    "replay.csv": "d9ce89a3dc570e3cbb3b3ae9f75ba7726cb065c005650044dfeddc7af4ae8028",
+}
+
+
+def test_star_frame_log_matches_golden_bytes(tmp_path, capsys):
+    assert main(["run", "star", "--scenario", "apartment", "--nodes", "3", "--duration", "30",
+                 "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert main(["replay-log", str(tmp_path / "frames.log"), "--out", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in STAR_README_SHA256}
+    assert digests == STAR_README_SHA256
 
 
 def test_calibrate_command(tmp_path, capsys):
