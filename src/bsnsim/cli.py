@@ -36,7 +36,8 @@ from .energy import (
     paper_components,
 )
 from .errors import BsnsimError
-from .linksim import EchoTestConfig, RunStats, read_frame_log, run_echo_test, run_star_network
+from .frames import read_frame_log
+from .linksim import EchoTestConfig, RunStats, run_echo_test, run_star_network
 from .motion import ActivityKind, compose_schedule, generate_trace
 from .rf import ChannelSpec, InterferenceCalibration, WPAN_INDEX_RANGE
 from .scenario import load_scenario

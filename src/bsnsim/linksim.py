@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, ScenarioError
-# read_frame_log is here too for the callers that read logs through linksim
-from .frames import FRAME_LEN, LOG_MAGIC, SensorFrame, encode_frame, read_frame_log
+# unused here, but bench/spans.py wraps linksim.encode_frame and linksim.read_frame_log
+from .frames import FRAME_LEN, SensorFrame, encode_frame, read_frame_log, write_frame_log
 from .motion import AccelTrace
 from .rf import ChannelSpec, InterferenceCalibration, RadioPath, Reception, radio_paths
 from .scenario import Scenario
@@ -186,7 +186,7 @@ class StarResult:
     logged: list[tuple[float, str, SensorFrame]] = field(default_factory=list)
 
     def log_bytes(self) -> bytes:
-        return LOG_MAGIC + b"".join(encode_frame(frame) for _, _, frame in self.logged)
+        return write_frame_log([frame for _, _, frame in self.logged])
 
 
 def run_star_network(

@@ -20,9 +20,10 @@ for frame, interval for interval and in its final state.
 
 `_frame` builds each frame with `frames._unchecked`, skipping the field
 checks of `SensorFrame`, because every field is in range by construction:
-`SensorState` checks the node id; the sequence number and the timestamp are
-masked to their widths; `_quantize` clamps the codes to 0..65535; the range
-indices are 0..3.
+`SensorState` checks the node id against `frames.NODE_ID_MAX`; the sequence
+number and the timestamp are masked with `frames.SEQ_MAX` and
+`frames.TIMESTAMP_MAX`, their widths; `_quantize` clamps the codes to
+0..65535; the range indices are 0..3.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ParameterError
-from .frames import SensorFrame, _unchecked
+from .frames import NODE_ID_MAX, SEQ_MAX, TIMESTAMP_MAX, SensorFrame, _unchecked
 from .motion import DEFAULT_RATE_HZ, AccelTrace, _require_rate
 
 ADC_FULL_SCALE = 65535
@@ -148,14 +149,13 @@ class SensorState:
                 raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.wake_period_s <= 0:
             raise ParameterError(f"wake_period_s must be positive, got {self.wake_period_s}")
-        # the frame's one-byte node id and 16-bit sequence number
-        for name in ("node_id", "seq"):
-            if not isinstance(getattr(self, name), Integral):
-                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not 0 <= self.node_id <= 0xFF:
-            raise ParameterError(f"node_id must be within [0, 255], got {self.node_id}")
-        if not 0 <= self.seq <= 0xFFFF:
-            raise ParameterError(f"seq must be within [0, 65535], got {self.seq}")
+        # the widths of the frame's node id and sequence number
+        for name, top in (("node_id", NODE_ID_MAX), ("seq", SEQ_MAX)):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            if not 0 <= value <= top:
+                raise ParameterError(f"{name} must be within [0, {top}], got {value}")
 
 
 def initial_state(**kwargs) -> SensorState:
@@ -172,7 +172,7 @@ def _deviation(x: float, y: float, z: float) -> float:
 
 
 def _frame(node_id: int, seq: int, t: float, codes, range_codes) -> SensorFrame:
-    return _unchecked((node_id, seq, int(round(t * 1000.0)) & 0xFFFFFFFF, codes, range_codes))
+    return _unchecked((node_id, seq, int(round(t * 1000.0)) & TIMESTAMP_MAX, codes, range_codes))
 
 
 @dataclass(frozen=True)
@@ -242,7 +242,7 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
         cz, kz = _quantize(az[i], r2)
         vx, vy, vz = _dequantize(cx, r0, kx), _dequantize(cy, r1, ky), _dequantize(cz, r2, kz)
         frames.append((now, _frame(node_id, seq, now, (cx, cy, cz), (r0, r1, r2))))
-        seq = (seq + 1) & 0xFFFF
+        seq = (seq + 1) & SEQ_MAX
         i += 1
         deviation = _deviation(vx, vy, vz)
         if active:

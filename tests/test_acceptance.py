@@ -21,9 +21,9 @@ from bsnsim.energy import (
     battery_life_hours,
     paper_components,
 )
+from bsnsim.frames import read_frame_log
 from bsnsim.linksim import (
     EchoTestConfig,
-    read_frame_log,
     run_echo_test,
     run_star_network,
     simulate_echo_runs,

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 import bsnsim
 from bsnsim import cli
 from bsnsim.cli import export_table, main
-from bsnsim.frames import SensorFrame, encode_frame
-from bsnsim.linksim import LOG_MAGIC, RunStats
+from bsnsim.frames import LOG_MAGIC, SensorFrame, encode_frame
+from bsnsim.linksim import RunStats
 from bsnsim.rf import InterferenceCalibration
 
 

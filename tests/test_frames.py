@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import frames_reference
 from bsnsim.errors import FrameError
 from bsnsim.frames import (
     FRAME_LEN,
@@ -17,6 +18,7 @@ from bsnsim.frames import (
     decode_frame,
     encode_frame,
     read_frame_log,
+    write_frame_log,
 )
 
 
@@ -29,24 +31,16 @@ def test_crc_empty_is_init():
     assert crc16_ccitt(b"") == 0xFFFF
 
 
-def _crc16_ccitt_false_bitwise(data: bytes) -> int:
-    """Reference CRC-16/CCITT-FALSE, one bit at a time: poly 0x1021, init 0xFFFF, no reflection."""
-    crc = 0xFFFF
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021 if crc & 0x8000 else crc << 1) & 0xFFFF
-    return crc
-
-
 @given(st.binary(max_size=64))
 def test_crc_matches_bitwise_reference(data):
-    assert crc16_ccitt(data) == _crc16_ccitt_false_bitwise(data)
+    assert crc16_ccitt(data) == frames_reference.crc16_ccitt_false(data)
 
 
 def test_round_trip_bit_exact():
     frame = SensorFrame(node_id=7, seq=513, timestamp_ms=123456789, codes=(1, 65535, 32768), range_codes=(0, 3, 2))
     assert decode_frame(encode_frame(frame)) == frame
+    # a longer buffer is read from its first byte
+    assert decode_frame(encode_frame(frame) + bytes(FRAME_LEN)) == frame
 
 
 def test_all_zero_frame():
@@ -61,7 +55,9 @@ def test_flipped_byte_rejected():
     for i in range(FRAME_LEN):
         corrupted = bytearray(buf)
         corrupted[i] ^= 0x40
-        with pytest.raises(FrameError):
+        computed = frames_reference.crc16_ccitt_false(bytes(corrupted[: FRAME_LEN - 2]))
+        carried = int.from_bytes(corrupted[FRAME_LEN - 2 :], "big")
+        with pytest.raises(FrameError, match=f"^CRC mismatch: computed {computed:#06x}, frame carries {carried:#06x}$"):
             decode_frame(bytes(corrupted))
 
 
@@ -97,6 +93,24 @@ def test_fields_must_be_integers(fields, message):
     # a float field would otherwise fail later, outside the bsnsim errors, in encode_frame
     with pytest.raises(FrameError, match=f"^{re.escape(message)}$"):
         SensorFrame(*fields)
+
+
+@pytest.mark.parametrize(
+    "codes, range_codes, message",
+    [
+        ([4, 5, 6], (1, 2, 3), "bad ADC codes: [4, 5, 6]"),
+        (5, (1, 2, 3), "bad ADC codes: 5"),
+        ((4, 5), (1, 2, 3), "bad ADC codes: (4, 5)"),
+        ((4, 5, 6), [1, 2, 3], "bad range codes: [1, 2, 3]"),
+        ((4, 5, 6), 3, "bad range codes: 3"),
+        ((4, 5, 6), range(3), "bad range codes: range(0, 3)"),
+    ],
+    ids=["codes_list", "codes_int", "codes_pair", "ranges_list", "ranges_int", "ranges_range"],
+)
+def test_codes_must_be_tuples_of_three(codes, range_codes, message):
+    # a list built a frame that could not be hashed and never equalled its decoded copy
+    with pytest.raises(FrameError, match=f"^{re.escape(message)}$"):
+        SensorFrame(1, 2, 3, codes, range_codes)
 
 
 def test_make_and_replace_check_fields():
@@ -142,6 +156,26 @@ def test_unchecked_matches_checked_constructor(frame):
     assert unchecked == SensorFrame(*fields)
     assert hash(unchecked) == hash(SensorFrame(*fields))
     assert repr(unchecked) == repr(SensorFrame(*fields))
+
+
+@given(_frames)
+def test_encode_matches_reference(frame):
+    assert encode_frame(frame) == frames_reference.encode_frame(frame)
+
+
+@given(st.lists(_frames, max_size=12))
+def test_frame_log_matches_reference_and_reads_back(frames):
+    log = write_frame_log(frames)
+    assert log == frames_reference.write_frame_log(frames)
+    decoded = read_frame_log(log)
+    assert decoded == frames
+    assert [type(frame) for frame in decoded] == [SensorFrame] * len(frames)
+    assert [repr(frame) for frame in decoded] == [repr(frame) for frame in frames]
+
+
+def test_empty_frame_log_is_the_magic():
+    assert write_frame_log([]) == frames_reference.write_frame_log([]) == LOG_MAGIC
+    assert read_frame_log(LOG_MAGIC) == []
 
 
 @given(st.lists(_frames, max_size=12))

@@ -11,16 +11,14 @@ from hypothesis import strategies as st
 
 import rf_reference
 from bsnsim.errors import BsnsimError, ParameterError, ScenarioError
-from bsnsim.frames import FRAME_LEN, SensorFrame, crc16_ccitt
+from bsnsim.frames import FRAME_LEN, LOG_MAGIC, SensorFrame, crc16_ccitt, read_frame_log
 from bsnsim.linksim import (
     Direction,
     EchoTestConfig,
-    LOG_MAGIC,
     MESSAGE_LEN_CHARS,
     TIMEOUT_MS,
     direction_success_prob,
     message_airtime_ms,
-    read_frame_log,
     run_echo_test,
     run_star_network,
     simulate_echo_runs,
