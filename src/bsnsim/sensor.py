@@ -8,21 +8,35 @@ sampling; each active sample re-selects the measurement range per axis for
 the next sample. After the movement stays below the threshold for the full
 inactivity window the node returns to sleep.
 
-`replay_trace()` is the node's one state machine: it runs a whole trace
-with one advance rule, jumping to the next sample that is due (the wake
-tick while asleep, the next sample instant while active), and one sample
-body for both modes. To advance one sample, replay a one-sample trace.
-Per axis, the body calls `_quantize`, `_dequantize` and `_next_index`,
-the one copy of the ADC model and the range ladder.
-`tests/sensor_reference.py` holds a one-sample-at-a-time reference that
-shares those helpers and that the tests require the kernel to match frame
-for frame, interval for interval and in its final state.
+`replay_trace()` is the node's one state machine. It advances by one rule,
+jumping to the next sample that is due (the wake tick while asleep, the
+next sample instant while active), and runs a trace one mode stretch at a
+time, in numpy:
 
-`_frame` builds each frame with `frames._unchecked`, skipping the field
+- asleep, it walks the wake ticks with the scalar rule, reads them all on
+  the lowest range in one call and wakes at the first reading past the
+  threshold;
+- active, it walks the due samples, solves each axis's range ladder,
+  reads the codes and values on those ranges in one call, walks the
+  inactivity timer over the deviations and falls asleep where the timer
+  reaches the window.
+
+A stretch is taken in chunks that double in size, so the work past a mode
+switch stays within the stretch's own length. `_read` is the one ADC
+model, elementwise: code, value read back and next range index. The
+ladder needs history only above 1 g (`_SETTLED_G`); `_ladder` reads those
+samples on all four ranges and walks them in order, one lookup each. To
+advance one sample, replay a one-sample trace.
+`tests/sensor_reference.py` holds a one-sample-at-a-time reference, with
+the scalar ADC helpers the kernel had before, that the tests require the
+kernel to match frame for frame, interval for interval and in its final
+state.
+
+`_emit` builds each frame with `frames._unchecked`, skipping the field
 checks of `SensorFrame`, because every field is in range by construction:
 `SensorState` checks the node id against `frames.NODE_ID_MAX`; the sequence
 number and the timestamp are masked with `frames.SEQ_MAX` and
-`frames.TIMESTAMP_MAX`, their widths; `_quantize` clamps the codes to
+`frames.TIMESTAMP_MAX`, their widths; `_read` clamps the codes to
 0..65535; the range indices are 0..3.
 """
 
@@ -32,6 +46,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import repeat
 from numbers import Integral
 
 import numpy as np
@@ -75,42 +90,79 @@ RANGE_LADDER = tuple(MeasurementRange)
 _RANGE_G = tuple(r.range_g for r in RANGE_LADDER)
 _SENSITIVITY = tuple(r.sensitivity_mv_per_g for r in RANGE_LADDER)
 _TOP = len(RANGE_LADDER) - 1
+# The same as arrays for the elementwise ADC model, with the sensitivity
+# also in V/g, and the range one step up.
+_SPAN = np.array(_RANGE_G)
+_MV_PER_G = np.array(_SENSITIVITY)
+_V_PER_G = _MV_PER_G / 1000.0
+_LADDER = np.arange(len(RANGE_LADDER))
+_UP = np.minimum(_LADDER + 1, _TOP)
+# A reading within 1 g comes back within 1.0002 g on every range (half an LSB
+# is at most 1.3e-4 g), inside the lowest span: its next range is the lowest,
+# whatever range it was read on. Only the ladder steps above it depend on history.
+_SETTLED_G = 1.0
+# Samples (asleep: wake ticks) in a stretch's first chunk; each further chunk
+# doubles, so the work past a mode switch stays within the stretch's length.
+_FIRST_CHUNK = 32
 
 
-def _quantize(a_g: float, idx: int) -> tuple[int, bool]:
-    """ADC code and clip flag of one axis on range index `idx`: the voltage
-    V_REF/2 + a * sensitivity, clamped to [0, V_REF], read as 0..65535; the
-    flag is set when |a| exceeds the range, whatever the ADC saturation."""
-    if not math.isfinite(a_g):
-        raise ParameterError(f"acceleration must be finite, got {a_g}")
-    v = V_REF / 2.0 + a_g * _SENSITIVITY[idx] / 1000.0
-    if v < 0.0:
-        v = 0.0
-    elif v > V_REF:
-        v = V_REF
-    return round(v / V_REF * ADC_FULL_SCALE), abs(a_g) > _RANGE_G[idx]
+def _read(acc, r):
+    """The ADC model, elementwise over accelerations `acc` (g) on range
+    indices `r`: the ADC code (an integral float), the value read back and
+    the next range index.
+
+    The voltage V_REF/2 + a * sensitivity, clamped to [0, V_REF], reads as
+    0..65535. A clipped reading (|a| beyond the span, whatever the ADC
+    saturation) reads back as the span with the voltage's sign. A clipped
+    reading, or a value read back beyond the span, steps up one range
+    (saturating at +/-6 g); otherwise the smallest range covering the value wins.
+    """
+    span = _SPAN[r]
+    volts = np.minimum(np.maximum(V_REF / 2.0 + acc * _MV_PER_G[r] / 1000.0, 0.0), V_REF)
+    code = np.rint(volts / V_REF * ADC_FULL_SCALE)
+    # the read-back voltage about mid-scale; a clipped reading at mid-scale counts as positive
+    centred = code / ADC_FULL_SCALE * V_REF - V_REF / 2.0
+    clipped = np.abs(acc) > span
+    value = np.where(clipped, np.copysign(span, centred), centred / _V_PER_G[r])
+    mag = np.abs(value)
+    return code, value, np.where(clipped | (mag > span), _UP[r], np.searchsorted(_SPAN, mag))
 
 
-def _dequantize(code: int, idx: int, clipped: bool) -> float:
-    """Invert the voltage model; a clipped reading saturates at the range bound."""
-    v = code / ADC_FULL_SCALE * V_REF
-    if clipped:
-        v_mid = V_REF / 2.0
-        return math.copysign(_RANGE_G[idx], v - v_mid if v != v_mid else 1.0)
-    return (v - V_REF / 2.0) / (_SENSITIVITY[idx] / 1000.0)
+def _ladder(acc, start) -> np.ndarray:
+    """Range index of each axis (rows of `acc`) at each of its m samples and
+    after the last, (3, m + 1), from the `start` ranges. Above `_SETTLED_G`
+    the next range depends on the current one, so those samples are read on
+    every range and walked in order, one table lookup each."""
+    ranges = np.zeros((3, acc.shape[1] + 1), dtype=np.intp)
+    ranges[:, 0] = start
+    axes, ks = np.nonzero(np.abs(acc) > _SETTLED_G)
+    if axes.size:
+        table = _read(acc[axes, ks][:, None], _LADDER)[2].tolist()
+        steps = []
+        last_axis = last_k = -1
+        for axis, k, row in zip(axes.tolist(), ks.tolist(), table):
+            if axis != last_axis or k != last_k + 1:
+                # the sample before was settled, or this is the axis's first
+                r = int(start[axis]) if k == 0 else 0
+            r = row[r]
+            steps.append(r)
+            last_axis, last_k = axis, k
+        ranges[axes, ks + 1] = steps
+    return ranges
 
 
-def _next_index(value_g: float, idx: int, clipped: bool) -> int:
-    """Next range index of one axis: a clipped reading, or one beyond the
-    current span, steps up one level (saturating at +/-6 g); otherwise the
-    smallest range covering the reading wins."""
-    mag = abs(value_g)
-    if clipped or mag > _RANGE_G[idx]:
-        return min(idx + 1, _TOP)
-    for k, span in enumerate(_RANGE_G):
-        if mag <= span:
-            return k
-    return _TOP
+def _deviation(values: np.ndarray) -> np.ndarray:
+    """Largest gravity-compensated axis magnitude (1 g removed from z) per sample."""
+    x, y, z = np.abs(values[0]), np.abs(values[1]), np.abs(values[2] - 1.0)
+    return np.maximum(np.maximum(x, y), z)
+
+
+def _require_finite(acc: np.ndarray) -> None:
+    """Raise at the first non-finite reading, in sample order, then x, y, z."""
+    if not np.isfinite(acc).all():
+        bad = ~np.isfinite(acc)
+        k = int(bad.any(axis=0).argmax())
+        raise ParameterError(f"acceleration must be finite, got {float(acc[int(bad[:, k].argmax()), k])}")
 
 
 class SensorMode(Enum):
@@ -166,13 +218,16 @@ def initial_state(**kwargs) -> SensorState:
     return state
 
 
-def _deviation(x: float, y: float, z: float) -> float:
-    """Largest gravity-compensated axis magnitude (1 g removed from z)."""
-    return max(abs(x), abs(y), abs(z - 1.0))
-
-
-def _frame(node_id: int, seq: int, t: float, codes, range_codes) -> SensorFrame:
-    return _unchecked((node_id, seq, int(round(t * 1000.0)) & TIMESTAMP_MAX, codes, range_codes))
+def _emit(frames: list, node_id: int, seq: int, t, codes: np.ndarray, range_codes) -> int:
+    """Append the (t, frame) pairs of samples read at times `t` with their
+    (3, m) ADC codes and per-sample range-code tuples; return the next seq.
+    Timestamps are taken modulo 2**32 while still floats, so they stay exact
+    at any time the state allows."""
+    stamps = np.mod(np.rint(t * 1000.0), TIMESTAMP_MAX + 1).astype(np.int64).tolist()
+    seqs = ((seq + np.arange(len(stamps))) & SEQ_MAX).tolist()
+    codes = zip(*codes.astype(np.int64).tolist())
+    frames.extend(zip(t.tolist(), map(_unchecked, zip(repeat(node_id), seqs, stamps, codes, range_codes))))
+    return (seq + len(stamps)) & SEQ_MAX
 
 
 @dataclass(frozen=True)
@@ -201,13 +256,14 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
 
     Sample i is taken at time_s + dt + ... + dt (i + 1 terms), summed in
     order. Asleep or active, the node jumps to the first due sample (the
-    first i with `times[i] + _TIME_EPS >= next_sample_at_s`), quantizes it
-    on the current ranges (the lowest while asleep) and emits its frame.
+    first i with `times[i] + _TIME_EPS >= next_sample_at_s`), reads it on
+    the current ranges (the lowest while asleep) and emits its frame.
     An active node then updates its inactivity timer and may fall asleep;
     a sleeping one wakes past the threshold or re-arms its wake tick; a
     node active after that steps its ranges and arms its next sample.
-    `tests/sensor_reference.py` advances the same node one sample at a
-    time and must give the same frames, intervals and final state.
+    The node runs one mode stretch at a time, each in chunks that double
+    in size. `tests/sensor_reference.py` advances the same node one sample
+    at a time and must give the same frames, intervals and final state.
     """
     n = len(trace)
     frames: list[tuple[float, SensorFrame]] = []
@@ -218,57 +274,97 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
     times = np.full(n + 1, dt)
     times[0] = state.time_s
     times = np.cumsum(times, out=times)[1:]
-    # float64 in native byte order, the one layout a memoryview reads as Python floats
-    columns = (times + _TIME_EPS, times, *(np.asarray(a, dtype=float) for a in (trace.ax, trace.ay, trace.az)))
+    wake = times + _TIME_EPS
+    # float64 in native byte order, one row per axis
+    acc = np.array([trace.ax, trace.ay, trace.az], dtype=float)
+    # the wake ticks and the due samples are walked on Python floats
+    wake_at, t_at = memoryview(wake), memoryview(times)
 
     node_id, threshold = state.node_id, state.activation_threshold_g
     wake_period, window = state.wake_period_s, state.inactivity_window_s
     period = 1.0 / state.sample_rate_hz
     active = state.mode is SensorMode.ACTIVE
-    r0, r1, r2 = (rng.code for rng in state.ranges)
+    ranges = np.array([rng.code for rng in state.ranges])
     timer, seq = state.low_activity_timer_s, state.seq
     next_at, last = state.next_sample_at_s, state.last_sample_t_s
     seg_start = state.time_s
-    # a sleeping node reads one sample per wake tick, an active one nearly every sample
-    wake, t, ax, ay, az = (c.tolist() if active else memoryview(c) for c in columns)
-    i = 0
+    i, size = 0, _FIRST_CHUNK
     while i < n:
-        if wake[i] < next_at:
-            i = bisect_left(wake, next_at, i)
-            continue
-        now = t[i]
-        cx, kx = _quantize(ax[i], r0)
-        cy, ky = _quantize(ay[i], r1)
-        cz, kz = _quantize(az[i], r2)
-        vx, vy, vz = _dequantize(cx, r0, kx), _dequantize(cy, r1, ky), _dequantize(cz, r2, kz)
-        frames.append((now, _frame(node_id, seq, now, (cx, cy, cz), (r0, r1, r2))))
-        seq = (seq + 1) & SEQ_MAX
-        i += 1
-        deviation = _deviation(vx, vy, vz)
         if active:
-            # no clamp at the window: a timer that reaches it is reset below
-            timer = timer + (now - last) if deviation < threshold else 0.0
-            active = timer < window
-            if not active:
-                r0 = r1 = r2 = 0
+            i = bisect_left(wake_at, next_at, i)
+            if i == n:
+                break
+            # the node stays up at least until its timer has run the rest of the window
+            stop = min(n, max(i + size, bisect_left(t_at, last + (window - timer), i)))
+            # the sample due after each: the first one past the sample interval, and not itself
+            after = np.arange(i + 1, stop + 1)
+            due = np.maximum(np.searchsorted(wake, times[i:stop] + period), after)
+            if np.array_equal(due, after):
+                idx, next_i = np.arange(i, stop), stop
+            else:
+                due, chain, next_i = due.tolist(), [], i
+                while next_i < stop:
+                    chain.append(next_i)
+                    next_i = due[next_i - i]
+                idx = np.array(chain)
+            a = acc[:, idx]
+            steps = _ladder(a, ranges)
+            codes, values, _ = _read(a, steps[:, :-1])
+            t = times[idx]
+            cut, asleep = len(idx), False
+            gaps = (t - np.concatenate(([last], t[:-1]))).tolist()
+            for k, (gap, quiet) in enumerate(zip(gaps, (_deviation(values) < threshold).tolist())):
+                # no clamp at the window: a timer that reaches it is reset below
+                timer = timer + gap if quiet else 0.0
+                if timer >= window:
+                    cut, asleep = k + 1, True
+                    break
+            _require_finite(a[:, :cut])
+            seq = _emit(frames, node_id, seq, t[:cut], codes[:, :cut], zip(*steps[:, :cut].tolist()))
+            last = t_at[idx[cut - 1]]
+            if asleep:
+                active = False
+                ranges = np.zeros_like(ranges)
                 timer = 0.0
-                next_at = now + wake_period
-                intervals.append(TimelineInterval(seg_start, now, SensorMode.ACTIVE))
-                seg_start = now
-        elif deviation > threshold:
-            active = True
-            timer = 0.0
-            intervals.append(TimelineInterval(seg_start, now, SensorMode.SLEEP))
-            seg_start = now
-            if isinstance(t, memoryview):
-                wake, t, ax, ay, az = (c.tolist() for c in columns)
+                next_at = last + wake_period
+                intervals.append(TimelineInterval(seg_start, last, SensorMode.ACTIVE))
+                seg_start = last
+                i, size = int(idx[cut - 1]) + 1, _FIRST_CHUNK
+            else:
+                ranges = steps[:, -1]
+                next_at = last + period
+                i, size = next_i, 2 * size
         else:
-            next_tick = next_at + wake_period
-            next_at = next_tick if next_tick > now + _TIME_EPS else now + wake_period
-        last = now
-        if active:
-            r0, r1, r2 = _next_index(vx, r0, kx), _next_index(vy, r1, ky), _next_index(vz, r2, kz)
-            next_at = now + period
+            # walk up to `size` wake ticks with the scalar rule
+            idx = []
+            while i < n and len(idx) < size:
+                if wake_at[i] < next_at:
+                    i = bisect_left(wake_at, next_at, i)
+                    continue
+                now = t_at[i]
+                next_tick = next_at + wake_period
+                next_at = next_tick if next_tick > now + _TIME_EPS else now + wake_period
+                idx.append(i)
+                i += 1
+            if not idx:
+                break
+            a = acc[:, idx]
+            codes, values, steps = _read(a, 0)
+            woke = np.flatnonzero(_deviation(values) > threshold)
+            cut = int(woke[0]) + 1 if woke.size else len(idx)
+            _require_finite(a[:, :cut])
+            seq = _emit(frames, node_id, seq, times[idx[:cut]], codes[:, :cut], repeat((0, 0, 0)))
+            last = t_at[idx[cut - 1]]
+            if woke.size:
+                active = True
+                timer = 0.0
+                ranges = steps[:, cut - 1]
+                next_at = last + period
+                intervals.append(TimelineInterval(seg_start, last, SensorMode.SLEEP))
+                seg_start = last
+                i, size = idx[cut - 1] + 1, _FIRST_CHUNK
+            else:
+                size *= 2
 
     end = float(times[-1])
     mode = SensorMode.ACTIVE if active else SensorMode.SLEEP
@@ -277,7 +373,7 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
     final_state = replace(
         state,
         mode=mode,
-        ranges=(RANGE_LADDER[r0], RANGE_LADDER[r1], RANGE_LADDER[r2]),
+        ranges=tuple(RANGE_LADDER[r] for r in ranges.tolist()),
         low_activity_timer_s=timer,
         seq=seq,
         time_s=end,

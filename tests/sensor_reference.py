@@ -2,10 +2,12 @@
 `bsnsim.sensor.replay_trace` is checked against.
 
 `step()` advances one `SensorState` by one sample, written as directly as
-the node's workflow reads. It shares the ADC and range-ladder helpers of
-`bsnsim.sensor`, so the differential tests compare the kernel's control
-flow (wake ticks, the activation and inactivity rules, the seq wrap, the
-sample timestamps), not two copies of one formula.
+the node's workflow reads. The scalar ADC and range-ladder helpers below
+(`_quantize`, `_dequantize`, `_next_index`, `_deviation`, `_frame`) are the
+kernel's former per-sample model, kept verbatim: the kernel reads whole
+stretches through its elementwise `_read`, so the differential tests check
+its control flow (wake ticks, the activation and inactivity rules, the seq
+wrap, the sample timestamps) and its formula against an independent copy.
 """
 
 from __future__ import annotations
@@ -13,20 +15,67 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import NamedTuple
 
+import math
+
 from bsnsim.errors import ParameterError
-from bsnsim.frames import SensorFrame
+from bsnsim.frames import TIMESTAMP_MAX, SensorFrame, _unchecked
 from bsnsim.sensor import (
+    _RANGE_G,
+    _SENSITIVITY,
     _SLEEP_RANGES,
     _TIME_EPS,
+    _TOP,
+    ADC_FULL_SCALE,
     RANGE_LADDER,
+    V_REF,
     SensorMode,
     SensorState,
-    _dequantize,
-    _deviation,
-    _frame,
-    _next_index,
-    _quantize,
 )
+
+
+def _quantize(a_g: float, idx: int) -> tuple[int, bool]:
+    """ADC code and clip flag of one axis on range index `idx`: the voltage
+    V_REF/2 + a * sensitivity, clamped to [0, V_REF], read as 0..65535; the
+    flag is set when |a| exceeds the range, whatever the ADC saturation."""
+    if not math.isfinite(a_g):
+        raise ParameterError(f"acceleration must be finite, got {a_g}")
+    v = V_REF / 2.0 + a_g * _SENSITIVITY[idx] / 1000.0
+    if v < 0.0:
+        v = 0.0
+    elif v > V_REF:
+        v = V_REF
+    return round(v / V_REF * ADC_FULL_SCALE), abs(a_g) > _RANGE_G[idx]
+
+
+def _dequantize(code: int, idx: int, clipped: bool) -> float:
+    """Invert the voltage model; a clipped reading saturates at the range bound."""
+    v = code / ADC_FULL_SCALE * V_REF
+    if clipped:
+        v_mid = V_REF / 2.0
+        return math.copysign(_RANGE_G[idx], v - v_mid if v != v_mid else 1.0)
+    return (v - V_REF / 2.0) / (_SENSITIVITY[idx] / 1000.0)
+
+
+def _next_index(value_g: float, idx: int, clipped: bool) -> int:
+    """Next range index of one axis: a clipped reading, or one beyond the
+    current span, steps up one level (saturating at +/-6 g); otherwise the
+    smallest range covering the reading wins."""
+    mag = abs(value_g)
+    if clipped or mag > _RANGE_G[idx]:
+        return min(idx + 1, _TOP)
+    for k, span in enumerate(_RANGE_G):
+        if mag <= span:
+            return k
+    return _TOP
+
+
+def _deviation(x: float, y: float, z: float) -> float:
+    """Largest gravity-compensated axis magnitude (1 g removed from z)."""
+    return max(abs(x), abs(y), abs(z - 1.0))
+
+
+def _frame(node_id: int, seq: int, t: float, codes, range_codes) -> SensorFrame:
+    return _unchecked((node_id, seq, int(round(t * 1000.0)) & TIMESTAMP_MAX, codes, range_codes))
 
 
 class AccelSample(NamedTuple):

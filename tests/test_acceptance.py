@@ -32,16 +32,8 @@ from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_t
 from bsnsim.rf import ChannelSpec, RadioStandard, channel_center_freq, spectral_overlap
 from bsnsim.scenario import load_scenario, parse_scenario
 from bsnsim.selector import ScanReport, adaptive_policy, scan, select_channel
-from bsnsim.sensor import (
-    RANGE_LADDER,
-    SensorMode,
-    SensorState,
-    _dequantize,
-    _next_index,
-    _quantize,
-    initial_state,
-    replay_trace,
-)
+from bsnsim.sensor import RANGE_LADDER, SensorMode, SensorState, initial_state, replay_trace
+from sensor_reference import _dequantize, _next_index, _quantize
 
 SEED = 42
 

@@ -1,5 +1,6 @@
 """Sensor node: quantization, range selection, and the sleep/wake workflow."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsnsim import sensor
 from bsnsim.errors import ParameterError
 from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_trace
 from bsnsim.sensor import (
@@ -17,56 +19,83 @@ from bsnsim.sensor import (
     SensorMode,
     SensorState,
     TimelineInterval,
-    _dequantize,
-    _next_index,
-    _quantize,
+    _read,
+    _require_finite,
     initial_state,
     replay_trace,
 )
-from sensor_reference import AccelSample, step
+from sensor_reference import AccelSample, _dequantize, _next_index, _quantize, step
 
 G1_5, G2_0 = MeasurementRange.G1_5.code, MeasurementRange.G2_0.code
 
 
+def _reference_read(a, r):
+    """The reference's ADC code, value read back, next range index and clip flag of one reading."""
+    code, clipped = _quantize(a, r)
+    value = _dequantize(code, r, clipped)
+    return code, value, _next_index(value, r, clipped), clipped
+
+
+def _read_both(a, r):
+    """One reading through the reference, after asserting that the kernel's `_read` gives the
+    same code, value (bit for bit) and next range index."""
+    expected = _reference_read(a, r)
+    code, value, nxt = _read(np.float64(a), r)
+    assert (float(code), float(value).hex(), int(nxt)) == (expected[0], expected[1].hex(), expected[2])
+    return expected
+
+
 class TestQuantize:
     def test_zero_g_mid_scale(self):
-        code, clipped = _quantize(0.0, G1_5)
+        code, _, _, clipped = _read_both(0.0, G1_5)
         assert abs(code - 32768) <= 1
         assert not clipped
 
     def test_one_g_at_low_range(self):
         # v = 3.3/2 + 1.0 * 0.8 = 2.45 V -> round(2.45/3.3 * 65535) = 48655
-        code, clipped = _quantize(1.0, G1_5)
+        code, _, _, clipped = _read_both(1.0, G1_5)
         assert code == 48655
         assert not clipped
 
     def test_beyond_range_clips(self):
-        assert _quantize(2.0, G1_5)[1]
-        assert _quantize(-2.0, G1_5)[1]
-        assert not _quantize(1.5, G1_5)[1]
+        assert _read_both(2.0, G1_5)[3]
+        assert _read_both(-2.0, G1_5)[3]
+        assert not _read_both(1.5, G1_5)[3]
 
     def test_non_finite_rejected(self):
         with pytest.raises(ParameterError):
             _quantize(float("nan"), G2_0)
         with pytest.raises(ParameterError):
             _quantize(float("inf"), G2_0)
+        # the kernel checks the (axis, sample) block it reads in the reference's order:
+        # sample by sample, then x, y, z
+        acc = np.array([[0.0, 0.0, np.nan], [0.0, -np.inf, 0.0], [1.0, np.nan, 1.0]])
+        with pytest.raises(ParameterError, match="acceleration must be finite, got -inf"):
+            _require_finite(acc)
 
     def test_round_trip_half_lsb(self):
-        code, clipped = _quantize(0.5, G2_0)
+        code, value, _, clipped = _read_both(0.5, G2_0)
         assert abs(_dequantize(code, G2_0, clipped) - 0.5) <= 6.3e-5
+        assert abs(value - 0.5) <= 6.3e-5
 
     def test_mid_scale_dequantizes_to_zero(self):
         for rng in RANGE_LADDER:
             assert abs(_dequantize(32768, rng.code, False)) < 1e-3
+            # 0 g lands on the half-code tie 32767.5, which rounds to the even 32768
+            code, value, _, _ = _read_both(0.0, rng.code)
+            assert code == 32768 and abs(value) < 1e-3
 
     def test_clipped_saturates_at_range(self):
         code, clipped = _quantize(2.4, G1_5)
         assert _dequantize(code, G1_5, clipped) == pytest.approx(1.5)
         code, clipped = _quantize(-2.4, G1_5)
         assert _dequantize(code, G1_5, clipped) == pytest.approx(-1.5)
+        assert _read_both(2.4, G1_5)[1] == 1.5
+        assert _read_both(-2.4, G1_5)[1] == -1.5
 
     def test_round_trip_property_10000(self):
         rng = np.random.default_rng(12)
+        accs, codes, half_lsbs = [], [], []
         for _ in range(10_000):
             meas_range = RANGE_LADDER[rng.integers(0, 4)]
             a = float(rng.uniform(-meas_range.range_g, meas_range.range_g))
@@ -74,6 +103,12 @@ class TestQuantize:
             code, clipped = _quantize(a, meas_range.code)
             assert not clipped
             assert abs(_dequantize(code, meas_range.code, clipped) - a) <= half_lsb_g
+            accs.append(a)
+            codes.append(meas_range.code)
+            half_lsbs.append(half_lsb_g)
+        # the kernel's model, all 10,000 readings in one call
+        _, values, _ = _read(np.array(accs), np.array(codes))
+        assert (np.abs(values - np.array(accs)) <= np.array(half_lsbs)).all()
 
 
 def _kernel_next_ranges(ranges, readings):
@@ -85,20 +120,27 @@ def _kernel_next_ranges(ranges, readings):
 
 
 class TestSelectRange:
+    # each hand value through the reference's `_next_index` and as a reading through `_read`
+
     def test_step_up_from_2g(self):
         assert _next_index(2.3, G2_0, False) == MeasurementRange.G4_0.code
+        assert _read_both(2.3, G2_0)[2] == MeasurementRange.G4_0.code
 
     def test_step_down_to_1_5(self):
         assert _next_index(1.2, G2_0, False) == G1_5
+        assert _read_both(1.2, G2_0)[2] == G1_5
 
     def test_minimal_stays(self):
         assert _next_index(0.5, G1_5, False) == G1_5
+        assert _read_both(0.5, G1_5)[2] == G1_5
 
     def test_saturates_at_6g(self):
         assert _next_index(9.0, MeasurementRange.G6_0.code, False) == MeasurementRange.G6_0.code
+        assert _read_both(9.0, MeasurementRange.G6_0.code)[2] == MeasurementRange.G6_0.code
 
     def test_one_step_at_a_time(self):
         assert _next_index(5.9, G1_5, False) == G2_0
+        assert _read_both(5.9, G1_5)[2] == G2_0
 
     def test_minimality_property(self):
         rng = np.random.default_rng(5)
@@ -127,6 +169,72 @@ class TestSelectRange:
                 for other in range(3):
                     if other != axis:
                         assert out[other] is base[other]
+
+
+def _boundary_readings():
+    """(acceleration, range index) pairs where a port of the ADC model is most likely to slip."""
+    cases = []
+    for rng in RANGE_LADDER:
+        for span in (rng.range_g, -rng.range_g):
+            # the span, and one ulp either side of it
+            cases += [(a, rng.code) for a in (span, np.nextafter(span, 0.0), np.nextafter(span, 2 * span))]
+        # where the next range depends on the current one
+        cases += [(1.49999, rng.code), (-1.49999, rng.code)]
+        cases += [(0.0, rng.code), (-0.0, rng.code)]
+    # the ADC clamps at 0 and V_REF on the lowest range
+    cases += [(2.0625, G1_5), (-2.0625, G1_5)]
+    return [(float(a), r) for a, r in cases]
+
+
+# Accelerations whose voltage scales to an exact half code on each range: 0 g lands on
+# 32767.5 (rounds up to even); the others on 20037.5 (up), 20074.5 or 20148.5 (down).
+_HALF_CODE_TIES = [
+    (0.0, G1_5), (-0.8012703135729001, G1_5), (-0.7989414053559166, G1_5),
+    (-1.0683604180972002, G2_0), (-1.0590447852292666, G2_0),
+    (-2.1367208361944003, MeasurementRange.G4_0.code), (-2.118089570458533, MeasurementRange.G4_0.code),
+    (-3.2050812542916005, MeasurementRange.G6_0.code), (-3.1957656214236665, MeasurementRange.G6_0.code),
+]
+
+
+class TestReadMatchesReference:
+    """The kernel's elementwise `_read` equals the reference's scalar helpers, bit for bit."""
+
+    @pytest.mark.parametrize("a, r", _boundary_readings())
+    def test_boundary_readings(self, a, r):
+        _read_both(a, r)
+
+    @pytest.mark.parametrize("a, r", _HALF_CODE_TIES)
+    def test_half_code_ties_round_to_even(self, a, r):
+        scaled = (3.3 / 2.0 + a * RANGE_LADDER[r].sensitivity_mv_per_g / 1000.0) / 3.3 * 65535
+        assert scaled % 1.0 == 0.5
+        assert _read_both(a, r)[0] % 2 == 0
+
+    def test_clamp_at_the_rails(self):
+        assert _read_both(2.0625, G1_5)[0] == 65535
+        assert _read_both(-2.0625, G1_5)[0] == 0
+
+    def test_history_dependent_step_at_1_49999(self):
+        # 1.49999 g stays on the 1.5 g range from it, and on the 2 g range from that
+        assert _read_both(1.49999, G1_5)[2] == G1_5
+        assert _read_both(1.49999, G2_0)[2] == G2_0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        readings=st.lists(
+            st.tuples(
+                st.one_of(st.floats(-10.0, 10.0), st.sampled_from([a for a, _ in _boundary_readings()])),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_elementwise_against_the_reference(self, readings):
+        accs, ranges = (np.array(column) for column in zip(*readings))
+        codes, values, nexts = _read(accs, ranges)
+        for (a, r), code, value, nxt in zip(readings, codes.tolist(), values.tolist(), nexts.tolist()):
+            expected = _reference_read(a, r)
+            assert (code, value.hex(), nxt) == (expected[0], expected[1].hex(), expected[2])
 
 
 class TestWorkflow:
@@ -353,6 +461,67 @@ class TestReplayMatchesStep:
         # resume from wherever the first trace left the node, asleep or active
         second = compose_schedule(segments[::-1], rate_hz=rate_hz, seed=seed + 1)
         _assert_replay_matches_steps(mid_run, second)
+
+    def test_constant_trace_on_the_history_dependent_step(self):
+        # at 1.49999 g the next x range is the one it was read on, so the ladder depends on
+        # history all the way; a 1 s window splits the stretch into chunks that must carry it
+        n = 18_000
+        trace = AccelTrace(rate_hz=60.0, ax=np.full(n, 1.49999), ay=np.zeros(n), az=np.ones(n),
+                           labels=[ActivityKind.REST] * n)
+        ranges = (MeasurementRange.G2_0, MeasurementRange.G1_5, MeasurementRange.G1_5)
+        state = initial_state(mode=SensorMode.ACTIVE, ranges=ranges, inactivity_window_s=1.0, next_sample_at_s=0.0)
+        start = time.perf_counter()
+        replay_trace(state, trace)
+        elapsed = time.perf_counter() - start
+        result = _assert_replay_matches_steps(state, trace)
+        assert {frame.range_codes for _, frame in result.frames} == {(1, 0, 0)}
+        # about 0.1 s; a ladder iterated to a fixed point grows quadratically, to tens of seconds
+        assert elapsed < 1.0
+
+    def test_timestamps_stay_exact_far_from_zero(self):
+        # at 1e17 s every sample lands on the same float instant, 1e20 ms, and every one is due
+        trace = compose_schedule([(ActivityKind.REST, 1.0), (ActivityKind.FALL, 1.0)], seed=3)
+        result = _assert_replay_matches_steps(initial_state(time_s=1e17), trace)
+        assert [iv.mode for iv in result.intervals] == [SensorMode.SLEEP]
+        assert result.final_state.mode is SensorMode.ACTIVE
+        stamps = [frame.timestamp_ms for _, frame in result.frames]
+        assert len(stamps) == len(trace)
+        assert all(type(stamp) is int and stamp == 10**20 % 2**32 == 1661992960 for stamp in stamps)
+
+    def test_mode_switch_every_few_samples(self, monkeypatch):
+        # loud 2 samples in 7: a 0.05 s window puts the node to sleep 3 quiet samples later and
+        # a 0.02 s wake period wakes it at the next loud one, so every stretch is a few samples long
+        n = 3000
+        az = np.where(np.arange(n) % 7 < 2, 1.8, 1.0)
+        trace = AccelTrace(rate_hz=60.0, ax=np.zeros(n), ay=np.zeros(n), az=az, labels=[ActivityKind.REST] * n)
+        state = initial_state(inactivity_window_s=0.05, wake_period_s=0.02)
+        elements = []
+        read = sensor._read
+        monkeypatch.setattr(sensor, "_read", lambda acc, r: elements.append(np.size(acc)) or read(acc, r))
+        result = _assert_replay_matches_steps(state, trace)
+        assert len(result.intervals) > n / 5
+        # the work past each switch stays within a first chunk: about 30 readings per sample,
+        # where reading the rest of the trace at every switch would take about a thousand
+        assert sum(elements) <= 60 * n
+
+    @pytest.mark.parametrize("where", ["skipped asleep", "wake tick", "active"])
+    def test_non_finite_sample_assigned_after_construction(self, where):
+        # a sleeping 60 Hz node reads samples 59, 119, ... until the fall wakes it, then every sample
+        trace = compose_schedule([(ActivityKind.REST, 2.5), (ActivityKind.FALL, 1.5)], seed=4)
+        state = initial_state()
+        times = [t for t, _ in _assert_replay_matches_steps(state, trace).frames]
+        woke = round(times[2] * 60.0) - 1
+        assert [round(t * 60.0) - 1 for t in times[:4]] == [59, 119, woke, woke + 1] and woke < 200
+        # AccelTrace checks its arrays when built, not when changed later
+        trace.ax = trace.ax.copy()
+        trace.ax[{"skipped asleep": 30, "wake tick": 59, "active": woke + 5}[where]] = np.nan
+        if where == "skipped asleep":
+            _assert_replay_matches_steps(state, trace)
+        else:
+            with pytest.raises(ParameterError, match="acceleration must be finite, got nan"):
+                replay_trace(state, trace)
+            with pytest.raises(ParameterError, match="acceleration must be finite, got nan"):
+                _step_replay(state, trace)
 
     def test_frame_fields_out_of_range_rejected(self):
         # at construction, not once the first frame is built
