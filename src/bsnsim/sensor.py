@@ -28,9 +28,8 @@ ladder needs history only above 1 g (`_SETTLED_G`); `_ladder` reads those
 samples on all four ranges and walks them in order, one lookup each. To
 advance one sample, replay a one-sample trace.
 `tests/sensor_reference.py` holds a one-sample-at-a-time reference, with
-the scalar ADC helpers the kernel had before, that the tests require the
-kernel to match frame for frame, interval for interval and in its final
-state.
+its own scalar copy of the ADC model, that the tests require the kernel to
+match frame for frame, interval for interval and in its final state.
 
 `_emit` builds each frame with `frames._unchecked`, skipping the field
 checks of `SensorFrame`, because every field is in range by construction:

@@ -3,19 +3,19 @@
 
 `step()` advances one `SensorState` by one sample, written as directly as
 the node's workflow reads. The scalar ADC and range-ladder helpers below
-(`_quantize`, `_dequantize`, `_next_index`, `_deviation`, `_frame`) are the
-kernel's former per-sample model, kept verbatim: the kernel reads whole
-stretches through its elementwise `_read`, so the differential tests check
-its control flow (wake ticks, the activation and inactivity rules, the seq
-wrap, the sample timestamps) and its formula against an independent copy.
+(`_quantize`, `_dequantize`, `_next_index`, `_deviation`, `_frame`) are a
+scalar copy of the kernel's ADC model and range ladder, one sample at a
+time, while the kernel reads whole stretches through its elementwise
+`_read`; so the differential tests check its control flow (wake ticks,
+the activation and inactivity rules, the seq wrap, the sample timestamps)
+and its formula against an independent copy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import NamedTuple
-
-import math
 
 from bsnsim.errors import ParameterError
 from bsnsim.frames import TIMESTAMP_MAX, SensorFrame, _unchecked
