@@ -8,9 +8,11 @@ product of the two per-direction message probabilities.
 
 No free parameter moves a node, an obstacle or a channel, so `fit` places each
 scenario and binds both directions of every target (`rf.Reception`) once,
-before the optimizer runs. Each residual call builds only each scenario's
-interferers with the overrides applied, not a whole scenario, and evaluates
-every target's two receptions with them. A fitted result reaches a scenario,
+before the optimizer runs. A bundled preset is parsed and placed once per
+process and reused by every later fit; a scenario file is read and placed
+again on every fit, so an edit to it is seen. Each residual call rebuilds
+only the overridden interferers, not a whole scenario, and evaluates every
+target's two receptions with them. A fitted result reaches a scenario,
 as in the CLI's runs, through
 `apply_overrides(load_scenario(name), result.interferer_overrides)`, which
 applies the overrides through the same helper.
@@ -22,6 +24,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -30,9 +33,9 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import ParameterError
-from .linksim import echo_directions
+from .linksim import Direction, echo_directions
 from .rf import ChannelSpec, InterferenceCalibration, Interferer, Reception
-from .scenario import Scenario, load_scenario
+from .scenario import PRESET_NAMES, Scenario, load_scenario
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,7 @@ _FREE = (
 # Interferers and fields a calibration file may override: the ones `fit` adjusts.
 _OVERRIDE_NAMES = tuple(dict.fromkeys(name for row in _FREE for name in row.interferers))
 _OVERRIDE_FIELDS = tuple(dict.fromkeys(row.field for row in _FREE if row.interferers))
+_INTERFERER_FIELDS = tuple(f.name for f in fields(Interferer))
 
 
 def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, dict[str, dict[str, float]]]:
@@ -172,13 +176,31 @@ def predicted_mean_pct(receptions: tuple[Reception, Reception], interferers: Seq
 
 def _overridden(interferers: Mapping[str, Interferer],
                 overrides: Mapping[str, Mapping[str, float]]) -> dict[str, Interferer]:
-    """The interferers, in order, with the overrides ({interferer: {field: value}}) applied by name."""
-    return {name: replace(it, **overrides[name]) if name in overrides else it for name, it in interferers.items()}
+    """The interferers, in order, with the overrides ({interferer: {field: value}}) applied by name;
+    each overridden one is built by one constructor call, so its checks run."""
+    return {name: Interferer(**{**vars(it), **overrides[name]}) if name in overrides else it
+            for name, it in interferers.items()}
 
 
 def apply_overrides(scenario: Scenario, overrides: Mapping[str, Mapping[str, float]]) -> Scenario:
     """Apply calibration overrides ({interferer: {field: value}}) by name."""
+    for name, override in overrides.items():
+        for key in override:
+            if key not in _INTERFERER_FIELDS:
+                raise ParameterError(f"override of interferer {name}: {key} is not one of "
+                                     f"{', '.join(_INTERFERER_FIELDS)}")
     return replace(scenario, interferers=_overridden(scenario.interferers, overrides))
+
+
+def _placed(name: str) -> tuple[Scenario, tuple[Direction, Direction]]:
+    """A target's scenario, read, and its echo directions, placed."""
+    scenario = load_scenario(name)
+    return scenario, echo_directions(scenario)
+
+
+# Bundled presets, parsed and placed once per process. The scenario holds
+# mutable dicts, so `fit` only reads it and hands it to no caller.
+_placed_preset = lru_cache(maxsize=len(PRESET_NAMES))(_placed)
 
 
 def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
@@ -186,14 +208,15 @@ def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
     targets = load_targets() if targets is None else targets
     if not any(t.role == "fit" for t in targets):
         raise ParameterError("the targets hold no `fit` row, so there is nothing to fit")
-    scenarios = {name: load_scenario(name) for name in {t.scenario for t in targets}}
+    placed = {name: (_placed_preset if name in PRESET_NAMES else _placed)(name)
+              for name in {t.scenario for t in targets}}
+    scenarios = {name: scenario for name, (scenario, _) in placed.items()}
     missing = [name for name in dict.fromkeys(row.scenario for row in _FREE if row.scenario) if name not in scenarios]
     if missing:
         raise ParameterError(f"the fit seeds its parameters from scenario(s) the targets lack: {', '.join(missing)}")
     # Overrides move nothing placed and no channel, so each target's two
-    # directions are placed and bound once, before the optimizer runs.
-    directions = {name: echo_directions(scen) for name, scen in scenarios.items()}
-    bound = [(t, tuple(d.reception(scenarios[t.scenario], ChannelSpec.wpan(t.channel)) for d in directions[t.scenario]))
+    # directions are bound once, before the optimizer runs.
+    bound = [(t, tuple(d.reception(scenarios[t.scenario], ChannelSpec.wpan(t.channel)) for d in placed[t.scenario][1]))
              for t in targets]
     fit_bound = [(t, receptions) for t, receptions in bound if t.role == "fit"]
 

@@ -243,6 +243,8 @@ def run_star_network(
             delivered=len(delivered),
             stats=RunStats.from_counts([len(delivered)], max(1, len(frames))),
         )
-    logged.sort(key=itemgetter(0, 1))
+    # Nodes are appended in name order and each node's times increase, so a
+    # stable sort on time alone breaks ties by name.
+    logged.sort(key=itemgetter(0))
     return StarResult(deliveries=deliveries, logged=logged)
 

@@ -4,6 +4,7 @@ import json
 import re
 import tempfile
 from dataclasses import asdict, replace
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from bsnsim.calibrate import (
 from bsnsim.errors import BsnsimError, ParameterError
 from bsnsim.rf import InterferenceCalibration, Reception
 from bsnsim.scenario import load_scenario
+from test_golden import FIT_JSON
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,42 @@ def test_calibrated_scenario_applies_overrides(result):
     scen = apply_overrides(load_scenario("apartment"), result.interferer_overrides)
     fitted_af = result.interferer_overrides["neighbor_ch1_a"]["activity_factor"]
     assert scen.interferers["neighbor_ch1_a"].activity_factor == fitted_af
+
+
+def test_override_of_unknown_field_rejected():
+    with pytest.raises(ParameterError, match="interferer neighbor_ch1_a: activty_factor is not one of"):
+        apply_overrides(load_scenario("apartment"), {"neighbor_ch1_a": {"activty_factor": 0.5}})
+
+
+def test_override_out_of_range_rejected():
+    with pytest.raises(ParameterError, match=re.escape("activity_factor must be in [0, 1], got 1.5")):
+        apply_overrides(load_scenario("apartment"), {"neighbor_ch1_a": {"activity_factor": 1.5}})
+
+
+def test_repeated_fits_identical():
+    # the second fit reuses the presets parsed and placed by the first
+    assert fit().to_json() == fit().to_json() == FIT_JSON.rstrip("\n")
+
+
+def test_fit_unmoved_by_a_mutated_loaded_preset():
+    apartment = load_scenario("apartment")
+    apartment.interferers.clear()
+    apartment.nodes["remote"] = (30.0, 0.0)
+    assert fit().to_json() == FIT_JSON.rstrip("\n")
+
+
+def test_fit_rereads_a_scenario_file(tmp_path):
+    scn, csv_path = tmp_path / "flat.scn", tmp_path / "targets.csv"
+    package = resources.files("bsnsim")
+    text = package.joinpath("presets/apartment.scn").read_text()
+    csv_path.write_text(package.joinpath("data/calibration_targets.csv").read_text() + f"{scn},12,-10,50.0,holdout\n")
+    key = (str(scn), 12, -10.0)
+    scn.write_text(text)
+    near = fit(load_targets(csv_path))
+    scn.write_text(text.replace("[node remote]\nx = 9.0", "[node remote]\nx = 60.0"))
+    far = fit(load_targets(csv_path))
+    assert far.to_json() == near.to_json()  # a holdout row moves no fitted value
+    assert far.achieved_pct[key] < near.achieved_pct[key]
 
 
 def test_calibration_file_round_trip(result, tmp_path):

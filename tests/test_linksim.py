@@ -254,6 +254,15 @@ class TestStarNetwork:
             logged_n = sum(1 for _, n, _ in result.logged if n == name)
             assert logged_n == d.delivered <= d.emitted
 
+    def test_equal_times_logged_in_node_name_order(self):
+        # three nodes at one rate sample at the same instants: every tie must sit in name order
+        scenario = _star_scenario(3)
+        traces = {f"sensor_{i + 1}": generate_trace(ActivityKind.RUN, 3.0, 60.0, seed=20 + i) for i in (2, 0, 1)}
+        result = run_star_network(scenario, traces, 3.0, seed=9)
+        keys = [(t, name) for t, name, _ in result.logged]
+        assert len(set(t for t, _ in keys)) < len(keys)  # ties exist
+        assert keys == sorted(keys)
+
     def test_log_replays_without_crc_errors(self):
         scenario = _star_scenario(2)
         traces = {
