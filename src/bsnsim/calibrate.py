@@ -208,15 +208,15 @@ def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
     targets = load_targets() if targets is None else targets
     if not any(t.role == "fit" for t in targets):
         raise ParameterError("the targets hold no `fit` row, so there is nothing to fit")
-    placed = {name: (_placed_preset if name in PRESET_NAMES else _placed)(name)
-              for name in {t.scenario for t in targets}}
-    scenarios = {name: scenario for name, (scenario, _) in placed.items()}
+    scenarios, directions = {}, {}
+    for name in {t.scenario for t in targets}:
+        scenarios[name], directions[name] = (_placed_preset if name in PRESET_NAMES else _placed)(name)
     missing = [name for name in dict.fromkeys(row.scenario for row in _FREE if row.scenario) if name not in scenarios]
     if missing:
         raise ParameterError(f"the fit seeds its parameters from scenario(s) the targets lack: {', '.join(missing)}")
     # Overrides move nothing placed and no channel, so each target's two
     # directions are bound once, before the optimizer runs.
-    bound = [(t, tuple(d.reception(scenarios[t.scenario], ChannelSpec.wpan(t.channel)) for d in placed[t.scenario][1]))
+    bound = [(t, tuple(d.reception(scenarios[t.scenario], ChannelSpec.wpan(t.channel)) for d in directions[t.scenario]))
              for t in targets]
     fit_bound = [(t, receptions) for t, receptions in bound if t.role == "fit"]
 

@@ -73,7 +73,7 @@ def test_override_out_of_range_rejected():
 
 
 def test_repeated_fits_identical():
-    # the second fit reuses the presets parsed and placed by the first
+    calibrate._placed_preset.cache_clear()  # the first fit parses and places, the second reuses
     assert fit().to_json() == fit().to_json() == FIT_JSON.rstrip("\n")
 
 
