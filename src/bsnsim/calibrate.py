@@ -26,6 +26,7 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from importlib import resources
+from numbers import Real
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -85,7 +86,22 @@ _FREE = (
 # Interferers and fields a calibration file may override: the ones `fit` adjusts.
 _OVERRIDE_NAMES = tuple(dict.fromkeys(name for row in _FREE for name in row.interferers))
 _OVERRIDE_FIELDS = tuple(dict.fromkeys(row.field for row in _FREE if row.interferers))
-_INTERFERER_FIELDS = tuple(f.name for f in fields(Interferer))
+
+
+def _finite_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# What `apply_overrides` takes for each `Interferer` field, in field order: (test, what the test wants).
+_OVERRIDE_VALUES = {
+    "channel": (lambda value: isinstance(value, ChannelSpec), "a ChannelSpec"),
+    "position": (lambda value: isinstance(value, tuple) and len(value) == 2 and all(map(_finite_number, value)),
+                 "an (x, y) tuple of finite numbers"),
+    "tx_power_dbm": (_finite_number, "a finite number"),
+    "activity_factor": (_finite_number, "a finite number"),
+    "enabled": (lambda value: isinstance(value, bool), "a bool"),
+    "influence_radius_m": (lambda value: value is None or _finite_number(value), "a finite number or None"),
+}
 
 
 def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, dict[str, dict[str, float]]]:
@@ -183,12 +199,20 @@ def _overridden(interferers: Mapping[str, Interferer],
 
 
 def apply_overrides(scenario: Scenario, overrides: Mapping[str, Mapping[str, float]]) -> Scenario:
-    """Apply calibration overrides ({interferer: {field: value}}) by name."""
+    """Apply calibration overrides ({interferer: {field: value}}) by name.
+
+    Each key must be an `Interferer` field, and each value of that field's
+    kind: a finite number (not a bool) for the powers and factors, a bool for
+    `enabled`; a bad one raises a `ParameterError` naming the interferer and
+    the field."""
     for name, override in overrides.items():
-        for key in override:
-            if key not in _INTERFERER_FIELDS:
+        for key, value in override.items():
+            if key not in _OVERRIDE_VALUES:
                 raise ParameterError(f"override of interferer {name}: {key} is not one of "
-                                     f"{', '.join(_INTERFERER_FIELDS)}")
+                                     f"{', '.join(_OVERRIDE_VALUES)}")
+            valid, wanted = _OVERRIDE_VALUES[key]
+            if not valid(value):
+                raise ParameterError(f"override of interferer {name}: {key} must be {wanted}, got {value!r}")
     return replace(scenario, interferers=_overridden(scenario.interferers, overrides))
 
 

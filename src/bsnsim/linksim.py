@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -73,6 +73,9 @@ class RunStats:
         )
 
 
+_channel, _placed_channel = attrgetter("channel"), itemgetter(0)
+
+
 @dataclass(frozen=True)
 class Direction:
     """One tx -> rx direction of a link as placed: the link's path and, by
@@ -100,12 +103,23 @@ class Direction:
 
     def reception(self, scenario: Scenario, channel: ChannelSpec) -> Reception:
         """This direction bound to a victim channel, with the scenario's
-        interferers in scenario order, each on the channel it was placed on."""
+        interferers in scenario order, each on the channel it was placed on.
+
+        The check runs here, on every call. When the scenario's interferer
+        names, in order, and their channels equal the placement's, two list
+        compares in C confirm it. Otherwise the interferers are walked by
+        name: a reordered or smaller set binds in scenario order, and an
+        interferer without a path or on another channel is named in the
+        error."""
+        interferers, entries = scenario.interferers, self.interferers
+        if (list(interferers) == list(entries)
+                and list(map(_channel, interferers.values())) == list(map(_placed_channel, entries.values()))):
+            return Reception.bind(self.link, channel, list(entries.values()))
         placed = []
-        for name, it in scenario.interferers.items():
-            if name not in self.interferers:
+        for name, it in interferers.items():
+            if name not in entries:
                 raise ParameterError(f"direction has no path for interferer {name!r}")
-            entry = self.interferers[name]
+            entry = entries[name]
             placed_on = entry[0]
             if it.channel is not placed_on and it.channel != placed_on:
                 raise ParameterError(f"interferer {name!r} is on {it.channel.standard.value} channel "

@@ -14,6 +14,13 @@ powers, influence radii and the calibration constants. A scan or an echo
 test binds each channel once; the calibration fit binds each target once
 and evaluates it per optimizer step.
 
+The interferers must be the ones placed, in the same order and on the same
+channels. `linksim.Direction.reception` checks that against the placement
+before each bind, with one list compare of the names and one of the
+channels, and walks the interferers by name only when a compare fails, to
+name the one at fault. `success_prob` checks the channels again on every
+call, since the fit calls it without going through a `Direction`.
+
 Channel plans
     802.15.4: channels 11..26, center 2405 + 5*(index-11) MHz, 2 MHz occupied.
     802.11b/g: channels 1..11, center 2412 + 5*(index-1) MHz, 25 MHz occupied.
@@ -36,7 +43,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from functools import cache
+from numbers import Integral
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,17 +84,41 @@ class ChannelSpec:
     center_mhz: float
     occupied_bw_mhz: float
 
+    # The constructors return one shared instance per channel, so equal
+    # channels are usually the same object.
+
     @classmethod
     def wpan(cls, index: int) -> "ChannelSpec":
-        return cls(RadioStandard.WPAN_154, index, channel_center_freq(RadioStandard.WPAN_154, index), 2.0)
+        return _WPAN_SPECS(_plain_index(index))
 
     @classmethod
     def wlan(cls, index: int) -> "ChannelSpec":
-        return cls(RadioStandard.WLAN_80211, index, channel_center_freq(RadioStandard.WLAN_80211, index), 25.0)
+        return _WLAN_SPECS(_plain_index(index))
 
     @classmethod
     def microwave_oven(cls) -> "ChannelSpec":
-        return cls(RadioStandard.MICROWAVE_OVEN, 0, channel_center_freq(RadioStandard.MICROWAVE_OVEN, 0), 20.0)
+        return _OVEN_SPEC
+
+
+def _plain_index(index: int) -> int:
+    """A channel index as a plain int; anything but an integer, a bool included, is an error."""
+    if type(index) is not int:
+        if isinstance(index, bool) or not isinstance(index, Integral):
+            raise ParameterError(f"channel index must be an integer, got {index!r}")
+        index = int(index)
+    return index
+
+
+def _shared_specs(standard: RadioStandard, occupied_bw_mhz: float) -> Callable[[int], ChannelSpec]:
+    """The channels of a standard by index, each built once (keyed on the
+    index alone: an enum hashes slowly); an index out of range raises and is
+    not cached."""
+    return cache(lambda index: ChannelSpec(standard, index, channel_center_freq(standard, index), occupied_bw_mhz))
+
+
+_WPAN_SPECS = _shared_specs(RadioStandard.WPAN_154, 2.0)
+_WLAN_SPECS = _shared_specs(RadioStandard.WLAN_80211, 25.0)
+_OVEN_SPEC = ChannelSpec(RadioStandard.MICROWAVE_OVEN, 0, channel_center_freq(RadioStandard.MICROWAVE_OVEN, 0), 20.0)
 
 
 def spectral_overlap(a: ChannelSpec, b: ChannelSpec) -> float:
@@ -352,9 +385,11 @@ class Reception:
         low, high = center - width / 2.0, center + width / 2.0
         overlapping = []
         for index, (channel, path, loss_db) in enumerate(interferers):
-            # spectral_overlap(victim, channel), inlined: bind runs per channel of every scan
+            # spectral_overlap(victim, channel), inlined with conditionals in place of
+            # min and max (the same floats): bind runs per channel of every scan
             half = channel.occupied_bw_mhz / 2.0
-            overlap = min(high, channel.center_mhz + half) - max(low, channel.center_mhz - half)
+            top, bottom = channel.center_mhz + half, channel.center_mhz - half
+            overlap = (top if top < high else high) - (bottom if bottom > low else low)
             if overlap > 0.0:
                 overlapping.append((index, path.distance_m, loss_db, overlap / width, center - channel.center_mhz))
         return cls(link.loss_db(center), tuple([channel for channel, _, _ in interferers]), tuple(overlapping))
@@ -387,5 +422,8 @@ class Reception:
             i_rx = it.tx_power_dbm - loss_db + spectral_weight_db(it.channel.standard, delta_mhz, calib)
             isr = i_rx - rx_power_dbm
             pf = interference_power_factor(isr, calib)
-            p *= 1.0 - min(1.0, it.activity_factor) * overlap_frac * pf
-        return max(0.0, min(1.0, p))
+            # min and max below as conditionals, the same floats as min(1.0, a) and max(0.0, min(1.0, p))
+            activity = it.activity_factor
+            p *= 1.0 - (activity if activity < 1.0 else 1.0) * overlap_frac * pf
+        p = p if p < 1.0 else 1.0
+        return p if p > 0.0 else 0.0

@@ -201,9 +201,9 @@ def _read(fields: Fields, table: Table, where: str, line: int | None) -> dict[st
         raise ScenarioError(f"{where}: unknown key {key!r} = {text!r} (known: {', '.join(table)})", key_line)
     values = {}
     for key, (reader, optional) in table.items():
-        if key in fields:
-            text, key_line = fields[key]
-            values[key] = reader(text, key, key_line)
+        field = fields.get(key)
+        if field is not None:
+            values[key] = reader(field[0], key, field[1])
         elif not optional:
             raise ScenarioError(f"{where} is missing field {key!r}", line)
     return values
@@ -237,7 +237,7 @@ def _obstacle(fields: Fields, where: str, line: int) -> Obstacle:
     values = _read(fields, _OBSTACLE[shape], where, line)
     return Obstacle(
         values["material"],
-        geometry_class(*(values[key] for key in geometry)),
+        geometry_class(*[values[key] for key in geometry]),
         values.get("loss_db"),
         values.get("near_field_m"),
     )
@@ -253,10 +253,10 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     target = top
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
+        line = (raw.partition("#")[0] if "#" in raw else raw).strip()
         if not line:
             continue
-        if line.startswith("["):
+        if line[0] == "[":
             if not line.endswith("]"):
                 raise ScenarioError(f"unterminated section header {raw.strip()!r}", lineno)
             parts = line[1:-1].split()
@@ -268,14 +268,14 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
             sections.append((parts[0], parts[1], lineno, target))
             continue
         key, equals, value = line.partition("=")
-        key, value = key.strip(), value.strip()
         if not equals:
             raise ScenarioError(f"expected `key = value`, got {raw.strip()!r}", lineno)
+        key = key.strip()
         if not key:
             raise ScenarioError("empty key", lineno)
         if key in target:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
-        target[key] = (value, lineno)
+        target[key] = (value.strip(), lineno)
 
     if not top and not sections:
         raise ScenarioError(f"{source}: scenario file is empty")

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ParameterError
 from .linksim import echo_directions, echo_success_probs
 from .rf import ChannelSpec, InterferenceCalibration, WPAN_INDEX_RANGE
@@ -29,7 +27,7 @@ class ScanReport:
     def __post_init__(self):
         if len(self.scores) != len(WPAN_INDEX_RANGE):
             raise ParameterError(f"scan report needs {len(WPAN_INDEX_RANGE)} entries")
-        if any(not np.isfinite(s) or s < 0 for s in self.scores):
+        if any(not math.isfinite(s) or s < 0 for s in self.scores):
             raise ParameterError("scores must be finite and non-negative")
 
     def score(self, channel: int) -> float:

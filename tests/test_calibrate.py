@@ -1,9 +1,10 @@
 """Calibration fit: residuals, holdout, and file round trip."""
 
 import json
+import math
 import re
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from bsnsim.calibrate import (
     load_targets,
 )
 from bsnsim.errors import BsnsimError, ParameterError
-from bsnsim.rf import InterferenceCalibration, Reception
+from bsnsim.rf import InterferenceCalibration, Interferer, Reception
 from bsnsim.scenario import load_scenario
 from test_golden import FIT_JSON
 
@@ -70,6 +71,25 @@ def test_override_of_unknown_field_rejected():
 def test_override_out_of_range_rejected():
     with pytest.raises(ParameterError, match=re.escape("activity_factor must be in [0, 1], got 1.5")):
         apply_overrides(load_scenario("apartment"), {"neighbor_ch1_a": {"activity_factor": 1.5}})
+
+
+@pytest.mark.parametrize("field, value, wanted", [
+    ("activity_factor", "x", "a finite number, got 'x'"),
+    ("tx_power_dbm", "x", "a finite number, got 'x'"),
+    ("tx_power_dbm", math.nan, "a finite number, got nan"),
+    ("tx_power_dbm", True, "a finite number, got True"),
+    ("enabled", "no", "a bool, got 'no'"),
+    ("position", (1.0, math.inf), "an (x, y) tuple of finite numbers, got (1.0, inf)"),
+    ("channel", 6, "a ChannelSpec, got 6"),
+])
+def test_override_of_a_bad_value_names_interferer_and_field(field, value, wanted):
+    message = f"override of interferer neighbor_ch1_a: {field} must be {wanted}"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        apply_overrides(load_scenario("apartment"), {"neighbor_ch1_a": {field: value}})
+
+
+def test_every_interferer_field_has_an_override_check():
+    assert tuple(calibrate._OVERRIDE_VALUES) == tuple(f.name for f in fields(Interferer))
 
 
 def test_repeated_fits_identical():

@@ -24,7 +24,7 @@ from bsnsim.linksim import (
     simulate_echo_runs,
 )
 from bsnsim.motion import ActivityKind, compose_schedule, generate_trace
-from bsnsim.rf import ChannelSpec, RadioPath, Wall
+from bsnsim.rf import WPAN_INDEX_RANGE, ChannelSpec, RadioPath, Wall
 from bsnsim.scenario import PRESET_NAMES, load_scenario, parse_scenario
 from bsnsim.selector import scan
 
@@ -162,6 +162,18 @@ def test_direction_reused_with_an_interferer_on_another_channel_is_a_parameter_e
                                              "but was placed on wlan channel 1"):
         direction_success_prob(retuned, outbound, ChannelSpec.wpan(12), -10.0)
     assert direction_success_prob(retuned, Direction.of(retuned, "base", "remote"), ChannelSpec.wpan(12), -10.0) > 0
+
+
+def test_direction_reused_on_reordered_interferers_matches_a_fresh_placement():
+    scenario = load_scenario("apartment")
+    outbound = Direction.of(scenario, "base", "remote")
+    reordered = dataclasses.replace(scenario, interferers=dict(reversed(scenario.interferers.items())))
+    fresh = Direction.of(reordered, "base", "remote")
+    assert list(reordered.interferers) != list(outbound.interferers)  # so the check falls back to the walk
+    for index in WPAN_INDEX_RANGE:
+        reused = direction_success_prob(reordered, outbound, ChannelSpec.wpan(index), -10.0)
+        placed = direction_success_prob(reordered, fresh, ChannelSpec.wpan(index), -10.0)
+        assert struct.pack("<d", reused) == struct.pack("<d", placed)
 
 
 def test_determinism():

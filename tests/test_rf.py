@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -72,6 +73,24 @@ class TestChannelGeometry:
             channel_center_freq(RadioStandard.WLAN_80211, 0)
         with pytest.raises(ParameterError):
             channel_center_freq(RadioStandard.WLAN_80211, 12)
+
+    def test_constructors_share_one_spec_per_channel(self):
+        assert ChannelSpec.wpan(12) is ChannelSpec.wpan(12)
+        assert ChannelSpec.wlan(6) is ChannelSpec.wlan(6)
+        assert ChannelSpec.microwave_oven() is ChannelSpec.microwave_oven()
+        numpy_index = ChannelSpec.wpan(np.int64(13))
+        assert numpy_index is ChannelSpec.wpan(13) and type(numpy_index.index) is int
+        for _ in range(2):  # an index out of range raises every time: nothing was cached for it
+            with pytest.raises(ParameterError, match="802.15.4 channel must be 11..26, got 27"):
+                ChannelSpec.wpan(27)
+
+    @pytest.mark.parametrize("make, index", [(ChannelSpec.wpan, 12.0), (ChannelSpec.wpan, True),
+                                             (ChannelSpec.wlan, True), (ChannelSpec.wpan, np.float64(12))])
+    def test_channel_index_must_be_a_plain_integer(self, make, index):
+        ChannelSpec.wlan(1), ChannelSpec.wpan(12)  # cached first, so a hash-equal index would find them
+        with pytest.raises(ParameterError, match="channel index must be an integer, got "):
+            make(index)
+        assert type(ChannelSpec.wlan(1).index) is type(ChannelSpec.wpan(12).index) is int
 
     def test_overlap_full_containment(self):
         # [2409, 2411] inside [2399.5, 2424.5]

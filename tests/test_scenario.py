@@ -77,40 +77,75 @@ ROUTER = ("\n[interferer router]\nstandard = wlan\nchannel = 6\nx = 3.0\ny = 4.0
           "tx_power_dbm = 15.0\n{fields}\n")
 
 
+MATERIALS = "drywall, plywood, glass, brick, concrete, aluminum_siding, metal_appliance, plant_foliage"
+
+
 @pytest.mark.parametrize(
-    "text, bad_line",
+    "text, bad_line, message",
     [
-        (MINIMAL + WALL.format(material="stone"), "material = stone"),
-        (MINIMAL.replace("x = 3.0", "x = nan"), "x = nan"),
-        (MINIMAL.replace("tx_power_dbm = -5.0", "tx_power_dbm = inf"), "tx_power_dbm = inf"),
-        (MINIMAL + WALL.format(material="brick") + "loss_db = -inf\n", "loss_db = -inf"),
-        (MINIMAL + LILY.format(fields="radius = 0.3\nnear_field_m = inf"), "near_field_m = inf"),
-        (MINIMAL + LILY.format(fields="radius = 0.3\nnear_field_m = -0.5"), "near_field_m = -0.5"),
-        (MINIMAL + LILY.format(fields="radius = -0.3"), "radius = -0.3"),
-        (MINIMAL + ROUTER.format(fields="activity_factor = 0.1\ninfluence_radius_m = -2"),
-         "influence_radius_m = -2"),
-        (MINIMAL + ROUTER.format(fields="activity_factor = 1.5"), "activity_factor = 1.5"),
-        (MINIMAL + "\n[materials]\nbrick = nan\n", "brick = nan"),
-        (MINIMAL.replace("channel = 15", "chanel = 20"), "chanel = 20"),
-        (MINIMAL + ROUTER.format(fields="activity_factor = 0.1\nenabeld = false"), "enabeld = false"),
-        (MINIMAL + LILY.format(fields="raduis = 0.3"), "raduis = 0.3"),
-        (MINIMAL + WALL.format(material="brick") + "radius = 0.3\n", "radius = 0.3"),
-        (MINIMAL + "\n[materials]\nbrick = 4.0\nBrick = 9.5\n", "Brick = 9.5"),
+        (MINIMAL + WALL.format(material="stone"), "material = stone",
+         f"line 15: field 'material' must be one of {MATERIALS}, got 'stone'"),
+        (MINIMAL.replace("x = 3.0", "x = nan"), "x = nan", "line 11: field 'x' must be finite, got 'nan'"),
+        (MINIMAL.replace("tx_power_dbm = -5.0", "tx_power_dbm = inf"), "tx_power_dbm = inf",
+         "line 4: field 'tx_power_dbm' must be finite, got 'inf'"),
+        (MINIMAL + WALL.format(material="brick") + "loss_db = -inf\n", "loss_db = -inf",
+         "line 21: field 'loss_db' must be finite, got '-inf'"),
+        (MINIMAL + LILY.format(fields="radius = 0.3\nnear_field_m = inf"), "near_field_m = inf",
+         "line 20: field 'near_field_m' must be finite, got 'inf'"),
+        (MINIMAL + LILY.format(fields="radius = 0.3\nnear_field_m = -0.5"), "near_field_m = -0.5",
+         "line 20: field 'near_field_m' must lie in [0, inf], got '-0.5'"),
+        (MINIMAL + LILY.format(fields="radius = -0.3"), "radius = -0.3",
+         "line 19: field 'radius' must lie in [0, inf], got '-0.3'"),
+        (MINIMAL + ROUTER.format(fields="activity_factor = 0.1\ninfluence_radius_m = -2"), "influence_radius_m = -2",
+         "line 21: field 'influence_radius_m' must lie in [0, inf], got '-2'"),
+        (MINIMAL + ROUTER.format(fields="activity_factor = 1.5"), "activity_factor = 1.5",
+         "line 20: field 'activity_factor' must lie in [0, 1], got '1.5'"),
+        (MINIMAL + "\n[materials]\nbrick = nan\n", "brick = nan", "line 15: field 'brick' must be finite, got 'nan'"),
+        (MINIMAL.replace("channel = 15", "chanel = 20"), "chanel = 20",
+         "line 3: top level: unknown key 'chanel' = '20' (known: name, channel, tx_power_dbm)"),
+        (MINIMAL + ROUTER.format(fields="activity_factor = 0.1\nenabeld = false"), "enabeld = false",
+         "line 21: [interferer router]: unknown key 'enabeld' = 'false' (known: standard, channel, x, y, "
+         "tx_power_dbm, activity_factor, enabled, influence_radius_m)"),
+        (MINIMAL + LILY.format(fields="raduis = 0.3"), "raduis = 0.3",
+         "line 19: [obstacle lily]: unknown key 'raduis' = '0.3' (known: material, shape, x, y, radius, loss_db, "
+         "near_field_m)"),
+        (MINIMAL + WALL.format(material="brick") + "radius = 0.3\n", "radius = 0.3",
+         "line 21: [obstacle thing]: unknown key 'radius' = '0.3' (known: material, shape, x1, y1, x2, y2, "
+         "loss_db, near_field_m)"),
+        (MINIMAL + "\n[materials]\nbrick = 4.0\nBrick = 9.5\n", "Brick = 9.5",
+         "line 16: duplicate material 'Brick' = '9.5'"),
+        (MINIMAL + "\n[node extra\nx = 1\ny = 1\n", "[node extra",
+         "line 14: unterminated section header '[node extra'"),
+        (MINIMAL + "\n[room kitchen]\nx = 1\n", "[room kitchen]", "line 14: bad section header '[room kitchen]'"),
+        (MINIMAL + "\n[node a b]\nx = 1\n", "[node a b]", "line 14: bad section header '[node a b]'"),
+        (MINIMAL.replace("y = 4.0", "y = 4.0\ny = 5.0"), "y = 5.0", "line 13: duplicate key 'y'"),
+        (MINIMAL + "\n[node base]\nx = 1\ny = 1\n", "[node base]", "line 14: duplicate node 'base'"),
+        (MINIMAL + ROUTER.format(fields=""), "[interferer router]",
+         "line 14: [interferer router] is missing field 'activity_factor'"),
+        (MINIMAL + ROUTER.replace("channel = 6\n", "").format(fields="activity_factor = 0.1"), "[interferer router]",
+         "line 14: [interferer router] is missing field 'channel'"),
+        (MINIMAL + ROUTER.replace("channel = 6", "channel = 12").format(fields="activity_factor = 0.1"),
+         "channel = 12", "line 16: 802.11 channel must be 1..11, got 12"),
+        (MINIMAL + "\nnot a kv line\n", "not a kv line", "line 14: expected `key = value`, got 'not a kv line'"),
+        (MINIMAL + "\n= 5\n", "= 5", "line 14: empty key"),
     ],
     ids=[
         "unknown_material", "nan_coordinate", "inf_tx_power", "inf_loss", "inf_near_field",
         "negative_near_field", "negative_radius", "negative_influence_radius",
         "activity_factor_out_of_range", "nan_material_loss", "unknown_top_level_key",
         "unknown_interferer_key", "unknown_disc_key", "disc_key_on_wall", "material_repeated_in_other_case",
+        "unterminated_section_header", "unknown_section_kind", "section_header_with_three_words", "duplicate_key",
+        "duplicate_section", "missing_field", "missing_channel", "wlan_channel_out_of_range", "not_key_value",
+        "empty_key",
     ],
 )
-def test_parse_error_carries_line_number(text, bad_line):
+def test_parse_error_carries_line_number(text, bad_line, message):
+    """Each error names its line (the last one with the bad text) and its full message."""
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
-    assert err.value.line == text.splitlines().index(bad_line) + 1
-    key, value = (part.strip() for part in bad_line.split("="))
-    assert key in str(err.value)
-    assert value in str(err.value)
+    lines = text.splitlines()
+    assert err.value.line == len(lines) - lines[::-1].index(bad_line)
+    assert str(err.value) == message
 
 
 def test_missing_required_node():
