@@ -100,7 +100,8 @@ _OVERRIDE_VALUES = {
     "tx_power_dbm": (_finite_number, "a finite number"),
     "activity_factor": (_finite_number, "a finite number"),
     "enabled": (lambda value: isinstance(value, bool), "a bool"),
-    "influence_radius_m": (lambda value: value is None or _finite_number(value), "a finite number or None"),
+    "influence_radius_m": (lambda value: value is None or (_finite_number(value) and value >= 0),
+                           "a non-negative finite number or None"),
 }
 
 
@@ -203,8 +204,9 @@ def apply_overrides(scenario: Scenario, overrides: Mapping[str, Mapping[str, flo
 
     Each key must be an `Interferer` field, and each value of that field's
     kind: a finite number (not a bool) for the powers and factors, a bool for
-    `enabled`; a bad one raises a `ParameterError` naming the interferer and
-    the field."""
+    `enabled`, `None` or a non-negative finite number for
+    `influence_radius_m`; a bad one raises a `ParameterError` naming the
+    interferer and the field."""
     for name, override in overrides.items():
         for key, value in override.items():
             if key not in _OVERRIDE_VALUES:

@@ -99,6 +99,8 @@ class Scenario:
     def with_interferer_enabled(self, name: str, enabled: bool) -> "Scenario":
         if name not in self.interferers:
             raise ScenarioError(f"scenario {self.name!r} has no interferer {name!r}")
+        if not isinstance(enabled, bool):
+            raise ParameterError(f"enabled must be a bool, got {enabled!r}")
         interferers = dict(self.interferers)
         interferers[name] = replace(interferers[name], enabled=enabled)
         return replace(self, interferers=interferers)

@@ -11,22 +11,28 @@ inactivity window the node returns to sleep.
 `replay_trace()` is the node's one state machine. It advances by one rule,
 jumping to the next sample that is due (the wake tick while asleep, the
 next sample instant while active), and runs a trace one mode stretch at a
-time, in numpy:
+time, in numpy. The two modes differ in three things only:
 
-- asleep, it walks the wake ticks with the scalar rule, reads them all on
-  the lowest range in one call and wakes at the first reading past the
-  threshold;
-- active, it walks the due samples, solves each axis's range ladder,
-  reads the codes and values on those ranges in one call, walks the
-  inactivity timer over the deviations and falls asleep where the timer
-  reaches the window.
+- which samples are due: asleep, the wake ticks, walked with the scalar
+  rule; active, the chain of due samples (every sample from the first when
+  the node samples at the trace rate);
+- which ranges they are read on, in one call: asleep, the lowest; active,
+  the ones each axis's range ladder gives;
+- where the stretch ends: asleep, at the first reading past the threshold;
+  active, where the inactivity timer, walked over the deviations, reaches
+  the window.
 
-A stretch is taken in chunks that double in size, so the work past a mode
-switch stays within the stretch's own length. `_read` is the one ADC
-model, elementwise: code, value read back and next range index. The
-ladder needs history only above 1 g (`_SETTLED_G`); `_ladder` reads those
-samples on all four ranges and walks them in order, one lookup each. To
-advance one sample, replay a one-sample trace.
+One tail, shared by both modes, then checks and emits the readings up to
+that end, and either switches mode (the interval of the mode left is
+recorded and the timer reset) or carries the ranges and the next due
+sample into the stretch's next chunk. A stretch is taken in chunks that
+double in size, so the work past a mode switch stays within the stretch's
+own length.
+
+`_read` is the one ADC model, elementwise: code, value read back and next
+range index. The ladder needs history only above 1 g (`_SETTLED_G`);
+`_ladder` reads those samples on all four ranges and walks them in order,
+one lookup each. To advance one sample, replay a one-sample trace.
 `tests/sensor_reference.py` holds a one-sample-at-a-time reference, with
 its own scalar copy of the ADC model, that the tests require the kernel to
 match frame for frame, interval for interval and in its final state.
@@ -260,9 +266,15 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
     An active node then updates its inactivity timer and may fall asleep;
     a sleeping one wakes past the threshold or re-arms its wake tick; a
     node active after that steps its ranges and arms its next sample.
+
     The node runs one mode stretch at a time, each in chunks that double
-    in size. `tests/sensor_reference.py` advances the same node one sample
-    at a time and must give the same frames, intervals and final state.
+    in size. In each chunk the mode's own part picks the due samples,
+    reads them and finds where the stretch ends; the shared tail checks
+    and emits the readings up to there, then switches mode (closing the
+    mode's interval, resetting the timer and starting a first chunk) or
+    doubles the chunk. `tests/sensor_reference.py` advances the same node
+    one sample at a time and must give the same frames, intervals and
+    final state.
     """
     n = len(trace)
     frames: list[tuple[float, SensorFrame]] = []
@@ -289,81 +301,68 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
     seg_start = state.time_s
     i, size = 0, _FIRST_CHUNK
     while i < n:
+        i = bisect_left(wake_at, next_at, i)
+        if i == n:
+            break
+        # from the first due sample, each mode picks the samples due in this chunk (`idx`), reads
+        # them, and cuts the stretch where it ends (`switch`); `nxt` is each reading's next range
         if active:
-            i = bisect_left(wake_at, next_at, i)
-            if i == n:
-                break
             # the node stays up at least until its timer has run the rest of the window
             stop = min(n, max(i + size, bisect_left(t_at, last + (window - timer), i)))
             # the sample due after each: the first one past the sample interval, and not itself
             after = np.arange(i + 1, stop + 1)
             due = np.maximum(np.searchsorted(wake, times[i:stop] + period), after)
             if np.array_equal(due, after):
-                idx, next_i = np.arange(i, stop), stop
+                idx, i = np.arange(i, stop), stop
             else:
                 due, chain, next_i = due.tolist(), [], i
                 while next_i < stop:
                     chain.append(next_i)
                     next_i = due[next_i - i]
-                idx = np.array(chain)
+                idx, i = np.array(chain), next_i
             a = acc[:, idx]
             steps = _ladder(a, ranges)
             codes, values, _ = _read(a, steps[:, :-1])
-            t = times[idx]
-            cut, asleep = len(idx), False
+            t, nxt = times[idx], steps[:, 1:]
+            cut, switch = len(idx), False
             gaps = (t - np.concatenate(([last], t[:-1]))).tolist()
             for k, (gap, quiet) in enumerate(zip(gaps, (_deviation(values) < threshold).tolist())):
                 # no clamp at the window: a timer that reaches it is reset below
                 timer = timer + gap if quiet else 0.0
                 if timer >= window:
-                    cut, asleep = k + 1, True
+                    cut, switch = k + 1, True
                     break
-            _require_finite(a[:, :cut])
-            seq = _emit(frames, node_id, seq, t[:cut], codes[:, :cut], zip(*steps[:, :cut].tolist()))
-            last = t_at[idx[cut - 1]]
-            if asleep:
-                active = False
-                ranges = np.zeros_like(ranges)
-                timer = 0.0
-                next_at = last + wake_period
-                intervals.append(TimelineInterval(seg_start, last, SensorMode.ACTIVE))
-                seg_start = last
-                i, size = int(idx[cut - 1]) + 1, _FIRST_CHUNK
-            else:
-                ranges = steps[:, -1]
-                next_at = last + period
-                i, size = next_i, 2 * size
+            range_codes = zip(*steps[:, :cut].tolist())
         else:
             # walk up to `size` wake ticks with the scalar rule
             idx = []
             while i < n and len(idx) < size:
-                if wake_at[i] < next_at:
-                    i = bisect_left(wake_at, next_at, i)
-                    continue
                 now = t_at[i]
                 next_tick = next_at + wake_period
                 next_at = next_tick if next_tick > now + _TIME_EPS else now + wake_period
                 idx.append(i)
-                i += 1
-            if not idx:
-                break
+                i = bisect_left(wake_at, next_at, i + 1)
             a = acc[:, idx]
-            codes, values, steps = _read(a, 0)
+            codes, values, nxt = _read(a, 0)
+            t = times[idx]
             woke = np.flatnonzero(_deviation(values) > threshold)
-            cut = int(woke[0]) + 1 if woke.size else len(idx)
-            _require_finite(a[:, :cut])
-            seq = _emit(frames, node_id, seq, times[idx[:cut]], codes[:, :cut], repeat((0, 0, 0)))
-            last = t_at[idx[cut - 1]]
-            if woke.size:
-                active = True
-                timer = 0.0
-                ranges = steps[:, cut - 1]
-                next_at = last + period
-                intervals.append(TimelineInterval(seg_start, last, SensorMode.SLEEP))
-                seg_start = last
-                i, size = idx[cut - 1] + 1, _FIRST_CHUNK
-            else:
-                size *= 2
+            switch = woke.size > 0
+            cut = int(woke[0]) + 1 if switch else len(idx)
+            range_codes = repeat((0, 0, 0))
+        # both modes: emit up to the cut, then switch mode and start a new chunk, or double it
+        _require_finite(a[:, :cut])
+        seq = _emit(frames, node_id, seq, t[:cut], codes[:, :cut], range_codes)
+        last = t_at[idx[cut - 1]]
+        if switch:
+            intervals.append(TimelineInterval(seg_start, last, SensorMode.ACTIVE if active else SensorMode.SLEEP))
+            active, timer, seg_start = not active, 0.0, last
+            i, size = int(idx[cut - 1]) + 1, _FIRST_CHUNK
+        else:
+            size *= 2
+        if active:
+            ranges, next_at = nxt[:, cut - 1], last + period
+        elif switch:
+            ranges, next_at = np.zeros_like(ranges), last + wake_period
 
     end = float(times[-1])
     mode = SensorMode.ACTIVE if active else SensorMode.SLEEP

@@ -81,6 +81,7 @@ def test_override_out_of_range_rejected():
     ("enabled", "no", "a bool, got 'no'"),
     ("position", (1.0, math.inf), "an (x, y) tuple of finite numbers, got (1.0, inf)"),
     ("channel", 6, "a ChannelSpec, got 6"),
+    ("influence_radius_m", -1.0, "a non-negative finite number or None, got -1.0"),
 ])
 def test_override_of_a_bad_value_names_interferer_and_field(field, value, wanted):
     message = f"override of interferer neighbor_ch1_a: {field} must be {wanted}"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bsnsim.errors import BsnsimError, ScenarioError
+from bsnsim.errors import BsnsimError, ParameterError, ScenarioError
 from bsnsim.rf import ChannelSpec, Disc, Interferer, Material, Obstacle, RadioStandard, Wall
 from bsnsim.scenario import (
     PRESET_NAMES,
@@ -252,3 +252,10 @@ def test_non_utf8_file_names_the_file(tmp_path):
     path.write_bytes(b"channel = 12\n\xff\xfe\n")
     with pytest.raises(ScenarioError, match=re.escape(f"{path}: not UTF-8 text")):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("enabled", ["no", 0, None])
+def test_with_interferer_enabled_takes_only_a_bool(enabled):
+    scenario = load_scenario("apartment_microwave")
+    with pytest.raises(ParameterError, match=re.escape(f"enabled must be a bool, got {enabled!r}")):
+        scenario.with_interferer_enabled("oven", enabled)

@@ -1,5 +1,6 @@
 """Sensor node: quantization, range selection, and the sleep/wake workflow."""
 
+import math
 import time
 from dataclasses import replace
 
@@ -504,6 +505,25 @@ class TestReplayMatchesStep:
         # where reading the rest of the trace at every switch would take about a thousand
         assert sum(elements) <= 60 * n
 
+    @pytest.mark.parametrize("mode, n", [(SensorMode.ACTIVE, 18_000), (SensorMode.SLEEP, 15_000)])
+    def test_chunks_double_in_a_long_stretch(self, monkeypatch, mode, n):
+        # one steady stretch: active, 18,000 samples 0.5 g off rest on x, loud enough that the 0.5 s
+        # window never runs out; asleep, 5,000 wake ticks on a quiet trace, one per 3 samples
+        trace = AccelTrace(rate_hz=60.0, ax=np.full(n, 0.5 if mode is SensorMode.ACTIVE else 0.0),
+                           ay=np.zeros(n), az=np.ones(n), labels=[ActivityKind.REST] * n)
+        state = initial_state(mode=mode, inactivity_window_s=0.5, wake_period_s=0.05, next_sample_at_s=0.0)
+        sizes = []
+        read = sensor._read
+        monkeypatch.setattr(sensor, "_read", lambda acc, r: sizes.append(np.shape(acc)[1]) or read(acc, r))
+        result = _assert_replay_matches_steps(state, trace)
+        assert [iv.mode for iv in result.intervals] == [mode]
+        assert len(result.frames) >= (n if mode is SensorMode.ACTIVE else n // 3)
+        # chunks of 32, 64, 128, ... readings: about log2(n / 32) reads, where chunks that stay
+        # at 32 readings would take hundreds
+        first = sensor._FIRST_CHUNK
+        assert sizes[:-1] == [first << k for k in range(len(sizes) - 1)]
+        assert len(sizes) <= math.ceil(math.log2(len(result.frames) / first + 1))
+
     @pytest.mark.parametrize("where", ["skipped asleep", "wake tick", "active"])
     def test_non_finite_sample_assigned_after_construction(self, where):
         # a sleeping 60 Hz node reads samples 59, 119, ... until the fall wakes it, then every sample
@@ -522,6 +542,18 @@ class TestReplayMatchesStep:
                 replay_trace(state, trace)
             with pytest.raises(ParameterError, match="acceleration must be finite, got nan"):
                 _step_replay(state, trace)
+
+    def test_non_finite_sample_read_past_the_switch(self):
+        # an active node with a 0.5 s window falls asleep at sample 30, inside its first chunk of
+        # 32 samples; sample 31 is read with that chunk, but the node never takes it
+        trace = generate_trace(ActivityKind.REST, 3.0, 60.0, seed=1)
+        trace.az = trace.az.copy()
+        trace.az[31] = np.nan
+        state = initial_state(mode=SensorMode.ACTIVE, inactivity_window_s=0.5, next_sample_at_s=0.0)
+        result = _assert_replay_matches_steps(state, trace)
+        taken = [round(t * 60.0) - 1 for t, _ in result.frames]
+        assert taken[29:32] == [29, 30, 90]
+        assert result.intervals[0] == TimelineInterval(0.0, result.frames[30][0], SensorMode.ACTIVE)
 
     def test_frame_fields_out_of_range_rejected(self):
         # at construction, not once the first frame is built
