@@ -26,7 +26,6 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from importlib import resources
-from numbers import Real
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -35,7 +34,7 @@ from scipy.optimize import least_squares
 
 from .errors import ParameterError
 from .linksim import Direction, echo_directions
-from .rf import ChannelSpec, InterferenceCalibration, Interferer, Reception
+from .rf import ChannelSpec, InterferenceCalibration, Interferer, Reception, _finite_number
 from .scenario import PRESET_NAMES, Scenario, load_scenario
 
 
@@ -86,10 +85,6 @@ _FREE = (
 # Interferers and fields a calibration file may override: the ones `fit` adjusts.
 _OVERRIDE_NAMES = tuple(dict.fromkeys(name for row in _FREE for name in row.interferers))
 _OVERRIDE_FIELDS = tuple(dict.fromkeys(row.field for row in _FREE if row.interferers))
-
-
-def _finite_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 # What `apply_overrides` takes for each `Interferer` field, in field order: (test, what the test wants).

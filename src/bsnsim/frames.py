@@ -10,6 +10,22 @@
     13      1     three 2-bit range codes packed high-to-low, 2 spare bits
     14      2     CRC-16/CCITT-FALSE over bytes 0..13
 
+`_WIRE` is the same layout as a numpy record dtype. It is used only at the
+byte boundary, on one buffer of whole records: `_unpack` reads every record
+with one `np.frombuffer`, and `_pack` writes every CRC through it.
+
+`_crcs` takes the CRC of every record of a buffer at once, table-driven:
+the table `_BYTE_STEP[b] = crc_hqx(bytes([b]), 0)` advances a register by
+one byte (`crc = (crc << 8) ^ _BYTE_STEP[(crc >> 8) ^ byte]`), and
+`_WORD_STEP`, two such steps, by the two bytes of a big-endian 16-bit word
+(`crc = _WORD_STEP[crc ^ word]`), so a record's 14 bytes take seven numpy
+steps over all records.
+`crc16_ccitt` stays the scalar function, the oracle the tests hold it to.
+
+`_frames` is the one place that turns integer field columns into
+`SensorFrame` tuples: a replay's field matrix, a star run's delivered
+frames and a decoded log all go through it.
+
 A frame log is the 8-byte magic `LOG_MAGIC` followed by frame records,
 written by `write_frame_log` and read back, every CRC checked, by `read_frame_log`.
 """
@@ -19,21 +35,35 @@ from __future__ import annotations
 import binascii
 import struct
 from functools import partial
+from itertools import repeat
 from numbers import Integral
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import FrameError, ParameterError
 
 _RECORD = struct.Struct(">BHIHHHBH")
+_WIRE = np.dtype([("node_id", "u1"), ("seq", ">u2"), ("timestamp_ms", ">u4"), ("codes", ">u2", (3,)),
+                  ("ranges", "u1"), ("crc", ">u2")])
 FRAME_LEN = _RECORD.size
 _CRC_AT = FRAME_LEN - 2
 LOG_MAGIC = b"BSLOG1\x00\x00"
 # The largest value of each integer field, as wide as its place in `_RECORD`.
 NODE_ID_MAX, SEQ_MAX, TIMESTAMP_MAX, _CODE_MAX = 0xFF, 0xFFFF, 0xFFFFFFFF, 0xFFFF
-# The (x, y, z) range codes carried by each value of the packed byte, and
-# the byte, spare bits clear, that carries each (x, y, z).
+# The (x, y, z) range codes carried by each value of the packed byte, the
+# byte, spare bits clear, that carries each (x, y, z), and what each axis's
+# range code adds to that byte (range codes as a (3, m) array pack as `_RANGE_BYTE @ codes`).
 _UNPACKED = tuple(((p >> 6) & 0x3, (p >> 4) & 0x3, (p >> 2) & 0x3) for p in range(256))
 _PACKED = {ranges: p for p, ranges in enumerate(_UNPACKED) if not p & 0x3}
+_RANGE_BYTE = np.array([1 << 6, 1 << 4, 1 << 2])
+# What one byte does to a zero CRC register: a byte advances any register by
+# `crc = (crc << 8) ^ _BYTE_STEP[(crc >> 8) ^ byte]`.
+_BYTE_STEP = np.array([binascii.crc_hqx(bytes([b]), 0) for b in range(256)], dtype=np.uint16)
+# What each big-endian 16-bit word 256 * hi + lo does to a zero register: the byte step of lo from
+# _BYTE_STEP[hi], the register after hi. A word advances any register by `crc = _WORD_STEP[crc ^ word]`.
+_AFTER_HI = _BYTE_STEP[:, None]
+_WORD_STEP = ((_AFTER_HI << 8) ^ _BYTE_STEP[(_AFTER_HI >> 8) ^ np.arange(256, dtype=np.uint16)]).ravel()
 
 
 def crc16_ccitt(data: bytes) -> int:
@@ -78,28 +108,42 @@ class SensorFrame(_FrameFields):
 _unchecked = partial(tuple.__new__, SensorFrame)
 
 
+def _frames(columns) -> list[SensorFrame]:
+    """The frames of seven lists of integers, each field within its width, built
+    unchecked as `_unchecked` builds one: node id, seq, timestamp, the three ADC
+    codes and the packed range byte."""
+    node_id, seq, timestamp_ms, cx, cy, cz, packed = columns
+    rows = zip(node_id, seq, timestamp_ms, zip(cx, cy, cz), map(_UNPACKED.__getitem__, packed))
+    return list(map(tuple.__new__, repeat(SensorFrame), rows))
+
+
+def _crcs(records) -> np.ndarray:
+    """The CRC-16/CCITT-FALSE of bytes 0..13 of each record of a buffer of whole records."""
+    crc = 0xFFFF
+    for word in np.frombuffer(records, ">u2").reshape(-1, FRAME_LEN // 2).T[: _CRC_AT // 2].astype(np.uint16):
+        crc = _WORD_STEP.take(crc ^ word)
+    return crc
+
+
 def _pack(frames: Sequence[SensorFrame]) -> bytearray:
     """The records of `frames`, in order; each ends in the CRC of its other bytes."""
     buf = bytearray(len(frames) * FRAME_LEN)
     pack_into = _RECORD.pack_into
     for offset, (node_id, seq, timestamp_ms, (cx, cy, cz), range_codes) in zip(range(0, len(buf), FRAME_LEN), frames):
         pack_into(buf, offset, node_id, seq, timestamp_ms, cx, cy, cz, _PACKED[range_codes], 0)
-    with memoryview(buf) as view:
-        crcs = [binascii.crc_hqx(view[offset : offset + _CRC_AT], 0xFFFF) for offset in range(0, len(buf), FRAME_LEN)]
-    buf[_CRC_AT::FRAME_LEN] = bytes([crc >> 8 for crc in crcs])
-    buf[_CRC_AT + 1 :: FRAME_LEN] = bytes([crc & 0xFF for crc in crcs])
+    np.frombuffer(buf, _WIRE)["crc"] = _crcs(buf)
     return buf
 
 
 def _unpack(view: memoryview) -> list[SensorFrame]:
     """The frames of a buffer of whole records; the first bad CRC raises a `FrameError`."""
-    crcs = [binascii.crc_hqx(view[offset : offset + _CRC_AT], 0xFFFF) for offset in range(0, len(view), FRAME_LEN)]
-    frames = []
-    for crc, (node_id, seq, timestamp_ms, cx, cy, cz, packed, carried) in zip(crcs, _RECORD.iter_unpack(view)):
-        if crc != carried:
-            raise FrameError(f"CRC mismatch: computed {crc:#06x}, frame carries {carried:#06x}")
-        frames.append(_unchecked((node_id, seq, timestamp_ms, (cx, cy, cz), _UNPACKED[packed])))
-    return frames
+    records, crcs = np.frombuffer(view, _WIRE), _crcs(view)
+    bad = np.flatnonzero(crcs != records["crc"])
+    if bad.size:
+        k = bad[0]
+        raise FrameError(f"CRC mismatch: computed {int(crcs[k]):#06x}, frame carries {int(records['crc'][k]):#06x}")
+    return _frames([records["node_id"].tolist(), records["seq"].tolist(), records["timestamp_ms"].tolist(),
+                    *records["codes"].T.tolist(), records["ranges"].tolist()])
 
 
 def encode_frame(frame: SensorFrame) -> bytes:

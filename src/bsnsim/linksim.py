@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError, ScenarioError
 # unused here, but bench/spans.py wraps linksim.encode_frame and linksim.read_frame_log
-from .frames import FRAME_LEN, SensorFrame, encode_frame, read_frame_log, write_frame_log
+from .frames import FRAME_LEN, SensorFrame, _frames, encode_frame, read_frame_log, write_frame_log
 from .motion import AccelTrace
 from .rf import ChannelSpec, InterferenceCalibration, RadioPath, Reception, radio_paths
 from .scenario import Scenario
@@ -238,27 +238,24 @@ def run_star_network(
         state = initial_state(node_id=idx + 1, sample_rate_hz=trace.rate_hz)
         emissions[name] = replay_trace(state, clipped)
 
-    offered = sum(len(r.frames) for r in emissions.values()) * FRAME_AIRTIME_S / duration_s
+    offered = sum(len(r.t) for r in emissions.values()) * FRAME_AIRTIME_S / duration_s
     drop_prob = 0.0 if offered <= MAC_CAPACITY else 1.0 - MAC_CAPACITY / offered
 
     deliveries: dict[str, NodeDelivery] = {}
-    logged: list[tuple[float, str, SensorFrame]] = []
-    uplinks = Direction.to(scenario, sorted(emissions), "base")
-    for name, uplink in zip(sorted(emissions), uplinks):
-        frames = emissions[name].frames
+    names = sorted(emissions)
+    keeps = []
+    for name, uplink in zip(names, Direction.to(scenario, names, "base")):
+        emitted = len(emissions[name].t)
         p_link = direction_success_prob(scenario, uplink, channel, scenario.tx_power_dbm, calibration)
-        p = p_link * (1.0 - drop_prob)
-        keep = rng.random(len(frames)) < p
-        delivered = [(t, name, frame) for (t, frame), ok in zip(frames, keep) if ok]
-        logged.extend(delivered)
-        deliveries[name] = NodeDelivery(
-            node=name,
-            emitted=len(frames),
-            delivered=len(delivered),
-            stats=RunStats.from_counts([len(delivered)], max(1, len(frames))),
-        )
-    # Nodes are appended in name order and each node's times increase, so a
-    # stable sort on time alone breaks ties by name.
-    logged.sort(key=itemgetter(0))
+        keeps.append(rng.random(emitted) < p_link * (1.0 - drop_prob))
+        delivered = int(np.count_nonzero(keeps[-1]))
+        deliveries[name] = NodeDelivery(name, emitted, delivered, RunStats.from_counts([delivered], max(1, emitted)))
+    # Nodes are concatenated in name order and each node's times increase, so a
+    # stable sort on time alone breaks ties by name; node ids count from 1 in name order.
+    keep = np.concatenate(keeps)
+    t = np.concatenate([emissions[name].t for name in names])[keep]
+    order = np.argsort(t, kind="stable")
+    columns = np.concatenate([emissions[name].fields for name in names], axis=1)[:, keep][:, order].tolist()
+    logged = list(zip(t[order].tolist(), [names[node_id - 1] for node_id in columns[0]], _frames(columns)))
     return StarResult(deliveries=deliveries, logged=logged)
 

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -295,8 +295,21 @@ def radio_paths(sources: Sequence[Point], rx: Point, obstacles: Sequence[Obstacl
             for p, hit in zip(sources, crossed)]
 
 
+def _finite_number(value) -> bool:
+    """A real number, not a bool, that is not nan or infinite. A float skips the
+    `Real` test, which costs about 0.4 µs: the calibration fits build thousands
+    of interferers."""
+    number = isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool)
+    return number and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class Interferer:
+    """A transmitter on another channel, at a position. Every construction
+    checks the values (`dataclasses.replace` included): `activity_factor`
+    within [0, 1], `enabled` a bool, `tx_power_dbm` a finite number and
+    `influence_radius_m` `None` or a finite number >= 0."""
+
     channel: ChannelSpec
     position: Point
     tx_power_dbm: float
@@ -307,6 +320,13 @@ class Interferer:
     def __post_init__(self):
         if not 0.0 <= self.activity_factor <= 1.0:
             raise ParameterError(f"activity_factor must be in [0, 1], got {self.activity_factor}")
+        if not isinstance(self.enabled, bool):
+            raise ParameterError(f"enabled must be a bool, got {self.enabled!r}")
+        if not _finite_number(self.tx_power_dbm):
+            raise ParameterError(f"tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}")
+        radius = self.influence_radius_m
+        if radius is not None and not (_finite_number(radius) and radius >= 0):
+            raise ParameterError(f"influence_radius_m must be a non-negative finite number or None, got {radius!r}")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ time, in numpy. The two modes differ in three things only:
   active, where the inactivity timer, walked over the deviations, reaches
   the window.
 
-One tail, shared by both modes, then checks and emits the readings up to
+One tail, shared by both modes, then checks and keeps the readings up to
 that end, and either switches mode (the interval of the mode left is
 recorded and the timer reset) or carries the ranges and the next due
 sample into the stretch's next chunk. A stretch is taken in chunks that
@@ -37,12 +37,18 @@ one lookup each. To advance one sample, replay a one-sample trace.
 its own scalar copy of the ADC model, that the tests require the kernel to
 match frame for frame, interval for interval and in its final state.
 
-`_emit` builds each frame with `frames._unchecked`, skipping the field
-checks of `SensorFrame`, because every field is in range by construction:
-`SensorState` checks the node id against `frames.NODE_ID_MAX`; the sequence
-number and the timestamp are masked with `frames.SEQ_MAX` and
-`frames.TIMESTAMP_MAX`, their widths; `_read` clamps the codes to
-0..65535; the range indices are 0..3.
+The tail builds no frame: it keeps each chunk's times, ADC codes and packed
+range bytes (0 asleep) up to the cut, and after the last chunk they are
+copied into one (7, m) int64 field matrix, one column per frame: node id,
+seq, timestamp, the three codes and the packed range byte. The sequence
+numbers count up by one from the state's and the stamps come from the
+times, both computed once per replay. `ReplayResult.frames` builds the
+`(t, SensorFrame)` pairs with `frames._frames` on first access, unchecked,
+because every field is in range by construction: `SensorState` checks the
+node id against `frames.NODE_ID_MAX`; the sequence number and the
+timestamp are masked with `frames.SEQ_MAX` and `frames.TIMESTAMP_MAX`,
+their widths; `_read` clamps the codes to 0..65535; the range indices are
+0..3.
 """
 
 from __future__ import annotations
@@ -51,13 +57,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import repeat
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
 
 from .errors import ParameterError
-from .frames import NODE_ID_MAX, SEQ_MAX, TIMESTAMP_MAX, SensorFrame, _unchecked
+from .frames import _RANGE_BYTE, NODE_ID_MAX, SEQ_MAX, TIMESTAMP_MAX, SensorFrame, _frames
 from .motion import DEFAULT_RATE_HZ, AccelTrace, _require_rate
 
 ADC_FULL_SCALE = 65535
@@ -217,22 +223,8 @@ class SensorState:
 
 def initial_state(**kwargs) -> SensorState:
     """A sleeping node whose first wake tick lands one wake period in."""
-    state = SensorState(**kwargs)
-    if "next_sample_at_s" not in kwargs:
-        state = replace(state, next_sample_at_s=state.time_s + state.wake_period_s)
-    return state
-
-
-def _emit(frames: list, node_id: int, seq: int, t, codes: np.ndarray, range_codes) -> int:
-    """Append the (t, frame) pairs of samples read at times `t` with their
-    (3, m) ADC codes and per-sample range-code tuples; return the next seq.
-    Timestamps are taken modulo 2**32 while still floats, so they stay exact
-    at any time the state allows."""
-    stamps = np.mod(np.rint(t * 1000.0), TIMESTAMP_MAX + 1).astype(np.int64).tolist()
-    seqs = ((seq + np.arange(len(stamps))) & SEQ_MAX).tolist()
-    codes = zip(*codes.astype(np.int64).tolist())
-    frames.extend(zip(t.tolist(), map(_unchecked, zip(repeat(node_id), seqs, stamps, codes, range_codes))))
-    return (seq + len(stamps)) & SEQ_MAX
+    first_tick = kwargs.get("time_s", SensorState.time_s) + kwargs.get("wake_period_s", SensorState.wake_period_s)
+    return SensorState(**{"next_sample_at_s": first_tick, **kwargs})
 
 
 @dataclass(frozen=True)
@@ -247,13 +239,26 @@ class TimelineInterval:
                                  f"got [{self.t_start}, {self.t_end}]")
 
 
-@dataclass
+@dataclass(eq=False)
 class ReplayResult:
-    """Outcome of driving one node through a trace."""
+    """Outcome of driving one node through a trace: the time of each frame,
+    the frames' (7, m) int64 field matrix (see `frames._frames`), the mode
+    intervals and the final state. Two results are equal when their frames,
+    intervals and final states are."""
 
-    frames: list[tuple[float, SensorFrame]]
+    t: np.ndarray
+    fields: np.ndarray
     intervals: list[TimelineInterval]
     final_state: SensorState
+
+    @cached_property
+    def frames(self) -> list[tuple[float, SensorFrame]]:
+        """The (t, frame) pairs, built on first access."""
+        return list(zip(self.t.tolist(), _frames(self.fields.tolist())))
+
+    def __eq__(self, other):
+        return isinstance(other, ReplayResult) and (self.frames, self.intervals, self.final_state) == (
+            other.frames, other.intervals, other.final_state)
 
 
 def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
@@ -270,17 +275,18 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
     The node runs one mode stretch at a time, each in chunks that double
     in size. In each chunk the mode's own part picks the due samples,
     reads them and finds where the stretch ends; the shared tail checks
-    and emits the readings up to there, then switches mode (closing the
+    and keeps the readings up to there, then switches mode (closing the
     mode's interval, resetting the timer and starting a first chunk) or
-    doubles the chunk. `tests/sensor_reference.py` advances the same node
-    one sample at a time and must give the same frames, intervals and
-    final state.
+    doubles the chunk. After the last chunk the kept readings become the
+    result's `t` and `fields`; frames are built only when
+    `ReplayResult.frames` is read. `tests/sensor_reference.py` advances the
+    same node one sample at a time and must give the same frames,
+    intervals and final state.
     """
     n = len(trace)
-    frames: list[tuple[float, SensorFrame]] = []
     intervals: list[TimelineInterval] = []
     if n == 0:
-        return ReplayResult(frames=frames, intervals=intervals, final_state=state)
+        return ReplayResult(np.empty(0), np.empty((7, 0), np.int64), intervals, state)
     dt = 1.0 / trace.rate_hz
     times = np.full(n + 1, dt)
     times[0] = state.time_s
@@ -296,10 +302,11 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
     period = 1.0 / state.sample_rate_hz
     active = state.mode is SensorMode.ACTIVE
     ranges = np.array([rng.code for rng in state.ranges])
-    timer, seq = state.low_activity_timer_s, state.seq
-    next_at, last = state.next_sample_at_s, state.last_sample_t_s
+    timer, next_at, last = state.low_activity_timer_s, state.next_sample_at_s, state.last_sample_t_s
     seg_start = state.time_s
     i, size = 0, _FIRST_CHUNK
+    # each chunk's times, ADC codes and packed range bytes (0 asleep) up to its cut; m frames in all
+    chunks, m = [], 0
     while i < n:
         i = bisect_left(wake_at, next_at, i)
         if i == n:
@@ -332,7 +339,7 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
                 if timer >= window:
                     cut, switch = k + 1, True
                     break
-            range_codes = zip(*steps[:, :cut].tolist())
+            range_byte = _RANGE_BYTE @ steps[:, :cut]
         else:
             # walk up to `size` wake ticks with the scalar rule
             idx = []
@@ -348,10 +355,11 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
             woke = np.flatnonzero(_deviation(values) > threshold)
             switch = woke.size > 0
             cut = int(woke[0]) + 1 if switch else len(idx)
-            range_codes = repeat((0, 0, 0))
-        # both modes: emit up to the cut, then switch mode and start a new chunk, or double it
+            range_byte = 0
+        # both modes: keep the readings up to the cut, then switch mode and start a new chunk, or double it
         _require_finite(a[:, :cut])
-        seq = _emit(frames, node_id, seq, t[:cut], codes[:, :cut], range_codes)
+        chunks.append((t[:cut], codes[:, :cut], range_byte))
+        m += cut
         last = t_at[idx[cut - 1]]
         if switch:
             intervals.append(TimelineInterval(seg_start, last, SensorMode.ACTIVE if active else SensorMode.SLEEP))
@@ -364,6 +372,14 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
         elif switch:
             ranges, next_at = np.zeros_like(ranges), last + wake_period
 
+    t_out, fields, k = np.empty(m), np.empty((7, m), np.int64), 0
+    for t, codes, range_byte in chunks:
+        t_out[k : k + len(t)], fields[3:6, k : k + len(t)], fields[6, k : k + len(t)] = t, codes, range_byte
+        k += len(t)
+    fields[0] = node_id
+    np.bitwise_and(np.arange(state.seq, state.seq + m), SEQ_MAX, out=fields[1])
+    # timestamps are taken modulo 2**32 while still floats, so they stay exact at any time the state allows
+    np.mod(np.rint(t_out * 1000.0), TIMESTAMP_MAX + 1, out=fields[2], casting="unsafe")
     end = float(times[-1])
     mode = SensorMode.ACTIVE if active else SensorMode.SLEEP
     if end > seg_start:
@@ -373,9 +389,9 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
         mode=mode,
         ranges=tuple(RANGE_LADDER[r] for r in ranges.tolist()),
         low_activity_timer_s=timer,
-        seq=seq,
+        seq=(state.seq + m) & SEQ_MAX,
         time_s=end,
         next_sample_at_s=next_at,
         last_sample_t_s=last,
     )
-    return ReplayResult(frames=frames, intervals=intervals, final_state=final_state)
+    return ReplayResult(t_out, fields, intervals, final_state)

@@ -3,6 +3,7 @@
 import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 import frames_reference
 from bsnsim.errors import FrameError
 from bsnsim.frames import (
+    _RECORD,
+    _WIRE,
     FRAME_LEN,
     LOG_MAGIC,
     SensorFrame,
+    _crcs,
     _unchecked,
     crc16_ccitt,
     decode_frame,
@@ -215,3 +219,51 @@ def test_decode_arbitrary_bytes_raises_only_frame_error(buf):
     except FrameError:
         return
     assert isinstance(frame, SensorFrame)
+
+
+_bodies = st.binary(min_size=FRAME_LEN - 2, max_size=FRAME_LEN - 2)
+
+
+def _all_crcs(bodies, tails=None):
+    """`_crcs` over a buffer of one record per body, each ending in `tails` (default 2 zero bytes)."""
+    tails = tails or [b"\x00\x00"] * len(bodies)
+    return _crcs(b"".join(body + tail for body, tail in zip(bodies, tails))).tolist()
+
+
+@given(st.lists(_bodies, max_size=20), st.data())
+def test_all_records_crc_equals_the_scalar_one(bodies, data):
+    # whatever the record's own CRC bytes hold
+    tails = [data.draw(st.binary(min_size=2, max_size=2)) for _ in bodies]
+    expected = [crc16_ccitt(body) for body in bodies]
+    assert _all_crcs(bodies, tails) == expected == [frames_reference.crc16_ccitt_false(body) for body in bodies]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [bytes(FRAME_LEN - 2), b"\xff" * (FRAME_LEN - 2), b"123456789".ljust(FRAME_LEN - 2, b"\x00")],
+    ids=["zeros", "ones", "check-string"],
+)
+def test_all_records_crc_hand_cases(body):
+    expected = frames_reference.crc16_ccitt_false(body)
+    assert _all_crcs([body]) == [crc16_ccitt(body)] == [expected]
+    assert _all_crcs([body] * 3) == [expected] * 3
+
+
+def test_wire_dtype_is_the_record_layout():
+    fields = (7, 513, 123456789, 1, 65535, 32768, 0b10110100, 0xBEEF)
+    record = np.frombuffer(_RECORD.pack(*fields), _WIRE)
+    assert _WIRE.itemsize == _RECORD.size == FRAME_LEN
+    assert [record[name][0].tolist() for name in _WIRE.names] == [*fields[:3], list(fields[3:6]), *fields[6:]]
+
+
+def test_log_with_two_bad_records_reports_the_first():
+    frames = [SensorFrame(1, k, 10 * k, (k, 2 * k, 3 * k), (0, 1, 2)) for k in range(4)]
+    body = bytearray(b"".join(encode_frame(frame) for frame in frames))
+    body[2 * FRAME_LEN + 5] ^= 0x10  # record 2: a flipped timestamp bit
+    body[1 * FRAME_LEN + 15] ^= 0x01  # record 1: a flipped CRC bit
+    record = bytes(body[FRAME_LEN : 2 * FRAME_LEN])
+    computed = frames_reference.crc16_ccitt_false(record[:-2])
+    carried = int.from_bytes(record[-2:], "big")
+    message = f"CRC mismatch: computed {computed:#06x}, frame carries {carried:#06x}"
+    with pytest.raises(FrameError, match=f"^{re.escape(message)}$"):
+        read_frame_log(LOG_MAGIC + bytes(body))

@@ -288,6 +288,42 @@ class TestStarNetwork:
         assert len(frames) == len(result.logged)
         assert (len(blob) - len(LOG_MAGIC)) == FRAME_LEN * len(frames)
 
+    def test_silent_node_next_to_one_that_emits(self):
+        # sensor_1's trace ends at 0.5 s, before its first wake tick at 1 s: it emits nothing
+        scenario = _star_scenario(2)
+        traces = {
+            "sensor_1": generate_trace(ActivityKind.FALL, 0.5, 60.0, seed=1),
+            "sensor_2": compose_schedule([(ActivityKind.FALL, 1.0), (ActivityKind.RUN, 2.0)], seed=2),
+        }
+        result = run_star_network(scenario, traces, 3.0, seed=3)
+        assert (result.deliveries["sensor_1"].emitted, result.deliveries["sensor_1"].delivered) == (0, 0)
+        assert result.deliveries["sensor_2"].delivered == result.deliveries["sensor_2"].emitted > 100
+        assert {name for _, name, _ in result.logged} == {"sensor_2"}
+        assert {frame.node_id for _, _, frame in result.logged} == {2}
+        assert read_frame_log(result.log_bytes()) == [frame for _, _, frame in result.logged]
+
+    def test_only_silent_nodes_log_nothing(self):
+        traces = {f"sensor_{i + 1}": generate_trace(ActivityKind.FALL, 0.5, 60.0, seed=i) for i in range(2)}
+        result = run_star_network(_star_scenario(2), traces, 0.5, seed=3)
+        assert [(d.emitted, d.delivered) for d in result.deliveries.values()] == [(0, 0), (0, 0)]
+        assert result.logged == []
+        assert result.log_bytes() == LOG_MAGIC
+
+    def test_dead_link_node_next_to_a_live_one(self):
+        scenario = _star_scenario(2)
+        scenario = dataclasses.replace(scenario, tx_power_dbm=-10.0, nodes={**scenario.nodes, "sensor_1": (300.0, 0.0)})
+        traces = {name: compose_schedule([(ActivityKind.FALL, 1.0), (ActivityKind.RUN, 2.0)], seed=k)
+                  for k, name in enumerate(("sensor_1", "sensor_2"))}
+        result = run_star_network(scenario, traces, 3.0, seed=4)
+        dead, live = result.deliveries["sensor_1"], result.deliveries["sensor_2"]
+        assert dead.emitted > 100 and dead.delivered == 0
+        assert live.delivered == live.emitted > 100
+        assert [(name, frame.node_id) for _, name, frame in result.logged] == [("sensor_2", 2)] * live.delivered
+        times = [t for t, _, _ in result.logged]
+        assert times == sorted(times)
+        assert [frame.seq for _, _, frame in result.logged] == list(range(live.emitted))
+        assert read_frame_log(result.log_bytes()) == [frame for _, _, frame in result.logged]
+
     @pytest.mark.parametrize("duration_s", [0.0, -1.0, math.nan, math.inf])
     def test_duration_must_be_positive_and_finite(self, duration_s):
         trace = generate_trace(ActivityKind.REST, 1.0, 60.0, seed=1)

@@ -1,6 +1,7 @@
 """Channel geometry, path loss, and the interference model."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -412,3 +413,37 @@ class TestReceptionMatchesReference:
             bound.success_prob(0.0, [replace(equal, channel=ChannelSpec.wlan(2))])
         with pytest.raises(ParameterError, match="bound with 1 interferer"):
             bound.success_prob(0.0, [equal, equal])
+
+
+_OVEN = {"channel": ChannelSpec.microwave_oven(), "position": (0.0, 0.0), "tx_power_dbm": 0.0, "activity_factor": 0.5}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("enabled", "no", "enabled must be a bool, got 'no'"),
+        ("enabled", 1, "enabled must be a bool, got 1"),
+        ("tx_power_dbm", math.nan, "tx_power_dbm must be a finite number, got nan"),
+        ("tx_power_dbm", -math.inf, "tx_power_dbm must be a finite number, got -inf"),
+        ("tx_power_dbm", "0", "tx_power_dbm must be a finite number, got '0'"),
+        ("tx_power_dbm", True, "tx_power_dbm must be a finite number, got True"),
+        ("influence_radius_m", -1.0, "influence_radius_m must be a non-negative finite number or None, got -1.0"),
+        ("influence_radius_m", math.nan, "influence_radius_m must be a non-negative finite number or None, got nan"),
+        ("influence_radius_m", math.inf, "influence_radius_m must be a non-negative finite number or None, got inf"),
+        ("influence_radius_m", "2", "influence_radius_m must be a non-negative finite number or None, got '2'"),
+    ],
+    ids=["enabled-str", "enabled-int", "power-nan", "power-inf", "power-str", "power-bool", "radius-negative",
+         "radius-nan", "radius-inf", "radius-str"],
+)
+def test_interferer_rejects_a_bad_field(field, value, message):
+    # a nan oven power, put in apartment_microwave, read as no oven: delivery 1.0 on channel 20
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        Interferer(**{**_OVEN, field: value})
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        replace(Interferer(**_OVEN), **{field: value})
+
+
+def test_interferer_takes_edge_values():
+    for field, value in (("enabled", False), ("tx_power_dbm", -200), ("influence_radius_m", 0.0),
+                         ("influence_radius_m", 0), ("influence_radius_m", None)):
+        assert getattr(Interferer(**{**_OVEN, field: value}), field) == value

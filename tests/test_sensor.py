@@ -3,6 +3,7 @@
 import math
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -305,6 +306,39 @@ class TestWorkflow:
         assert seqs[0] == 65534
         assert 0 in seqs  # wrapped past 65535
 
+    def test_fields_hold_each_frame_in_its_column(self):
+        # a fall from the first wake tick on: sleeping and active frames, ranges off the lowest
+        trace = compose_schedule([(ActivityKind.REST, 1.5), (ActivityKind.FALL, 2.0)], seed=6)
+        state = initial_state(node_id=9, seq=65000)
+        result = replay_trace(state, trace)
+        assert result.fields.dtype == np.int64 and result.fields.shape == (7, len(result.t))
+        assert result.t.tolist() == [t for t, _ in result.frames]
+        columns = [[f.node_id, f.seq, f.timestamp_ms, *f.codes, (f.range_codes[0] << 6) | (f.range_codes[1] << 4)
+                    | (f.range_codes[2] << 2)] for _, f in result.frames]
+        assert result.fields.T.tolist() == columns
+        assert result.fields[1].tolist() == [(65000 + k) & 0xFFFF for k in range(len(result.t))]
+        assert result.final_state.seq == (65000 + len(result.t)) & 0xFFFF
+        assert any(f.range_codes != (0, 0, 0) for _, f in result.frames)
+
+    @pytest.mark.parametrize("seconds", [0.0, 0.5], ids=["empty trace", "ends before the first wake tick"])
+    def test_no_frame_gives_empty_frames(self, seconds):
+        n = int(seconds * 60.0)
+        trace = AccelTrace(rate_hz=60.0, ax=np.zeros(n), ay=np.zeros(n), az=np.ones(n), labels=[ActivityKind.REST] * n)
+        result = replay_trace(initial_state(), trace)
+        assert result.frames == []
+        assert result.t.shape == (0,) and result.fields.shape == (7, 0)
+        assert result.final_state.seq == 0
+
+    def test_results_compare_by_frames_intervals_and_final_state(self):
+        trace = compose_schedule([(ActivityKind.REST, 1.5), (ActivityKind.FALL, 1.0)], seed=3)
+        result = replay_trace(initial_state(), trace)
+        assert result == replay_trace(initial_state(), trace)
+        assert result == ReplayResult(result.t.copy(), result.fields.copy(), list(result.intervals), result.final_state)
+        assert result != replay_trace(initial_state(seq=1), trace)
+        assert result != replay_trace(initial_state(), replace(trace, az=trace.az[:-1], ax=trace.ax[:-1],
+                                                              ay=trace.ay[:-1], labels=trace.labels[:-1]))
+        assert result != (result.frames, result.intervals, result.final_state)
+
 
 def _step_replay(state, trace):
     """Reference replay: one step() per sample, the behaviour replay_trace must match."""
@@ -320,7 +354,7 @@ def _step_replay(state, trace):
             seg_start, seg_mode = state.time_s, state.mode
     if state.time_s > seg_start:
         intervals.append(TimelineInterval(seg_start, state.time_s, seg_mode))
-    return ReplayResult(frames=frames, intervals=intervals, final_state=state)
+    return SimpleNamespace(frames=frames, intervals=intervals, final_state=state)
 
 
 def _assert_replay_matches_steps(state, trace):
