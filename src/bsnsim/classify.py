@@ -100,25 +100,35 @@ def detect_abnormal(trace: AccelTrace, cfg: ClassifierConfig | None = None) -> l
     fire_total = (total < cfg.low_threshold_g) | (total > cfg.high_threshold_g)
 
     w = max(1, int(round(cfg.window_s * trace.rate_hz)))
-    hop = max(1, w // 2)
-    fire_axis = np.zeros(n, dtype=bool)
-    for start in range(0, n, hop):
-        end = min(n, start + w)
-        for arr in (trace.ax, trace.ay, trace.az):
-            seg = arr[start:end]
-            if seg.max() - seg.min() > _AXIS_DELTA_THRESHOLD_G:
-                fire_axis[start:end] = True
-                break
-        if end == n:
-            break
-
-    fire = fire_total | fire_axis
+    fire = fire_total | _fire_axis(trace, w)
     idx = np.flatnonzero(fire)
     if idx.size == 0:
         return []
 
     runs = np.split(idx, np.flatnonzero(np.diff(idx) > w) + 1)  # a gap longer than one window closes a run
     return [_make_event(trace, total, fire_total, run[0], run[-1]) for run in runs]
+
+
+def _fire_axis(trace: AccelTrace, w: int) -> np.ndarray:
+    """Method (i): every sample of each window of `w` samples, starting every
+    `max(1, w // 2)` samples up to the first window that reaches the trace's
+    end, in which some axis's peak-to-peak change passes the threshold.
+
+    Each axis is extended with its last sample repeated, which leaves every
+    window's extrema unchanged, and one `reduceat` over the (start, start + w)
+    bounds takes every window's maximum, another every minimum."""
+    hop = max(1, w // 2)
+    starts = np.arange(0, -(-max(0, len(trace) - w) // hop) * hop + 1, hop)
+    bounds = np.column_stack([starts, starts + w]).ravel()
+    fires = np.zeros(len(starts), dtype=bool)
+    for arr in (trace.ax, trace.ay, trace.az):
+        extended = np.concatenate([arr, np.repeat(arr[-1:], w + 1)])
+        high, low = np.maximum.reduceat(extended, bounds)[::2], np.minimum.reduceat(extended, bounds)[::2]
+        fires |= high - low > _AXIS_DELTA_THRESHOLD_G
+    fire_axis = np.zeros(len(trace), dtype=bool)
+    for start in starts[fires].tolist():
+        fire_axis[start:start + w] = True
+    return fire_axis
 
 
 def _make_event(trace: AccelTrace, total, fire_total, start: int, end: int) -> AbnormalEvent:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 from .errors import ParameterError, UndefinedBatteryLifeError
@@ -76,8 +77,8 @@ def average_current_ma(components: Sequence[ComponentCurrent], duty: Mapping[str
         if comp.name not in duty:
             raise ParameterError(f"missing duty entry for component {comp.name!r}")
         frac = duty[comp.name]
-        if not 0.0 <= frac <= 1.0:
-            raise ParameterError(f"duty for {comp.name!r} must be in [0, 1], got {frac}")
+        if isinstance(frac, bool) or not isinstance(frac, Real) or not 0.0 <= frac <= 1.0:
+            raise ParameterError(f"duty for {comp.name!r} must be a number in [0, 1], got {frac!r}")
         total += frac * comp.active_ma + (1.0 - frac) * comp.sleep_ma
     return total
 
@@ -115,8 +116,8 @@ def simulate_energy(
     Active intervals and their sleep current otherwise; the radio is active
     only for the airtime of the frames actually transmitted.
     """
-    if not 0 <= n_frames < math.inf:
-        raise ParameterError(f"n_frames must be a non-negative count, got {n_frames}")
+    if isinstance(n_frames, bool) or not isinstance(n_frames, Integral) or n_frames < 0:
+        raise ParameterError(f"n_frames must be a non-negative count, got {n_frames!r}")
     battery = battery or PACK_BATTERY
     by_name = {c.name: c for c in default_components()}
 

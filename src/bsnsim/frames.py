@@ -1,6 +1,6 @@
 """Sensor frame wire format, CRC and the frame log.
 
-`_RECORD` is the frame layout (big-endian, 16 bytes total):
+`_WIRE` is the frame layout, a numpy record dtype (big-endian, 16 bytes total):
 
     offset  size  field
     0       1     node id
@@ -10,9 +10,10 @@
     13      1     three 2-bit range codes packed high-to-low, 2 spare bits
     14      2     CRC-16/CCITT-FALSE over bytes 0..13
 
-`_WIRE` is the same layout as a numpy record dtype. It is used only at the
-byte boundary, on one buffer of whole records: `_unpack` reads every record
-with one `np.frombuffer`, and `_pack` writes every CRC through it.
+Records are packed and unpacked as whole buffers, never one at a time:
+`_pack` fills one `np.empty(k, _WIRE)` from seven integer field columns (a
+star run's delivered frames, or the frames `write_frame_log` transposes), and
+`_unpack` reads every record with one `np.frombuffer`.
 
 `_crcs` takes the CRC of every record of a buffer at once, table-driven:
 the table `_BYTE_STEP[b] = crc_hqx(bytes([b]), 0)` advances a register by
@@ -24,7 +25,8 @@ steps over all records.
 
 `_frames` is the one place that turns integer field columns into
 `SensorFrame` tuples: a replay's field matrix, a star run's delivered
-frames and a decoded log all go through it.
+frames and a decoded log all go through it, and only when their frames are
+asked for.
 
 A frame log is the 8-byte magic `LOG_MAGIC` followed by frame records,
 written by `write_frame_log` and read back, every CRC checked, by `read_frame_log`.
@@ -33,8 +35,6 @@ written by `write_frame_log` and read back, every CRC checked, by `read_frame_lo
 from __future__ import annotations
 
 import binascii
-import struct
-from functools import partial
 from itertools import repeat
 from numbers import Integral
 from typing import NamedTuple, Sequence
@@ -43,13 +43,12 @@ import numpy as np
 
 from .errors import FrameError, ParameterError
 
-_RECORD = struct.Struct(">BHIHHHBH")
 _WIRE = np.dtype([("node_id", "u1"), ("seq", ">u2"), ("timestamp_ms", ">u4"), ("codes", ">u2", (3,)),
                   ("ranges", "u1"), ("crc", ">u2")])
-FRAME_LEN = _RECORD.size
+FRAME_LEN = _WIRE.itemsize
 _CRC_AT = FRAME_LEN - 2
 LOG_MAGIC = b"BSLOG1\x00\x00"
-# The largest value of each integer field, as wide as its place in `_RECORD`.
+# The largest value of each integer field, as wide as its place in `_WIRE`.
 NODE_ID_MAX, SEQ_MAX, TIMESTAMP_MAX, _CODE_MAX = 0xFF, 0xFFFF, 0xFFFFFFFF, 0xFFFF
 # The (x, y, z) range codes carried by each value of the packed byte, the
 # byte, spare bits clear, that carries each (x, y, z), and what each axis's
@@ -103,15 +102,10 @@ class SensorFrame(_FrameFields):
         return cls(*iterable)
 
 
-# A frame from a (node_id, seq, timestamp_ms, codes, range_codes) tuple whose
-# fields are known to be in range, without the checks.
-_unchecked = partial(tuple.__new__, SensorFrame)
-
-
 def _frames(columns) -> list[SensorFrame]:
     """The frames of seven lists of integers, each field within its width, built
-    unchecked as `_unchecked` builds one: node id, seq, timestamp, the three ADC
-    codes and the packed range byte."""
+    without `SensorFrame`'s checks: node id, seq, timestamp, the three ADC codes
+    and the packed range byte."""
     node_id, seq, timestamp_ms, cx, cy, cz, packed = columns
     rows = zip(node_id, seq, timestamp_ms, zip(cx, cy, cz), map(_UNPACKED.__getitem__, packed))
     return list(map(tuple.__new__, repeat(SensorFrame), rows))
@@ -125,14 +119,15 @@ def _crcs(records) -> np.ndarray:
     return crc
 
 
-def _pack(frames: Sequence[SensorFrame]) -> bytearray:
-    """The records of `frames`, in order; each ends in the CRC of its other bytes."""
-    buf = bytearray(len(frames) * FRAME_LEN)
-    pack_into = _RECORD.pack_into
-    for offset, (node_id, seq, timestamp_ms, (cx, cy, cz), range_codes) in zip(range(0, len(buf), FRAME_LEN), frames):
-        pack_into(buf, offset, node_id, seq, timestamp_ms, cx, cy, cz, _PACKED[range_codes], 0)
-    np.frombuffer(buf, _WIRE)["crc"] = _crcs(buf)
-    return buf
+def _pack(columns) -> bytes:
+    """The records of seven field columns (see `_frames`), in order; each ends
+    in the CRC of its other bytes."""
+    node_id, seq, timestamp_ms, *codes, packed = np.asarray(columns, np.int64)
+    records = np.empty(len(node_id), _WIRE)
+    records["node_id"], records["seq"], records["timestamp_ms"], records["ranges"] = node_id, seq, timestamp_ms, packed
+    records["codes"] = np.transpose(codes)
+    records["crc"] = _crcs(records)
+    return records.tobytes()
 
 
 def _unpack(view: memoryview) -> list[SensorFrame]:
@@ -148,7 +143,7 @@ def _unpack(view: memoryview) -> list[SensorFrame]:
 
 def encode_frame(frame: SensorFrame) -> bytes:
     """Serialize a frame; the trailing CRC covers all preceding bytes."""
-    return bytes(_pack((frame,)))
+    return write_frame_log((frame,))[len(LOG_MAGIC):]
 
 
 def decode_frame(buf: bytes) -> SensorFrame:
@@ -159,8 +154,12 @@ def decode_frame(buf: bytes) -> SensorFrame:
 
 
 def write_frame_log(frames: Sequence[SensorFrame]) -> bytes:
-    """A binary frame log of `frames`, in order."""
-    return LOG_MAGIC + _pack(frames)
+    """A binary frame log of `frames`, in order: their fields transposed into
+    columns and packed by `_pack`."""
+    if not frames:
+        return LOG_MAGIC
+    node_id, seq, timestamp_ms, codes, range_codes = zip(*frames)
+    return LOG_MAGIC + _pack([node_id, seq, timestamp_ms, *zip(*codes), list(map(_PACKED.__getitem__, range_codes))])
 
 
 def read_frame_log(data: bytes) -> list[SensorFrame]:

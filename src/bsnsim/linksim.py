@@ -9,12 +9,19 @@ exactly the timeout before the next message goes out.
 Placement is one `rf.radio_paths` call per receiver: a `Direction` places
 its link with every interferer's path, and a star run places every uplink to
 the base in one `Direction.to` call, whose directions share those paths.
+
+A star run keeps its delivered frames as the columns it sorts them in: their
+times and their (7, k) int64 field matrix (see `frames._frames`).
+`StarResult.log_bytes` packs the log straight from those columns; the
+`(t, node, SensorFrame)` triples of `StarResult.logged` are built only when
+it is first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Sequence
 
@@ -22,7 +29,7 @@ import numpy as np
 
 from .errors import ParameterError, ScenarioError
 # unused here, but bench/spans.py wraps linksim.encode_frame and linksim.read_frame_log
-from .frames import FRAME_LEN, SensorFrame, _frames, encode_frame, read_frame_log, write_frame_log
+from .frames import FRAME_LEN, LOG_MAGIC, SensorFrame, _frames, _pack, encode_frame, read_frame_log
 from .motion import AccelTrace
 from .rf import ChannelSpec, InterferenceCalibration, RadioPath, Reception, radio_paths
 from .scenario import Scenario
@@ -194,13 +201,29 @@ class NodeDelivery:
     stats: RunStats
 
 
-@dataclass
+@dataclass(eq=False)
 class StarResult:
+    """The per-node deliveries of a star run and its delivered frames in log
+    order: their times, their (7, k) field matrix and the node names by node
+    id (node id i is `names[i - 1]`). Two results are equal when their
+    deliveries and logged frames are."""
+
     deliveries: dict[str, NodeDelivery]
-    logged: list[tuple[float, str, SensorFrame]] = field(default_factory=list)
+    t: np.ndarray
+    fields: np.ndarray
+    names: tuple[str, ...]
+
+    @cached_property
+    def logged(self) -> list[tuple[float, str, SensorFrame]]:
+        """The (t, node, frame) triples, built on first access."""
+        columns = self.fields.tolist()
+        return list(zip(self.t.tolist(), [self.names[node_id - 1] for node_id in columns[0]], _frames(columns)))
 
     def log_bytes(self) -> bytes:
-        return write_frame_log([frame for _, _, frame in self.logged])
+        return LOG_MAGIC + _pack(self.fields)
+
+    def __eq__(self, other):
+        return isinstance(other, StarResult) and (self.deliveries, self.logged) == (other.deliveries, other.logged)
 
 
 def run_star_network(
@@ -255,7 +278,6 @@ def run_star_network(
     keep = np.concatenate(keeps)
     t = np.concatenate([emissions[name].t for name in names])[keep]
     order = np.argsort(t, kind="stable")
-    columns = np.concatenate([emissions[name].fields for name in names], axis=1)[:, keep][:, order].tolist()
-    logged = list(zip(t[order].tolist(), [names[node_id - 1] for node_id in columns[0]], _frames(columns)))
-    return StarResult(deliveries=deliveries, logged=logged)
+    fields = np.concatenate([emissions[name].fields for name in names], axis=1)[:, keep][:, order]
+    return StarResult(deliveries, t[order], fields, tuple(names))
 

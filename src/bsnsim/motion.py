@@ -89,8 +89,8 @@ def _oscillation(rng: np.random.Generator, n: int, rate_hz: float, f_lo: float, 
     phases = rng.uniform(0.0, 2.0 * np.pi, 6)
     weights = rng.uniform(0.4, 1.0, 6)
     sig = np.zeros(n)
-    for f, p, w in zip(freqs, phases, weights):
-        sig += w * np.sin(2.0 * np.pi * f * t + p)
+    for wave in weights[:, None] * np.sin((2.0 * np.pi * freqs)[:, None] * t + phases[:, None]):
+        sig += wave
     return sig / weights.sum()
 
 

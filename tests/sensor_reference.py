@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 from typing import NamedTuple
 
 from bsnsim.errors import ParameterError
-from bsnsim.frames import TIMESTAMP_MAX, SensorFrame, _unchecked
+from bsnsim.frames import TIMESTAMP_MAX, SensorFrame
 from bsnsim.sensor import (
     _RANGE_G,
     _SENSITIVITY,
@@ -31,6 +32,10 @@ from bsnsim.sensor import (
     SensorMode,
     SensorState,
 )
+
+# A frame from a (node_id, seq, timestamp_ms, codes, range_codes) tuple whose
+# fields are known to be in range, without the checks.
+_unchecked = partial(tuple.__new__, SensorFrame)
 
 
 def _quantize(a_g: float, idx: int) -> tuple[int, bool]:

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import classify_reference
 from bsnsim.classify import (
     AbnormalTrigger,
     ActivityClass,
     ClassifierConfig,
+    _fire_axis,
     classify_window,
     detect_abnormal,
     events_to_csv,
@@ -129,3 +133,27 @@ def test_events_csv_shape():
     assert len(lines) == 2
     fields = lines[1].split(",")
     assert float(fields[0]) <= float(fields[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    rate_hz=st.sampled_from([10.0, 25.0, 60.0, 100.0]),
+    window_s=st.one_of(st.floats(0.01, 100.0), st.sampled_from([0.01, 0.5, 1.0, 1.5])),
+    dtypes=st.tuples(*[st.sampled_from([np.float64, np.float32])] * 3),
+    seed=st.integers(0, 2**32 - 1),
+    nan_at=st.none() | st.tuples(st.integers(0, 2), st.floats(0.0, 1.0, exclude_max=True)),
+)
+def test_axis_windows_match_the_reference_loop(n, rate_hz, window_s, dtypes, seed, nan_at):
+    # sparse bursts of a few g, so that some windows fire and some do not; w = 1, odd w and
+    # windows longer than the trace included
+    rng = np.random.default_rng(seed)
+    ax, ay, az = (
+        (rng.normal(0.0, 1.5, n) * (rng.random(n) < rng.random())).astype(dtype) for dtype in dtypes
+    )
+    trace = AccelTrace(rate_hz=rate_hz, ax=ax, ay=ay, az=az, labels=[ActivityKind.REST] * n)
+    if nan_at is not None:  # the trace's checks ran at construction
+        axis, where = nan_at
+        (ax, ay, az)[axis][int(where * n)] = np.nan
+    w = max(1, int(round(window_s * rate_hz)))
+    assert _fire_axis(trace, w).tolist() == classify_reference.fire_axis(trace, w).tolist()

@@ -1,7 +1,9 @@
 """Battery-life arithmetic and timeline energy integration."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from bsnsim.energy import (
@@ -38,6 +40,16 @@ class TestAverageCurrent:
     def test_missing_duty_entry(self):
         with pytest.raises(ParameterError):
             average_current_ma(paper_components(), {RADIO: 1.0})
+
+    @pytest.mark.parametrize("frac", ["x", True, None, float("nan"), 1.5, -0.1], ids=repr)
+    def test_bad_duty_rejected(self, frac):
+        duty = {ACCELEROMETER: frac, MICROCONTROLLER: 0.0, RADIO: 0.0}
+        with pytest.raises(ParameterError, match="duty for 'accelerometer' must be a number in \\[0, 1\\], got "):
+            average_current_ma(paper_components(), duty)
+
+    def test_numpy_duty_accepted(self):
+        duty = {ACCELEROMETER: np.float32(0.5), MICROCONTROLLER: np.float64(1.0), RADIO: 0}
+        assert average_current_ma(paper_components(), duty) == pytest.approx(6.05)
 
     def test_linearity_in_duty(self):
         comps = paper_components()
@@ -102,6 +114,16 @@ class TestSimulateEnergy:
         hour_sleep = [TimelineInterval(0.0, 3600.0, SensorMode.SLEEP)]
         with pytest.raises(ParameterError, match="n_frames must be a non-negative count, got -1000"):
             simulate_energy(hour_sleep, n_frames=-1000)
+
+    @pytest.mark.parametrize("n_frames", [2.5, True, "3", None, math.nan, math.inf, -1], ids=repr)
+    def test_bad_frame_count_rejected(self, n_frames):
+        # 2.5 used to bill two and a half frames of airtime, True one frame, "3" a bare TypeError
+        with pytest.raises(ParameterError, match=f"^n_frames must be a non-negative count, got {re.escape(repr(n_frames))}$"):
+            simulate_energy([TimelineInterval(0.0, 60.0, SensorMode.ACTIVE)], n_frames)
+
+    def test_numpy_frame_count_accepted(self):
+        timeline = [TimelineInterval(0.0, 60.0, SensorMode.ACTIVE)]
+        assert simulate_energy(timeline, np.int64(300)) == simulate_energy(timeline, 300)
 
     @pytest.mark.parametrize("t_start, t_end", [(10.0, 0.0), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
                                                 (-math.inf, 0.0)])

@@ -1,5 +1,6 @@
 """Frame codec round trips, CRC behavior and the frame log reader."""
 
+import itertools
 import re
 import struct
 
@@ -11,19 +12,22 @@ from hypothesis import strategies as st
 import frames_reference
 from bsnsim.errors import FrameError
 from bsnsim.frames import (
-    _RECORD,
     _WIRE,
     FRAME_LEN,
     LOG_MAGIC,
+    NODE_ID_MAX,
+    SEQ_MAX,
+    TIMESTAMP_MAX,
     SensorFrame,
     _crcs,
-    _unchecked,
+    _pack,
     crc16_ccitt,
     decode_frame,
     encode_frame,
     read_frame_log,
     write_frame_log,
 )
+from sensor_reference import _unchecked
 
 
 def test_crc_known_vector():
@@ -251,9 +255,39 @@ def test_all_records_crc_hand_cases(body):
 
 def test_wire_dtype_is_the_record_layout():
     fields = (7, 513, 123456789, 1, 65535, 32768, 0b10110100, 0xBEEF)
-    record = np.frombuffer(_RECORD.pack(*fields), _WIRE)
-    assert _WIRE.itemsize == _RECORD.size == FRAME_LEN
+    layout = struct.Struct(">BHIHHHBH")
+    record = np.frombuffer(layout.pack(*fields), _WIRE)
+    assert _WIRE.itemsize == layout.size == FRAME_LEN
     assert [record[name][0].tolist() for name in _WIRE.names] == [*fields[:3], list(fields[3:6]), *fields[6:]]
+
+
+def _field_matrix(frames):
+    """The (7, k) int64 field matrix of `frames`, as a star run holds its delivered frames."""
+    rows = [(*frame[:3], *frame.codes, (frame.range_codes[0] << 6) | (frame.range_codes[1] << 4)
+             | (frame.range_codes[2] << 2)) for frame in frames]
+    return np.array(rows, dtype=np.int64).reshape(-1, 7).T
+
+
+def _edge_frames():
+    """Every field at 0 and alone at its maximum, all fields at their maxima, and all 64 range tuples."""
+    tops = (NODE_ID_MAX, SEQ_MAX, TIMESTAMP_MAX, 0xFFFF, 0xFFFF, 0xFFFF)
+    frames = [SensorFrame(0, 0, 0, (0, 0, 0), (0, 0, 0)), SensorFrame(*tops[:3], tops[3:], (3, 3, 3))]
+    for k, top in enumerate(tops):
+        fields = [0] * 6
+        fields[k] = top
+        frames.append(SensorFrame(*fields[:3], tuple(fields[3:]), (0, 0, 0)))
+    for k, ranges in enumerate(itertools.product(range(4), repeat=3)):
+        frames.append(SensorFrame(k, 1000 + k, 1000 * k, (k, 0x100 * k, 0xFFFF - k), ranges))
+    return frames
+
+
+def test_pack_from_columns_matches_reference_at_field_edges():
+    frames = _edge_frames()
+    columns = _field_matrix(frames)
+    assert LOG_MAGIC + _pack(columns) == frames_reference.write_frame_log(frames) == write_frame_log(frames)
+    for k, frame in enumerate(frames):
+        assert _pack(columns[:, k : k + 1]) == frames_reference.encode_frame(frame) == encode_frame(frame)
+    assert read_frame_log(LOG_MAGIC + _pack(columns)) == frames
 
 
 def test_log_with_two_bad_records_reports_the_first():

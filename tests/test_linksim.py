@@ -6,9 +6,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import frames_reference
 import rf_reference
 from bsnsim.errors import BsnsimError, ParameterError, ScenarioError
 from bsnsim.frames import FRAME_LEN, LOG_MAGIC, SensorFrame, crc16_ccitt, read_frame_log
@@ -342,6 +343,64 @@ class TestStarNetwork:
         assert {k: (d.emitted, d.delivered) for k, d in a.deliveries.items()} == {
             k: (d.emitted, d.delivered) for k, d in b.deliveries.items()
         }
+
+
+_FOLLOW = (ActivityKind.FALL, ActivityKind.JUMP, ActivityKind.RUN, ActivityKind.SLOW_WALK)
+
+
+def _drill(n_nodes, dead=None, silent=None, follow=0):
+    """A 4 s drill of `n_nodes` sensors, each opening with a fall so that it emits a frame per
+    sample from 1 s on (from 14 nodes the MAC drops frames); sensor `dead` sits out of range
+    of the base, and sensor `silent`'s trace ends before its first wake tick."""
+    scenario = _star_scenario(n_nodes)
+    if dead is not None:
+        scenario = dataclasses.replace(scenario, tx_power_dbm=-10.0,
+                                       nodes={**scenario.nodes, f"sensor_{dead}": (300.0, 0.0)})
+    traces = {f"sensor_{k}": compose_schedule([(ActivityKind.FALL, 2.0), (_FOLLOW[(follow + k) % 4], 2.0)],
+                                              60.0, seed=follow + k)
+              for k in range(1, n_nodes + 1)}
+    if silent is not None:
+        traces[f"sensor_{silent}"] = generate_trace(ActivityKind.FALL, 0.5, 60.0, seed=silent)
+    return scenario, traces
+
+
+@st.composite
+def _crowds(draw):
+    """(n_nodes, dead, silent): 1-16 sensors, maybe one with a dead link, maybe one that emits nothing."""
+    n_nodes = draw(st.integers(1, 16))
+    node = st.none() | st.integers(1, n_nodes)
+    return n_nodes, draw(node), draw(node)
+
+
+@settings(max_examples=25, deadline=None)
+@given(crowd=_crowds(), follow=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(crowd=(16, None, None), follow=0, seed=1)  # every node active: the MAC drops frames
+@example(crowd=(3, 2, 3), follow=1, seed=2)  # a dead link beside a node that emits nothing
+def test_star_log_is_packed_from_its_columns(crowd, follow, seed):
+    scenario, traces = _drill(*crowd, follow=follow)
+    result = run_star_network(scenario, traces, 4.0, seed)
+    log = result.log_bytes()
+    assert "logged" not in vars(result)
+    frames = [frame for *_, frame in result.logged]
+    assert log == frames_reference.write_frame_log(frames)
+    assert read_frame_log(log) == frames
+    assert [frame.node_id for _, _, frame in result.logged] == [sorted(traces).index(name) + 1
+                                                                for _, name, _ in result.logged]
+    keys = [(frame.timestamp_ms, frame.node_id) for frame in frames]
+    assert keys == sorted(keys)  # in time order, ties in node name order
+    for name, d in result.deliveries.items():
+        seqs = [frame.seq for _, n, frame in result.logged if n == name]
+        assert len(seqs) == d.delivered and seqs == sorted(set(seqs)) and set(seqs) <= set(range(d.emitted))
+
+
+def test_star_results_compare_by_deliveries_and_frames():
+    scenario, traces = _drill(16)  # the MAC drops frames, so the seed decides which are logged
+    a, b, c = (run_star_network(scenario, traces, 4.0, seed) for seed in (1, 1, 2))
+    assert a.deliveries["sensor_1"].delivered < a.deliveries["sensor_1"].emitted
+    assert a == b and a.log_bytes() == b.log_bytes()
+    assert a != c and a.log_bytes() != c.log_bytes()
+    assert "logged" in vars(a)  # built by the comparison
+    assert a != a.log_bytes()
 
 
 # a log body of whole records, each with a valid CRC, reaches the field checks of every record
