@@ -34,7 +34,7 @@ from scipy.optimize import least_squares
 
 from .errors import ParameterError
 from .linksim import Direction, echo_directions
-from .rf import ChannelSpec, InterferenceCalibration, Interferer, Reception, _finite_number
+from .rf import ChannelSpec, InterferenceCalibration, Interferer, Reception
 from .scenario import PRESET_NAMES, Scenario, load_scenario
 
 
@@ -85,19 +85,6 @@ _FREE = (
 # Interferers and fields a calibration file may override: the ones `fit` adjusts.
 _OVERRIDE_NAMES = tuple(dict.fromkeys(name for row in _FREE for name in row.interferers))
 _OVERRIDE_FIELDS = tuple(dict.fromkeys(row.field for row in _FREE if row.interferers))
-
-
-# What `apply_overrides` takes for each `Interferer` field, in field order: (test, what the test wants).
-_OVERRIDE_VALUES = {
-    "channel": (lambda value: isinstance(value, ChannelSpec), "a ChannelSpec"),
-    "position": (lambda value: isinstance(value, tuple) and len(value) == 2 and all(map(_finite_number, value)),
-                 "an (x, y) tuple of finite numbers"),
-    "tx_power_dbm": (_finite_number, "a finite number"),
-    "activity_factor": (_finite_number, "a finite number"),
-    "enabled": (lambda value: isinstance(value, bool), "a bool"),
-    "influence_radius_m": (lambda value: value is None or (_finite_number(value) and value >= 0),
-                           "a non-negative finite number or None"),
-}
 
 
 def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, dict[str, dict[str, float]]]:
@@ -189,27 +176,29 @@ def predicted_mean_pct(receptions: tuple[Reception, Reception], interferers: Seq
 def _overridden(interferers: Mapping[str, Interferer],
                 overrides: Mapping[str, Mapping[str, float]]) -> dict[str, Interferer]:
     """The interferers, in order, with the overrides ({interferer: {field: value}}) applied by name;
-    each overridden one is built by one constructor call, so its checks run."""
-    return {name: Interferer(**{**vars(it), **overrides[name]}) if name in overrides else it
-            for name, it in interferers.items()}
+    each overridden one is rebuilt by one `Interferer` call, whose errors name it."""
+    rebuilt = dict(interferers)
+    for name, override in overrides.items():
+        if name in rebuilt:
+            try:
+                rebuilt[name] = Interferer(**{**vars(rebuilt[name]), **override})
+            except ParameterError as exc:
+                raise ParameterError(f"override of interferer {name}: {exc}") from None
+    return rebuilt
 
 
 def apply_overrides(scenario: Scenario, overrides: Mapping[str, Mapping[str, float]]) -> Scenario:
     """Apply calibration overrides ({interferer: {field: value}}) by name.
 
-    Each key must be an `Interferer` field, and each value of that field's
-    kind: a finite number (not a bool) for the powers and factors, a bool for
-    `enabled`, `None` or a non-negative finite number for
-    `influence_radius_m`; a bad one raises a `ParameterError` naming the
-    interferer and the field."""
+    An override may hold only the fields `fit` adjusts, so it moves nothing
+    placed, and `rf.Interferer` checks each value; a bad field or value raises
+    a `ParameterError` naming the interferer. An interferer the scenario lacks
+    is skipped: one fit result holds the overrides of every fitted scenario."""
     for name, override in overrides.items():
-        for key, value in override.items():
-            if key not in _OVERRIDE_VALUES:
+        for key in override:
+            if key not in _OVERRIDE_FIELDS:
                 raise ParameterError(f"override of interferer {name}: {key} is not one of "
-                                     f"{', '.join(_OVERRIDE_VALUES)}")
-            valid, wanted = _OVERRIDE_VALUES[key]
-            if not valid(value):
-                raise ParameterError(f"override of interferer {name}: {key} must be {wanted}, got {value!r}")
+                                     f"{', '.join(_OVERRIDE_FIELDS)}")
     return replace(scenario, interferers=_overridden(scenario.interferers, overrides))
 
 

@@ -56,6 +56,10 @@ NODE_ID_MAX, SEQ_MAX, TIMESTAMP_MAX, _CODE_MAX = 0xFF, 0xFFFF, 0xFFFFFFFF, 0xFFF
 _UNPACKED = tuple(((p >> 6) & 0x3, (p >> 4) & 0x3, (p >> 2) & 0x3) for p in range(256))
 _PACKED = {ranges: p for p, ranges in enumerate(_UNPACKED) if not p & 0x3}
 _RANGE_BYTE = np.array([1 << 6, 1 << 4, 1 << 2])
+# `_pack`'s seven field columns by name, and the bits each may not set: those outside its
+# width (each maximum is all ones) and the range byte's spare bits.
+_COLUMNS = ("node_id", "seq", "timestamp_ms", "x code", "y code", "z code", "range byte")
+_OUTSIDE = ~np.array([NODE_ID_MAX, SEQ_MAX, TIMESTAMP_MAX, _CODE_MAX, _CODE_MAX, _CODE_MAX, 0xFC])[:, None]
 # What one byte does to a zero CRC register: a byte advances any register by
 # `crc = (crc << 8) ^ _BYTE_STEP[(crc >> 8) ^ byte]`.
 _BYTE_STEP = np.array([binascii.crc_hqx(bytes([b]), 0) for b in range(256)], dtype=np.uint16)
@@ -121,8 +125,15 @@ def _crcs(records) -> np.ndarray:
 
 def _pack(columns) -> bytes:
     """The records of seven field columns (see `_frames`), in order; each ends
-    in the CRC of its other bytes."""
-    node_id, seq, timestamp_ms, *codes, packed = np.asarray(columns, np.int64)
+    in the CRC of its other bytes. A field outside its width raises a `FrameError`."""
+    fields = np.asarray(columns)
+    if fields.dtype.kind != "i":  # a float, or an int too wide for int64, in a column
+        raise FrameError(f"frame fields must be integers that fit in 64 bits, got {fields.dtype} columns")
+    outside = fields & _OUTSIDE
+    if outside.any():
+        k, column = np.argwhere(outside.T)[0]
+        raise FrameError(f"{_COLUMNS[column]} out of range in frame {k}: {fields[column, k]}")
+    node_id, seq, timestamp_ms, *codes, packed = fields
     records = np.empty(len(node_id), _WIRE)
     records["node_id"], records["seq"], records["timestamp_ms"], records["ranges"] = node_id, seq, timestamp_ms, packed
     records["codes"] = np.transpose(codes)
@@ -155,11 +166,15 @@ def decode_frame(buf: bytes) -> SensorFrame:
 
 def write_frame_log(frames: Sequence[SensorFrame]) -> bytes:
     """A binary frame log of `frames`, in order: their fields transposed into
-    columns and packed by `_pack`."""
+    columns and packed by `_pack`; a field out of range raises a `FrameError`."""
     if not frames:
         return LOG_MAGIC
     node_id, seq, timestamp_ms, codes, range_codes = zip(*frames)
-    return LOG_MAGIC + _pack([node_id, seq, timestamp_ms, *zip(*codes), list(map(_PACKED.__getitem__, range_codes))])
+    try:
+        packed = list(map(_PACKED.__getitem__, range_codes))
+    except KeyError as exc:
+        raise FrameError(f"bad range codes: {exc.args[0]}") from None
+    return LOG_MAGIC + _pack([node_id, seq, timestamp_ms, *zip(*codes), packed])
 
 
 def read_frame_log(data: bytes) -> list[SensorFrame]:

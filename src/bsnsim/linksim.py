@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ from .errors import ParameterError, ScenarioError
 # unused here, but bench/spans.py wraps linksim.encode_frame and linksim.read_frame_log
 from .frames import FRAME_LEN, LOG_MAGIC, SensorFrame, _frames, _pack, encode_frame, read_frame_log
 from .motion import AccelTrace
-from .rf import ChannelSpec, InterferenceCalibration, RadioPath, Reception, radio_paths
+from .rf import ChannelSpec, InterferenceCalibration, RadioPath, Reception, _finite_number, radio_paths
 from .scenario import Scenario
 from .sensor import ReplayResult, initial_state, replay_trace
 
@@ -55,8 +55,11 @@ class EchoTestConfig:
     runs: int = 10
 
     def __post_init__(self):
-        if self.n_messages <= 0 or self.runs <= 0:
-            raise ParameterError("n_messages and runs must be positive")
+        if not _finite_number(self.tx_power_dbm):
+            raise ParameterError(f"tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}")
+        for name, value in (("n_messages", self.n_messages), ("runs", self.runs)):
+            if isinstance(value, bool) or not isinstance(value, Integral) or value <= 0:
+                raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -80,15 +83,14 @@ class RunStats:
         )
 
 
-_channel, _placed_channel = attrgetter("channel"), itemgetter(0)
-
-
 @dataclass(frozen=True)
 class Direction:
     """One tx -> rx direction of a link as placed: the link's path and, by
     name, each interferer's channel, path to the receiver and that path's loss
     at the channel's centre. Overrides and enabled flags move nothing placed,
-    so they reuse it; an interferer moved to another channel needs a new one."""
+    so they reuse it. Only the channel is checked on reuse
+    (`Reception.success_prob`): an interferer moved to another channel is an
+    error, and one moved to another position needs a new `Direction`."""
 
     link: RadioPath
     interferers: dict[str, tuple[ChannelSpec, RadioPath, float]]
@@ -110,29 +112,13 @@ class Direction:
 
     def reception(self, scenario: Scenario, channel: ChannelSpec) -> Reception:
         """This direction bound to a victim channel, with the scenario's
-        interferers in scenario order, each on the channel it was placed on.
-
-        The check runs here, on every call. When the scenario's interferer
-        names, in order, and their channels equal the placement's, two list
-        compares in C confirm it. Otherwise the interferers are walked by
-        name: a reordered or smaller set binds in scenario order, and an
-        interferer without a path or on another channel is named in the
-        error."""
-        interferers, entries = scenario.interferers, self.interferers
-        if (list(interferers) == list(entries)
-                and list(map(_channel, interferers.values())) == list(map(_placed_channel, entries.values()))):
-            return Reception.bind(self.link, channel, list(entries.values()))
-        placed = []
-        for name, it in interferers.items():
-            if name not in entries:
-                raise ParameterError(f"direction has no path for interferer {name!r}")
-            entry = entries[name]
-            placed_on = entry[0]
-            if it.channel is not placed_on and it.channel != placed_on:
-                raise ParameterError(f"interferer {name!r} is on {it.channel.standard.value} channel "
-                                     f"{it.channel.index} but was placed on {placed_on.standard.value} channel "
-                                     f"{placed_on.index}")
-            placed.append(entry)
+        interferers as placed, by name in scenario order (one without a path is
+        an error); `Reception.success_prob` checks their channels."""
+        entries = self.interferers
+        try:
+            placed = [entries[name] for name in scenario.interferers]
+        except KeyError as exc:
+            raise ParameterError(f"direction has no path for interferer {exc.args[0]!r}") from None
         return Reception.bind(self.link, channel, placed)
 
 

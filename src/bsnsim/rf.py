@@ -15,11 +15,9 @@ test binds each channel once; the calibration fit binds each target once
 and evaluates it per optimizer step.
 
 The interferers must be the ones placed, in the same order and on the same
-channels. `linksim.Direction.reception` checks that against the placement
-before each bind, with one list compare of the names and one of the
-channels, and walks the interferers by name only when a compare fails, to
-name the one at fault. `success_prob` checks the channels again on every
-call, since the fit calls it without going through a `Direction`.
+channels. `linksim.Direction.reception` binds them by name, and
+`Reception.success_prob`, on every call (the fit's too), is the one channel
+check. Positions are not checked: a moved interferer needs a new placement.
 
 Channel plans
     802.15.4: channels 11..26, center 2405 + 5*(index-11) MHz, 2 MHz occupied.
@@ -306,9 +304,8 @@ def _finite_number(value) -> bool:
 @dataclass(frozen=True)
 class Interferer:
     """A transmitter on another channel, at a position. Every construction
-    checks the values (`dataclasses.replace` included): `activity_factor`
-    within [0, 1], `enabled` a bool, `tx_power_dbm` a finite number and
-    `influence_radius_m` `None` or a finite number >= 0."""
+    checks every field (`dataclasses.replace` included), and nothing else
+    checks them again; a bool is not a number here."""
 
     channel: ChannelSpec
     position: Point
@@ -318,12 +315,21 @@ class Interferer:
     influence_radius_m: float | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.activity_factor <= 1.0:
-            raise ParameterError(f"activity_factor must be in [0, 1], got {self.activity_factor}")
-        if not isinstance(self.enabled, bool):
-            raise ParameterError(f"enabled must be a bool, got {self.enabled!r}")
+        if not isinstance(self.channel, ChannelSpec):
+            raise ParameterError(f"channel must be a ChannelSpec, got {self.channel!r}")
+        position = self.position
+        if not (isinstance(position, tuple) and len(position) == 2
+                and _finite_number(position[0]) and _finite_number(position[1])):
+            raise ParameterError(f"position must be an (x, y) tuple of finite numbers, got {position!r}")
         if not _finite_number(self.tx_power_dbm):
             raise ParameterError(f"tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}")
+        activity = self.activity_factor
+        if not _finite_number(activity):
+            raise ParameterError(f"activity_factor must be a finite number, got {activity!r}")
+        if not 0.0 <= activity <= 1.0:
+            raise ParameterError(f"activity_factor must be in [0, 1], got {activity}")
+        if not isinstance(self.enabled, bool):
+            raise ParameterError(f"enabled must be a bool, got {self.enabled!r}")
         radius = self.influence_radius_m
         if radius is not None and not (_finite_number(radius) and radius >= 0):
             raise ParameterError(f"influence_radius_m must be a non-negative finite number or None, got {radius!r}")

@@ -290,6 +290,46 @@ def test_pack_from_columns_matches_reference_at_field_edges():
     assert read_frame_log(LOG_MAGIC + _pack(columns)) == frames
 
 
+def _out_of_range(top):
+    return st.integers(max_value=-1) | st.integers(min_value=top + 1)
+
+
+_TOPS = (NODE_ID_MAX, SEQ_MAX, TIMESTAMP_MAX, 0xFFFF, 0xFFFF, 0xFFFF, 3, 3, 3)
+
+
+@given(st.lists(_frames, min_size=1, max_size=6), st.data())
+def test_an_out_of_range_field_raises_frame_error(frames, data):
+    # plain tuples skip SensorFrame's checks; a field wrapped to its width would read back as another value
+    k = data.draw(st.integers(0, len(frames) - 1), label="frame")
+    slot = data.draw(st.integers(0, 8), label="field")  # node id, seq, timestamp, three codes, three range codes
+    flat = [*frames[k][:3], *frames[k].codes, *frames[k].range_codes]
+    # a float in a range code tuple is looked up as a tuple of ints; elsewhere any float is refused
+    wrong = _out_of_range(_TOPS[slot]) if slot >= 6 else _out_of_range(_TOPS[slot]) | st.floats()
+    flat[slot] = data.draw(wrong, label="value")
+    bad = (*flat[:3], tuple(flat[3:6]), tuple(flat[6:]))
+    plain = [tuple(frame) for frame in frames]
+    plain[k] = bad
+    with pytest.raises(FrameError, match="out of range|bad range codes|must be integers"):
+        write_frame_log(plain)
+    with pytest.raises(FrameError, match="out of range|bad range codes|must be integers"):
+        encode_frame(bad)
+
+
+@given(st.lists(_frames, min_size=1, max_size=6), st.data())
+def test_pack_rejects_a_column_value_outside_its_width(frames, data):
+    columns = _field_matrix(frames)
+    k = data.draw(st.integers(0, len(frames) - 1), label="frame")
+    row = data.draw(st.integers(0, 6), label="column")
+    int64 = st.integers(-(2**63), 2**63 - 1)
+    if row < 6:
+        wide = int64.filter(lambda v: not 0 <= v <= _TOPS[row])
+    else:  # the range byte: outside a byte, or a spare bit set
+        wide = st.integers(0, 0xFF).filter(lambda v: v & 0x3) | int64.filter(lambda v: not 0 <= v <= 0xFF)
+    columns[row, k] = data.draw(wide, label="value")
+    with pytest.raises(FrameError, match="out of range"):
+        _pack(columns)
+
+
 def test_log_with_two_bad_records_reports_the_first():
     frames = [SensorFrame(1, k, 10 * k, (k, 2 * k, 3 * k), (0, 1, 2)) for k in range(4)]
     body = bytearray(b"".join(encode_frame(frame) for frame in frames))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -68,6 +69,27 @@ y2 = 5.0
 
 def _cfg(channel=20, power=0.0, **kw):
     return EchoTestConfig(channel=ChannelSpec.wpan(channel), tx_power_dbm=power, **kw)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("tx_power_dbm", math.nan, "tx_power_dbm must be a finite number, got nan"),
+        ("tx_power_dbm", math.inf, "tx_power_dbm must be a finite number, got inf"),
+        ("tx_power_dbm", True, "tx_power_dbm must be a finite number, got True"),
+        ("tx_power_dbm", "0", "tx_power_dbm must be a finite number, got '0'"),
+        ("n_messages", 10.5, "n_messages must be a positive integer, got 10.5"),
+        ("n_messages", 0, "n_messages must be a positive integer, got 0"),
+        ("n_messages", True, "n_messages must be a positive integer, got True"),
+        ("runs", True, "runs must be a positive integer, got True"),
+        ("runs", -1, "runs must be a positive integer, got -1"),
+        ("runs", "3", "runs must be a positive integer, got '3'"),
+    ],
+)
+def test_echo_config_rejects_a_bad_value(field, value, message):
+    # a nan power read as delivery 1.0 on apartment_microwave channel 20
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        EchoTestConfig(**{"channel": ChannelSpec.wpan(20), "tx_power_dbm": 0.0, field: value})
 
 
 def test_clean_link_mean_100_std_0():
@@ -159,8 +181,7 @@ def test_direction_reused_with_an_interferer_on_another_channel_is_a_parameter_e
     outbound = Direction.of(scenario, "base", "remote")
     moved = dataclasses.replace(scenario.interferers["neighbor_ch1_a"], channel=ChannelSpec.wlan(6))
     retuned = dataclasses.replace(scenario, interferers={**scenario.interferers, "neighbor_ch1_a": moved})
-    with pytest.raises(ParameterError, match="interferer 'neighbor_ch1_a' is on wlan channel 6 "
-                                             "but was placed on wlan channel 1"):
+    with pytest.raises(ParameterError, match="interferer on wlan channel 6 was bound on wlan channel 1"):
         direction_success_prob(retuned, outbound, ChannelSpec.wpan(12), -10.0)
     assert direction_success_prob(retuned, Direction.of(retuned, "base", "remote"), ChannelSpec.wpan(12), -10.0) > 0
 
@@ -170,7 +191,7 @@ def test_direction_reused_on_reordered_interferers_matches_a_fresh_placement():
     outbound = Direction.of(scenario, "base", "remote")
     reordered = dataclasses.replace(scenario, interferers=dict(reversed(scenario.interferers.items())))
     fresh = Direction.of(reordered, "base", "remote")
-    assert list(reordered.interferers) != list(outbound.interferers)  # so the check falls back to the walk
+    assert list(reordered.interferers) != list(outbound.interferers)  # so binding takes the entries by name
     for index in WPAN_INDEX_RANGE:
         reused = direction_success_prob(reordered, outbound, ChannelSpec.wpan(index), -10.0)
         placed = direction_success_prob(reordered, fresh, ChannelSpec.wpan(index), -10.0)

@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -418,29 +418,45 @@ class TestReceptionMatchesReference:
 _OVEN = {"channel": ChannelSpec.microwave_oven(), "position": (0.0, 0.0), "tx_power_dbm": 0.0, "activity_factor": 0.5}
 
 
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("enabled", "no", "enabled must be a bool, got 'no'"),
-        ("enabled", 1, "enabled must be a bool, got 1"),
-        ("tx_power_dbm", math.nan, "tx_power_dbm must be a finite number, got nan"),
-        ("tx_power_dbm", -math.inf, "tx_power_dbm must be a finite number, got -inf"),
-        ("tx_power_dbm", "0", "tx_power_dbm must be a finite number, got '0'"),
-        ("tx_power_dbm", True, "tx_power_dbm must be a finite number, got True"),
-        ("influence_radius_m", -1.0, "influence_radius_m must be a non-negative finite number or None, got -1.0"),
-        ("influence_radius_m", math.nan, "influence_radius_m must be a non-negative finite number or None, got nan"),
-        ("influence_radius_m", math.inf, "influence_radius_m must be a non-negative finite number or None, got inf"),
-        ("influence_radius_m", "2", "influence_radius_m must be a non-negative finite number or None, got '2'"),
-    ],
-    ids=["enabled-str", "enabled-int", "power-nan", "power-inf", "power-str", "power-bool", "radius-negative",
-         "radius-nan", "radius-inf", "radius-str"],
-)
+# Per case: (id, field, value, the message). Every `Interferer` field has at least one.
+_BAD_FIELDS = [
+    ("channel-int", "channel", 6, "channel must be a ChannelSpec, got 6"),
+    ("position-inf", "position", (1.0, math.inf), "position must be an (x, y) tuple of finite numbers, got (1.0, inf)"),
+    ("position-str", "position", "ab", "position must be an (x, y) tuple of finite numbers, got 'ab'"),
+    ("position-triple", "position", (1.0, 2.0, 3.0),
+     "position must be an (x, y) tuple of finite numbers, got (1.0, 2.0, 3.0)"),
+    ("activity-str", "activity_factor", "x", "activity_factor must be a finite number, got 'x'"),
+    ("activity-bool", "activity_factor", True, "activity_factor must be a finite number, got True"),
+    ("activity-nan", "activity_factor", math.nan, "activity_factor must be a finite number, got nan"),
+    ("enabled-str", "enabled", "no", "enabled must be a bool, got 'no'"),
+    ("enabled-int", "enabled", 1, "enabled must be a bool, got 1"),
+    ("power-nan", "tx_power_dbm", math.nan, "tx_power_dbm must be a finite number, got nan"),
+    ("power-inf", "tx_power_dbm", -math.inf, "tx_power_dbm must be a finite number, got -inf"),
+    ("power-str", "tx_power_dbm", "0", "tx_power_dbm must be a finite number, got '0'"),
+    ("power-bool", "tx_power_dbm", True, "tx_power_dbm must be a finite number, got True"),
+    ("radius-negative", "influence_radius_m", -1.0,
+     "influence_radius_m must be a non-negative finite number or None, got -1.0"),
+    ("radius-nan", "influence_radius_m", math.nan,
+     "influence_radius_m must be a non-negative finite number or None, got nan"),
+    ("radius-inf", "influence_radius_m", math.inf,
+     "influence_radius_m must be a non-negative finite number or None, got inf"),
+    ("radius-str", "influence_radius_m", "2",
+     "influence_radius_m must be a non-negative finite number or None, got '2'"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", [case[1:] for case in _BAD_FIELDS],
+                         ids=[case[0] for case in _BAD_FIELDS])
 def test_interferer_rejects_a_bad_field(field, value, message):
     # a nan oven power, put in apartment_microwave, read as no oven: delivery 1.0 on channel 20
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         Interferer(**{**_OVEN, field: value})
     with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
         replace(Interferer(**_OVEN), **{field: value})
+
+
+def test_bad_field_cases_cover_every_interferer_field():
+    assert {field for _, field, _, _ in _BAD_FIELDS} == {f.name for f in fields(Interferer)}
 
 
 def test_interferer_takes_edge_values():
