@@ -32,7 +32,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .errors import ParameterError
+from .errors import ParameterError, finite_number
 from .linksim import Direction, echo_directions
 from .rf import ChannelSpec, InterferenceCalibration, Interferer, Reception
 from .scenario import PRESET_NAMES, Scenario, load_scenario
@@ -106,7 +106,7 @@ def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, di
         raise ParameterError(f"{path}: missing key(s) {', '.join(missing)}")
 
     def number(key: str, value) -> float:
-        if not (isinstance(value, float) and math.isfinite(value)):
+        if not finite_number(value):
             raise ParameterError(f"{path}: {key} must be a finite number, got {value!r}")
         return value
 

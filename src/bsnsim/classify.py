@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError
-from .motion import AccelTrace
+from .errors import ParameterError, finite_number, require_positive
+from .motion import AccelTrace, sample_count
 
 
 class ActivityClass(Enum):
@@ -44,12 +43,10 @@ class ClassifierConfig:
     window_s: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.low_threshold_g < 1.0 < self.high_threshold_g):
-            raise ParameterError(
-                f"need 0 < low < 1 < high, got [{self.low_threshold_g}, {self.high_threshold_g}]"
-            )
-        if not 0 < self.window_s < math.inf:
-            raise ParameterError(f"window_s must be positive and finite, got {self.window_s}")
+        low, high = self.low_threshold_g, self.high_threshold_g
+        if not (finite_number(low) and finite_number(high) and 0.0 < low < 1.0 < high):
+            raise ParameterError(f"need 0 < low < 1 < high, got [{low}, {high}]")
+        require_positive("window_s", self.window_s)
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ def detect_abnormal(trace: AccelTrace, cfg: ClassifierConfig | None = None) -> l
     total = trace.total()
     fire_total = (total < cfg.low_threshold_g) | (total > cfg.high_threshold_g)
 
-    w = max(1, int(round(cfg.window_s * trace.rate_hz)))
+    w = max(1, sample_count(cfg.window_s, trace.rate_hz))
     fire = fire_total | _fire_axis(trace, w)
     idx = np.flatnonzero(fire)
     if idx.size == 0:

@@ -8,12 +8,10 @@ carries small nonzero standby currents for honest timeline integration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import Mapping, Sequence
 
-from .errors import ParameterError, UndefinedBatteryLifeError
+from .errors import ParameterError, UndefinedBatteryLifeError, finite_number, integer, require_positive
 from .linksim import FRAME_AIRTIME_S
 from .sensor import SensorMode, TimelineInterval
 
@@ -29,10 +27,9 @@ class ComponentCurrent:
     sleep_ma: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.sleep_ma <= self.active_ma < math.inf:
-            raise ParameterError(
-                f"{self.name}: need 0 <= sleep_ma <= active_ma < inf, got {self.sleep_ma}/{self.active_ma}"
-            )
+        sleep, active = self.sleep_ma, self.active_ma
+        if not (finite_number(sleep) and finite_number(active) and 0.0 <= sleep <= active):
+            raise ParameterError(f"{self.name}: need 0 <= sleep_ma <= active_ma < inf, got {sleep}/{active}")
 
 
 @dataclass(frozen=True)
@@ -40,8 +37,7 @@ class Battery:
     capacity_mah: float
 
     def __post_init__(self):
-        if not 0 < self.capacity_mah < math.inf:
-            raise ParameterError(f"capacity_mah must be positive and finite, got {self.capacity_mah}")
+        require_positive("capacity_mah", self.capacity_mah)
 
 
 PACK_BATTERY = Battery(6600.0)       # Li-Ion 18650 pack
@@ -50,20 +46,14 @@ BUTTON_CELL = Battery(230.0)         # LIR3048 button cell
 
 def paper_components() -> tuple[ComponentCurrent, ...]:
     """Typical currents of the wearable unit with standby treated as zero."""
-    return (
-        ComponentCurrent(ACCELEROMETER, 0.5, 0.0),
-        ComponentCurrent(MICROCONTROLLER, 5.8, 0.0),
-        ComponentCurrent(RADIO, 45.0, 0.0),
-    )
+    return (ComponentCurrent(ACCELEROMETER, 0.5), ComponentCurrent(MICROCONTROLLER, 5.8),
+            ComponentCurrent(RADIO, 45.0))
 
 
 def default_components() -> tuple[ComponentCurrent, ...]:
-    """Same actives with honest standby draws (accelerometer sleep 3 uA)."""
-    return (
-        ComponentCurrent(ACCELEROMETER, 0.5, 0.003),
-        ComponentCurrent(MICROCONTROLLER, 5.8, 0.1),
-        ComponentCurrent(RADIO, 45.0, 0.05),
-    )
+    """The paper's actives with honest standby draws (accelerometer sleep 3 uA)."""
+    standby_ma = {ACCELEROMETER: 0.003, MICROCONTROLLER: 0.1, RADIO: 0.05}
+    return tuple(ComponentCurrent(c.name, c.active_ma, standby_ma[c.name]) for c in paper_components())
 
 
 CONTINUOUS_PROFILE: dict[str, float] = {ACCELEROMETER: 1.0, MICROCONTROLLER: 1.0, RADIO: 1.0}
@@ -77,7 +67,7 @@ def average_current_ma(components: Sequence[ComponentCurrent], duty: Mapping[str
         if comp.name not in duty:
             raise ParameterError(f"missing duty entry for component {comp.name!r}")
         frac = duty[comp.name]
-        if isinstance(frac, bool) or not isinstance(frac, Real) or not 0.0 <= frac <= 1.0:
+        if not (finite_number(frac) and 0.0 <= frac <= 1.0):
             raise ParameterError(f"duty for {comp.name!r} must be a number in [0, 1], got {frac!r}")
         total += frac * comp.active_ma + (1.0 - frac) * comp.sleep_ma
     return total
@@ -116,7 +106,7 @@ def simulate_energy(
     Active intervals and their sleep current otherwise; the radio is active
     only for the airtime of the frames actually transmitted.
     """
-    if isinstance(n_frames, bool) or not isinstance(n_frames, Integral) or n_frames < 0:
+    if not integer(n_frames) or n_frames < 0:
         raise ParameterError(f"n_frames must be a non-negative count, got {n_frames!r}")
     battery = battery or PACK_BATTERY
     by_name = {c.name: c for c in default_components()}

@@ -1,4 +1,10 @@
-"""Shared exception types."""
+"""Shared exception types, and the one rule for what a number is: a `finite_number`
+is a real number, not a bool, that is finite as a float; an `integer` is an `Integral`,
+a numpy one included, that is not a bool. Neither test raises for a value of another
+type: each caller raises its own typed error, for a string as for a nan."""
+
+import math
+from numbers import Integral, Real
 
 
 class BsnsimError(ValueError):
@@ -10,15 +16,11 @@ class ParameterError(BsnsimError):
 
 
 class FrameError(BsnsimError):
-    """A sensor frame buffer is malformed (short buffer, bad CRC, field overflow)."""
+    """A sensor frame or frame buffer is malformed (bad field, short buffer, bad CRC)."""
 
 
 class ScenarioError(BsnsimError):
-    """A scenario file failed to parse or validate.
-
-    Carries the offending line number when the error is tied to a
-    specific line of the scenario file.
-    """
+    """A scenario file failed to parse or validate; `line` is the offending line, if one is."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -29,3 +31,22 @@ class ScenarioError(BsnsimError):
 
 class UndefinedBatteryLifeError(BsnsimError):
     """Battery life is undefined because the average current is zero."""
+
+
+def finite_number(value) -> bool:
+    """A float skips the `Real` test (0.4 µs): the calibration fits build thousands of interferers."""
+    number = isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool)
+    try:
+        return number and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def integer(value) -> bool:
+    """A plain int skips the `Integral` test: a frame holds nine integers."""
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def require_positive(name: str, value) -> None:
+    if not (finite_number(value) and value > 0):
+        raise ParameterError(f"{name} must be positive and finite, got {value}")

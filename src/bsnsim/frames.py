@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import binascii
 from itertools import repeat
-from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import FrameError, ParameterError
+from .errors import FrameError, ParameterError, integer
 
 _WIRE = np.dtype([("node_id", "u1"), ("seq", ">u2"), ("timestamp_ms", ">u4"), ("codes", ">u2", (3,)),
                   ("ranges", "u1"), ("crc", ">u2")])
@@ -50,11 +49,10 @@ _CRC_AT = FRAME_LEN - 2
 LOG_MAGIC = b"BSLOG1\x00\x00"
 # The largest value of each integer field, as wide as its place in `_WIRE`.
 NODE_ID_MAX, SEQ_MAX, TIMESTAMP_MAX, _CODE_MAX = 0xFF, 0xFFFF, 0xFFFFFFFF, 0xFFFF
-# The (x, y, z) range codes carried by each value of the packed byte, the
-# byte, spare bits clear, that carries each (x, y, z), and what each axis's
-# range code adds to that byte (range codes as a (3, m) array pack as `_RANGE_BYTE @ codes`).
+# The (x, y, z) range codes carried by each value of the packed byte, and
+# what each axis's range code adds to that byte (range codes as a (3, m)
+# array pack as `_RANGE_BYTE @ codes`).
 _UNPACKED = tuple(((p >> 6) & 0x3, (p >> 4) & 0x3, (p >> 2) & 0x3) for p in range(256))
-_PACKED = {ranges: p for p, ranges in enumerate(_UNPACKED) if not p & 0x3}
 _RANGE_BYTE = np.array([1 << 6, 1 << 4, 1 << 2])
 # `_pack`'s seven field columns by name, and the bits each may not set: those outside its
 # width (each maximum is all ones) and the range byte's spare bits.
@@ -83,27 +81,30 @@ class _FrameFields(NamedTuple):
 
 
 class SensorFrame(_FrameFields):
-    """One transmitted accelerometer reading: a tuple of integers within their frame
-    widths, the codes and range codes tuples of three. `_make` and `_replace` check them too."""
+    """One accelerometer reading: integers (`errors.integer`) within their frame widths, the codes
+    and range codes tuples of three. `_make`, which also counts the fields, and `_replace` check them too."""
 
     __slots__ = ()
 
     def __new__(cls, node_id: int, seq: int, timestamp_ms: int, codes, range_codes) -> "SensorFrame":
         for name, value, top in (("node_id", node_id, NODE_ID_MAX), ("seq", seq, SEQ_MAX),
                                  ("timestamp_ms", timestamp_ms, TIMESTAMP_MAX)):
-            if not isinstance(value, Integral):
+            if not integer(value):
                 raise FrameError(f"{name} must be an integer, got {value!r}")
             if not 0 <= value <= top:
                 raise FrameError(f"{name} out of range: {value}")
         for label, values, top in (("ADC codes", codes, _CODE_MAX), ("range codes", range_codes, 3)):
             if not (isinstance(values, tuple) and len(values) == 3
-                    and all(isinstance(v, Integral) and 0 <= v <= top for v in values)):
+                    and all(integer(v) and 0 <= v <= top for v in values)):
                 raise FrameError(f"bad {label}: {values}")
         return tuple.__new__(cls, (node_id, seq, timestamp_ms, codes, range_codes))
 
     @classmethod
     def _make(cls, iterable) -> "SensorFrame":
-        return cls(*iterable)
+        fields = tuple(iterable)
+        if len(fields) != len(cls._fields):
+            raise FrameError(f"a frame has {len(cls._fields)} fields, got {fields!r}")
+        return cls(*fields)
 
 
 def _frames(columns) -> list[SensorFrame]:
@@ -165,16 +166,13 @@ def decode_frame(buf: bytes) -> SensorFrame:
 
 
 def write_frame_log(frames: Sequence[SensorFrame]) -> bytes:
-    """A binary frame log of `frames`, in order: their fields transposed into
-    columns and packed by `_pack`; a field out of range raises a `FrameError`."""
+    """A binary frame log of `frames`, in order: each checked as a `SensorFrame`
+    (a plain tuple too), their fields transposed into columns and packed by `_pack`."""
     if not frames:
         return LOG_MAGIC
-    node_id, seq, timestamp_ms, codes, range_codes = zip(*frames)
-    try:
-        packed = list(map(_PACKED.__getitem__, range_codes))
-    except KeyError as exc:
-        raise FrameError(f"bad range codes: {exc.args[0]}") from None
-    return LOG_MAGIC + _pack([node_id, seq, timestamp_ms, *zip(*codes), packed])
+    node_id, seq, timestamp_ms, codes, range_codes = zip(*map(SensorFrame._make, frames))
+    packed = np.array(range_codes, np.int64) @ _RANGE_BYTE
+    return LOG_MAGIC + _pack(np.array([node_id, seq, timestamp_ms, *zip(*codes), packed], np.int64))
 
 
 def read_frame_log(data: bytes) -> list[SensorFrame]:

@@ -19,19 +19,17 @@ it is first read.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ScenarioError
+from .errors import ParameterError, ScenarioError, finite_number, integer, require_positive
 # unused here, but bench/spans.py wraps linksim.encode_frame and linksim.read_frame_log
 from .frames import FRAME_LEN, LOG_MAGIC, SensorFrame, _frames, _pack, encode_frame, read_frame_log
-from .motion import AccelTrace
-from .rf import ChannelSpec, InterferenceCalibration, RadioPath, Reception, _finite_number, radio_paths
+from .motion import AccelTrace, sample_count
+from .rf import ChannelSpec, InterferenceCalibration, RadioPath, Reception, radio_paths
 from .scenario import Scenario
 from .sensor import ReplayResult, initial_state, replay_trace
 
@@ -55,10 +53,12 @@ class EchoTestConfig:
     runs: int = 10
 
     def __post_init__(self):
-        if not _finite_number(self.tx_power_dbm):
+        if not isinstance(self.channel, ChannelSpec):
+            raise ParameterError(f"channel must be a ChannelSpec, got {self.channel!r}")
+        if not finite_number(self.tx_power_dbm):
             raise ParameterError(f"tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}")
         for name, value in (("n_messages", self.n_messages), ("runs", self.runs)):
-            if isinstance(value, bool) or not isinstance(value, Integral) or value <= 0:
+            if not integer(value) or value <= 0:
                 raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -229,8 +229,7 @@ def run_star_network(
     """
     if not traces:
         raise ParameterError("star network needs at least one sensor node trace")
-    if not 0 < duration_s < math.inf:
-        raise ParameterError(f"duration_s must be positive and finite, got {duration_s}")
+    require_positive("duration_s", duration_s)
     if "base" not in scenario.nodes:
         raise ScenarioError(f"scenario {scenario.name!r} has no logger node 'base'")
     channel = ChannelSpec.wpan(scenario.channel)
@@ -241,7 +240,7 @@ def run_star_network(
         if name not in scenario.nodes:
             raise ScenarioError(f"scenario {scenario.name!r} has no node {name!r}")
         trace = traces[name]
-        n_keep = min(len(trace), int(round(duration_s * trace.rate_hz)))
+        n_keep = min(len(trace), sample_count(duration_s, trace.rate_hz))
         clipped = AccelTrace(rate_hz=trace.rate_hz, ax=trace.ax[:n_keep], ay=trace.ay[:n_keep],
                              az=trace.az[:n_keep], labels=trace.labels[:n_keep])
         state = initial_state(node_id=idx + 1, sample_rate_hz=trace.rate_hz)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, finite_number, require_positive
 
 RATE_HZ_MIN = 10.0
 RATE_HZ_MAX = 100.0
@@ -78,8 +78,16 @@ class AccelTrace:
 
 
 def _require_rate(rate_hz: float) -> None:
-    if not (RATE_HZ_MIN <= rate_hz <= RATE_HZ_MAX):
+    if not (finite_number(rate_hz) and RATE_HZ_MIN <= rate_hz <= RATE_HZ_MAX):
         raise ParameterError(f"rate_hz must be within [{RATE_HZ_MIN:g}, {RATE_HZ_MAX:g}] Hz, got {rate_hz}")
+
+
+def sample_count(duration_s: float, rate_hz: float) -> int:
+    """`round(duration_s * rate_hz)`; a product beyond the float range is a `ParameterError`."""
+    count = duration_s * rate_hz
+    if not math.isfinite(count):
+        raise ParameterError(f"{duration_s} s at {rate_hz} Hz is more samples than a float can count")
+    return int(round(count))
 
 
 def _oscillation(rng: np.random.Generator, n: int, rate_hz: float, f_lo: float, f_hi: float) -> np.ndarray:
@@ -236,10 +244,9 @@ def generate_trace(
     Deterministic for a fixed argument tuple. Raises ParameterError for a
     duration that is not positive and finite or a rate outside [10, 100] Hz.
     """
-    if not 0 < duration_s < math.inf:
-        raise ParameterError(f"duration_s must be positive and finite, got {duration_s}")
+    require_positive("duration_s", duration_s)
     _require_rate(rate_hz)
-    n = max(1, int(round(duration_s * rate_hz)))
+    n = max(1, sample_count(duration_s, rate_hz))
     rng = np.random.default_rng(seed)
     if kind in _GENERATORS:
         ax, ay, az = _GENERATORS[kind](rng, n, rate_hz)
@@ -263,8 +270,7 @@ def compose_schedule(
     _require_rate(rate_hz)
     parts = []
     for i, (kind, duration_s) in enumerate(segments):
-        if not 0 < duration_s < math.inf:
-            raise ParameterError(f"segment {i} duration must be positive and finite, got {duration_s}")
+        require_positive(f"segment {i} duration", duration_s)
         parts.append(generate_trace(kind, duration_s, rate_hz, seed + i))
     ax = np.concatenate([p.ax for p in parts])
     ay = np.concatenate([p.ay for p in parts])

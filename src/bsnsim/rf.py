@@ -42,12 +42,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from numbers import Integral, Real
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, finite_number, integer
 
 Point = tuple[float, float]
 
@@ -100,11 +99,9 @@ class ChannelSpec:
 
 def _plain_index(index: int) -> int:
     """A channel index as a plain int; anything but an integer, a bool included, is an error."""
-    if type(index) is not int:
-        if isinstance(index, bool) or not isinstance(index, Integral):
-            raise ParameterError(f"channel index must be an integer, got {index!r}")
-        index = int(index)
-    return index
+    if not integer(index):
+        raise ParameterError(f"channel index must be an integer, got {index!r}")
+    return int(index)
 
 
 def _shared_specs(standard: RadioStandard, occupied_bw_mhz: float) -> Callable[[int], ChannelSpec]:
@@ -293,19 +290,11 @@ def radio_paths(sources: Sequence[Point], rx: Point, obstacles: Sequence[Obstacl
             for p, hit in zip(sources, crossed)]
 
 
-def _finite_number(value) -> bool:
-    """A real number, not a bool, that is not nan or infinite. A float skips the
-    `Real` test, which costs about 0.4 µs: the calibration fits build thousands
-    of interferers."""
-    number = isinstance(value, float) or isinstance(value, Real) and not isinstance(value, bool)
-    return number and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class Interferer:
     """A transmitter on another channel, at a position. Every construction
-    checks every field (`dataclasses.replace` included), and nothing else
-    checks them again; a bool is not a number here."""
+    checks every field (`dataclasses.replace` included), its numbers by
+    `errors.finite_number`, and nothing else checks them again."""
 
     channel: ChannelSpec
     position: Point
@@ -319,19 +308,19 @@ class Interferer:
             raise ParameterError(f"channel must be a ChannelSpec, got {self.channel!r}")
         position = self.position
         if not (isinstance(position, tuple) and len(position) == 2
-                and _finite_number(position[0]) and _finite_number(position[1])):
+                and finite_number(position[0]) and finite_number(position[1])):
             raise ParameterError(f"position must be an (x, y) tuple of finite numbers, got {position!r}")
-        if not _finite_number(self.tx_power_dbm):
+        if not finite_number(self.tx_power_dbm):
             raise ParameterError(f"tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}")
         activity = self.activity_factor
-        if not _finite_number(activity):
+        if not finite_number(activity):
             raise ParameterError(f"activity_factor must be a finite number, got {activity!r}")
         if not 0.0 <= activity <= 1.0:
             raise ParameterError(f"activity_factor must be in [0, 1], got {activity}")
         if not isinstance(self.enabled, bool):
             raise ParameterError(f"enabled must be a bool, got {self.enabled!r}")
         radius = self.influence_radius_m
-        if radius is not None and not (_finite_number(radius) and radius >= 0):
+        if radius is not None and not (finite_number(radius) and radius >= 0):
             raise ParameterError(f"influence_radius_m must be a non-negative finite number or None, got {radius!r}")
 
 

@@ -6,11 +6,10 @@ from __future__ import annotations
 import bisect
 import csv
 import io
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ParameterError
+from .errors import ParameterError, finite_number, require_positive
 from .linksim import echo_directions, echo_success_probs
 from .rf import ChannelSpec, InterferenceCalibration, WPAN_INDEX_RANGE
 from .scenario import Scenario
@@ -27,7 +26,7 @@ class ScanReport:
     def __post_init__(self):
         if len(self.scores) != len(WPAN_INDEX_RANGE):
             raise ParameterError(f"scan report needs {len(WPAN_INDEX_RANGE)} entries")
-        if any(not math.isfinite(s) or s < 0 for s in self.scores):
+        if any(not finite_number(s) or s < 0 for s in self.scores):
             raise ParameterError("scores must be finite and non-negative")
 
     def score(self, channel: int) -> float:
@@ -73,10 +72,9 @@ def adaptive_policy(
     changes only when the scan's best channel beats the current channel's
     score by more than the DEFAULT_HYSTERESIS margin.
     """
-    if not math.isfinite(horizon_s):
+    if not finite_number(horizon_s):
         raise ParameterError(f"horizon_s must be finite, got {horizon_s}")
-    if not 0 < rescan_period_s < math.inf:
-        raise ParameterError(f"rescan_period_s must be positive and finite, got {rescan_period_s}")
+    require_positive("rescan_period_s", rescan_period_s)
     if not timeline:
         raise ParameterError("environment timeline is empty")
     changes = sorted(timeline, key=lambda item: item[0])

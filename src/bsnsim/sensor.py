@@ -53,16 +53,14 @@ their widths; `_read` clamps the codes to 0..65535; the range indices are
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, finite_number, integer, require_positive
 from .frames import _RANGE_BYTE, NODE_ID_MAX, SEQ_MAX, TIMESTAMP_MAX, SensorFrame, _frames
 from .motion import DEFAULT_RATE_HZ, AccelTrace, _require_rate
 
@@ -204,18 +202,18 @@ class SensorState:
     def __post_init__(self):
         if self.mode is SensorMode.SLEEP and self.ranges != _SLEEP_RANGES:
             raise ParameterError("sleep mode requires the lowest range on all axes")
+        _require_rate(self.sample_rate_hz)
+        require_positive("wake_period_s", self.wake_period_s)
+        for name in ("activation_threshold_g", "inactivity_window_s", "low_activity_timer_s", "time_s",
+                     "next_sample_at_s", "last_sample_t_s"):
+            if not finite_number(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.low_activity_timer_s <= self.inactivity_window_s:
             raise ParameterError("low_activity_timer_s outside [0, inactivity_window]")
-        _require_rate(self.sample_rate_hz)
-        for name in ("wake_period_s", "time_s", "next_sample_at_s", "last_sample_t_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.wake_period_s <= 0:
-            raise ParameterError(f"wake_period_s must be positive, got {self.wake_period_s}")
         # the widths of the frame's node id and sequence number
         for name, top in (("node_id", NODE_ID_MAX), ("seq", SEQ_MAX)):
             value = getattr(self, name)
-            if not isinstance(value, Integral):
+            if not integer(value):
                 raise ParameterError(f"{name} must be an integer, got {value!r}")
             if not 0 <= value <= top:
                 raise ParameterError(f"{name} must be within [0, {top}], got {value}")
@@ -223,8 +221,9 @@ class SensorState:
 
 def initial_state(**kwargs) -> SensorState:
     """A sleeping node whose first wake tick lands one wake period in."""
-    first_tick = kwargs.get("time_s", SensorState.time_s) + kwargs.get("wake_period_s", SensorState.wake_period_s)
-    return SensorState(**{"next_sample_at_s": first_tick, **kwargs})
+    time_s, period = kwargs.get("time_s", SensorState.time_s), kwargs.get("wake_period_s", SensorState.wake_period_s)
+    tick = time_s + period if finite_number(time_s) and finite_number(period) else None  # else SensorState refuses
+    return SensorState(**{"next_sample_at_s": tick, **kwargs})
 
 
 @dataclass(frozen=True)
@@ -234,7 +233,7 @@ class TimelineInterval:
     mode: SensorMode
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end) and self.t_end >= self.t_start):
+        if not (finite_number(self.t_start) and finite_number(self.t_end) and self.t_end >= self.t_start):
             raise ParameterError(f"interval needs finite bounds with t_end >= t_start, "
                                  f"got [{self.t_start}, {self.t_end}]")
 

@@ -1,5 +1,6 @@
 """CLI surface: experiment outputs, exit codes, table export."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -22,6 +23,7 @@ from bsnsim.cli import export_table, main
 from bsnsim.frames import LOG_MAGIC, SensorFrame, encode_frame
 from bsnsim.linksim import RunStats
 from bsnsim.rf import InterferenceCalibration
+from bsnsim.scenario import PRESET_NAMES
 
 
 def test_export_table_format():
@@ -203,6 +205,9 @@ def _bad_targets(*rows):
     [
         _flipped_log,
         lambda tmp_path: ["run", "star", "--nodes", "256", "--duration", "1", "--out", str(tmp_path)],
+        # refused before a sample is allocated: the sample count is not a finite float
+        lambda tmp_path: ["run", "classify", "--duration", "1e308", "--out", str(tmp_path)],
+        lambda tmp_path: ["run", "star", "--duration", "1e308", "--out", str(tmp_path)],
         _bad_calibration('{"logistic_midpoint_db": 14.0}'),
         _bad_calibration("{not json"),
         _bad_calibration(_calibration_text(logistic_midpoint_db="abc"), ("scan",)),
@@ -215,10 +220,10 @@ def _bad_targets(*rows):
         _bad_targets("apartment,12,0,99.36,holdout", "single_house,22,0,99.89,holdout",
                      "apartment_microwave,20,-10,96.85,holdout"),
     ],
-    ids=["flipped_log_byte", "node_id_over_255", "calibration_missing_key", "calibration_malformed",
-         "calibration_string_constant", "calibration_bool_constant", "calibration_override_not_object",
-         "targets_channel_not_a_number", "targets_short_row", "targets_nan_target", "targets_without_single_house",
-         "targets_without_fit_rows"],
+    ids=["flipped_log_byte", "node_id_over_255", "classify_duration_1e308", "star_duration_1e308",
+         "calibration_missing_key", "calibration_malformed", "calibration_string_constant",
+         "calibration_bool_constant", "calibration_override_not_object", "targets_channel_not_a_number",
+         "targets_short_row", "targets_nan_target", "targets_without_single_house", "targets_without_fit_rows"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, make_argv):
     if make_argv is _flipped_log:
@@ -322,6 +327,78 @@ def test_arbitrary_input_file_exits_0_or_2_with_one_error_line(which, data, afte
             code = main(argv)
     lines = err.getvalue().splitlines()
     assert code == 0 and not lines or code == 2 and len(lines) == 1 and lines[0].startswith("error:")
+
+
+def _commands(parser, prefix=()):
+    """Each runnable subcommand of `parser`: its argv prefix and its actions, help aside."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, (*prefix, name))
+            return
+    yield prefix, [action for action in parser._actions if not isinstance(action, argparse._HelpAction)]
+
+
+_COMMANDS = list(_commands(cli.build_parser()))
+# Every flag value is one of these or a small valid value. No count above 16 and no duration above
+# 5 s is drawn, since a run allocates or loops that many times; 1e308 is refused before any allocation.
+_BAD_TOKENS = ["nan", "inf", "-1", "0", "1e308", "x", ""]
+_VALID_BY_TYPE = {int: ["1", "3", "16"], cli._seed: ["1", "3", "16"], cli._positive_float: ["0.5", "2", "5"],
+                  cli._finite_float: ["-10", "0", "2.5"]}
+
+
+def _values(action):
+    """The tokens drawn for one flag or positional: its choices, or the small valid values of
+    its type (a preset for --scenario; none for a file path), then every bad token."""
+    valid = action.choices or _VALID_BY_TYPE.get(action.type) or (PRESET_NAMES if action.dest == "scenario" else [])
+    return [*valid, *_BAD_TOKENS]
+
+
+@st.composite
+def _argv(draw):
+    prefix, actions = draw(st.sampled_from(_COMMANDS))
+    argv = list(prefix)
+    for action in actions:
+        if not action.option_strings:  # a positional is always given
+            argv.append(draw(st.sampled_from(_values(action))))
+        elif action.dest != "out" and draw(st.booleans()):
+            argv.append(action.option_strings[0])
+            if action.nargs != 0:
+                argv.append(draw(st.sampled_from(_values(action))))
+    if any(action.dest == "out" for action in actions):
+        argv += ["--out", "out"]
+    return argv
+
+
+def test_the_drawn_commands_are_every_subcommand():
+    runs = {("run", kind) for kind in ("echo", "scan", "star", "classify", "energy")}
+    assert {prefix for prefix, _ in _COMMANDS} == runs | {("calibrate",), ("replay-log",)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv())
+def test_any_argv_exits_0_or_2_without_a_traceback(argv):
+    # in-process, in an empty directory (a drawn file name names no file): an uncaught exception fails the test
+    err = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse refused the argv: usage, then one error line
+                    code, usage = exc.code, True
+                else:
+                    usage = False
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    if usage:
+        assert code == 2 and ": error: " in lines[-1]
+    else:
+        assert code == 0 or code == 2 and len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_png_is_written_through_atomic_write(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from bsnsim.energy import (
     PACK_BATTERY,
     average_current_ma,
     battery_life_hours,
+    default_components,
     paper_components,
     simulate_energy,
 )
@@ -87,6 +88,12 @@ class TestBatteryLife:
             ComponentCurrent(c.name, 2 * c.active_ma, 2 * c.sleep_ma) for c in paper_components()
         )
         assert battery_life_hours(PACK_BATTERY, doubled_current, CONTINUOUS_PROFILE) == pytest.approx(base / 2)
+
+    def test_default_components_are_the_paper_actives_with_standby_draws(self):
+        assert default_components() == (ComponentCurrent(ACCELEROMETER, 0.5, 0.003),
+                                         ComponentCurrent(MICROCONTROLLER, 5.8, 0.1),
+                                         ComponentCurrent(RADIO, 45.0, 0.05))
+        assert paper_components() == tuple(ComponentCurrent(c.name, c.active_ma, 0.0) for c in default_components())
 
     def test_component_validation(self):
         with pytest.raises(ParameterError):

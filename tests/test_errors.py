@@ -1,0 +1,97 @@
+"""The one number rule (`errors.finite_number`, `errors.integer`, `errors.require_positive`)
+and the typed error every layer raises through it."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from bsnsim.classify import ClassifierConfig, detect_abnormal
+from bsnsim.energy import Battery, ComponentCurrent
+from bsnsim.errors import FrameError, ParameterError, finite_number, integer, require_positive
+from bsnsim.frames import SensorFrame, write_frame_log
+from bsnsim.linksim import EchoTestConfig, run_star_network
+from bsnsim.motion import ActivityKind, compose_schedule, generate_trace
+from bsnsim.scenario import load_scenario
+from bsnsim.selector import ScanReport, adaptive_policy
+from bsnsim.sensor import SensorMode, TimelineInterval, initial_state
+
+REST = ActivityKind.REST
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, -0.0, np.float32(0.5), np.int64(7), Fraction(1, 3), 10**300],
+                         ids=repr)
+def test_finite_numbers(value):
+    assert finite_number(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float32("nan"), 10**400, True, np.bool_(False),
+                                   "1", None, [1.0], 1j], ids=repr)
+def test_not_finite_numbers(value):
+    assert not finite_number(value)
+
+
+def test_integers():
+    assert all(map(integer, [0, -1, 2**70, np.int64(3), np.uint8(255)]))
+    assert not any(map(integer, [True, np.bool_(True), 1.0, "1", np.float64(2.0), None]))
+
+
+def test_require_positive_names_the_value():
+    require_positive("x", 1e-300)
+    for value in (0, -1.0, math.nan, math.inf, "5", True):
+        with pytest.raises(ParameterError, match=f"^x must be positive and finite, got {value}$"):
+            require_positive("x", value)
+
+
+def _star(duration_s):
+    return run_star_network(load_scenario("apartment"), {"remote": generate_trace(REST, 1.0)}, duration_s, seed=1)
+
+
+def _policy(horizon_s):
+    return adaptive_policy([(0.0, load_scenario("apartment"))], horizon_s, 1.0)
+
+
+def _detect(window_s):
+    return detect_abnormal(generate_trace(REST, 1.0), ClassifierConfig(window_s=window_s))
+
+
+# each raised TypeError, OverflowError or a bare ValueError, or was accepted, before the rule was shared
+_HOLES = [
+    ("trace_duration_str", lambda: generate_trace(REST, "x"), ParameterError, "duration_s must be positive"),
+    ("trace_duration_int_beyond_float", lambda: generate_trace(REST, 10**400), ParameterError,
+     "duration_s must be positive"),
+    ("trace_duration_1e308", lambda: generate_trace(REST, 1e308), ParameterError, "more samples than a float"),
+    ("segment_duration_str", lambda: compose_schedule([(REST, "x")]), ParameterError, "segment 0 duration"),
+    ("trace_rate_str", lambda: generate_trace(REST, 1.0, rate_hz="x"), ParameterError, "rate_hz must be within"),
+    ("state_rate_str", lambda: initial_state(sample_rate_hz="x"), ParameterError, "rate_hz must be within"),
+    ("state_wake_period_str", lambda: initial_state(wake_period_s="x"), ParameterError, "wake_period_s"),
+    ("state_node_id_bool", lambda: initial_state(node_id=True), ParameterError, "node_id must be an integer"),
+    ("state_threshold_nan", lambda: initial_state(activation_threshold_g=math.nan), ParameterError,
+     "activation_threshold_g must be finite"),
+    ("star_duration_str", lambda: _star("5"), ParameterError, "duration_s must be positive"),
+    ("star_duration_1e308", lambda: _star(1e308), ParameterError, "more samples than a float"),
+    ("echo_channel_str", lambda: EchoTestConfig(channel="x", tx_power_dbm=0.0), ParameterError,
+     "channel must be a ChannelSpec"),
+    ("classifier_low_str", lambda: ClassifierConfig(low_threshold_g="x"), ParameterError, "need 0 < low < 1 < high"),
+    ("classifier_window_str", lambda: ClassifierConfig(window_s="x"), ParameterError, "window_s must be positive"),
+    ("classifier_window_1e308", lambda: _detect(1e308), ParameterError, "more samples than a float"),
+    ("battery_str", lambda: Battery("x"), ParameterError, "capacity_mah must be positive"),
+    ("component_str", lambda: ComponentCurrent("a", "x"), ParameterError, "active_ma < inf"),
+    ("policy_horizon_str", lambda: _policy("x"), ParameterError, "horizon_s must be finite"),
+    ("interval_str", lambda: TimelineInterval("a", "b", SensorMode.SLEEP), ParameterError, "finite bounds"),
+    ("scan_report_str", lambda: ScanReport(("x",) * 16), ParameterError, "scores must be finite"),
+    ("frame_node_id_bool", lambda: SensorFrame(True, 0, 0, (0, 0, 0), (0, 0, 0)), FrameError,
+     "node_id must be an integer"),
+    ("log_range_codes_float_bool", lambda: write_frame_log([(1, 0, 0, (0, 0, 0), (2.0, True, 0))]), FrameError,
+     "bad range codes"),
+    ("log_codes_pair", lambda: write_frame_log([(1, 0, 0, (0, 0), (0, 0, 0))]), FrameError, "bad ADC codes"),
+    ("log_codes_int", lambda: write_frame_log([(1, 0, 0, 5, (0, 0, 0))]), FrameError, "bad ADC codes"),
+    ("log_four_fields", lambda: write_frame_log([(1, 0, 0, (0, 0, 0))]), FrameError, "a frame has 5 fields"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [case[1:] for case in _HOLES], ids=[case[0] for case in _HOLES])
+def test_a_bad_input_raises_a_typed_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

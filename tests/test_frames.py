@@ -299,19 +299,19 @@ _TOPS = (NODE_ID_MAX, SEQ_MAX, TIMESTAMP_MAX, 0xFFFF, 0xFFFF, 0xFFFF, 3, 3, 3)
 
 @given(st.lists(_frames, min_size=1, max_size=6), st.data())
 def test_an_out_of_range_field_raises_frame_error(frames, data):
-    # plain tuples skip SensorFrame's checks; a field wrapped to its width would read back as another value
+    # plain tuples are checked as SensorFrames; a field wrapped to its width would read back as another value
     k = data.draw(st.integers(0, len(frames) - 1), label="frame")
     slot = data.draw(st.integers(0, 8), label="field")  # node id, seq, timestamp, three codes, three range codes
     flat = [*frames[k][:3], *frames[k].codes, *frames[k].range_codes]
-    # a float in a range code tuple is looked up as a tuple of ints; elsewhere any float is refused
+    # any float is refused; the range codes draw integers only
     wrong = _out_of_range(_TOPS[slot]) if slot >= 6 else _out_of_range(_TOPS[slot]) | st.floats()
     flat[slot] = data.draw(wrong, label="value")
     bad = (*flat[:3], tuple(flat[3:6]), tuple(flat[6:]))
     plain = [tuple(frame) for frame in frames]
     plain[k] = bad
-    with pytest.raises(FrameError, match="out of range|bad range codes|must be integers"):
+    with pytest.raises(FrameError, match="out of range|bad ADC codes|bad range codes|must be an integer"):
         write_frame_log(plain)
-    with pytest.raises(FrameError, match="out of range|bad range codes|must be integers"):
+    with pytest.raises(FrameError, match="out of range|bad ADC codes|bad range codes|must be an integer"):
         encode_frame(bad)
 
 
