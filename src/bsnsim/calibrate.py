@@ -90,8 +90,9 @@ _OVERRIDE_FIELDS = tuple(dict.fromkeys(row.field for row in _FREE if row.interfe
 def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, dict[str, dict[str, float]]]:
     """Read a `CalibrationResult.to_json` file back into constants and overrides.
 
-    Every constant and override value must be a finite number; JSON integers
-    are read as floats. Overrides may name only the interferers and fields
+    The constants are checked by `rf.InterferenceCalibration`, and every
+    override value must be a finite number; JSON integers are read as
+    floats. Overrides may name only the interferers and fields
     that `fit` adjusts, so a misspelt name is an error, not a no-op.
     """
     try:
@@ -105,12 +106,10 @@ def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, di
     if missing:
         raise ParameterError(f"{path}: missing key(s) {', '.join(missing)}")
 
-    def number(key: str, value) -> float:
-        if not finite_number(value):
-            raise ParameterError(f"{path}: {key} must be a finite number, got {value!r}")
-        return value
-
-    calib = InterferenceCalibration(**{name: number(name, payload[name]) for name in names})
+    try:
+        calib = InterferenceCalibration(**{name: payload[name] for name in names})
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
     overrides = payload.get("interferer_overrides", {})
     if not isinstance(overrides, dict) or not all(isinstance(o, dict) for o in overrides.values()):
         raise ParameterError(f"{path}: interferer_overrides must map interferer names to objects")
@@ -119,7 +118,9 @@ def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, di
             if key not in _OVERRIDE_FIELDS:
                 raise ParameterError(f"{path}: interferer_overrides.{name}.{key} is not one of "
                                      f"{', '.join(_OVERRIDE_FIELDS)}")
-            number(f"interferer_overrides.{name}.{key}", value)
+            if not finite_number(value):
+                raise ParameterError(f"{path}: interferer_overrides.{name}.{key} must be a finite number, "
+                                     f"got {value!r}")
         if name not in _OVERRIDE_NAMES:
             raise ParameterError(f"{path}: interferer_overrides.{name} is not one of {', '.join(_OVERRIDE_NAMES)}")
     return calib, overrides

@@ -8,11 +8,8 @@ each other merge into a single abnormal event.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -89,6 +86,8 @@ def detect_abnormal(trace: AccelTrace, cfg: ClassifierConfig | None = None) -> l
     sliding windows, marking every sample of a firing window. Firing runs
     separated by at most one window merge into one event.
     """
+    if not isinstance(trace, AccelTrace):
+        raise ParameterError(f"trace must be an AccelTrace, got {type(trace).__name__}")
     cfg = cfg or ClassifierConfig()
     n = len(trace)
     if n == 0:
@@ -143,13 +142,3 @@ def _make_event(trace: AccelTrace, total, fire_total, start: int, end: int) -> A
         trigger=trigger,
         peak_total_a=float(total[peak_idx]),
     )
-
-
-def events_to_csv(events: Sequence[AbnormalEvent]) -> str:
-    """Render events as `t_start,t_end,trigger,peak_total_a` rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t_start", "t_end", "trigger", "peak_total_a"])
-    for ev in events:
-        writer.writerow([f"{ev.t_start:.6g}", f"{ev.t_end:.6g}", ev.trigger.value, f"{ev.peak_total_a:.6g}"])
-    return buf.getvalue()

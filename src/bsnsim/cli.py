@@ -19,15 +19,14 @@ import argparse
 import dataclasses
 import io
 import json
-import math
 import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import calibrate as calibrate_mod
-from .classify import ClassifierConfig, detect_abnormal, events_to_csv
+from .classify import ClassifierConfig, detect_abnormal
 from .energy import (
     CONTINUOUS_PROFILE,
     TEN_PERCENT_RADIO_PROFILE,
@@ -35,7 +34,7 @@ from .energy import (
     battery_life_hours,
     paper_components,
 )
-from .errors import BsnsimError
+from .errors import BsnsimError, finite_number, valid_seed
 from .frames import read_frame_log
 from .linksim import EchoTestConfig, RunStats, run_echo_test, run_star_network
 from .motion import ActivityKind, compose_schedule, generate_trace
@@ -64,20 +63,21 @@ def atomic_write(path: Path, data: str | bytes) -> None:
         raise
 
 
+def _lines(header: str, rows: Iterable[str]) -> str:
+    """Every table the CLI writes: the header line, then one line per row, each ending in a bare newline."""
+    return "".join(f"{line}\n" for line in (header, *rows))
+
+
 def export_table(rows: Sequence[tuple[float, int, RunStats]]) -> str:
     """Success-ratio table: one row per (power, channel), two decimals."""
-    lines = ["power_dbm,channel,mean_pct,std_pct"]
-    for power, channel, stats in rows:
-        lines.append(f"{power:g},{channel},{stats.mean_ratio * 100:.2f},{stats.std_ratio * 100:.2f}")
-    return "\n".join(lines) + "\n"
+    return _lines("power_dbm,channel,mean_pct,std_pct",
+                  (f"{power:g},{channel},{stats.mean_ratio * 100:.2f},{stats.std_ratio * 100:.2f}"
+                   for power, channel, stats in rows))
 
 
 def gnuplot_dat(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
     """Whitespace-separated data block with a commented header row."""
-    lines = ["# " + " ".join(header)]
-    for row in rows:
-        lines.append(" ".join(f"{v:g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return _lines("# " + " ".join(header), (" ".join(f"{v:g}" for v in row) for row in rows))
 
 
 def _maybe_png(args, path: Path, title: str, xlabel: str, ylabel: str, xs, ys) -> None:
@@ -103,12 +103,12 @@ def _maybe_png(args, path: Path, title: str, xlabel: str, ylabel: str, xs, ys) -
     atomic_write(path, png.getvalue())
 
 
-def _result_json(kind: str, scenario_name: str, seed: int, config: dict, payload: dict) -> str:
-    return json.dumps(
+def _result_json(out: Path, kind: str, scenario_name: str, seed: int, config: dict, payload: dict) -> None:
+    atomic_write(out / f"{kind}_result.json", json.dumps(
         {"experiment": kind, "scenario": scenario_name, "seed": seed, "config": config, "result": payload},
         indent=2,
         default=str,
-    )
+    ))
 
 
 def _scenario_for(args):
@@ -139,19 +139,17 @@ def _cmd_run_echo(args, out: Path) -> int:
                  gnuplot_dat(("run", "success_pct"), [(i + 1, r) for i, r in enumerate(ratios)]))
     _maybe_png(args, out / "echo_runs.png", f"{scenario.name} ch{channel} {power:+g} dBm",
                "run", "success %", range(1, len(ratios) + 1), ratios)
-    atomic_write(
-        out / "echo_result.json",
-        _result_json(
-            "echo",
-            scenario.name,
-            args.seed,
-            {"channel": channel, "tx_power_dbm": power, "n_messages": cfg.n_messages, "runs": cfg.runs},
-            {
-                "per_run_success": list(stats.per_run_success),
-                "mean_pct": stats.mean_ratio * 100,
-                "std_pct": stats.std_ratio * 100,
-            },
-        ),
+    _result_json(
+        out,
+        "echo",
+        scenario.name,
+        args.seed,
+        {"channel": channel, "tx_power_dbm": power, "n_messages": cfg.n_messages, "runs": cfg.runs},
+        {
+            "per_run_success": list(stats.per_run_success),
+            "mean_pct": stats.mean_ratio * 100,
+            "std_pct": stats.std_ratio * 100,
+        },
     )
     print(f"echo {scenario.name} ch{channel} {power:+g} dBm: "
           f"mean {stats.mean_ratio * 100:.2f}% std {stats.std_ratio * 100:.2f}%")
@@ -162,17 +160,14 @@ def _cmd_run_scan(args, out: Path) -> int:
     scenario, calib = _scenario_for(args)
     report = scan_channels(scenario, calib)
     best = select_channel(report)
-    atomic_write(out / "scan.csv", report.to_csv())
     channels = list(WPAN_INDEX_RANGE)
-    atomic_write(out / "scan.dat",
-                 gnuplot_dat(("channel", "score"), list(zip(channels, report.scores))))
+    rows = list(zip(channels, report.scores))
+    atomic_write(out / "scan.csv", _lines("channel,score", (f"{channel},{score:.8g}" for channel, score in rows)))
+    atomic_write(out / "scan.dat", gnuplot_dat(("channel", "score"), rows))
     _maybe_png(args, out / "scan.png", f"{scenario.name} interference scan",
                "802.15.4 channel", "expected loss per message", channels, report.scores)
-    atomic_write(
-        out / "scan_result.json",
-        _result_json("scan", scenario.name, args.seed, {"tx_power_dbm": scenario.tx_power_dbm},
-                     {"scores": list(report.scores), "selected_channel": best}),
-    )
+    _result_json(out, "scan", scenario.name, args.seed, {"tx_power_dbm": scenario.tx_power_dbm},
+                 {"scores": list(report.scores), "selected_channel": best})
     print(f"scan {scenario.name}: best channel {best}")
     return 0
 
@@ -191,22 +186,15 @@ def _cmd_run_star(args, out: Path) -> int:
     scenario = dataclasses.replace(scenario, nodes=nodes)
     result = run_star_network(scenario, traces, args.duration, args.seed, calib)
     atomic_write(out / "frames.log", result.log_bytes())
-    lines = ["t,node,node_id,seq,timestamp_ms,code_x,code_y,code_z"]
-    for t, node, frame in result.logged:
-        lines.append(f"{t:.6g},{node},{frame.node_id},{frame.seq},{frame.timestamp_ms},"
-                     f"{frame.codes[0]},{frame.codes[1]},{frame.codes[2]}")
-    atomic_write(out / "frames.csv", "\n".join(lines) + "\n")
-    delivery = ["node,emitted,delivered"]
-    for name, d in sorted(result.deliveries.items()):
-        delivery.append(f"{name},{d.emitted},{d.delivered}")
-    atomic_write(out / "delivery.csv", "\n".join(delivery) + "\n")
-    atomic_write(
-        out / "star_result.json",
-        _result_json("star", scenario.name, args.seed,
-                     {"nodes": args.nodes, "duration_s": args.duration},
-                     {name: {"emitted": d.emitted, "delivered": d.delivered}
-                      for name, d in sorted(result.deliveries.items())}),
-    )
+    atomic_write(out / "frames.csv", _lines(
+        "t,node,node_id,seq,timestamp_ms,code_x,code_y,code_z",
+        (f"{t:.6g},{node},{frame.node_id},{frame.seq},{frame.timestamp_ms},"
+         f"{frame.codes[0]},{frame.codes[1]},{frame.codes[2]}" for t, node, frame in result.logged)))
+    deliveries = sorted(result.deliveries.items())
+    atomic_write(out / "delivery.csv",
+                 _lines("node,emitted,delivered", (f"{name},{d.emitted},{d.delivered}" for name, d in deliveries)))
+    _result_json(out, "star", scenario.name, args.seed, {"nodes": args.nodes, "duration_s": args.duration},
+                 {name: {"emitted": d.emitted, "delivered": d.delivered} for name, d in deliveries})
     print(f"star {scenario.name}: {sum(d.delivered for d in result.deliveries.values())} frames logged")
     return 0
 
@@ -215,13 +203,11 @@ def _cmd_run_classify(args, out: Path) -> int:
     kind = ActivityKind(args.activity)
     trace = generate_trace(kind, args.duration, seed=args.seed)
     events = detect_abnormal(trace, ClassifierConfig())
-    atomic_write(out / "events.csv", events_to_csv(events))
-    atomic_write(
-        out / "classify_result.json",
-        _result_json("classify", "-", args.seed,
-                     {"activity": kind.value, "duration_s": args.duration},
-                     {"n_events": len(events)}),
-    )
+    atomic_write(out / "events.csv", _lines(
+        "t_start,t_end,trigger,peak_total_a",
+        (f"{ev.t_start:.6g},{ev.t_end:.6g},{ev.trigger.value},{ev.peak_total_a:.6g}" for ev in events)))
+    _result_json(out, "classify", "-", args.seed, {"activity": kind.value, "duration_s": args.duration},
+                 {"n_events": len(events)})
     print(f"classify {kind.value}: {len(events)} abnormal event(s)")
     return 0
 
@@ -230,14 +216,10 @@ def _cmd_run_energy(args, out: Path) -> int:
     duty = ENERGY_PROFILES[args.profile]
     components = paper_components()
     hours = battery_life_hours(PACK_BATTERY, components, duty)
-    lines = ["profile,battery_mah,life_hours"]
-    lines.append(f"{args.profile},{PACK_BATTERY.capacity_mah:g},{hours:.1f}")
-    atomic_write(out / "energy.csv", "\n".join(lines) + "\n")
-    atomic_write(
-        out / "energy_result.json",
-        _result_json("energy", "-", args.seed, {"profile": args.profile},
-                     {"battery_mah": PACK_BATTERY.capacity_mah, "life_hours": hours}),
-    )
+    atomic_write(out / "energy.csv", _lines("profile,battery_mah,life_hours",
+                                            [f"{args.profile},{PACK_BATTERY.capacity_mah:g},{hours:.1f}"]))
+    _result_json(out, "energy", "-", args.seed, {"profile": args.profile},
+                 {"battery_mah": PACK_BATTERY.capacity_mah, "life_hours": hours})
     print(f"energy {args.profile}: {hours:.1f} h on {PACK_BATTERY.capacity_mah:g} mAh")
     return 0
 
@@ -245,7 +227,7 @@ def _cmd_run_energy(args, out: Path) -> int:
 def _cmd_calibrate(args, out: Path) -> int:
     targets = calibrate_mod.load_targets(args.targets)
     result = calibrate_mod.fit(targets)
-    report = ["scenario,channel,tx_power_dbm,role,target_pct,model_pct,residual_pp"]
+    report = []
     for t in result.targets:
         model = result.achieved_pct[(t.scenario, t.channel, t.tx_power_dbm)]
         print(f"{t.scenario} ch{t.channel} {t.tx_power_dbm:+.0f} dBm [{t.role}]: "
@@ -253,7 +235,8 @@ def _cmd_calibrate(args, out: Path) -> int:
         report.append(f"{t.scenario},{t.channel},{t.tx_power_dbm:g},{t.role},"
                       f"{t.target_mean_pct:.2f},{model:.2f},{result.residual_pp(t):+.3f}")
     atomic_write(out / "calibration.json", result.to_json())
-    atomic_write(out / "fit_report.csv", "\n".join(report) + "\n")
+    atomic_write(out / "fit_report.csv",
+                 _lines("scenario,channel,tx_power_dbm,role,target_pct,model_pct,residual_pp", report))
     print(f"calibration written to {out / 'calibration.json'}")
     return 0
 
@@ -261,11 +244,9 @@ def _cmd_calibrate(args, out: Path) -> int:
 def _cmd_replay_log(args, out: Path | None) -> int:
     data = Path(args.logfile).read_bytes()
     frames = read_frame_log(data)
-    lines = ["node_id,seq,timestamp_ms,code_x,code_y,code_z,range_x,range_y,range_z"]
-    for f in frames:
-        lines.append(f"{f.node_id},{f.seq},{f.timestamp_ms},{f.codes[0]},{f.codes[1]},{f.codes[2]},"
-                     f"{f.range_codes[0]},{f.range_codes[1]},{f.range_codes[2]}")
-    text = "\n".join(lines) + "\n"
+    text = _lines("node_id,seq,timestamp_ms,code_x,code_y,code_z,range_x,range_y,range_z",
+                  (f"{f.node_id},{f.seq},{f.timestamp_ms},{f.codes[0]},{f.codes[1]},{f.codes[2]},"
+                   f"{f.range_codes[0]},{f.range_codes[1]},{f.range_codes[2]}" for f in frames))
     if out is not None:
         atomic_write(out / "replay.csv", text)
     else:
@@ -273,31 +254,22 @@ def _cmd_replay_log(args, out: Path | None) -> int:
     return 0
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+def _flag_number(parse, valid, description: str):
+    """An argparse type: the flag's text read by `parse`, refused unless `valid` holds for it."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"not {description}: {text!r}")
+        return value
+    return convert
 
 
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"not positive: {text!r}")
-    return value
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
-    return value
+_finite_float = _flag_number(float, finite_number, "a finite number")
+_positive_float = _flag_number(float, lambda value: finite_number(value) and value > 0, "a positive finite number")
+_seed = _flag_number(int, valid_seed, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:

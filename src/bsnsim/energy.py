@@ -108,6 +108,8 @@ def simulate_energy(
     """
     if not integer(n_frames) or n_frames < 0:
         raise ParameterError(f"n_frames must be a non-negative count, got {n_frames!r}")
+    if not all(isinstance(iv, TimelineInterval) for iv in intervals):
+        raise ParameterError("intervals must be TimelineIntervals")
     battery = battery or PACK_BATTERY
     by_name = {c.name: c for c in default_components()}
 

@@ -1,7 +1,8 @@
 """Shared exception types, and the one rule for what a number is: a `finite_number`
 is a real number, not a bool, that is finite as a float; an `integer` is an `Integral`,
-a numpy one included, that is not a bool. Neither test raises for a value of another
-type: each caller raises its own typed error, for a string as for a nan."""
+a numpy one included, that is not a bool; a `valid_seed` is an `integer` >= 0. No test
+raises for a value of another type: each caller raises its own typed error, for a
+string as for a nan."""
 
 import math
 from numbers import Integral, Real
@@ -50,3 +51,13 @@ def integer(value) -> bool:
 def require_positive(name: str, value) -> None:
     if not (finite_number(value) and value > 0):
         raise ParameterError(f"{name} must be positive and finite, got {value}")
+
+
+def valid_seed(value) -> bool:
+    """The seeds numpy's generators take that the library accepts: one `integer` >= 0."""
+    return integer(value) and value >= 0
+
+
+def require_seed(value) -> None:
+    if not valid_seed(value):
+        raise ParameterError(f"seed must be a non-negative integer, got {value!r}")

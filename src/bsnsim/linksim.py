@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ScenarioError, finite_number, integer, require_positive
+from .errors import ParameterError, ScenarioError, finite_number, integer, require_positive, require_seed
 # unused here, but bench/spans.py wraps linksim.encode_frame and linksim.read_frame_log
 from .frames import FRAME_LEN, LOG_MAGIC, SensorFrame, _frames, _pack, encode_frame, read_frame_log
 from .motion import AccelTrace, sample_count
@@ -156,6 +156,7 @@ def echo_success_probs(
 
 def simulate_echo_runs(p_out: float, p_in: float, cfg: EchoTestConfig, seed: int) -> RunStats:
     """Monte Carlo echo runs with pinned per-direction probabilities."""
+    require_seed(seed)
     rng = np.random.default_rng(seed)
     airtime = message_airtime_ms(MESSAGE_LEN_CHARS)
     counts = []
@@ -230,6 +231,7 @@ def run_star_network(
     if not traces:
         raise ParameterError("star network needs at least one sensor node trace")
     require_positive("duration_s", duration_s)
+    require_seed(seed)
     if "base" not in scenario.nodes:
         raise ScenarioError(f"scenario {scenario.name!r} has no logger node 'base'")
     channel = ChannelSpec.wpan(scenario.channel)
@@ -237,9 +239,11 @@ def run_star_network(
 
     emissions: dict[str, ReplayResult] = {}
     for idx, name in enumerate(sorted(traces)):
+        trace = traces[name]
+        if not isinstance(trace, AccelTrace):
+            raise ParameterError(f"trace of node {name!r} must be an AccelTrace, got {type(trace).__name__}")
         if name not in scenario.nodes:
             raise ScenarioError(f"scenario {scenario.name!r} has no node {name!r}")
-        trace = traces[name]
         n_keep = min(len(trace), sample_count(duration_s, trace.rate_hz))
         clipped = AccelTrace(rate_hz=trace.rate_hz, ax=trace.ax[:n_keep], ay=trace.ay[:n_keep],
                              az=trace.az[:n_keep], labels=trace.labels[:n_keep])

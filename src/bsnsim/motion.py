@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, finite_number, require_positive
+from .errors import ParameterError, finite_number, require_positive, require_seed
 
 RATE_HZ_MIN = 10.0
 RATE_HZ_MAX = 100.0
@@ -242,10 +242,14 @@ def generate_trace(
     """Generate one labeled activity trace.
 
     Deterministic for a fixed argument tuple. Raises ParameterError for a
-    duration that is not positive and finite or a rate outside [10, 100] Hz.
+    kind that is not an ActivityKind, a duration that is not positive and
+    finite, a rate outside [10, 100] Hz or a seed that is not an integer >= 0.
     """
+    if not isinstance(kind, ActivityKind):
+        raise ParameterError(f"kind must be an ActivityKind, got {kind!r}")
     require_positive("duration_s", duration_s)
     _require_rate(rate_hz)
+    require_seed(seed)
     n = max(1, sample_count(duration_s, rate_hz))
     rng = np.random.default_rng(seed)
     if kind in _GENERATORS:
@@ -268,8 +272,13 @@ def compose_schedule(
     if not segments:
         raise ParameterError("schedule needs at least one segment")
     _require_rate(rate_hz)
+    require_seed(seed)
     parts = []
-    for i, (kind, duration_s) in enumerate(segments):
+    for i, segment in enumerate(segments):
+        try:
+            kind, duration_s = segment
+        except (TypeError, ValueError):
+            raise ParameterError(f"segment {i} must be a (kind, duration_s) pair, got {segment!r}") from None
         require_positive(f"segment {i} duration", duration_s)
         parts.append(generate_trace(kind, duration_s, rate_hz, seed + i))
     ax = np.concatenate([p.ax for p in parts])

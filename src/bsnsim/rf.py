@@ -46,7 +46,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, finite_number, integer
+from .errors import ParameterError, finite_number, integer, require_positive
 
 Point = tuple[float, float]
 
@@ -326,12 +326,19 @@ class Interferer:
 
 @dataclass(frozen=True)
 class InterferenceCalibration:
-    """Constants of the collision model, fitted against the home test tables."""
+    """Constants of the collision model, fitted against the home test tables.
+    Each is a finite number, and the logistic's scale is above zero."""
 
     logistic_midpoint_db: float = 14.128051
     logistic_scale_db: float = 2.085178
     oven_slope_low_db_per_mhz: float = 0.829670
     oven_slope_high_db_per_mhz: float = 1.030789
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not finite_number(value):
+                raise ParameterError(f"{name} must be a finite number, got {value!r}")
+        require_positive("logistic_scale_db", self.logistic_scale_db)
 
 
 DEFAULT_CALIBRATION = InterferenceCalibration()

@@ -4,8 +4,6 @@ expected round-trip message loss, and hop only past a hysteresis margin."""
 from __future__ import annotations
 
 import bisect
-import csv
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,14 +29,6 @@ class ScanReport:
 
     def score(self, channel: int) -> float:
         return self.scores[channel - WPAN_INDEX_RANGE.start]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["channel", "score"])
-        for channel, score in zip(WPAN_INDEX_RANGE, self.scores):
-            writer.writerow([channel, f"{score:.8g}"])
-        return buf.getvalue()
 
 
 def scan(scenario: Scenario, calibration: InterferenceCalibration | None = None) -> ScanReport:

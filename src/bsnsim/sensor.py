@@ -54,7 +54,7 @@ their widths; `_read` clamps the codes to 0..65535; the range indices are
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -184,7 +184,9 @@ _SLEEP_RANGES = (MeasurementRange.G1_5, MeasurementRange.G1_5, MeasurementRange.
 
 @dataclass(frozen=True)
 class SensorState:
-    """Value-type node state; replay_trace() returns the state a trace leaves."""
+    """Value-type node state; replay_trace() returns the state a trace leaves.
+
+    `next_sample_at_s` defaults to one wake period after `time_s`: the first wake tick."""
 
     mode: SensorMode = SensorMode.SLEEP
     ranges: tuple[MeasurementRange, MeasurementRange, MeasurementRange] = _SLEEP_RANGES
@@ -196,14 +198,22 @@ class SensorState:
     node_id: int = 1
     seq: int = 0
     time_s: float = 0.0
-    next_sample_at_s: float = field(default=DEFAULT_WAKE_PERIOD_S)
+    next_sample_at_s: float | None = None
     last_sample_t_s: float = 0.0
 
     def __post_init__(self):
-        if self.mode is SensorMode.SLEEP and self.ranges != _SLEEP_RANGES:
+        if not isinstance(self.mode, SensorMode):
+            raise ParameterError(f"mode must be a SensorMode, got {self.mode!r}")
+        ranges = self.ranges
+        if not (isinstance(ranges, tuple) and len(ranges) == 3
+                and all(isinstance(r, MeasurementRange) for r in ranges)):
+            raise ParameterError(f"ranges must be a tuple of three MeasurementRanges, got {ranges!r}")
+        if self.mode is SensorMode.SLEEP and ranges != _SLEEP_RANGES:
             raise ParameterError("sleep mode requires the lowest range on all axes")
         _require_rate(self.sample_rate_hz)
         require_positive("wake_period_s", self.wake_period_s)
+        if self.next_sample_at_s is None and finite_number(self.time_s):  # else time_s is refused below
+            object.__setattr__(self, "next_sample_at_s", self.time_s + self.wake_period_s)
         for name in ("activation_threshold_g", "inactivity_window_s", "low_activity_timer_s", "time_s",
                      "next_sample_at_s", "last_sample_t_s"):
             if not finite_number(getattr(self, name)):
@@ -220,10 +230,8 @@ class SensorState:
 
 
 def initial_state(**kwargs) -> SensorState:
-    """A sleeping node whose first wake tick lands one wake period in."""
-    time_s, period = kwargs.get("time_s", SensorState.time_s), kwargs.get("wake_period_s", SensorState.wake_period_s)
-    tick = time_s + period if finite_number(time_s) and finite_number(period) else None  # else SensorState refuses
-    return SensorState(**{"next_sample_at_s": tick, **kwargs})
+    """`SensorState(**kwargs)`: by default a sleeping node whose first wake tick lands one wake period in."""
+    return SensorState(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -282,6 +290,9 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
     same node one sample at a time and must give the same frames,
     intervals and final state.
     """
+    if not (isinstance(state, SensorState) and isinstance(trace, AccelTrace)):
+        raise ParameterError(f"replay_trace takes a SensorState and an AccelTrace, "
+                             f"got {type(state).__name__} and {type(trace).__name__}")
     n = len(trace)
     intervals: list[TimelineInterval] = []
     if n == 0:

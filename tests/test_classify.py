@@ -13,8 +13,8 @@ from bsnsim.classify import (
     _fire_axis,
     classify_window,
     detect_abnormal,
-    events_to_csv,
 )
+from bsnsim.cli import main
 from bsnsim.errors import ParameterError
 from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_trace
 
@@ -125,10 +125,10 @@ def test_config_validation():
             ClassifierConfig(window_s=window_s)
 
 
-def test_events_csv_shape():
-    trace = compose_schedule([(ActivityKind.REST, 2.0), (ActivityKind.FALL, 2.0)], seed=2)
-    text = events_to_csv(detect_abnormal(trace))
-    lines = text.strip().splitlines()
+def test_events_csv_shape(tmp_path):
+    assert main(["run", "classify", "--activity", "fall", "--duration", "4", "--seed", "2",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "events.csv").read_text().strip().splitlines()
     assert lines[0] == "t_start,t_end,trigger,peak_total_a"
     assert len(lines) == 2
     fields = lines[1].split(",")

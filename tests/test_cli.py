@@ -246,8 +246,10 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, make_argv):
 @pytest.mark.parametrize(
     "text",
     ["[" * 100_000, *(_calibration_text(interferer_overrides={f"ov{br}en": {f"bogus{br}key": 1.0}})
-                      for br in ("\n", "\r\n", "\u2028"))],
-    ids=["nested_too_deeply", "newline_in_names", "crlf_in_names", "line_separator_in_names"],
+                      for br in ("\n", "\r\n", "\u2028")),
+     # a zero scale once divided by zero in the logistic, after the file was read
+     _calibration_text(logistic_scale_db=0.0)],
+    ids=["nested_too_deeply", "newline_in_names", "crlf_in_names", "line_separator_in_names", "zero_logistic_scale"],
 )
 def test_calibration_error_prints_one_line(tmp_path, capsys, text):
     # in-process: an uncaught exception fails the test instead of showing a traceback
@@ -256,6 +258,19 @@ def test_calibration_error_prints_one_line(tmp_path, capsys, text):
     assert main(["run", "scan", "--calibration", str(path), "--out", str(tmp_path)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+
+
+def test_no_table_the_cli_writes_holds_a_carriage_return(tmp_path, capsys):
+    # every text file of every command, and replay-log's stdout: each line ends in a bare "\n"
+    for argv in (["run", "echo", "--runs", "2", "--messages", "10"], ["run", "scan"],
+                 ["run", "star", "--nodes", "2", "--duration", "3"], ["run", "classify", "--duration", "4"],
+                 ["run", "energy"], ["calibrate"], ["replay-log", str(tmp_path / "frames.log")]):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert main(["replay-log", str(tmp_path / "frames.log")]) == 0
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.name != "frames.log"}
+    assert {"scan.csv", "events.csv", "replay.csv", "fit_report.csv"} <= set(written)
+    assert [name for name, data in written.items() if b"\r" in data] == []
+    assert "\r" not in capsys.readouterr().out
 
 
 def test_misspelt_override_name_is_one_error_line(tmp_path, capsys):

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from bsnsim.classify import ClassifierConfig, detect_abnormal
-from bsnsim.energy import Battery, ComponentCurrent
+from bsnsim.energy import Battery, ComponentCurrent, simulate_energy
 from bsnsim.errors import FrameError, ParameterError, finite_number, integer, require_positive
 from bsnsim.frames import SensorFrame, write_frame_log
-from bsnsim.linksim import EchoTestConfig, run_star_network
+from bsnsim.linksim import EchoTestConfig, run_echo_test, run_star_network
 from bsnsim.motion import ActivityKind, compose_schedule, generate_trace
+from bsnsim.rf import ChannelSpec, InterferenceCalibration
 from bsnsim.scenario import load_scenario
 from bsnsim.selector import ScanReport, adaptive_policy
-from bsnsim.sensor import SensorMode, TimelineInterval, initial_state
+from bsnsim.sensor import SensorMode, SensorState, TimelineInterval, initial_state, replay_trace
 
 REST = ActivityKind.REST
 
@@ -44,8 +45,23 @@ def test_require_positive_names_the_value():
             require_positive("x", value)
 
 
-def _star(duration_s):
-    return run_star_network(load_scenario("apartment"), {"remote": generate_trace(REST, 1.0)}, duration_s, seed=1)
+def _star(duration_s=1.0, seed=1, trace=None):
+    trace = generate_trace(REST, 1.0) if trace is None else trace
+    return run_star_network(load_scenario("apartment"), {"remote": trace}, duration_s, seed=seed)
+
+
+def _echo(seed):
+    return run_echo_test(EchoTestConfig(ChannelSpec.wpan(12), 0.0, n_messages=10, runs=1), load_scenario("apartment"),
+                         seed)
+
+
+# each seed reached numpy's generator, which raised TypeError or ValueError, before the seed rule
+_SEED_CALLS = {
+    "trace": lambda seed: generate_trace(REST, 1.0, seed=seed),
+    "schedule": lambda seed: compose_schedule([(REST, 1.0)], seed=seed),
+    "echo": _echo,
+    "star": lambda seed: _star(seed=seed),
+}
 
 
 def _policy(horizon_s):
@@ -56,7 +72,8 @@ def _detect(window_s):
     return detect_abnormal(generate_trace(REST, 1.0), ClassifierConfig(window_s=window_s))
 
 
-# each raised TypeError, OverflowError or a bare ValueError, or was accepted, before the rule was shared
+# each raised an error outside the BsnsimError family (a TypeError, OverflowError, KeyError, AttributeError
+# or bare ValueError), or was accepted, before it was checked where it enters
 _HOLES = [
     ("trace_duration_str", lambda: generate_trace(REST, "x"), ParameterError, "duration_s must be positive"),
     ("trace_duration_int_beyond_float", lambda: generate_trace(REST, 10**400), ParameterError,
@@ -88,6 +105,30 @@ _HOLES = [
     ("log_codes_pair", lambda: write_frame_log([(1, 0, 0, (0, 0), (0, 0, 0))]), FrameError, "bad ADC codes"),
     ("log_codes_int", lambda: write_frame_log([(1, 0, 0, 5, (0, 0, 0))]), FrameError, "bad ADC codes"),
     ("log_four_fields", lambda: write_frame_log([(1, 0, 0, (0, 0, 0))]), FrameError, "a frame has 5 fields"),
+    ("calibration_scale_zero", lambda: InterferenceCalibration(logistic_scale_db=0.0), ParameterError,
+     "logistic_scale_db must be positive and finite, got 0.0"),
+    ("calibration_scale_negative", lambda: InterferenceCalibration(logistic_scale_db=-2.0), ParameterError,
+     "logistic_scale_db must be positive and finite, got -2.0"),
+    ("calibration_scale_str", lambda: InterferenceCalibration(logistic_scale_db="x"), ParameterError,
+     "logistic_scale_db must be a finite number, got 'x'"),
+    ("state_mode_str", lambda: initial_state(mode="x"), ParameterError, "mode must be a SensorMode"),
+    ("state_ranges_str", lambda: SensorState(mode=SensorMode.ACTIVE, ranges="abc"), ParameterError,
+     "ranges must be a tuple of three MeasurementRanges"),
+    ("state_ranges_ints", lambda: SensorState(mode=SensorMode.ACTIVE, ranges=(1, 2, 3)), ParameterError,
+     "ranges must be a tuple of three MeasurementRanges"),
+    ("trace_kind_str", lambda: generate_trace("x", 1.0), ParameterError, "kind must be an ActivityKind"),
+    ("segment_without_duration", lambda: compose_schedule([REST]), ParameterError,
+     "segment 0 must be a \\(kind, duration_s\\) pair"),
+    *((f"{name}_seed_{seed}", lambda call=call, seed=seed: call(seed), ParameterError,
+       "seed must be a non-negative integer") for name, call in _SEED_CALLS.items() for seed in ("x", 1.5, -1)),
+    ("replay_trace_list", lambda: replay_trace(initial_state(), [1, 2]), ParameterError,
+     "replay_trace takes a SensorState and an AccelTrace"),
+    ("replay_state_str", lambda: replay_trace("x", generate_trace(REST, 1.0)), ParameterError,
+     "replay_trace takes a SensorState and an AccelTrace"),
+    ("star_trace_list", lambda: _star(trace=[1, 2, 3]), ParameterError, "trace of node 'remote' must be an AccelTrace"),
+    ("detect_list", lambda: detect_abnormal([1, 2]), ParameterError, "trace must be an AccelTrace"),
+    ("energy_intervals_ints", lambda: simulate_energy([1, 2], 3), ParameterError,
+     "intervals must be TimelineIntervals"),
 ]
 
 

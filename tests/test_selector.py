@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bsnsim.cli import main
 from bsnsim.errors import ParameterError
 from bsnsim.scenario import load_scenario, parse_scenario
 from bsnsim.selector import ScanReport, adaptive_policy, scan, select_channel
@@ -75,9 +76,9 @@ def test_report_validation():
         ScanReport(scores=(-0.1,) + (0.0,) * 15)
 
 
-def test_scan_csv_shape():
-    text = scan(load_scenario("apartment")).to_csv()
-    lines = text.strip().splitlines()
+def test_scan_csv_shape(tmp_path):
+    assert main(["run", "scan", "--scenario", "apartment", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "scan.csv").read_text().strip().splitlines()
     assert lines[0] == "channel,score"
     assert len(lines) == 17
     assert lines[1].startswith("11,")

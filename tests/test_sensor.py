@@ -271,6 +271,16 @@ class TestWorkflow:
         # active from the first wake tick onward: roughly one frame per sample
         assert len(result.frames) > 2.5 * 60
 
+    @pytest.mark.parametrize("make", [SensorState, initial_state])
+    @pytest.mark.parametrize("kwargs, first_tick",
+                             [({}, 1.0), ({"time_s": 100.0}, 101.0), ({"wake_period_s": 2.0}, 2.0)],
+                             ids=["defaults", "time_s_100", "wake_period_2"])
+    def test_first_wake_tick_is_one_wake_period_after_time_s(self, make, kwargs, first_tick):
+        state = make(**kwargs)
+        assert state.next_sample_at_s == first_tick
+        result = replay_trace(state, generate_trace(ActivityKind.REST, 3.0, 60.0, seed=2))
+        assert result.t[0] == pytest.approx(first_tick)
+
     def test_step_determinism(self):
         trace = generate_trace(ActivityKind.FALL, 4.0, 60.0, seed=8)
         r1 = replay_trace(initial_state(), trace)
