@@ -15,7 +15,8 @@ only the overridden interferers, not a whole scenario, and evaluates every
 target's two receptions with them. A fitted result reaches a scenario,
 as in the CLI's runs, through
 `apply_overrides(load_scenario(name), result.interferer_overrides)`, which
-applies the overrides through the same helper.
+applies the overrides through the same helper. scipy is imported by `fit`
+alone, when its optimizer runs, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ParameterError, finite_number
 from .linksim import Direction, echo_directions
@@ -256,6 +256,8 @@ def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
 
     def residuals(params):
         return np.array([p - t.target_mean_pct for p, (t, _) in zip(predictions(fit_bound, params), fit_bound)])
+
+    from scipy.optimize import least_squares  # here, not at module level: see the module docstring
 
     bounds = ([row.lower for row in _FREE], [row.upper for row in _FREE])
     solution = least_squares(residuals, np.array(x0), bounds=bounds, xtol=1e-12, ftol=1e-12)

@@ -54,13 +54,23 @@ class AbnormalEvent:
     peak_total_a: float
 
 
+def _config(cfg: ClassifierConfig | None) -> ClassifierConfig:
+    if cfg is None:
+        return ClassifierConfig()
+    if not isinstance(cfg, ClassifierConfig):
+        raise ParameterError(f"cfg must be a ClassifierConfig, got {type(cfg).__name__}")
+    return cfg
+
+
 def classify_window(window: AccelTrace, cfg: ClassifierConfig | None = None) -> ActivityClass:
     """Classify one window of samples as rest, slow, or fast activity.
 
     Order-invariant: every criterion depends only on per-axis extrema,
     variance, and the set of total-acceleration values.
     """
-    cfg = cfg or ClassifierConfig()
+    if not isinstance(window, AccelTrace):
+        raise ParameterError(f"window must be an AccelTrace, got {type(window).__name__}")
+    cfg = _config(cfg)
     if len(window) == 0:
         raise ParameterError("window holds no samples")
     ax, ay, az = window.ax, window.ay, window.az
@@ -88,7 +98,7 @@ def detect_abnormal(trace: AccelTrace, cfg: ClassifierConfig | None = None) -> l
     """
     if not isinstance(trace, AccelTrace):
         raise ParameterError(f"trace must be an AccelTrace, got {type(trace).__name__}")
-    cfg = cfg or ClassifierConfig()
+    cfg = _config(cfg)
     n = len(trace)
     if n == 0:
         raise ParameterError("trace holds no samples")

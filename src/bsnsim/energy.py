@@ -8,8 +8,8 @@ carries small nonzero standby currents for honest timeline integration.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .errors import ParameterError, UndefinedBatteryLifeError, finite_number, integer, require_positive
 from .linksim import FRAME_AIRTIME_S
@@ -108,9 +108,11 @@ def simulate_energy(
     """
     if not integer(n_frames) or n_frames < 0:
         raise ParameterError(f"n_frames must be a non-negative count, got {n_frames!r}")
-    if not all(isinstance(iv, TimelineInterval) for iv in intervals):
+    if not (isinstance(intervals, Sequence) and all(isinstance(iv, TimelineInterval) for iv in intervals)):
         raise ParameterError("intervals must be TimelineIntervals")
-    battery = battery or PACK_BATTERY
+    battery = PACK_BATTERY if battery is None else battery
+    if not isinstance(battery, Battery):
+        raise ParameterError(f"battery must be a Battery, got {type(battery).__name__}")
     by_name = {c.name: c for c in default_components()}
 
     active_h = sum((iv.t_end - iv.t_start) for iv in intervals if iv.mode is SensorMode.ACTIVE) / 3600.0

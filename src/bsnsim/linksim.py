@@ -19,9 +19,9 @@ it is first read.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -176,6 +176,8 @@ def run_echo_test(
     calibration: InterferenceCalibration | None = None,
 ) -> RunStats:
     """The full echo experiment: probabilities from the scenario, then runs."""
+    if not (isinstance(cfg, EchoTestConfig) and isinstance(scenario, Scenario)):
+        raise ParameterError("run_echo_test takes an EchoTestConfig and a Scenario")
     p_out, p_in = echo_success_probs(scenario, echo_directions(scenario), cfg.channel, cfg.tx_power_dbm, calibration)
     return simulate_echo_runs(p_out, p_in, cfg, seed)
 
@@ -228,6 +230,8 @@ def run_star_network(
     probability independently. The logger, node `base`, records deliveries
     in emission order (ties broken by node name).
     """
+    if not (isinstance(scenario, Scenario) and isinstance(traces, Mapping)):
+        raise ParameterError("run_star_network takes a Scenario and a mapping of node name to AccelTrace")
     if not traces:
         raise ParameterError("star network needs at least one sensor node trace")
     require_positive("duration_s", duration_s)

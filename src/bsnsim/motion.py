@@ -17,9 +17,9 @@ Traces are deterministic for a fixed (kind, duration, rate, seed) tuple.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -269,6 +269,8 @@ def compose_schedule(
     Segment i uses seed + i, so a single-segment schedule reproduces
     generate_trace exactly.
     """
+    if not isinstance(segments, Sequence):
+        raise ParameterError(f"segments must be a sequence of (kind, duration_s) pairs, got {type(segments).__name__}")
     if not segments:
         raise ParameterError("schedule needs at least one segment")
     _require_rate(rate_hz)

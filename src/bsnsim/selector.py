@@ -33,6 +33,8 @@ class ScanReport:
 
 def scan(scenario: Scenario, calibration: InterferenceCalibration | None = None) -> ScanReport:
     """Score every channel at the scenario's power as 1 - round-trip success probability."""
+    if not isinstance(scenario, Scenario):
+        raise ParameterError(f"scenario must be a Scenario, got {type(scenario).__name__}")
     directions = echo_directions(scenario)
     scores = []
     for index in WPAN_INDEX_RANGE:

@@ -148,6 +148,28 @@ def test_calibrate_command(tmp_path, capsys):
     assert printed[-1] == f"calibration written to {tmp_path / 'calibration.json'}"
 
 
+_SCIPY_PROBE = """
+import contextlib, io, sys
+import bsnsim, bsnsim.cli
+out = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    scan_code = bsnsim.cli.main(["run", "scan", "--out", out + "/scan"])
+    after_scan = "scipy" in sys.modules
+    calibrate_code = bsnsim.cli.main(["calibrate", "--out", out + "/calibrate"])
+print(scan_code, after_scan, calibrate_code, "scipy" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_when_a_fit_runs(tmp_path):
+    # a fresh interpreter: this session has loaded scipy already
+    env = {**os.environ, "PYTHONPATH": str(Path(bsnsim.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "0", "True"]
+    assert (tmp_path / "calibrate" / "calibration.json").is_file()
+
+
 def test_unknown_scenario_exit_code(tmp_path, capsys):
     assert main(["run", "echo", "--scenario", "nope", "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err

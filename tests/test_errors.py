@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bsnsim.classify import ClassifierConfig, detect_abnormal
+from bsnsim.classify import ClassifierConfig, classify_window, detect_abnormal
 from bsnsim.energy import Battery, ComponentCurrent, simulate_energy
 from bsnsim.errors import FrameError, ParameterError, finite_number, integer, require_positive
 from bsnsim.frames import SensorFrame, write_frame_log
@@ -15,7 +15,7 @@ from bsnsim.linksim import EchoTestConfig, run_echo_test, run_star_network
 from bsnsim.motion import ActivityKind, compose_schedule, generate_trace
 from bsnsim.rf import ChannelSpec, InterferenceCalibration
 from bsnsim.scenario import load_scenario
-from bsnsim.selector import ScanReport, adaptive_policy
+from bsnsim.selector import ScanReport, adaptive_policy, scan
 from bsnsim.sensor import SensorMode, SensorState, TimelineInterval, initial_state, replay_trace
 
 REST = ActivityKind.REST
@@ -129,6 +129,26 @@ _HOLES = [
     ("detect_list", lambda: detect_abnormal([1, 2]), ParameterError, "trace must be an AccelTrace"),
     ("energy_intervals_ints", lambda: simulate_energy([1, 2], 3), ParameterError,
      "intervals must be TimelineIntervals"),
+    # each raised a TypeError or AttributeError before its entry point checked the argument's type
+    ("schedule_int", lambda: compose_schedule(5, seed=1), ParameterError,
+     "segments must be a sequence of \\(kind, duration_s\\) pairs, got int"),
+    ("energy_intervals_int", lambda: simulate_energy(5, 3), ParameterError, "intervals must be TimelineIntervals"),
+    ("energy_battery_str", lambda: simulate_energy([], 3, battery="x"), ParameterError,
+     "battery must be a Battery, got str"),
+    ("star_traces_list", lambda: run_star_network(load_scenario("apartment"), [generate_trace(REST, 1.0)], 1.0, 1),
+     ParameterError, "run_star_network takes a Scenario and a mapping of node name to AccelTrace"),
+    ("star_scenario_str", lambda: run_star_network("x", {"remote": generate_trace(REST, 1.0)}, 1.0, 1),
+     ParameterError, "run_star_network takes a Scenario and a mapping of node name to AccelTrace"),
+    ("detect_cfg_str", lambda: detect_abnormal(generate_trace(REST, 1.0), "x"), ParameterError,
+     "cfg must be a ClassifierConfig, got str"),
+    ("classify_window_list", lambda: classify_window([1, 2]), ParameterError, "window must be an AccelTrace, got list"),
+    ("classify_window_cfg_str", lambda: classify_window(generate_trace(REST, 1.0), "x"), ParameterError,
+     "cfg must be a ClassifierConfig, got str"),
+    ("scan_str", lambda: scan("x"), ParameterError, "scenario must be a Scenario, got str"),
+    ("echo_scenario_str", lambda: run_echo_test(EchoTestConfig(ChannelSpec.wpan(12), 0.0), "x", 1), ParameterError,
+     "run_echo_test takes an EchoTestConfig and a Scenario"),
+    ("echo_cfg_str", lambda: run_echo_test("x", load_scenario("apartment"), 1), ParameterError,
+     "run_echo_test takes an EchoTestConfig and a Scenario"),
 ]
 
 
