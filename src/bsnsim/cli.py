@@ -38,7 +38,7 @@ from .errors import BsnsimError, finite_number, valid_seed
 from .frames import read_frame_log
 from .linksim import EchoTestConfig, RunStats, run_echo_test, run_star_network
 from .motion import ActivityKind, compose_schedule, generate_trace
-from .rf import ChannelSpec, InterferenceCalibration, WPAN_INDEX_RANGE
+from .rf import DEFAULT_CALIBRATION, ChannelSpec, WPAN_INDEX_RANGE
 from .scenario import load_scenario
 from .selector import scan as scan_channels
 from .selector import select_channel
@@ -112,7 +112,7 @@ def _result_json(out: Path, kind: str, scenario_name: str, seed: int, config: di
 
 
 def _scenario_for(args):
-    calib, overrides = InterferenceCalibration(), {}
+    calib, overrides = DEFAULT_CALIBRATION, {}
     if args.calibration:
         calib, overrides = calibrate_mod.load_calibration_file(args.calibration)
     scenario = load_scenario(args.scenario)

@@ -29,7 +29,7 @@ from .errors import ParameterError, ScenarioError, finite_number, integer, requi
 # unused here, but bench/spans.py wraps linksim.encode_frame and linksim.read_frame_log
 from .frames import FRAME_LEN, LOG_MAGIC, SensorFrame, _frames, _pack, encode_frame, read_frame_log
 from .motion import AccelTrace, sample_count
-from .rf import ChannelSpec, InterferenceCalibration, RadioPath, Reception, radio_paths
+from .rf import DEFAULT_CALIBRATION, ChannelSpec, InterferenceCalibration, RadioPath, Reception, radio_paths
 from .scenario import Scenario
 from .sensor import ReplayResult, initial_state, replay_trace
 
@@ -96,10 +96,6 @@ class Direction:
     interferers: dict[str, tuple[ChannelSpec, RadioPath, float]]
 
     @classmethod
-    def of(cls, scenario: Scenario, tx_node: str, rx_node: str) -> "Direction":
-        return cls.to(scenario, [tx_node], rx_node)[0]
-
-    @classmethod
     def to(cls, scenario: Scenario, tx_nodes: Sequence[str], rx_node: str) -> list["Direction"]:
         """The direction from each tx node to one rx node, placed in one call;
         they share the interferers' paths."""
@@ -127,17 +123,20 @@ def direction_success_prob(
     direction: Direction,
     channel: ChannelSpec,
     tx_power_dbm: float,
-    calibration: InterferenceCalibration | None = None,
+    calibration: InterferenceCalibration = DEFAULT_CALIBRATION,
 ) -> float:
     """Per-message delivery probability for one direction of a link, with the
-    scenario's interferers as they are set now."""
+    scenario's interferers as they are set now. Scans, echo tests and star
+    runs all evaluate here, so this is their one calibration check."""
+    if not isinstance(calibration, InterferenceCalibration):
+        raise ParameterError(f"calibration must be an InterferenceCalibration, got {type(calibration).__name__}")
     reception = direction.reception(scenario, channel)
     return reception.success_prob(tx_power_dbm, tuple(scenario.interferers.values()), calibration)
 
 
 def echo_directions(scenario: Scenario) -> tuple[Direction, Direction]:
     """(outbound, inbound) directions of the base<->remote pair."""
-    return Direction.of(scenario, "base", "remote"), Direction.of(scenario, "remote", "base")
+    return Direction.to(scenario, ["base"], "remote")[0], Direction.to(scenario, ["remote"], "base")[0]
 
 
 def echo_success_probs(
@@ -145,7 +144,7 @@ def echo_success_probs(
     directions: tuple[Direction, Direction],
     channel: ChannelSpec,
     tx_power_dbm: float,
-    calibration: InterferenceCalibration | None = None,
+    calibration: InterferenceCalibration = DEFAULT_CALIBRATION,
 ) -> tuple[float, float]:
     """(outbound, inbound) per-message probabilities for the base<->remote pair."""
     outbound, inbound = directions
@@ -173,7 +172,7 @@ def run_echo_test(
     cfg: EchoTestConfig,
     scenario: Scenario,
     seed: int,
-    calibration: InterferenceCalibration | None = None,
+    calibration: InterferenceCalibration = DEFAULT_CALIBRATION,
 ) -> RunStats:
     """The full echo experiment: probabilities from the scenario, then runs."""
     if not (isinstance(cfg, EchoTestConfig) and isinstance(scenario, Scenario)):
@@ -220,7 +219,7 @@ def run_star_network(
     traces: dict[str, AccelTrace],
     duration_s: float,
     seed: int,
-    calibration: InterferenceCalibration | None = None,
+    calibration: InterferenceCalibration = DEFAULT_CALIBRATION,
 ) -> StarResult:
     """Drive each sensor node's state machine and transport its frames.
 

@@ -23,6 +23,10 @@ Channel plans
     802.15.4: channels 11..26, center 2405 + 5*(index-11) MHz, 2 MHz occupied.
     802.11b/g: channels 1..11, center 2412 + 5*(index-1) MHz, 25 MHz occupied.
     Microwave oven: fixed 2450 MHz emission, 20 MHz wide.
+The plan's one home is three tables built at import, `_WPAN_CHANNELS`,
+`_WLAN_CHANNELS` and `_OVEN_CHANNEL`. `ChannelSpec.wpan`, `.wlan` and
+`.microwave_oven` return their instance, so equal channels are usually the
+same object.
 
 A message on a clear link always succeeds while the received power stays
 above the -92 dBm sensitivity floor. Each active interferer then knocks out
@@ -41,8 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -61,19 +64,6 @@ class RadioStandard(Enum):
     MICROWAVE_OVEN = "oven"
 
 
-def channel_center_freq(standard: RadioStandard, index: int) -> float:
-    """Center frequency in MHz for a channel index of the given standard."""
-    if standard is RadioStandard.WPAN_154:
-        if index not in WPAN_INDEX_RANGE:
-            raise ParameterError(f"802.15.4 channel must be 11..26, got {index}")
-        return 2405.0 + 5.0 * (index - 11)
-    if standard is RadioStandard.WLAN_80211:
-        if index not in WLAN_INDEX_RANGE:
-            raise ParameterError(f"802.11 channel must be 1..11, got {index}")
-        return 2412.0 + 5.0 * (index - 1)
-    return 2450.0
-
-
 @dataclass(frozen=True)
 class ChannelSpec:
     standard: RadioStandard
@@ -81,39 +71,32 @@ class ChannelSpec:
     center_mhz: float
     occupied_bw_mhz: float
 
-    # The constructors return one shared instance per channel, so equal
-    # channels are usually the same object.
-
     @classmethod
     def wpan(cls, index: int) -> "ChannelSpec":
-        return _WPAN_SPECS(_plain_index(index))
+        return _planned(_WPAN_CHANNELS, "802.15.4", index)
 
     @classmethod
     def wlan(cls, index: int) -> "ChannelSpec":
-        return _WLAN_SPECS(_plain_index(index))
+        return _planned(_WLAN_CHANNELS, "802.11", index)
 
     @classmethod
     def microwave_oven(cls) -> "ChannelSpec":
-        return _OVEN_SPEC
+        return _OVEN_CHANNEL
 
 
-def _plain_index(index: int) -> int:
-    """A channel index as a plain int; anything but an integer, a bool included, is an error."""
+_WPAN_CHANNELS = {i: ChannelSpec(RadioStandard.WPAN_154, i, 2405.0 + 5.0 * (i - 11), 2.0) for i in WPAN_INDEX_RANGE}
+_WLAN_CHANNELS = {i: ChannelSpec(RadioStandard.WLAN_80211, i, 2412.0 + 5.0 * (i - 1), 25.0) for i in WLAN_INDEX_RANGE}
+_OVEN_CHANNEL = ChannelSpec(RadioStandard.MICROWAVE_OVEN, 0, 2450.0, 20.0)
+
+
+def _planned(channels: Mapping[int, ChannelSpec], plan: str, index: int) -> ChannelSpec:
+    """The one place a channel number becomes a channel; a non-integer, a bool too, or one outside the plan raises."""
     if not integer(index):
         raise ParameterError(f"channel index must be an integer, got {index!r}")
-    return int(index)
-
-
-def _shared_specs(standard: RadioStandard, occupied_bw_mhz: float) -> Callable[[int], ChannelSpec]:
-    """The channels of a standard by index, each built once (keyed on the
-    index alone: an enum hashes slowly); an index out of range raises and is
-    not cached."""
-    return cache(lambda index: ChannelSpec(standard, index, channel_center_freq(standard, index), occupied_bw_mhz))
-
-
-_WPAN_SPECS = _shared_specs(RadioStandard.WPAN_154, 2.0)
-_WLAN_SPECS = _shared_specs(RadioStandard.WLAN_80211, 25.0)
-_OVEN_SPEC = ChannelSpec(RadioStandard.MICROWAVE_OVEN, 0, channel_center_freq(RadioStandard.MICROWAVE_OVEN, 0), 20.0)
+    try:
+        return channels[index]
+    except KeyError:
+        raise ParameterError(f"{plan} channel must be {min(channels)}..{max(channels)}, got {index}") from None
 
 
 def spectral_overlap(a: ChannelSpec, b: ChannelSpec) -> float:

@@ -4,12 +4,12 @@ expected round-trip message loss, and hop only past a hysteresis margin."""
 from __future__ import annotations
 
 import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import ParameterError, finite_number, require_positive
 from .linksim import echo_directions, echo_success_probs
-from .rf import ChannelSpec, InterferenceCalibration, WPAN_INDEX_RANGE
+from .rf import DEFAULT_CALIBRATION, ChannelSpec, InterferenceCalibration, WPAN_INDEX_RANGE
 from .scenario import Scenario
 
 DEFAULT_HYSTERESIS = 0.001
@@ -28,10 +28,10 @@ class ScanReport:
             raise ParameterError("scores must be finite and non-negative")
 
     def score(self, channel: int) -> float:
-        return self.scores[channel - WPAN_INDEX_RANGE.start]
+        return self.scores[ChannelSpec.wpan(channel).index - WPAN_INDEX_RANGE.start]
 
 
-def scan(scenario: Scenario, calibration: InterferenceCalibration | None = None) -> ScanReport:
+def scan(scenario: Scenario, calibration: InterferenceCalibration = DEFAULT_CALIBRATION) -> ScanReport:
     """Score every channel at the scenario's power as 1 - round-trip success probability."""
     if not isinstance(scenario, Scenario):
         raise ParameterError(f"scenario must be a Scenario, got {type(scenario).__name__}")
@@ -55,7 +55,7 @@ def adaptive_policy(
     horizon_s: float,
     rescan_period_s: float,
     initial_channel: int | None = None,
-    calibration: InterferenceCalibration | None = None,
+    calibration: InterferenceCalibration = DEFAULT_CALIBRATION,
 ) -> list[tuple[float, int]]:
     """Rescan on a fixed period over a piecewise-constant environment.
 
@@ -67,8 +67,12 @@ def adaptive_policy(
     if not finite_number(horizon_s):
         raise ParameterError(f"horizon_s must be finite, got {horizon_s}")
     require_positive("rescan_period_s", rescan_period_s)
-    if not timeline:
-        raise ParameterError("environment timeline is empty")
+    if not (isinstance(timeline, Sequence) and timeline):
+        raise ParameterError("environment timeline must be a non-empty sequence of (time, Scenario) pairs")
+    for i, entry in enumerate(timeline):
+        if not (isinstance(entry, Sequence) and len(entry) == 2 and finite_number(entry[0])
+                and isinstance(entry[1], Scenario)):
+            raise ParameterError(f"timeline entry {i} must be a (finite time, Scenario) pair")
     changes = sorted(timeline, key=lambda item: item[0])
     change_times = [t_change for t_change, _ in changes]
     reports: dict[int, ScanReport] = {}  # scan is deterministic: one per timeline entry

@@ -29,7 +29,7 @@ from bsnsim.linksim import (
     simulate_echo_runs,
 )
 from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_trace
-from bsnsim.rf import ChannelSpec, RadioStandard, channel_center_freq, spectral_overlap
+from bsnsim.rf import ChannelSpec, spectral_overlap
 from bsnsim.scenario import load_scenario, parse_scenario
 from bsnsim.selector import ScanReport, adaptive_policy, scan, select_channel
 from bsnsim.sensor import RANGE_LADDER, SensorMode, SensorState, initial_state, replay_trace
@@ -73,7 +73,7 @@ def test_criterion_2_channel_geometry():
     with criterion("2 channel geometry", 1.0):
         expected = {12: 2410.0, 19: 2445.0, 20: 2450.0, 21: 2455.0, 22: 2460.0}
         for index, center in expected.items():
-            assert channel_center_freq(RadioStandard.WPAN_154, index) == center
+            assert ChannelSpec.wpan(index).center_mhz == center
         victim, wlan1 = ChannelSpec.wpan(12), ChannelSpec.wlan(1)
         overlap = spectral_overlap(victim, wlan1)
         assert overlap == pytest.approx(2.0)

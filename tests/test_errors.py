@@ -72,6 +72,16 @@ def _detect(window_s):
     return detect_abnormal(generate_trace(REST, 1.0), ClassifierConfig(window_s=window_s))
 
 
+_CALIBRATION_CALLS = {
+    "scan": lambda calibration: scan(load_scenario("apartment"), calibration),
+    "policy": lambda calibration: adaptive_policy([(0.0, load_scenario("apartment"))], 10.0, 5.0, None, calibration),
+    "echo": lambda calibration: run_echo_test(EchoTestConfig(ChannelSpec.wpan(12), 0.0, n_messages=10, runs=1),
+                                              load_scenario("apartment"), 1, calibration),
+    "star": lambda calibration: run_star_network(load_scenario("apartment"), {"remote": generate_trace(REST, 1.0)},
+                                                 1.0, 1, calibration),
+}
+
+
 # each raised an error outside the BsnsimError family (a TypeError, OverflowError, KeyError, AttributeError
 # or bare ValueError), or was accepted, before it was checked where it enters
 _HOLES = [
@@ -149,6 +159,28 @@ _HOLES = [
      "run_echo_test takes an EchoTestConfig and a Scenario"),
     ("echo_cfg_str", lambda: run_echo_test("x", load_scenario("apartment"), 1), ParameterError,
      "run_echo_test takes an EchoTestConfig and a Scenario"),
+    # each returned another channel's score (5, 10, True), or raised an IndexError or TypeError (27, "x")
+    *((f"score_{channel}", lambda channel=channel: ScanReport((0.0,) * 16).score(channel), ParameterError,
+       message) for channel, message in [(5, "802.15.4 channel must be 11..26, got 5"),
+                                         (10, "802.15.4 channel must be 11..26, got 10"),
+                                         (27, "802.15.4 channel must be 11..26, got 27"),
+                                         (True, "channel index must be an integer, got True"),
+                                         ("x", "channel index must be an integer, got 'x'")]),
+    ("policy_initial_channel_5", lambda: adaptive_policy([(0.0, load_scenario("apartment"))], 10.0, 5.0, 5),
+     ParameterError, "802.15.4 channel must be 11..26, got 5"),
+    # each raised an AttributeError, or ran with the default constants (0, None)
+    *((f"{name}_calibration_{calibration}", lambda call=call, calibration=calibration: call(calibration),
+       ParameterError, f"calibration must be an InterferenceCalibration, got {type(calibration).__name__}")
+      for name, call in _CALIBRATION_CALLS.items() for calibration in ("x", 0, None)),
+    # each raised a TypeError, or ran (a nan time)
+    ("policy_timeline_int", lambda: adaptive_policy(5, 10.0, 1.0), ParameterError,
+     "environment timeline must be a non-empty sequence of \\(time, Scenario\\) pairs"),
+    ("policy_time_str", lambda: adaptive_policy([("x", load_scenario("apartment"))], 10.0, 1.0), ParameterError,
+     "timeline entry 0 must be a \\(finite time, Scenario\\) pair"),
+    ("policy_time_nan", lambda: adaptive_policy([(math.nan, load_scenario("apartment"))], 10.0, 1.0),
+     ParameterError, "timeline entry 0 must be a \\(finite time, Scenario\\) pair"),
+    ("policy_entry_scenario", lambda: adaptive_policy([load_scenario("apartment")], 10.0, 1.0), ParameterError,
+     "timeline entry 0 must be a \\(finite time, Scenario\\) pair"),
 ]
 
 

@@ -113,23 +113,23 @@ def test_missing_node_rejected():
 
 def test_direction_depends_only_on_placement():
     scenario = load_scenario("apartment_microwave")
-    outbound = Direction.of(scenario, "base", "remote")
+    outbound = Direction.to(scenario, ["base"], "remote")[0]
     assert set(outbound.interferers) == set(scenario.interferers)
-    assert Direction.of(scenario.with_interferer_enabled("oven", False), "base", "remote") == outbound
-    assert Direction.of(scenario, "remote", "base") != outbound
+    assert Direction.to(scenario.with_interferer_enabled("oven", False), ["base"], "remote")[0] == outbound
+    assert Direction.to(scenario, ["remote"], "base")[0] != outbound
 
 
 def test_direction_lacking_an_interferer_is_a_parameter_error():
     scenario = load_scenario("apartment_microwave")
     without_oven = {name: it for name, it in scenario.interferers.items() if name != "oven"}
-    outbound = Direction.of(dataclasses.replace(scenario, interferers=without_oven), "base", "remote")
+    outbound = Direction.to(dataclasses.replace(scenario, interferers=without_oven), ["base"], "remote")[0]
     with pytest.raises(ParameterError, match="direction has no path for interferer 'oven'"):
         direction_success_prob(scenario, outbound, ChannelSpec.wpan(20), -10.0)
 
 
 def test_direction_records_each_interferer_as_placed():
     scenario = load_scenario("apartment_microwave")
-    outbound = Direction.of(scenario, "base", "remote")
+    outbound = Direction.to(scenario, ["base"], "remote")[0]
     rx = scenario.node("remote")
     obstacles = list(scenario.obstacles.values())
     for name, it in scenario.interferers.items():
@@ -157,7 +157,7 @@ def test_batched_uplinks_equal_directions_placed_alone(preset):
     scenario = _crowded(preset)
     names = sorted(scenario.nodes)
     uplinks = Direction.to(scenario, names, "base")
-    assert uplinks == [Direction.of(scenario, name, "base") for name in names]
+    assert uplinks == [Direction.to(scenario, [name], "base")[0] for name in names]
     assert len({id(uplink.interferers) for uplink in uplinks}) == 1  # one placement of the interferers
 
 
@@ -178,19 +178,20 @@ def test_scan_computes_each_interferer_loss_once_per_direction(monkeypatch):
 
 def test_direction_reused_with_an_interferer_on_another_channel_is_a_parameter_error():
     scenario = load_scenario("apartment")
-    outbound = Direction.of(scenario, "base", "remote")
+    outbound = Direction.to(scenario, ["base"], "remote")[0]
     moved = dataclasses.replace(scenario.interferers["neighbor_ch1_a"], channel=ChannelSpec.wlan(6))
     retuned = dataclasses.replace(scenario, interferers={**scenario.interferers, "neighbor_ch1_a": moved})
     with pytest.raises(ParameterError, match="interferer on wlan channel 6 was bound on wlan channel 1"):
         direction_success_prob(retuned, outbound, ChannelSpec.wpan(12), -10.0)
-    assert direction_success_prob(retuned, Direction.of(retuned, "base", "remote"), ChannelSpec.wpan(12), -10.0) > 0
+    [replaced] = Direction.to(retuned, ["base"], "remote")
+    assert direction_success_prob(retuned, replaced, ChannelSpec.wpan(12), -10.0) > 0
 
 
 def test_direction_reused_on_reordered_interferers_matches_a_fresh_placement():
     scenario = load_scenario("apartment")
-    outbound = Direction.of(scenario, "base", "remote")
+    outbound = Direction.to(scenario, ["base"], "remote")[0]
     reordered = dataclasses.replace(scenario, interferers=dict(reversed(scenario.interferers.items())))
-    fresh = Direction.of(reordered, "base", "remote")
+    fresh = Direction.to(reordered, ["base"], "remote")[0]
     assert list(reordered.interferers) != list(outbound.interferers)  # so binding takes the entries by name
     for index in WPAN_INDEX_RANGE:
         reused = direction_success_prob(reordered, outbound, ChannelSpec.wpan(index), -10.0)

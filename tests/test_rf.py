@@ -21,12 +21,10 @@ from bsnsim.rf import (
     Material,
     Obstacle,
     RadioPath,
-    RadioStandard,
     Reception,
     WLAN_INDEX_RANGE,
     WPAN_INDEX_RANGE,
     Wall,
-    channel_center_freq,
     crossed_obstacles,
     radio_paths,
     spectral_overlap,
@@ -54,26 +52,26 @@ class TestChannelGeometry:
         [(12, 2410.0), (19, 2445.0), (20, 2450.0), (21, 2455.0), (22, 2460.0)],
     )
     def test_cited_wpan_centers(self, index, center):
-        assert channel_center_freq(RadioStandard.WPAN_154, index) == center
+        assert ChannelSpec.wpan(index).center_mhz == center
 
     def test_all_wpan_centers(self):
         for index in range(11, 27):
-            assert channel_center_freq(RadioStandard.WPAN_154, index) == 2405 + 5 * (index - 11)
+            assert ChannelSpec.wpan(index).center_mhz == 2405 + 5 * (index - 11)
 
     def test_wlan_centers(self):
-        assert channel_center_freq(RadioStandard.WLAN_80211, 1) == 2412.0
-        assert channel_center_freq(RadioStandard.WLAN_80211, 6) == 2437.0
-        assert channel_center_freq(RadioStandard.WLAN_80211, 11) == 2462.0
+        assert ChannelSpec.wlan(1).center_mhz == 2412.0
+        assert ChannelSpec.wlan(6).center_mhz == 2437.0
+        assert ChannelSpec.wlan(11).center_mhz == 2462.0
 
     def test_index_range_errors(self):
-        with pytest.raises(ParameterError):
-            channel_center_freq(RadioStandard.WPAN_154, 10)
-        with pytest.raises(ParameterError):
-            channel_center_freq(RadioStandard.WPAN_154, 27)
-        with pytest.raises(ParameterError):
-            channel_center_freq(RadioStandard.WLAN_80211, 0)
-        with pytest.raises(ParameterError):
-            channel_center_freq(RadioStandard.WLAN_80211, 12)
+        with pytest.raises(ParameterError, match="^802.15.4 channel must be 11..26, got 10$"):
+            ChannelSpec.wpan(10)
+        with pytest.raises(ParameterError, match="^802.15.4 channel must be 11..26, got 27$"):
+            ChannelSpec.wpan(27)
+        with pytest.raises(ParameterError, match="^802.11 channel must be 1..11, got 0$"):
+            ChannelSpec.wlan(0)
+        with pytest.raises(ParameterError, match="^802.11 channel must be 1..11, got 12$"):
+            ChannelSpec.wlan(12)
 
     def test_constructors_share_one_spec_per_channel(self):
         assert ChannelSpec.wpan(12) is ChannelSpec.wpan(12)
