@@ -126,10 +126,8 @@ def direction_success_prob(
     calibration: InterferenceCalibration = DEFAULT_CALIBRATION,
 ) -> float:
     """Per-message delivery probability for one direction of a link, with the
-    scenario's interferers as they are set now. Scans, echo tests and star
-    runs all evaluate here, so this is their one calibration check."""
-    if not isinstance(calibration, InterferenceCalibration):
-        raise ParameterError(f"calibration must be an InterferenceCalibration, got {type(calibration).__name__}")
+    scenario's interferers as they are set now; `Reception.success_prob` checks
+    the calibration."""
     reception = direction.reception(scenario, channel)
     return reception.success_prob(tx_power_dbm, tuple(scenario.interferers.values()), calibration)
 

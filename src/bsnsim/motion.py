@@ -60,6 +60,8 @@ class AccelTrace:
             if not (isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype.kind == "f"):
                 got = f"a {arr.ndim}-D {arr.dtype} array" if isinstance(arr, np.ndarray) else type(arr).__name__
                 raise ParameterError(f"trace axis {name} must be a 1-D numpy array of real floats, got {got}")
+        if not isinstance(self.labels, (list, tuple)):
+            raise ParameterError(f"labels must be a list or tuple, got {type(self.labels).__name__}")
         if not (len(self.ax) == len(self.ay) == len(self.az) == len(self.labels)):
             raise ParameterError("trace arrays must share one length")
         for arr in (self.ax, self.ay, self.az):

@@ -139,12 +139,21 @@ DEFAULT_NEAR_FIELD_M: dict[Material, float] = {
 }
 
 
+def _require_coordinates(shape: Wall | Disc) -> None:
+    for name, value in vars(shape).items():
+        if not finite_number(value):
+            raise ParameterError(f"{type(shape).__name__.lower()} {name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Wall:
     x1: float
     y1: float
     x2: float
     y2: float
+
+    def __post_init__(self):
+        _require_coordinates(self)
 
 
 @dataclass(frozen=True)
@@ -153,13 +162,32 @@ class Disc:
     y: float
     radius: float
 
+    def __post_init__(self):
+        _require_coordinates(self)
+        if self.radius < 0:
+            raise ParameterError(f"disc radius must be non-negative, got {self.radius!r}")
+
 
 @dataclass(frozen=True)
 class Obstacle:
+    """A wall or disc of one material. Every construction checks every field,
+    the same rules the scenario parser applies to a file."""
+
     material: Material
     shape: Wall | Disc
     loss_db: float | None = None          # None: use the material table
     near_field_m: float | None = None     # None: use the material default
+
+    def __post_init__(self):
+        if not isinstance(self.material, Material):
+            raise ParameterError(f"material must be a Material, got {self.material!r}")
+        if not isinstance(self.shape, (Wall, Disc)):
+            raise ParameterError(f"shape must be a Wall or a Disc, got {type(self.shape).__name__}")
+        if self.loss_db is not None and not finite_number(self.loss_db):
+            raise ParameterError(f"loss_db must be a finite number or None, got {self.loss_db!r}")
+        near = self.near_field_m
+        if near is not None and not (finite_number(near) and near >= 0):
+            raise ParameterError(f"near_field_m must be a non-negative finite number or None, got {near!r}")
 
     def effective_loss_db(self, table: Mapping[Material, float]) -> float:
         return table[self.material] if self.loss_db is None else self.loss_db
@@ -400,13 +428,17 @@ class Reception:
         return cls(link.loss_db(center), tuple([channel for channel, _, _ in interferers]), tuple(overlapping))
 
     def success_prob(self, tx_power_dbm: float, interferers: Sequence[Interferer],
-                     calibration: InterferenceCalibration | None = None) -> float:
+                     calibration: InterferenceCalibration = DEFAULT_CALIBRATION) -> float:
         """Probability that one message is delivered, with the interferers set as
-        given, in the order and on the channels they were bound with.
+        given, in the order and on the channels they were bound with. Scans,
+        echo tests, star runs and the fit all evaluate here, so this is the
+        one calibration check.
 
         Zero below the sensitivity floor; otherwise the product over active
         interferers of their independent per-message survival terms.
         """
+        if not isinstance(calibration, InterferenceCalibration):
+            raise ParameterError(f"calibration must be an InterferenceCalibration, got {type(calibration).__name__}")
         if len(interferers) != len(self.channels):
             raise ParameterError(f"reception was bound with {len(self.channels)} interferer(s), got {len(interferers)}")
         for it, channel in zip(interferers, self.channels):
@@ -416,7 +448,6 @@ class Reception:
         rx_power_dbm = tx_power_dbm - self.link_loss_db
         if rx_power_dbm - RECEIVER_SENSITIVITY_DBM < 0:
             return 0.0
-        calib = calibration or DEFAULT_CALIBRATION
         p = 1.0
         for index, distance_m, loss_db, overlap_frac, delta_mhz in self.overlapping:
             it = interferers[index]
@@ -424,9 +455,9 @@ class Reception:
                 continue
             if it.influence_radius_m is not None and distance_m > it.influence_radius_m:
                 continue
-            i_rx = it.tx_power_dbm - loss_db + spectral_weight_db(it.channel.standard, delta_mhz, calib)
+            i_rx = it.tx_power_dbm - loss_db + spectral_weight_db(it.channel.standard, delta_mhz, calibration)
             isr = i_rx - rx_power_dbm
-            pf = interference_power_factor(isr, calib)
+            pf = interference_power_factor(isr, calibration)
             # min and max below as conditionals, the same floats as min(1.0, a) and max(0.0, min(1.0, p))
             activity = it.activity_factor
             p *= 1.0 - (activity if activity < 1.0 else 1.0) * overlap_frac * pf

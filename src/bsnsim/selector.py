@@ -22,6 +22,8 @@ class ScanReport:
     scores: tuple[float, ...]
 
     def __post_init__(self):
+        if not isinstance(self.scores, tuple):
+            raise ParameterError(f"scores must be a tuple, got {type(self.scores).__name__}")
         if len(self.scores) != len(WPAN_INDEX_RANGE):
             raise ParameterError(f"scan report needs {len(WPAN_INDEX_RANGE)} entries")
         if any(not finite_number(s) or s < 0 for s in self.scores):
@@ -73,6 +75,11 @@ def adaptive_policy(
         if not (isinstance(entry, Sequence) and len(entry) == 2 and finite_number(entry[0])
                 and isinstance(entry[1], Scenario)):
             raise ParameterError(f"timeline entry {i} must be a (finite time, Scenario) pair")
+    # checked here too, since a horizon of 0 s or less runs no rescan
+    if initial_channel is not None:
+        ChannelSpec.wpan(initial_channel)
+    if not isinstance(calibration, InterferenceCalibration):
+        raise ParameterError(f"calibration must be an InterferenceCalibration, got {type(calibration).__name__}")
     changes = sorted(timeline, key=lambda item: item[0])
     change_times = [t_change for t_change, _ in changes]
     reports: dict[int, ScanReport] = {}  # scan is deterministic: one per timeline entry

@@ -244,6 +244,8 @@ class TimelineInterval:
         if not (finite_number(self.t_start) and finite_number(self.t_end) and self.t_end >= self.t_start):
             raise ParameterError(f"interval needs finite bounds with t_end >= t_start, "
                                  f"got [{self.t_start}, {self.t_end}]")
+        if not isinstance(self.mode, SensorMode):
+            raise ParameterError(f"mode must be a SensorMode, got {self.mode!r}")
 
 
 @dataclass(eq=False)

@@ -88,7 +88,7 @@ def message_success_prob(
     link: RadioPath,
     victim: ChannelSpec,
     interferers: Sequence[tuple[Interferer, RadioPath]],
-    calibration: InterferenceCalibration | None = None,
+    calibration: InterferenceCalibration = DEFAULT_CALIBRATION,
 ) -> float:
     """Probability that one message on the victim channel is delivered over
     the link, with each interferer reaching the receiver over its path.
@@ -101,7 +101,6 @@ def message_success_prob(
     rx_power_dbm = tx_power_dbm - link.loss_db(victim.center_mhz)
     if rx_power_dbm - RECEIVER_SENSITIVITY_DBM < 0:
         return 0.0
-    calib = calibration or DEFAULT_CALIBRATION
     p = 1.0
     for it, path in interferers:
         if not it.enabled or it.activity_factor <= 0.0:
@@ -114,9 +113,9 @@ def message_success_prob(
         i_rx = (
             it.tx_power_dbm
             - path.loss_db(it.channel.center_mhz)
-            + spectral_weight_db(it.channel.standard, victim.center_mhz - it.channel.center_mhz, calib)
+            + spectral_weight_db(it.channel.standard, victim.center_mhz - it.channel.center_mhz, calibration)
         )
         isr = i_rx - rx_power_dbm
-        pf = interference_power_factor(isr, calib)
+        pf = interference_power_factor(isr, calibration)
         p *= 1.0 - min(1.0, it.activity_factor) * (overlap / victim.occupied_bw_mhz) * pf
     return max(0.0, min(1.0, p))

@@ -114,6 +114,11 @@ def test_star_then_replay_log(tmp_path, capsys):
     lines = [l for l in out.splitlines() if l]
     assert lines[0].startswith("node_id,seq,")
     assert len(lines) > 1
+    assert main(["replay-log", str(tmp_path / "frames.log"), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "replay.csv").read_text() == out
+    # row for row, both hold node_id,seq,timestamp_ms,code_x,code_y,code_z: fields 3-8 of one, 1-6 of the other
+    logged = [row.split(",")[2:8] for row in (tmp_path / "frames.csv").read_text().splitlines()]
+    assert logged == [row.split(",")[:6] for row in lines]
 
 
 # SHA-256 of the files of the README star command with seed 1 and of its replay-log
@@ -146,6 +151,12 @@ def test_calibrate_command(tmp_path, capsys):
                         f"target {target}%, model {model}%")
     assert printed[5] == "single_house ch20 -10 dBm [holdout]: target 99.91%, model 100.00%"
     assert printed[-1] == f"calibration written to {tmp_path / 'calibration.json'}"
+    # the fitted file applied to runs, through calibrate.apply_overrides' one src caller
+    calibration = str(tmp_path / "calibration.json")
+    assert main(["run", "scan", "--calibration", calibration, "--out", str(tmp_path / "scan")]) == 0
+    assert main(["run", "echo", "--calibration", calibration, "--runs", "2", "--messages", "10",
+                 "--out", str(tmp_path / "echo")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 _SCIPY_PROBE = """
@@ -235,6 +246,8 @@ def _bad_targets(*rows):
         _bad_calibration(_calibration_text(logistic_midpoint_db="abc"), ("scan",)),
         _bad_calibration(_calibration_text(logistic_scale_db=True), ("scan",)),
         _bad_calibration(_calibration_text(interferer_overrides={"oven": 3.0}), ("scan",)),
+        # an override may name only a fitted field
+        _bad_calibration(_calibration_text(interferer_overrides={"oven": {"position": [1.0, 2.0]}})),
         _bad_targets("apartment,twelve,0,99.36,fit"),
         _bad_targets("apartment,12,0"),
         _bad_targets("apartment,12,0,nan,fit"),
@@ -244,8 +257,9 @@ def _bad_targets(*rows):
     ],
     ids=["flipped_log_byte", "node_id_over_255", "classify_duration_1e308", "star_duration_1e308",
          "calibration_missing_key", "calibration_malformed", "calibration_string_constant",
-         "calibration_bool_constant", "calibration_override_not_object", "targets_channel_not_a_number",
-         "targets_short_row", "targets_nan_target", "targets_without_single_house", "targets_without_fit_rows"],
+         "calibration_bool_constant", "calibration_override_not_object", "calibration_override_position",
+         "targets_channel_not_a_number", "targets_short_row", "targets_nan_target", "targets_without_single_house",
+         "targets_without_fit_rows"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, make_argv):
     if make_argv is _flipped_log:

@@ -11,9 +11,9 @@ from bsnsim.classify import ClassifierConfig, classify_window, detect_abnormal
 from bsnsim.energy import Battery, ComponentCurrent, simulate_energy
 from bsnsim.errors import FrameError, ParameterError, finite_number, integer, require_positive
 from bsnsim.frames import SensorFrame, write_frame_log
-from bsnsim.linksim import EchoTestConfig, run_echo_test, run_star_network
-from bsnsim.motion import ActivityKind, compose_schedule, generate_trace
-from bsnsim.rf import ChannelSpec, InterferenceCalibration
+from bsnsim.linksim import Direction, EchoTestConfig, run_echo_test, run_star_network
+from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_trace
+from bsnsim.rf import ChannelSpec, Disc, InterferenceCalibration, Material, Obstacle, Wall
 from bsnsim.scenario import load_scenario
 from bsnsim.selector import ScanReport, adaptive_policy, scan
 from bsnsim.sensor import SensorMode, SensorState, TimelineInterval, initial_state, replay_trace
@@ -80,6 +80,20 @@ _CALIBRATION_CALLS = {
     "star": lambda calibration: run_star_network(load_scenario("apartment"), {"remote": generate_trace(REST, 1.0)},
                                                  1.0, 1, calibration),
 }
+
+
+def _bound_success_prob(calibration):
+    scenario = load_scenario("apartment")
+    outbound = Direction.to(scenario, ["base"], "remote")[0]
+    return outbound.reception(scenario, ChannelSpec.wpan(20)).success_prob(
+        scenario.tx_power_dbm, tuple(scenario.interferers.values()), calibration)
+
+
+def _labelled(labels):
+    return AccelTrace(60.0, np.zeros(3), np.zeros(3), np.ones(3), labels)
+
+
+_WALL = Wall(0.0, -1.0, 0.0, 1.0)
 
 
 # each raised an error outside the BsnsimError family (a TypeError, OverflowError, KeyError, AttributeError
@@ -181,6 +195,37 @@ _HOLES = [
      ParameterError, "timeline entry 0 must be a \\(finite time, Scenario\\) pair"),
     ("policy_entry_scenario", lambda: adaptive_policy([load_scenario("apartment")], 10.0, 1.0), ParameterError,
      "timeline entry 0 must be a \\(finite time, Scenario\\) pair"),
+    # each ran with the default constants
+    *((f"bound_success_prob_calibration_{type(calibration).__name__}",
+       lambda calibration=calibration: _bound_success_prob(calibration),
+       ParameterError, f"calibration must be an InterferenceCalibration, got {type(calibration).__name__}")
+      for calibration in (0, "", None)),
+    # each returned [] unchecked: a horizon of 0 s or less runs no rescan
+    ("policy_no_rescan_initial_channel_5",
+     lambda: adaptive_policy([(0.0, load_scenario("apartment"))], -1.0, 1.0, 5), ParameterError,
+     "802.15.4 channel must be 11..26, got 5"),
+    ("policy_no_rescan_calibration_str",
+     lambda: adaptive_policy([(0.0, load_scenario("apartment"))], -1.0, 1.0, None, "x"), ParameterError,
+     "calibration must be an InterferenceCalibration, got str"),
+    # accepted, and simulate_energy counted the interval as sleep
+    ("interval_mode_str", lambda: TimelineInterval(0.0, 10.0, "active"), ParameterError,
+     "mode must be a SensorMode, got 'active'"),
+    # each raised a TypeError
+    ("trace_labels_int", lambda: _labelled(5), ParameterError, "labels must be a list or tuple, got int"),
+    ("scan_report_int", lambda: ScanReport(5), ParameterError, "scores must be a tuple, got int"),
+    # each was accepted, then raised a KeyError or bare ValueError in a scan, or was never crossed
+    ("obstacle_material_str", lambda: Obstacle("brick", _WALL), ParameterError,
+     "material must be a Material, got 'brick'"),
+    ("obstacle_shape_tuple", lambda: Obstacle(Material.BRICK, (0.0, -1.0, 0.0, 1.0)), ParameterError,
+     "shape must be a Wall or a Disc, got tuple"),
+    ("wall_str", lambda: Wall("a", -1.0, 0.0, 1.0), ParameterError, "wall x1 must be a finite number, got 'a'"),
+    ("wall_nan", lambda: Wall(0.0, -1.0, 0.0, math.nan), ParameterError, "wall y2 must be a finite number, got nan"),
+    ("disc_radius_negative", lambda: Disc(0, 0, -1.0), ParameterError, "disc radius must be non-negative, got -1.0"),
+    ("disc_inf", lambda: Disc(math.inf, 0.0, 1.0), ParameterError, "disc x must be a finite number, got inf"),
+    ("obstacle_loss_nan", lambda: Obstacle(Material.BRICK, _WALL, loss_db=math.nan), ParameterError,
+     "loss_db must be a finite number or None, got nan"),
+    ("obstacle_near_field_negative", lambda: Obstacle(Material.PLANT_FOLIAGE, _WALL, near_field_m=-0.5),
+     ParameterError, "near_field_m must be a non-negative finite number or None, got -0.5"),
 ]
 
 

@@ -14,6 +14,7 @@ from bsnsim.errors import ParameterError
 from bsnsim.rf import (
     ChannelSpec,
     Disc,
+    DEFAULT_CALIBRATION,
     DEFAULT_MATERIAL_LOSS_DB,
     RECEIVER_SENSITIVITY_DBM,
     InterferenceCalibration,
@@ -316,7 +317,7 @@ _CHANNELS = st.one_of(_WLAN, _WLAN, st.just(ChannelSpec.microwave_oven()), st.in
 # Up to 80 dB of obstacles, so links also fall below the sensitivity floor; 0 m is clamped to 5 cm.
 _PATHS = st.builds(RadioPath, st.floats(0.0, 30.0), st.lists(st.floats(0.0, 40.0), max_size=2).map(tuple))
 # Anywhere within the fit's bounds, or the defaults.
-_CALIBRATIONS = st.none() | st.builds(
+_CALIBRATIONS = st.just(DEFAULT_CALIBRATION) | st.builds(
     InterferenceCalibration, st.floats(0.0, 40.0), st.floats(0.5, 15.0), st.floats(0.05, 10.0), st.floats(0.05, 10.0)
 )
 
@@ -359,7 +360,7 @@ class TestReceptionMatchesReference:
         link = RadioPath(6.0, (3.0,))
         channels = [ChannelSpec.wlan(i) for i in WLAN_INDEX_RANGE] + [ChannelSpec.microwave_oven()]
         channels += [ChannelSpec.wpan(i) for i in WPAN_INDEX_RANGE]
-        calibrations = (None, InterferenceCalibration(9.5, 4.25, 0.37, 2.9))
+        calibrations = (DEFAULT_CALIBRATION, InterferenceCalibration(9.5, 4.25, 0.37, 2.9))
         for victim in (ChannelSpec.wpan(i) for i in WPAN_INDEX_RANGE):
             for k, channel in enumerate(channels):
                 path = RadioPath(0.5 + 0.37 * k, (0.5,) * (k % 3))
