@@ -46,6 +46,16 @@ class CalibrationTarget:
     target_mean_pct: float
     role: str  # fit | holdout
 
+    def __post_init__(self):
+        ChannelSpec.wpan(self.channel)
+        for name in ("tx_power_dbm", "target_mean_pct"):
+            if not finite_number(getattr(self, name)):
+                raise ParameterError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if not 0.0 <= self.target_mean_pct <= 100.0:
+            raise ParameterError(f"target_mean_pct must lie in [0, 100], got {self.target_mean_pct!r}")
+        if self.role not in ("fit", "holdout"):
+            raise ParameterError(f"target role must be fit|holdout, got {self.role!r}")
+
 
 @dataclass
 class CalibrationResult:
@@ -127,9 +137,9 @@ def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, di
 
 
 def load_targets(path: str | Path | None = None) -> list[CalibrationTarget]:
-    """Read a targets CSV; text that is not UTF-8 or not CSV, a missing,
-    non-numeric or non-finite value, or a target outside [0, 100] %, names
-    its file (and line)."""
+    """Read a targets CSV; text that is not UTF-8 or not CSV, a missing or
+    non-numeric value, or a row `CalibrationTarget` refuses, names its file
+    (and line). A role is read in any letter case."""
     source = resources.files("bsnsim").joinpath("data/calibration_targets.csv") if path is None else Path(path)
     try:
         reader = csv.DictReader(source.read_text().splitlines())
@@ -150,15 +160,12 @@ def load_targets(path: str | Path | None = None) -> list[CalibrationTarget]:
             try:
                 values[key] = kind(cells[key])
             except ValueError:
-                values[key] = math.nan
-            if not math.isfinite(values[key]):
                 noun = "an integer" if kind is int else "a finite number"
-                raise ParameterError(f"{where}: {key} must be {noun}, got {cells[key]!r}")
-        if not 0.0 <= values["target_mean_pct"] <= 100.0:
-            raise ParameterError(f"{where}: target_mean_pct must lie in [0, 100], got {cells['target_mean_pct']!r}")
-        if cells["role"].lower() not in ("fit", "holdout"):
-            raise ParameterError(f"{where}: target role must be fit|holdout, got {cells['role']!r}")
-        targets.append(CalibrationTarget(cells["scenario"], role=cells["role"].lower(), **values))
+                raise ParameterError(f"{where}: {key} must be {noun}, got {cells[key]!r}") from None
+        try:
+            targets.append(CalibrationTarget(cells["scenario"], role=cells["role"].lower(), **values))
+        except ParameterError as exc:
+            raise ParameterError(f"{where}: {exc}") from None
     if not targets:
         raise ParameterError(f"{source}: targets CSV holds no rows")
     return targets

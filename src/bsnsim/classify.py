@@ -1,9 +1,9 @@
 """Threshold-based activity classification and abnormal-event detection.
 
 Two detection methods run side by side: (i) per-axis peak-to-peak change per
-window against a delta threshold, and (ii) the total acceleration against a
-[low, high] band. Firings from either method that fall within one window of
-each other merge into a single abnormal event.
+window (`_WINDOW_S`) against `_AXIS_DELTA_THRESHOLD_G`, and (ii) the total
+acceleration against the band `_ABNORMAL_BAND_G`. Firings from either method
+that fall within one window of each other merge into a single abnormal event.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, finite_number, require_positive
+from .errors import ParameterError
 from .motion import AccelTrace, sample_count
 
 
@@ -28,22 +28,11 @@ class AbnormalTrigger(Enum):
     PER_AXIS_DELTA = "per_axis_delta"
 
 
+_ABNORMAL_BAND_G = (0.9, 1.3)  # method (ii): a total outside this band fires
+_WINDOW_S = 1.0  # method (i)'s window, and the gap that closes an event
 _AXIS_DELTA_THRESHOLD_G = 2.0  # method (i): per-axis peak-to-peak change within one window
 _REST_BAND_G = (0.95, 1.05)  # a rest window keeps every total inside this band
 _REST_STD_BOUND_G = 0.05  # and every axis's standard deviation at or below this
-
-
-@dataclass(frozen=True)
-class ClassifierConfig:
-    low_threshold_g: float = 0.9
-    high_threshold_g: float = 1.3
-    window_s: float = 1.0
-
-    def __post_init__(self):
-        low, high = self.low_threshold_g, self.high_threshold_g
-        if not (finite_number(low) and finite_number(high) and 0.0 < low < 1.0 < high):
-            raise ParameterError(f"need 0 < low < 1 < high, got [{low}, {high}]")
-        require_positive("window_s", self.window_s)
 
 
 @dataclass(frozen=True)
@@ -54,15 +43,7 @@ class AbnormalEvent:
     peak_total_a: float
 
 
-def _config(cfg: ClassifierConfig | None) -> ClassifierConfig:
-    if cfg is None:
-        return ClassifierConfig()
-    if not isinstance(cfg, ClassifierConfig):
-        raise ParameterError(f"cfg must be a ClassifierConfig, got {type(cfg).__name__}")
-    return cfg
-
-
-def classify_window(window: AccelTrace, cfg: ClassifierConfig | None = None) -> ActivityClass:
+def classify_window(window: AccelTrace) -> ActivityClass:
     """Classify one window of samples as rest, slow, or fast activity.
 
     Order-invariant: every criterion depends only on per-axis extrema,
@@ -70,7 +51,6 @@ def classify_window(window: AccelTrace, cfg: ClassifierConfig | None = None) -> 
     """
     if not isinstance(window, AccelTrace):
         raise ParameterError(f"window must be an AccelTrace, got {type(window).__name__}")
-    cfg = _config(cfg)
     if len(window) == 0:
         raise ParameterError("window holds no samples")
     ax, ay, az = window.ax, window.ay, window.az
@@ -82,14 +62,15 @@ def classify_window(window: AccelTrace, cfg: ClassifierConfig | None = None) -> 
     if in_rest_band and quiet:
         return ActivityClass.REST
 
-    out_of_band = bool(total.min() < cfg.low_threshold_g or total.max() > cfg.high_threshold_g)
+    low, high = _ABNORMAL_BAND_G
+    out_of_band = bool(total.min() < low or total.max() > high)
     axis_delta = max(float(a.max() - a.min()) for a in (ax, ay, az))
     if out_of_band or axis_delta > _AXIS_DELTA_THRESHOLD_G:
         return ActivityClass.FAST_ACTIVITY
     return ActivityClass.SLOW_ACTIVITY
 
 
-def detect_abnormal(trace: AccelTrace, cfg: ClassifierConfig | None = None) -> list[AbnormalEvent]:
+def detect_abnormal(trace: AccelTrace) -> list[AbnormalEvent]:
     """Find maximal regions where either detection method fires.
 
     Method (ii) is evaluated per sample; method (i) over half-overlapping
@@ -98,14 +79,14 @@ def detect_abnormal(trace: AccelTrace, cfg: ClassifierConfig | None = None) -> l
     """
     if not isinstance(trace, AccelTrace):
         raise ParameterError(f"trace must be an AccelTrace, got {type(trace).__name__}")
-    cfg = _config(cfg)
     n = len(trace)
     if n == 0:
         raise ParameterError("trace holds no samples")
     total = trace.total()
-    fire_total = (total < cfg.low_threshold_g) | (total > cfg.high_threshold_g)
+    low, high = _ABNORMAL_BAND_G
+    fire_total = (total < low) | (total > high)
 
-    w = max(1, sample_count(cfg.window_s, trace.rate_hz))
+    w = max(1, sample_count(_WINDOW_S, trace.rate_hz))
     fire = fire_total | _fire_axis(trace, w)
     idx = np.flatnonzero(fire)
     if idx.size == 0:

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import calibrate as calibrate_mod
-from .classify import ClassifierConfig, detect_abnormal
+from .classify import detect_abnormal
 from .energy import (
     CONTINUOUS_PROFILE,
     TEN_PERCENT_RADIO_PROFILE,
@@ -202,7 +202,7 @@ def _cmd_run_star(args, out: Path) -> int:
 def _cmd_run_classify(args, out: Path) -> int:
     kind = ActivityKind(args.activity)
     trace = generate_trace(kind, args.duration, seed=args.seed)
-    events = detect_abnormal(trace, ClassifierConfig())
+    events = detect_abnormal(trace)
     atomic_write(out / "events.csv", _lines(
         "t_start,t_end,trigger,peak_total_a",
         (f"{ev.t_start:.6g},{ev.t_end:.6g},{ev.trigger.value},{ev.peak_total_a:.6g}" for ev in events)))

@@ -1,8 +1,8 @@
 """Shared exception types, and the one rule for what a number is: a `finite_number`
-is a real number, not a bool, that is finite as a float; an `integer` is an `Integral`,
-a numpy one included, that is not a bool; a `valid_seed` is an `integer` >= 0. No test
-raises for a value of another type: each caller raises its own typed error, for a
-string as for a nan."""
+is a real number, not a bool, that is finite as a float, and a `finite_point` an (x, y)
+tuple of two; an `integer` is an `Integral`, a numpy one included, that is not a bool; a
+`valid_seed` is an `integer` >= 0. No test raises for a value of another type: each caller
+raises its own typed error, for a string as for a nan."""
 
 import math
 from numbers import Integral, Real
@@ -41,6 +41,10 @@ def finite_number(value) -> bool:
         return number and math.isfinite(value)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def finite_point(value) -> bool:
+    return isinstance(value, tuple) and len(value) == 2 and finite_number(value[0]) and finite_number(value[1])
 
 
 def integer(value) -> bool:

@@ -12,7 +12,7 @@
 
 Records are packed and unpacked as whole buffers, never one at a time:
 `_pack` fills one `np.empty(k, _WIRE)` from seven integer field columns (a
-star run's delivered frames, or the frames `write_frame_log` transposes), and
+star run's delivered frames, or the one frame `encode_frame` transposes), and
 `_unpack` reads every record with one `np.frombuffer`.
 
 `_crcs` takes the CRC of every record of a buffer at once, table-driven:
@@ -28,15 +28,16 @@ steps over all records.
 frames and a decoded log all go through it, and only when their frames are
 asked for.
 
-A frame log is the 8-byte magic `LOG_MAGIC` followed by frame records,
-written by `write_frame_log` and read back, every CRC checked, by `read_frame_log`.
+A frame log is the 8-byte magic `LOG_MAGIC` followed by frame records, packed
+by `_pack` and read back, every CRC checked, by `read_frame_log`; `encode_frame`
+and `decode_frame` are the single-frame edge.
 """
 
 from __future__ import annotations
 
 import binascii
 from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,8 +155,10 @@ def _unpack(view: memoryview) -> list[SensorFrame]:
 
 
 def encode_frame(frame: SensorFrame) -> bytes:
-    """Serialize a frame; the trailing CRC covers all preceding bytes."""
-    return write_frame_log((frame,))[len(LOG_MAGIC):]
+    """Serialize a frame, checked as a `SensorFrame` (a plain tuple too); the
+    trailing CRC covers all preceding bytes."""
+    node_id, seq, timestamp_ms, codes, range_codes = SensorFrame._make(frame)
+    return _pack(np.array([node_id, seq, timestamp_ms, *codes, _RANGE_BYTE @ range_codes], np.int64)[:, None])
 
 
 def decode_frame(buf: bytes) -> SensorFrame:
@@ -163,16 +166,6 @@ def decode_frame(buf: bytes) -> SensorFrame:
     if len(buf) < FRAME_LEN:
         raise FrameError(f"short buffer: {len(buf)} < {FRAME_LEN} bytes")
     return _unpack(memoryview(buf)[:FRAME_LEN])[0]
-
-
-def write_frame_log(frames: Sequence[SensorFrame]) -> bytes:
-    """A binary frame log of `frames`, in order: each checked as a `SensorFrame`
-    (a plain tuple too), their fields transposed into columns and packed by `_pack`."""
-    if not frames:
-        return LOG_MAGIC
-    node_id, seq, timestamp_ms, codes, range_codes = zip(*map(SensorFrame._make, frames))
-    packed = np.array(range_codes, np.int64) @ _RANGE_BYTE
-    return LOG_MAGIC + _pack(np.array([node_id, seq, timestamp_ms, *zip(*codes), packed], np.int64))
 
 
 def read_frame_log(data: bytes) -> list[SensorFrame]:

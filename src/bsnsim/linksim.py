@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, ScenarioError, finite_number, integer, require_positive, require_seed
+from .errors import ParameterError, finite_number, integer, require_positive, require_seed
 # unused here, but bench/spans.py wraps linksim.encode_frame and linksim.read_frame_log
 from .frames import FRAME_LEN, LOG_MAGIC, SensorFrame, _frames, _pack, encode_frame, read_frame_log
 from .motion import AccelTrace, sample_count
@@ -233,8 +233,6 @@ def run_star_network(
         raise ParameterError("star network needs at least one sensor node trace")
     require_positive("duration_s", duration_s)
     require_seed(seed)
-    if "base" not in scenario.nodes:
-        raise ScenarioError(f"scenario {scenario.name!r} has no logger node 'base'")
     channel = ChannelSpec.wpan(scenario.channel)
     rng = np.random.default_rng(seed)
 
@@ -243,8 +241,6 @@ def run_star_network(
         trace = traces[name]
         if not isinstance(trace, AccelTrace):
             raise ParameterError(f"trace of node {name!r} must be an AccelTrace, got {type(trace).__name__}")
-        if name not in scenario.nodes:
-            raise ScenarioError(f"scenario {scenario.name!r} has no node {name!r}")
         n_keep = min(len(trace), sample_count(duration_s, trace.rate_hz))
         clipped = AccelTrace(rate_hz=trace.rate_hz, ax=trace.ax[:n_keep], ay=trace.ay[:n_keep],
                              az=trace.az[:n_keep], labels=trace.labels[:n_keep])

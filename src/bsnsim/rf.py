@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, finite_number, integer, require_positive
+from .errors import ParameterError, finite_number, finite_point, integer, require_positive
 
 Point = tuple[float, float]
 
@@ -317,10 +317,8 @@ class Interferer:
     def __post_init__(self):
         if not isinstance(self.channel, ChannelSpec):
             raise ParameterError(f"channel must be a ChannelSpec, got {self.channel!r}")
-        position = self.position
-        if not (isinstance(position, tuple) and len(position) == 2
-                and finite_number(position[0]) and finite_number(position[1])):
-            raise ParameterError(f"position must be an (x, y) tuple of finite numbers, got {position!r}")
+        if not finite_point(self.position):
+            raise ParameterError(f"position must be an (x, y) tuple of finite numbers, got {self.position!r}")
         if not finite_number(self.tx_power_dbm):
             raise ParameterError(f"tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}")
         activity = self.activity_factor
@@ -432,7 +430,7 @@ class Reception:
         """Probability that one message is delivered, with the interferers set as
         given, in the order and on the channels they were bound with. Scans,
         echo tests, star runs and the fit all evaluate here, so this is the
-        one calibration check.
+        one calibration and tx power check.
 
         Zero below the sensitivity floor; otherwise the product over active
         interferers of their independent per-message survival terms.
@@ -445,6 +443,8 @@ class Reception:
             if it.channel is not channel and it.channel != channel:
                 raise ParameterError(f"interferer on {it.channel.standard.value} channel {it.channel.index} "
                                      f"was bound on {channel.standard.value} channel {channel.index}")
+        if not finite_number(tx_power_dbm):  # a nan would pass the floor and read as a clear link
+            raise ParameterError(f"tx_power_dbm must be a finite number, got {tx_power_dbm!r}")
         rx_power_dbm = tx_power_dbm - self.link_loss_db
         if rx_power_dbm - RECEIVER_SENSITIVITY_DBM < 0:
             return 0.0

@@ -50,7 +50,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import ParameterError, ScenarioError
+from .errors import ParameterError, ScenarioError, finite_number, finite_point
 from .rf import (
     DEFAULT_MATERIAL_LOSS_DB,
     ChannelSpec,
@@ -78,6 +78,8 @@ PRESET_NAMES = (
 
 @dataclass
 class Scenario:
+    """A deployment; construction checks each field's type, and numbers no entry type checks."""
+
     name: str
     nodes: dict[str, Point] = field(default_factory=dict)
     interferers: dict[str, Interferer] = field(default_factory=dict)
@@ -85,6 +87,21 @@ class Scenario:
     channel: int = 12
     tx_power_dbm: float = -10.0
     material_loss: dict[Material, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        ChannelSpec.wpan(self.channel)
+        if not finite_number(self.tx_power_dbm):
+            raise ParameterError(f"tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}")
+        for name, point in self.nodes.items():
+            if not finite_point(point):
+                raise ParameterError(f"node {name!r} must be an (x, y) tuple of finite numbers, got {point!r}")
+        for kind, entries in ((Interferer, self.interferers), (Obstacle, self.obstacles)):
+            for name, entry in entries.items():
+                if not isinstance(entry, kind):
+                    raise ParameterError(f"{name!r} must be an {kind.__name__}, got {type(entry).__name__}")
+        for material, loss in self.material_loss.items():
+            if not (isinstance(material, Material) and finite_number(loss)):
+                raise ParameterError(f"material_loss must map Materials to finite numbers, got {material!r}: {loss!r}")
 
     def material_table(self) -> dict[Material, float]:
         table = dict(DEFAULT_MATERIAL_LOSS_DB)
@@ -102,13 +119,6 @@ class Scenario:
         interferers = dict(self.interferers)
         interferers[name] = replace(interferers[name], enabled=enabled)
         return replace(self, interferers=interferers)
-
-    def validate(self) -> None:
-        for required in ("base", "remote"):
-            if required not in self.nodes:
-                raise ScenarioError(f"scenario {self.name!r} is missing node {required!r}")
-        if self.channel not in WPAN_INDEX_RANGE:
-            raise ScenarioError(f"scenario channel must be 11..26, got {self.channel}")
 
 
 # A reader turns a field's text into its value or raises a ScenarioError on
@@ -280,22 +290,28 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     if not top and not sections:
         raise ScenarioError(f"{source}: scenario file is empty")
 
-    scenario = Scenario(**{"name": Path(source).stem, **_read(top, _TOP, "top level", None)})
-    entries = {"node": scenario.nodes, "interferer": scenario.interferers, "obstacle": scenario.obstacles}
+    values = {"name": Path(source).stem, **_read(top, _TOP, "top level", None)}
+    entries = {"node": {}, "interferer": {}, "obstacle": {}}
+    material_loss = {}
     for kind, name, line, fields in sections:
         if kind == "materials":
             for key, (value, lineno) in fields.items():
                 material = _material(key, "material", lineno)
-                if material in scenario.material_loss:
+                if material in material_loss:
                     raise ScenarioError(f"duplicate material {key!r} = {value!r}", lineno)
-                scenario.material_loss[material] = _number(value, key, lineno)
+                material_loss[material] = _number(value, key, lineno)
             continue
         if name in entries[kind]:
             raise ScenarioError(f"duplicate {kind} {name!r}", line)
         entries[kind][name] = _BUILDERS[kind](fields, f"[{kind} {name}]", line)
 
-    scenario.validate()
-    return scenario
+    for required in ("base", "remote"):
+        if required not in entries["node"]:
+            raise ScenarioError(f"scenario {values['name']!r} is missing node {required!r}")
+    if "channel" in values and values["channel"] not in WPAN_INDEX_RANGE:
+        raise ScenarioError(f"scenario channel must be 11..26, got {values['channel']}")
+    return Scenario(**values, nodes=entries["node"], interferers=entries["interferer"], obstacles=entries["obstacle"],
+                    material_loss=material_loss)
 
 
 def _format(value: Any) -> str:

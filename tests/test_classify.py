@@ -9,7 +9,6 @@ import classify_reference
 from bsnsim.classify import (
     AbnormalTrigger,
     ActivityClass,
-    ClassifierConfig,
     _fire_axis,
     classify_window,
     detect_abnormal,
@@ -98,31 +97,6 @@ def test_brute_force_cross_check():
     for i in outside:
         t = trace.t[i]
         assert any(ev.t_start <= t <= ev.t_end for ev in events)
-
-
-def test_monotonicity_in_band_width():
-    cfg_narrow = ClassifierConfig(low_threshold_g=0.92, high_threshold_g=1.25)
-    cfg_wide = ClassifierConfig(low_threshold_g=0.85, high_threshold_g=1.45)
-    for seed in range(10):
-        trace = compose_schedule(
-            [(ActivityKind.REST, 2.0), (ActivityKind.FALL, 3.0), (ActivityKind.REST, 2.0), (ActivityKind.JUMP, 3.0)],
-            seed=seed,
-        )
-        n_narrow = len(detect_abnormal(trace, cfg_narrow))
-        n_wide = len(detect_abnormal(trace, cfg_wide))
-        assert n_wide <= n_narrow
-
-
-def test_config_validation():
-    with pytest.raises(ParameterError):
-        ClassifierConfig(low_threshold_g=1.1)
-    with pytest.raises(ParameterError):
-        ClassifierConfig(high_threshold_g=0.8)
-    with pytest.raises(ParameterError):
-        ClassifierConfig(window_s=0.0)
-    for window_s in (float("nan"), float("inf")):
-        with pytest.raises(ParameterError, match="window_s must be positive and finite"):
-            ClassifierConfig(window_s=window_s)
 
 
 def test_events_csv_shape(tmp_path):

@@ -7,14 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bsnsim.classify import ClassifierConfig, classify_window, detect_abnormal
+from bsnsim.calibrate import CalibrationTarget
+from bsnsim.classify import classify_window, detect_abnormal
 from bsnsim.energy import Battery, ComponentCurrent, simulate_energy
 from bsnsim.errors import FrameError, ParameterError, finite_number, integer, require_positive
-from bsnsim.frames import SensorFrame, write_frame_log
+from bsnsim.frames import SensorFrame, encode_frame
 from bsnsim.linksim import Direction, EchoTestConfig, run_echo_test, run_star_network
 from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_trace
-from bsnsim.rf import ChannelSpec, Disc, InterferenceCalibration, Material, Obstacle, Wall
-from bsnsim.scenario import load_scenario
+from bsnsim.rf import DEFAULT_CALIBRATION, ChannelSpec, Disc, InterferenceCalibration, Material, Obstacle, Wall
+from bsnsim.scenario import Scenario, load_scenario
 from bsnsim.selector import ScanReport, adaptive_policy, scan
 from bsnsim.sensor import SensorMode, SensorState, TimelineInterval, initial_state, replay_trace
 
@@ -68,10 +69,6 @@ def _policy(horizon_s):
     return adaptive_policy([(0.0, load_scenario("apartment"))], horizon_s, 1.0)
 
 
-def _detect(window_s):
-    return detect_abnormal(generate_trace(REST, 1.0), ClassifierConfig(window_s=window_s))
-
-
 _CALIBRATION_CALLS = {
     "scan": lambda calibration: scan(load_scenario("apartment"), calibration),
     "policy": lambda calibration: adaptive_policy([(0.0, load_scenario("apartment"))], 10.0, 5.0, None, calibration),
@@ -82,11 +79,11 @@ _CALIBRATION_CALLS = {
 }
 
 
-def _bound_success_prob(calibration):
+def _bound_success_prob(calibration=DEFAULT_CALIBRATION, tx_power_dbm=-10.0):
     scenario = load_scenario("apartment")
     outbound = Direction.to(scenario, ["base"], "remote")[0]
     return outbound.reception(scenario, ChannelSpec.wpan(20)).success_prob(
-        scenario.tx_power_dbm, tuple(scenario.interferers.values()), calibration)
+        tx_power_dbm, tuple(scenario.interferers.values()), calibration)
 
 
 def _labelled(labels):
@@ -94,6 +91,8 @@ def _labelled(labels):
 
 
 _WALL = Wall(0.0, -1.0, 0.0, 1.0)
+_NODES = {"base": (0.0, 0.0), "remote": (3.0, 4.0)}
+_TARGET = {"scenario": "apartment", "channel": 12, "tx_power_dbm": 0.0, "target_mean_pct": 99.0, "role": "fit"}
 
 
 # each raised an error outside the BsnsimError family (a TypeError, OverflowError, KeyError, AttributeError
@@ -114,9 +113,6 @@ _HOLES = [
     ("star_duration_1e308", lambda: _star(1e308), ParameterError, "more samples than a float"),
     ("echo_channel_str", lambda: EchoTestConfig(channel="x", tx_power_dbm=0.0), ParameterError,
      "channel must be a ChannelSpec"),
-    ("classifier_low_str", lambda: ClassifierConfig(low_threshold_g="x"), ParameterError, "need 0 < low < 1 < high"),
-    ("classifier_window_str", lambda: ClassifierConfig(window_s="x"), ParameterError, "window_s must be positive"),
-    ("classifier_window_1e308", lambda: _detect(1e308), ParameterError, "more samples than a float"),
     ("battery_str", lambda: Battery("x"), ParameterError, "capacity_mah must be positive"),
     ("component_str", lambda: ComponentCurrent("a", "x"), ParameterError, "active_ma < inf"),
     ("policy_horizon_str", lambda: _policy("x"), ParameterError, "horizon_s must be finite"),
@@ -124,11 +120,11 @@ _HOLES = [
     ("scan_report_str", lambda: ScanReport(("x",) * 16), ParameterError, "scores must be finite"),
     ("frame_node_id_bool", lambda: SensorFrame(True, 0, 0, (0, 0, 0), (0, 0, 0)), FrameError,
      "node_id must be an integer"),
-    ("log_range_codes_float_bool", lambda: write_frame_log([(1, 0, 0, (0, 0, 0), (2.0, True, 0))]), FrameError,
+    ("log_range_codes_float_bool", lambda: encode_frame((1, 0, 0, (0, 0, 0), (2.0, True, 0))), FrameError,
      "bad range codes"),
-    ("log_codes_pair", lambda: write_frame_log([(1, 0, 0, (0, 0), (0, 0, 0))]), FrameError, "bad ADC codes"),
-    ("log_codes_int", lambda: write_frame_log([(1, 0, 0, 5, (0, 0, 0))]), FrameError, "bad ADC codes"),
-    ("log_four_fields", lambda: write_frame_log([(1, 0, 0, (0, 0, 0))]), FrameError, "a frame has 5 fields"),
+    ("log_codes_pair", lambda: encode_frame((1, 0, 0, (0, 0), (0, 0, 0))), FrameError, "bad ADC codes"),
+    ("log_codes_int", lambda: encode_frame((1, 0, 0, 5, (0, 0, 0))), FrameError, "bad ADC codes"),
+    ("log_four_fields", lambda: encode_frame((1, 0, 0, (0, 0, 0))), FrameError, "a frame has 5 fields"),
     ("calibration_scale_zero", lambda: InterferenceCalibration(logistic_scale_db=0.0), ParameterError,
      "logistic_scale_db must be positive and finite, got 0.0"),
     ("calibration_scale_negative", lambda: InterferenceCalibration(logistic_scale_db=-2.0), ParameterError,
@@ -163,11 +159,7 @@ _HOLES = [
      ParameterError, "run_star_network takes a Scenario and a mapping of node name to AccelTrace"),
     ("star_scenario_str", lambda: run_star_network("x", {"remote": generate_trace(REST, 1.0)}, 1.0, 1),
      ParameterError, "run_star_network takes a Scenario and a mapping of node name to AccelTrace"),
-    ("detect_cfg_str", lambda: detect_abnormal(generate_trace(REST, 1.0), "x"), ParameterError,
-     "cfg must be a ClassifierConfig, got str"),
     ("classify_window_list", lambda: classify_window([1, 2]), ParameterError, "window must be an AccelTrace, got list"),
-    ("classify_window_cfg_str", lambda: classify_window(generate_trace(REST, 1.0), "x"), ParameterError,
-     "cfg must be a ClassifierConfig, got str"),
     ("scan_str", lambda: scan("x"), ParameterError, "scenario must be a Scenario, got str"),
     ("echo_scenario_str", lambda: run_echo_test(EchoTestConfig(ChannelSpec.wpan(12), 0.0), "x", 1), ParameterError,
      "run_echo_test takes an EchoTestConfig and a Scenario"),
@@ -226,6 +218,36 @@ _HOLES = [
      "loss_db must be a finite number or None, got nan"),
     ("obstacle_near_field_negative", lambda: Obstacle(Material.PLANT_FOLIAGE, _WALL, near_field_m=-0.5),
      ParameterError, "near_field_m must be a non-negative finite number or None, got -0.5"),
+    # scored every channel 0.0: a nan passed the sensitivity floor and the clamp read it as a clear link
+    ("bound_success_prob_tx_power_nan", lambda: _bound_success_prob(tx_power_dbm=math.nan), ParameterError,
+     "tx_power_dbm must be a finite number, got nan"),
+    ("bound_success_prob_tx_power_str", lambda: _bound_success_prob(tx_power_dbm="x"), ParameterError,
+     "tx_power_dbm must be a finite number, got 'x'"),
+    # each was accepted, then raised an AttributeError or TypeError in a scan, or scored a nan as a clear link
+    *((f"scenario_{name}", lambda fields=fields: Scenario("a", **{"nodes": _NODES, **fields}), ParameterError, message)
+      for name, fields, message in [
+          ("obstacle_int", {"obstacles": {"o": 5}}, "'o' must be an Obstacle, got int"),
+          ("interferer_int", {"interferers": {"i": 5}}, "'i' must be an Interferer, got int"),
+          ("node_str", {"nodes": {**_NODES, "remote": "ab"}},
+           "node 'remote' must be an \\(x, y\\) tuple of finite numbers, got 'ab'"),
+          ("node_nan", {"nodes": {**_NODES, "remote": (math.nan, 0.0)}}, "node 'remote' must be an \\(x, y\\)"),
+          ("channel_5", {"channel": 5}, "802.15.4 channel must be 11..26, got 5"),
+          ("tx_power_nan", {"tx_power_dbm": math.nan}, "tx_power_dbm must be a finite number, got nan"),
+          ("material_str", {"material_loss": {"brick": 4.0}},
+           "material_loss must map Materials to finite numbers, got 'brick': 4.0"),
+          ("material_loss_inf", {"material_loss": {Material.BRICK: math.inf}},
+           "material_loss must map Materials to finite numbers, got <Material.BRICK: 'brick'>: inf"),
+      ]),
+    # a nan target made the fit raise scipy's bare ValueError, a role in another case dropped the row from the fit,
+    # and the rest were accepted until the fit bound a channel or scored a nan power as a clear link
+    *((f"calibration_target_{name}", lambda fields=fields: CalibrationTarget(**{**_TARGET, **fields}), ParameterError,
+       message) for name, fields, message in [
+          ("target_nan", {"target_mean_pct": math.nan}, "target_mean_pct must be a finite number, got nan"),
+          ("target_150", {"target_mean_pct": 150.0}, "target_mean_pct must lie in \\[0, 100\\], got 150.0"),
+          ("role_capitalised", {"role": "Fit"}, "target role must be fit\\|holdout, got 'Fit'"),
+          ("channel_5", {"channel": 5}, "802.15.4 channel must be 11..26, got 5"),
+          ("tx_power_inf", {"tx_power_dbm": math.inf}, "tx_power_dbm must be a finite number, got inf"),
+      ]),
 ]
 
 

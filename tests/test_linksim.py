@@ -111,6 +111,16 @@ def test_missing_node_rejected():
         run_echo_test(_cfg(), broken, seed=1)
 
 
+@pytest.mark.parametrize("missing", ["base", "sensor_1"])
+def test_star_missing_node_rejected(missing):
+    # the logger and every traced node are placed through Scenario.node
+    scenario = parse_scenario(CLEAN)
+    nodes = {name: p for name, p in {**scenario.nodes, "sensor_1": (1.0, 0.0)}.items() if name != missing}
+    traces = {"sensor_1": generate_trace(ActivityKind.REST, 1.0)}
+    with pytest.raises(ScenarioError, match=f"^scenario 'clean' has no node '{missing}'$"):
+        run_star_network(dataclasses.replace(scenario, nodes=nodes), traces, 1.0, 1)
+
+
 def test_direction_depends_only_on_placement():
     scenario = load_scenario("apartment_microwave")
     outbound = Direction.to(scenario, ["base"], "remote")[0]

@@ -1,5 +1,9 @@
-"""The package namespace holds what the README's Library section promises, and its example runs."""
+"""The package namespace holds what the README's Library section promises, its example runs,
+and every submodule name the README gives exists."""
 
+import functools
+import importlib
+import pkgutil
 import re
 import types
 from pathlib import Path
@@ -29,3 +33,18 @@ def test_the_readme_library_example_runs(capsys):
     example = re.search(r"```python\n(.*?)```", _library(), re.S).group(1)
     exec(compile(example, str(README), "exec"), {})
     assert re.fullmatch(r"\d+\.\d\d% ± \d+\.\d\d%\n", capsys.readouterr().out)
+
+
+def test_every_readme_submodule_name_resolves():
+    # `rf.Reception.bind` and `bsnsim.frames._pack` alike: a submodule, then an attribute chain
+    submodules = {module.name for module in pkgutil.iter_modules(bsnsim.__path__)}
+    found = re.findall(r"`(?:bsnsim\.)?(\w+)\.([\w.]*\w)", README.read_text(encoding="utf-8"))
+    refs = {(module, chain) for module, chain in found if module in submodules}
+    assert refs
+    missing = []
+    for module, chain in sorted(refs):
+        try:
+            functools.reduce(getattr, chain.split("."), importlib.import_module(f"bsnsim.{module}"))
+        except AttributeError:
+            missing.append(f"{module}.{chain}")
+    assert missing == []

@@ -42,7 +42,6 @@ def test_minimal_scenario_parses():
 def test_all_presets_load_and_validate():
     for name in PRESET_NAMES:
         s = load_scenario(name)
-        s.validate()
         assert "base" in s.nodes and "remote" in s.nodes
 
 
