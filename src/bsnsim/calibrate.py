@@ -27,12 +27,13 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from importlib import resources
+from os import PathLike
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, finite_number
+from .errors import ParameterError, require_finite, require_type
 from .linksim import Direction, echo_directions
 from .rf import ChannelSpec, InterferenceCalibration, Interferer, Reception
 from .scenario import PRESET_NAMES, Scenario, load_scenario
@@ -48,11 +49,8 @@ class CalibrationTarget:
 
     def __post_init__(self):
         ChannelSpec.wpan(self.channel)
-        for name in ("tx_power_dbm", "target_mean_pct"):
-            if not finite_number(getattr(self, name)):
-                raise ParameterError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if not 0.0 <= self.target_mean_pct <= 100.0:
-            raise ParameterError(f"target_mean_pct must lie in [0, 100], got {self.target_mean_pct!r}")
+        require_finite("tx_power_dbm", self.tx_power_dbm)
+        require_finite("target_mean_pct", self.target_mean_pct, 0.0, 100.0)
         if self.role not in ("fit", "holdout"):
             raise ParameterError(f"target role must be fit|holdout, got {self.role!r}")
 
@@ -105,6 +103,7 @@ def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, di
     floats. Overrides may name only the interferers and fields
     that `fit` adjusts, so a misspelt name is an error, not a no-op.
     """
+    require_type("path", path, (str, PathLike))
     try:
         payload = json.loads(Path(path).read_text(), parse_int=float)
     except (ValueError, RecursionError) as exc:  # malformed, not UTF-8, or nested too deeply
@@ -128,9 +127,7 @@ def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, di
             if key not in _OVERRIDE_FIELDS:
                 raise ParameterError(f"{path}: interferer_overrides.{name}.{key} is not one of "
                                      f"{', '.join(_OVERRIDE_FIELDS)}")
-            if not finite_number(value):
-                raise ParameterError(f"{path}: interferer_overrides.{name}.{key} must be a finite number, "
-                                     f"got {value!r}")
+            require_finite(f"{path}: interferer_overrides.{name}.{key}", value)
         if name not in _OVERRIDE_NAMES:
             raise ParameterError(f"{path}: interferer_overrides.{name} is not one of {', '.join(_OVERRIDE_NAMES)}")
     return calib, overrides
@@ -140,6 +137,8 @@ def load_targets(path: str | Path | None = None) -> list[CalibrationTarget]:
     """Read a targets CSV; text that is not UTF-8 or not CSV, a missing or
     non-numeric value, or a row `CalibrationTarget` refuses, names its file
     (and line). A role is read in any letter case."""
+    if path is not None:
+        require_type("path", path, (str, PathLike))
     source = resources.files("bsnsim").joinpath("data/calibration_targets.csv") if path is None else Path(path)
     try:
         reader = csv.DictReader(source.read_text().splitlines())
@@ -202,7 +201,9 @@ def apply_overrides(scenario: Scenario, overrides: Mapping[str, Mapping[str, flo
     placed, and `rf.Interferer` checks each value; a bad field or value raises
     a `ParameterError` naming the interferer. An interferer the scenario lacks
     is skipped: one fit result holds the overrides of every fitted scenario."""
+    require_type("overrides", overrides, Mapping)
     for name, override in overrides.items():
+        require_type(f"override of interferer {name}", override, Mapping)
         for key in override:
             if key not in _OVERRIDE_FIELDS:
                 raise ParameterError(f"override of interferer {name}: {key} is not one of "
@@ -216,8 +217,7 @@ def _placed(name: str) -> tuple[Scenario, tuple[Direction, Direction]]:
     return scenario, echo_directions(scenario)
 
 
-# Bundled presets, parsed and placed once per process. The scenario holds
-# mutable dicts, so `fit` only reads it and hands it to no caller.
+# Bundled presets, parsed and placed once per process.
 _placed_preset = lru_cache(maxsize=len(PRESET_NAMES))(_placed)
 
 
@@ -254,10 +254,12 @@ def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
                 overrides.setdefault(name, {})[row.field] = value
         return InterferenceCalibration(**constants), overrides
 
+    # copied once as plain dicts: dict() copies a read-only mapping item by item, 4x slower
+    placed = {name: dict(scen.interferers) for name, scen in scenarios.items()}
+
     def predictions(chosen, params):
         calib, overrides = unpack(params)
-        interferers = {name: tuple(_overridden(scen.interferers, overrides).values())
-                       for name, scen in scenarios.items()}
+        interferers = {name: tuple(_overridden(placed[name], overrides).values()) for name in scenarios}
         return [predicted_mean_pct(receptions, interferers[t.scenario], t.tx_power_dbm, calib)
                 for t, receptions in chosen]
 

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_type
 from .motion import AccelTrace, sample_count
 
 
@@ -49,8 +49,7 @@ def classify_window(window: AccelTrace) -> ActivityClass:
     Order-invariant: every criterion depends only on per-axis extrema,
     variance, and the set of total-acceleration values.
     """
-    if not isinstance(window, AccelTrace):
-        raise ParameterError(f"window must be an AccelTrace, got {type(window).__name__}")
+    require_type("window", window, AccelTrace)
     if len(window) == 0:
         raise ParameterError("window holds no samples")
     ax, ay, az = window.ax, window.ay, window.az
@@ -77,8 +76,7 @@ def detect_abnormal(trace: AccelTrace) -> list[AbnormalEvent]:
     sliding windows, marking every sample of a firing window. Firing runs
     separated by at most one window merge into one event.
     """
-    if not isinstance(trace, AccelTrace):
-        raise ParameterError(f"trace must be an AccelTrace, got {type(trace).__name__}")
+    require_type("trace", trace, AccelTrace)
     n = len(trace)
     if n == 0:
         raise ParameterError("trace holds no samples")

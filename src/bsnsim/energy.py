@@ -11,7 +11,8 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import ParameterError, UndefinedBatteryLifeError, finite_number, integer, require_positive
+from .errors import (ParameterError, UndefinedBatteryLifeError, finite_number, require_finite, require_integer,
+                     require_positive, require_type)
 from .linksim import FRAME_AIRTIME_S
 from .sensor import SensorMode, TimelineInterval
 
@@ -67,8 +68,7 @@ def average_current_ma(components: Sequence[ComponentCurrent], duty: Mapping[str
         if comp.name not in duty:
             raise ParameterError(f"missing duty entry for component {comp.name!r}")
         frac = duty[comp.name]
-        if not (finite_number(frac) and 0.0 <= frac <= 1.0):
-            raise ParameterError(f"duty for {comp.name!r} must be a number in [0, 1], got {frac!r}")
+        require_finite(f"duty for {comp.name!r}", frac, 0.0, 1.0)
         total += frac * comp.active_ma + (1.0 - frac) * comp.sleep_ma
     return total
 
@@ -106,13 +106,11 @@ def simulate_energy(
     Active intervals and their sleep current otherwise; the radio is active
     only for the airtime of the frames actually transmitted.
     """
-    if not integer(n_frames) or n_frames < 0:
-        raise ParameterError(f"n_frames must be a non-negative count, got {n_frames!r}")
+    require_integer("n_frames", n_frames, 0)
     if not (isinstance(intervals, Sequence) and all(isinstance(iv, TimelineInterval) for iv in intervals)):
         raise ParameterError("intervals must be TimelineIntervals")
     battery = PACK_BATTERY if battery is None else battery
-    if not isinstance(battery, Battery):
-        raise ParameterError(f"battery must be a Battery, got {type(battery).__name__}")
+    require_type("battery", battery, Battery)
     by_name = {c.name: c for c in default_components()}
 
     active_h = sum((iv.t_end - iv.t_start) for iv in intervals if iv.mode is SensorMode.ACTIVE) / 3600.0

@@ -1,8 +1,10 @@
 """Shared exception types, and the one rule for what a number is: a `finite_number`
 is a real number, not a bool, that is finite as a float, and a `finite_point` an (x, y)
 tuple of two; an `integer` is an `Integral`, a numpy one included, that is not a bool; a
-`valid_seed` is an `integer` >= 0. No test raises for a value of another type: each caller
-raises its own typed error, for a string as for a nan."""
+`valid_seed` is an `integer` >= 0. No test raises for a value of another type. Each rule
+on one field is checked, and its `ParameterError` worded, by one helper: `require_finite`
+(optionally in [low, high]), `require_integer`, `require_type`, `require_positive` or
+`require_seed`."""
 
 import math
 from numbers import Integral, Real
@@ -50,6 +52,25 @@ def finite_point(value) -> bool:
 def integer(value) -> bool:
     """A plain int skips the `Integral` test: a frame holds nine integers."""
     return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def require_finite(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:
+    # a float skips the `finite_number` call: a parse or a fit checks thousands
+    if not ((math.isfinite(value) if type(value) is float else finite_number(value)) and low <= value <= high):
+        bounds = "" if low == -math.inf and high == math.inf else f" in [{low:g}, {high:g}]"
+        raise ParameterError(f"{name} must be a finite number{bounds}, got {value!r}")
+
+
+def require_integer(name: str, value, low: int, high: float = math.inf) -> None:
+    if not (integer(value) and low <= value <= high):
+        raise ParameterError(f"{name} must be an integer in [{low}, {high:g}], got {value!r}")
+
+
+def require_type(name: str, value, kind: type | tuple[type, ...]) -> None:
+    if not isinstance(value, kind):
+        kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        article = "an" if kinds[0] in "AEIOUaeiou" else "a"
+        raise ParameterError(f"{name} must be {article} {kinds}, got {type(value).__name__}")
 
 
 def require_positive(name: str, value) -> None:

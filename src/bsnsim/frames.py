@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FrameError, ParameterError, integer
+from .errors import FrameError, ParameterError, integer, require_type
 
 _WIRE = np.dtype([("node_id", "u1"), ("seq", ">u2"), ("timestamp_ms", ">u4"), ("codes", ">u2", (3,)),
                   ("ranges", "u1"), ("crc", ">u2")])
@@ -163,6 +163,7 @@ def encode_frame(frame: SensorFrame) -> bytes:
 
 def decode_frame(buf: bytes) -> SensorFrame:
     """Parse one frame, rejecting short buffers and CRC mismatches."""
+    require_type("buf", buf, (bytes, bytearray))
     if len(buf) < FRAME_LEN:
         raise FrameError(f"short buffer: {len(buf)} < {FRAME_LEN} bytes")
     return _unpack(memoryview(buf)[:FRAME_LEN])[0]
@@ -173,6 +174,7 @@ def read_frame_log(data: bytes) -> list[SensorFrame]:
 
     The first record with a bad CRC raises the `FrameError` that
     `decode_frame` gives for it."""
+    require_type("data", data, (bytes, bytearray))
     if not data.startswith(LOG_MAGIC):
         raise ParameterError("not a frame log: bad magic header")
     body = memoryview(data)[len(LOG_MAGIC):]

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, finite_number, integer, require_positive, require_seed
+from .errors import ParameterError, require_finite, require_integer, require_positive, require_seed, require_type
 # unused here, but bench/spans.py wraps linksim.encode_frame and linksim.read_frame_log
 from .frames import FRAME_LEN, LOG_MAGIC, SensorFrame, _frames, _pack, encode_frame, read_frame_log
 from .motion import AccelTrace, sample_count
@@ -53,13 +53,10 @@ class EchoTestConfig:
     runs: int = 10
 
     def __post_init__(self):
-        if not isinstance(self.channel, ChannelSpec):
-            raise ParameterError(f"channel must be a ChannelSpec, got {self.channel!r}")
-        if not finite_number(self.tx_power_dbm):
-            raise ParameterError(f"tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}")
-        for name, value in (("n_messages", self.n_messages), ("runs", self.runs)):
-            if not integer(value) or value <= 0:
-                raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+        require_type("channel", self.channel, ChannelSpec)
+        require_finite("tx_power_dbm", self.tx_power_dbm)
+        require_integer("n_messages", self.n_messages, 1)
+        require_integer("runs", self.runs, 1)
 
 
 @dataclass(frozen=True)
@@ -153,6 +150,9 @@ def echo_success_probs(
 
 def simulate_echo_runs(p_out: float, p_in: float, cfg: EchoTestConfig, seed: int) -> RunStats:
     """Monte Carlo echo runs with pinned per-direction probabilities."""
+    require_finite("p_out", p_out, 0.0, 1.0)
+    require_finite("p_in", p_in, 0.0, 1.0)
+    require_type("cfg", cfg, EchoTestConfig)
     require_seed(seed)
     rng = np.random.default_rng(seed)
     airtime = message_airtime_ms(MESSAGE_LEN_CHARS)
@@ -239,8 +239,7 @@ def run_star_network(
     emissions: dict[str, ReplayResult] = {}
     for idx, name in enumerate(sorted(traces)):
         trace = traces[name]
-        if not isinstance(trace, AccelTrace):
-            raise ParameterError(f"trace of node {name!r} must be an AccelTrace, got {type(trace).__name__}")
+        require_type(f"trace of node {name!r}", trace, AccelTrace)
         n_keep = min(len(trace), sample_count(duration_s, trace.rate_hz))
         clipped = AccelTrace(rate_hz=trace.rate_hz, ax=trace.ax[:n_keep], ay=trace.ay[:n_keep],
                              az=trace.az[:n_keep], labels=trace.labels[:n_keep])

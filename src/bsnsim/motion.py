@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, finite_number, require_positive, require_seed
+from .errors import ParameterError, require_finite, require_positive, require_seed, require_type
 
 RATE_HZ_MIN = 10.0
 RATE_HZ_MAX = 100.0
@@ -54,14 +54,13 @@ class AccelTrace:
     labels: list[ActivityKind]
 
     def __post_init__(self):
-        _require_rate(self.rate_hz)
+        require_finite("rate_hz", self.rate_hz, RATE_HZ_MIN, RATE_HZ_MAX)
         for name in ("ax", "ay", "az"):
             arr = getattr(self, name)
             if not (isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype.kind == "f"):
                 got = f"a {arr.ndim}-D {arr.dtype} array" if isinstance(arr, np.ndarray) else type(arr).__name__
                 raise ParameterError(f"trace axis {name} must be a 1-D numpy array of real floats, got {got}")
-        if not isinstance(self.labels, (list, tuple)):
-            raise ParameterError(f"labels must be a list or tuple, got {type(self.labels).__name__}")
+        require_type("labels", self.labels, (list, tuple))
         if not (len(self.ax) == len(self.ay) == len(self.az) == len(self.labels)):
             raise ParameterError("trace arrays must share one length")
         for arr in (self.ax, self.ay, self.az):
@@ -77,11 +76,6 @@ class AccelTrace:
 
     def total(self) -> np.ndarray:
         return np.sqrt(self.ax**2 + self.ay**2 + self.az**2)
-
-
-def _require_rate(rate_hz: float) -> None:
-    if not (finite_number(rate_hz) and RATE_HZ_MIN <= rate_hz <= RATE_HZ_MAX):
-        raise ParameterError(f"rate_hz must be within [{RATE_HZ_MIN:g}, {RATE_HZ_MAX:g}] Hz, got {rate_hz}")
 
 
 def sample_count(duration_s: float, rate_hz: float) -> int:
@@ -247,10 +241,9 @@ def generate_trace(
     kind that is not an ActivityKind, a duration that is not positive and
     finite, a rate outside [10, 100] Hz or a seed that is not an integer >= 0.
     """
-    if not isinstance(kind, ActivityKind):
-        raise ParameterError(f"kind must be an ActivityKind, got {kind!r}")
+    require_type("kind", kind, ActivityKind)
     require_positive("duration_s", duration_s)
-    _require_rate(rate_hz)
+    require_finite("rate_hz", rate_hz, RATE_HZ_MIN, RATE_HZ_MAX)
     require_seed(seed)
     n = max(1, sample_count(duration_s, rate_hz))
     rng = np.random.default_rng(seed)
@@ -271,11 +264,10 @@ def compose_schedule(
     Segment i uses seed + i, so a single-segment schedule reproduces
     generate_trace exactly.
     """
-    if not isinstance(segments, Sequence):
-        raise ParameterError(f"segments must be a sequence of (kind, duration_s) pairs, got {type(segments).__name__}")
+    require_type("segments", segments, Sequence)
     if not segments:
         raise ParameterError("schedule needs at least one segment")
-    _require_rate(rate_hz)
+    require_finite("rate_hz", rate_hz, RATE_HZ_MIN, RATE_HZ_MAX)
     require_seed(seed)
     parts = []
     for i, segment in enumerate(segments):

@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, finite_number, finite_point, integer, require_positive
+from .errors import ParameterError, finite_number, finite_point, integer, require_finite, require_positive, require_type
 
 Point = tuple[float, float]
 
@@ -91,12 +91,12 @@ _OVEN_CHANNEL = ChannelSpec(RadioStandard.MICROWAVE_OVEN, 0, 2450.0, 20.0)
 
 def _planned(channels: Mapping[int, ChannelSpec], plan: str, index: int) -> ChannelSpec:
     """The one place a channel number becomes a channel; a non-integer, a bool too, or one outside the plan raises."""
-    if not integer(index):
-        raise ParameterError(f"channel index must be an integer, got {index!r}")
-    try:
-        return channels[index]
-    except KeyError:
-        raise ParameterError(f"{plan} channel must be {min(channels)}..{max(channels)}, got {index}") from None
+    if integer(index):
+        try:
+            return channels[index]
+        except KeyError:
+            raise ParameterError(f"{plan} channel must be {min(channels)}..{max(channels)}, got {index}") from None
+    raise ParameterError(f"channel index must be an integer, got {index!r}")
 
 
 def spectral_overlap(a: ChannelSpec, b: ChannelSpec) -> float:
@@ -139,12 +139,6 @@ DEFAULT_NEAR_FIELD_M: dict[Material, float] = {
 }
 
 
-def _require_coordinates(shape: Wall | Disc) -> None:
-    for name, value in vars(shape).items():
-        if not finite_number(value):
-            raise ParameterError(f"{type(shape).__name__.lower()} {name} must be a finite number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Wall:
     x1: float
@@ -153,7 +147,10 @@ class Wall:
     y2: float
 
     def __post_init__(self):
-        _require_coordinates(self)
+        require_finite("wall x1", self.x1)
+        require_finite("wall y1", self.y1)
+        require_finite("wall x2", self.x2)
+        require_finite("wall y2", self.y2)
 
 
 @dataclass(frozen=True)
@@ -163,9 +160,9 @@ class Disc:
     radius: float
 
     def __post_init__(self):
-        _require_coordinates(self)
-        if self.radius < 0:
-            raise ParameterError(f"disc radius must be non-negative, got {self.radius!r}")
+        require_finite("disc x", self.x)
+        require_finite("disc y", self.y)
+        require_finite("disc radius", self.radius, 0.0)
 
 
 @dataclass(frozen=True)
@@ -179,15 +176,12 @@ class Obstacle:
     near_field_m: float | None = None     # None: use the material default
 
     def __post_init__(self):
-        if not isinstance(self.material, Material):
-            raise ParameterError(f"material must be a Material, got {self.material!r}")
-        if not isinstance(self.shape, (Wall, Disc)):
-            raise ParameterError(f"shape must be a Wall or a Disc, got {type(self.shape).__name__}")
-        if self.loss_db is not None and not finite_number(self.loss_db):
-            raise ParameterError(f"loss_db must be a finite number or None, got {self.loss_db!r}")
-        near = self.near_field_m
-        if near is not None and not (finite_number(near) and near >= 0):
-            raise ParameterError(f"near_field_m must be a non-negative finite number or None, got {near!r}")
+        require_type("material", self.material, Material)
+        require_type("shape", self.shape, (Wall, Disc))
+        if self.loss_db is not None:
+            require_finite("loss_db", self.loss_db)
+        if self.near_field_m is not None:
+            require_finite("near_field_m", self.near_field_m, 0.0)
 
     def effective_loss_db(self, table: Mapping[Material, float]) -> float:
         return table[self.material] if self.loss_db is None else self.loss_db
@@ -305,7 +299,7 @@ def radio_paths(sources: Sequence[Point], rx: Point, obstacles: Sequence[Obstacl
 class Interferer:
     """A transmitter on another channel, at a position. Every construction
     checks every field (`dataclasses.replace` included), its numbers by
-    `errors.finite_number`, and nothing else checks them again."""
+    `errors.require_finite`, and nothing else checks them again."""
 
     channel: ChannelSpec
     position: Point
@@ -315,22 +309,14 @@ class Interferer:
     influence_radius_m: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.channel, ChannelSpec):
-            raise ParameterError(f"channel must be a ChannelSpec, got {self.channel!r}")
+        require_type("channel", self.channel, ChannelSpec)
         if not finite_point(self.position):
             raise ParameterError(f"position must be an (x, y) tuple of finite numbers, got {self.position!r}")
-        if not finite_number(self.tx_power_dbm):
-            raise ParameterError(f"tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}")
-        activity = self.activity_factor
-        if not finite_number(activity):
-            raise ParameterError(f"activity_factor must be a finite number, got {activity!r}")
-        if not 0.0 <= activity <= 1.0:
-            raise ParameterError(f"activity_factor must be in [0, 1], got {activity}")
-        if not isinstance(self.enabled, bool):
-            raise ParameterError(f"enabled must be a bool, got {self.enabled!r}")
-        radius = self.influence_radius_m
-        if radius is not None and not (finite_number(radius) and radius >= 0):
-            raise ParameterError(f"influence_radius_m must be a non-negative finite number or None, got {radius!r}")
+        require_finite("tx_power_dbm", self.tx_power_dbm)
+        require_finite("activity_factor", self.activity_factor, 0.0, 1.0)
+        require_type("enabled", self.enabled, bool)
+        if self.influence_radius_m is not None:
+            require_finite("influence_radius_m", self.influence_radius_m, 0.0)
 
 
 @dataclass(frozen=True)
@@ -345,8 +331,7 @@ class InterferenceCalibration:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not finite_number(value):
-                raise ParameterError(f"{name} must be a finite number, got {value!r}")
+            require_finite(name, value)
         require_positive("logistic_scale_db", self.logistic_scale_db)
 
 

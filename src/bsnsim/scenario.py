@@ -44,13 +44,16 @@ raise `ScenarioError` naming the line.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
+from os import PathLike
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from types import MappingProxyType
+from typing import Any, Callable, Iterable
 
-from .errors import ParameterError, ScenarioError, finite_number, finite_point
+from .errors import ParameterError, ScenarioError, finite_number, finite_point, require_finite, require_type
 from .rf import (
     DEFAULT_MATERIAL_LOSS_DB,
     ChannelSpec,
@@ -76,32 +79,39 @@ PRESET_NAMES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """A deployment; construction checks each field's type, and numbers no entry type checks."""
+    """A deployment, checked when made (`dataclasses.replace` too): each field's type, and the numbers
+    no entry type checks. Its mappings are stored as read-only copies, so it cannot be edited in place."""
 
     name: str
-    nodes: dict[str, Point] = field(default_factory=dict)
-    interferers: dict[str, Interferer] = field(default_factory=dict)
-    obstacles: dict[str, Obstacle] = field(default_factory=dict)
+    nodes: Mapping[str, Point] = field(default_factory=dict)
+    interferers: Mapping[str, Interferer] = field(default_factory=dict)
+    obstacles: Mapping[str, Obstacle] = field(default_factory=dict)
     channel: int = 12
     tx_power_dbm: float = -10.0
-    material_loss: dict[Material, float] = field(default_factory=dict)
+    material_loss: Mapping[Material, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        require_type("name", self.name, str)
+        for name in ("nodes", "interferers", "obstacles", "material_loss"):
+            require_type(name, getattr(self, name), Mapping)
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         ChannelSpec.wpan(self.channel)
-        if not finite_number(self.tx_power_dbm):
-            raise ParameterError(f"tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}")
+        require_finite("tx_power_dbm", self.tx_power_dbm)
         for name, point in self.nodes.items():
             if not finite_point(point):
                 raise ParameterError(f"node {name!r} must be an (x, y) tuple of finite numbers, got {point!r}")
         for kind, entries in ((Interferer, self.interferers), (Obstacle, self.obstacles)):
             for name, entry in entries.items():
-                if not isinstance(entry, kind):
-                    raise ParameterError(f"{name!r} must be an {kind.__name__}, got {type(entry).__name__}")
+                if not isinstance(entry, kind):  # repr(name) only for the error: a scenario holds dozens
+                    require_type(repr(name), entry, kind)
         for material, loss in self.material_loss.items():
             if not (isinstance(material, Material) and finite_number(loss)):
                 raise ParameterError(f"material_loss must map Materials to finite numbers, got {material!r}: {loss!r}")
+
+    def __reduce__(self):  # pickled and deep-copied by its fields as dicts: a read-only mapping does not pickle
+        return type(self), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in vars(self).values())
 
     def material_table(self) -> dict[Material, float]:
         table = dict(DEFAULT_MATERIAL_LOSS_DB)
@@ -258,6 +268,7 @@ _BUILDERS = {"node": _node, "interferer": _interferer, "obstacle": _obstacle}
 
 def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     """Parse scenario text, reporting the offending line on error."""
+    require_type("text", text, str)
     top: Fields = {}
     sections: list[tuple[str, str, int, Fields]] = []  # (kind, name, header line, fields)
     target = top
@@ -349,6 +360,7 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 def load_scenario(path_or_preset: str | Path) -> Scenario:
     """Load a scenario from a file path or a built-in preset name."""
+    require_type("path_or_preset", path_or_preset, (str, PathLike))
     name = str(path_or_preset)
     if name in PRESET_NAMES:
         text = resources.files("bsnsim").joinpath(f"presets/{name}.scn").read_text()

@@ -7,7 +7,7 @@ import bisect
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import ParameterError, finite_number, require_positive
+from .errors import ParameterError, finite_number, require_finite, require_positive, require_type
 from .linksim import echo_directions, echo_success_probs
 from .rf import DEFAULT_CALIBRATION, ChannelSpec, InterferenceCalibration, WPAN_INDEX_RANGE
 from .scenario import Scenario
@@ -22,8 +22,7 @@ class ScanReport:
     scores: tuple[float, ...]
 
     def __post_init__(self):
-        if not isinstance(self.scores, tuple):
-            raise ParameterError(f"scores must be a tuple, got {type(self.scores).__name__}")
+        require_type("scores", self.scores, tuple)
         if len(self.scores) != len(WPAN_INDEX_RANGE):
             raise ParameterError(f"scan report needs {len(WPAN_INDEX_RANGE)} entries")
         if any(not finite_number(s) or s < 0 for s in self.scores):
@@ -35,8 +34,7 @@ class ScanReport:
 
 def scan(scenario: Scenario, calibration: InterferenceCalibration = DEFAULT_CALIBRATION) -> ScanReport:
     """Score every channel at the scenario's power as 1 - round-trip success probability."""
-    if not isinstance(scenario, Scenario):
-        raise ParameterError(f"scenario must be a Scenario, got {type(scenario).__name__}")
+    require_type("scenario", scenario, Scenario)
     directions = echo_directions(scenario)
     scores = []
     for index in WPAN_INDEX_RANGE:
@@ -66,8 +64,7 @@ def adaptive_policy(
     changes only when the scan's best channel beats the current channel's
     score by more than the DEFAULT_HYSTERESIS margin.
     """
-    if not finite_number(horizon_s):
-        raise ParameterError(f"horizon_s must be finite, got {horizon_s}")
+    require_finite("horizon_s", horizon_s)
     require_positive("rescan_period_s", rescan_period_s)
     if not (isinstance(timeline, Sequence) and timeline):
         raise ParameterError("environment timeline must be a non-empty sequence of (time, Scenario) pairs")
@@ -78,8 +75,7 @@ def adaptive_policy(
     # checked here too, since a horizon of 0 s or less runs no rescan
     if initial_channel is not None:
         ChannelSpec.wpan(initial_channel)
-    if not isinstance(calibration, InterferenceCalibration):
-        raise ParameterError(f"calibration must be an InterferenceCalibration, got {type(calibration).__name__}")
+    require_type("calibration", calibration, InterferenceCalibration)
     changes = sorted(timeline, key=lambda item: item[0])
     change_times = [t_change for t_change, _ in changes]
     reports: dict[int, ScanReport] = {}  # scan is deterministic: one per timeline entry

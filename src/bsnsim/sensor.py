@@ -60,9 +60,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, finite_number, integer, require_positive
+from .errors import ParameterError, finite_number, require_finite, require_integer, require_positive, require_type
 from .frames import _RANGE_BYTE, NODE_ID_MAX, SEQ_MAX, TIMESTAMP_MAX, SensorFrame, _frames
-from .motion import DEFAULT_RATE_HZ, AccelTrace, _require_rate
+from .motion import DEFAULT_RATE_HZ, RATE_HZ_MAX, RATE_HZ_MIN, AccelTrace
 
 ADC_FULL_SCALE = 65535
 V_REF = 3.3
@@ -202,31 +202,25 @@ class SensorState:
     last_sample_t_s: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.mode, SensorMode):
-            raise ParameterError(f"mode must be a SensorMode, got {self.mode!r}")
+        require_type("mode", self.mode, SensorMode)
         ranges = self.ranges
         if not (isinstance(ranges, tuple) and len(ranges) == 3
                 and all(isinstance(r, MeasurementRange) for r in ranges)):
             raise ParameterError(f"ranges must be a tuple of three MeasurementRanges, got {ranges!r}")
         if self.mode is SensorMode.SLEEP and ranges != _SLEEP_RANGES:
             raise ParameterError("sleep mode requires the lowest range on all axes")
-        _require_rate(self.sample_rate_hz)
+        require_finite("sample_rate_hz", self.sample_rate_hz, RATE_HZ_MIN, RATE_HZ_MAX)
         require_positive("wake_period_s", self.wake_period_s)
         if self.next_sample_at_s is None and finite_number(self.time_s):  # else time_s is refused below
             object.__setattr__(self, "next_sample_at_s", self.time_s + self.wake_period_s)
         for name in ("activation_threshold_g", "inactivity_window_s", "low_activity_timer_s", "time_s",
                      "next_sample_at_s", "last_sample_t_s"):
-            if not finite_number(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+            require_finite(name, getattr(self, name))
         if not 0.0 <= self.low_activity_timer_s <= self.inactivity_window_s:
             raise ParameterError("low_activity_timer_s outside [0, inactivity_window]")
         # the widths of the frame's node id and sequence number
-        for name, top in (("node_id", NODE_ID_MAX), ("seq", SEQ_MAX)):
-            value = getattr(self, name)
-            if not integer(value):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            if not 0 <= value <= top:
-                raise ParameterError(f"{name} must be within [0, {top}], got {value}")
+        require_integer("node_id", self.node_id, 0, NODE_ID_MAX)
+        require_integer("seq", self.seq, 0, SEQ_MAX)
 
 
 def initial_state(**kwargs) -> SensorState:
@@ -244,8 +238,7 @@ class TimelineInterval:
         if not (finite_number(self.t_start) and finite_number(self.t_end) and self.t_end >= self.t_start):
             raise ParameterError(f"interval needs finite bounds with t_end >= t_start, "
                                  f"got [{self.t_start}, {self.t_end}]")
-        if not isinstance(self.mode, SensorMode):
-            raise ParameterError(f"mode must be a SensorMode, got {self.mode!r}")
+        require_type("mode", self.mode, SensorMode)
 
 
 @dataclass(eq=False)

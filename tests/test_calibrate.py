@@ -4,7 +4,7 @@ import json
 import math
 import re
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -69,19 +69,19 @@ def test_override_of_unknown_field_rejected():
 
 
 def test_override_out_of_range_rejected():
-    with pytest.raises(ParameterError, match=re.escape("activity_factor must be in [0, 1], got 1.5")):
+    with pytest.raises(ParameterError, match=re.escape("activity_factor must be a finite number in [0, 1], got 1.5")):
         apply_overrides(load_scenario("apartment"), {"neighbor_ch1_a": {"activity_factor": 1.5}})
 
 
 @pytest.mark.parametrize("field, value, wanted", [
-    ("activity_factor", "x", "a finite number, got 'x'"),
+    ("activity_factor", "x", "a finite number in [0, 1], got 'x'"),
     ("tx_power_dbm", "x", "a finite number, got 'x'"),
     ("tx_power_dbm", math.nan, "a finite number, got nan"),
     ("tx_power_dbm", True, "a finite number, got True"),
-    ("enabled", "no", "a bool, got 'no'"),
+    ("enabled", "no", "a bool, got str"),
     ("position", (1.0, math.inf), "an (x, y) tuple of finite numbers, got (1.0, inf)"),
-    ("channel", 6, "a ChannelSpec, got 6"),
-    ("influence_radius_m", -1.0, "a non-negative finite number or None, got -1.0"),
+    ("channel", 6, "a ChannelSpec, got int"),
+    ("influence_radius_m", -1.0, "a finite number in [0, inf], got -1.0"),
 ])
 def test_override_of_a_bad_value_names_interferer_and_field(field, value, wanted):
     # a fitted field's value meets rf.Interferer's check; no other field may be overridden
@@ -99,9 +99,14 @@ def test_repeated_fits_identical():
 
 
 def test_fit_unmoved_by_a_mutated_loaded_preset():
+    # a loaded preset refuses an edit in place, so no edit can reach the fit's parsed copy
     apartment = load_scenario("apartment")
-    apartment.interferers.clear()
-    apartment.nodes["remote"] = (30.0, 0.0)
+    with pytest.raises(TypeError):
+        apartment.nodes["remote"] = (30.0, 0.0)
+    with pytest.raises(AttributeError):
+        apartment.interferers.clear()
+    with pytest.raises(FrozenInstanceError):
+        apartment.tx_power_dbm = 20.0
     assert fit().to_json() == FIT_JSON.rstrip("\n")
 
 
@@ -174,7 +179,8 @@ def test_bad_targets_rejected(tmp_path):
         load_targets(path)
     for pct in ("150.0", "-1.0"):
         path.write_text(f"scenario,channel,tx_power_dbm,target_mean_pct,role\napartment,12,0,{pct},fit\n")
-        with pytest.raises(ParameterError, match=re.escape(f"{path}, line 2: target_mean_pct must lie in [0, 100]")):
+        message = f"{path}, line 2: target_mean_pct must be a finite number in [0, 100]"
+        with pytest.raises(ParameterError, match=re.escape(message)):
             load_targets(path)
     header = "scenario,channel,tx_power_dbm,target_mean_pct,role\n"
     path.write_bytes(header.encode() + b"apartment,12,0,\xff,fit\n")

@@ -1,21 +1,24 @@
-"""The one number rule (`errors.finite_number`, `errors.integer`, `errors.require_positive`)
-and the typed error every layer raises through it."""
+"""The one number rule (`errors.finite_number`, `errors.integer`), the helpers that word each
+rule's typed error (`errors.require_*`), and the typed error every layer raises through them."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bsnsim.calibrate import CalibrationTarget
+import bsnsim
+from bsnsim.calibrate import CalibrationTarget, apply_overrides, load_calibration_file, load_targets
 from bsnsim.classify import classify_window, detect_abnormal
 from bsnsim.energy import Battery, ComponentCurrent, simulate_energy
 from bsnsim.errors import FrameError, ParameterError, finite_number, integer, require_positive
-from bsnsim.frames import SensorFrame, encode_frame
-from bsnsim.linksim import Direction, EchoTestConfig, run_echo_test, run_star_network
+from bsnsim.frames import SensorFrame, decode_frame, encode_frame, read_frame_log
+from bsnsim.linksim import Direction, EchoTestConfig, run_echo_test, run_star_network, simulate_echo_runs
 from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_trace
 from bsnsim.rf import DEFAULT_CALIBRATION, ChannelSpec, Disc, InterferenceCalibration, Material, Obstacle, Wall
-from bsnsim.scenario import Scenario, load_scenario
+from bsnsim.scenario import Scenario, load_scenario, parse_scenario
 from bsnsim.selector import ScanReport, adaptive_policy, scan
 from bsnsim.sensor import SensorMode, SensorState, TimelineInterval, initial_state, replay_trace
 
@@ -92,6 +95,7 @@ def _labelled(labels):
 
 _WALL = Wall(0.0, -1.0, 0.0, 1.0)
 _NODES = {"base": (0.0, 0.0), "remote": (3.0, 4.0)}
+_ECHO = EchoTestConfig(ChannelSpec.wpan(12), 0.0, n_messages=100, runs=2)
 _TARGET = {"scenario": "apartment", "channel": 12, "tx_power_dbm": 0.0, "target_mean_pct": 99.0, "role": "fit"}
 
 
@@ -103,19 +107,21 @@ _HOLES = [
      "duration_s must be positive"),
     ("trace_duration_1e308", lambda: generate_trace(REST, 1e308), ParameterError, "more samples than a float"),
     ("segment_duration_str", lambda: compose_schedule([(REST, "x")]), ParameterError, "segment 0 duration"),
-    ("trace_rate_str", lambda: generate_trace(REST, 1.0, rate_hz="x"), ParameterError, "rate_hz must be within"),
-    ("state_rate_str", lambda: initial_state(sample_rate_hz="x"), ParameterError, "rate_hz must be within"),
+    ("trace_rate_str", lambda: generate_trace(REST, 1.0, rate_hz="x"), ParameterError,
+     "rate_hz must be a finite number in \\[10, 100\\], got 'x'"),
+    ("state_rate_str", lambda: initial_state(sample_rate_hz="x"), ParameterError,
+     "sample_rate_hz must be a finite number in \\[10, 100\\], got 'x'"),
     ("state_wake_period_str", lambda: initial_state(wake_period_s="x"), ParameterError, "wake_period_s"),
     ("state_node_id_bool", lambda: initial_state(node_id=True), ParameterError, "node_id must be an integer"),
     ("state_threshold_nan", lambda: initial_state(activation_threshold_g=math.nan), ParameterError,
-     "activation_threshold_g must be finite"),
+     "activation_threshold_g must be a finite number, got nan"),
     ("star_duration_str", lambda: _star("5"), ParameterError, "duration_s must be positive"),
     ("star_duration_1e308", lambda: _star(1e308), ParameterError, "more samples than a float"),
     ("echo_channel_str", lambda: EchoTestConfig(channel="x", tx_power_dbm=0.0), ParameterError,
      "channel must be a ChannelSpec"),
     ("battery_str", lambda: Battery("x"), ParameterError, "capacity_mah must be positive"),
     ("component_str", lambda: ComponentCurrent("a", "x"), ParameterError, "active_ma < inf"),
-    ("policy_horizon_str", lambda: _policy("x"), ParameterError, "horizon_s must be finite"),
+    ("policy_horizon_str", lambda: _policy("x"), ParameterError, "horizon_s must be a finite number, got 'x'"),
     ("interval_str", lambda: TimelineInterval("a", "b", SensorMode.SLEEP), ParameterError, "finite bounds"),
     ("scan_report_str", lambda: ScanReport(("x",) * 16), ParameterError, "scores must be finite"),
     ("frame_node_id_bool", lambda: SensorFrame(True, 0, 0, (0, 0, 0), (0, 0, 0)), FrameError,
@@ -151,7 +157,7 @@ _HOLES = [
      "intervals must be TimelineIntervals"),
     # each raised a TypeError or AttributeError before its entry point checked the argument's type
     ("schedule_int", lambda: compose_schedule(5, seed=1), ParameterError,
-     "segments must be a sequence of \\(kind, duration_s\\) pairs, got int"),
+     "segments must be a Sequence, got int"),
     ("energy_intervals_int", lambda: simulate_energy(5, 3), ParameterError, "intervals must be TimelineIntervals"),
     ("energy_battery_str", lambda: simulate_energy([], 3, battery="x"), ParameterError,
      "battery must be a Battery, got str"),
@@ -201,23 +207,24 @@ _HOLES = [
      "calibration must be an InterferenceCalibration, got str"),
     # accepted, and simulate_energy counted the interval as sleep
     ("interval_mode_str", lambda: TimelineInterval(0.0, 10.0, "active"), ParameterError,
-     "mode must be a SensorMode, got 'active'"),
+     "mode must be a SensorMode, got str"),
     # each raised a TypeError
     ("trace_labels_int", lambda: _labelled(5), ParameterError, "labels must be a list or tuple, got int"),
     ("scan_report_int", lambda: ScanReport(5), ParameterError, "scores must be a tuple, got int"),
     # each was accepted, then raised a KeyError or bare ValueError in a scan, or was never crossed
     ("obstacle_material_str", lambda: Obstacle("brick", _WALL), ParameterError,
-     "material must be a Material, got 'brick'"),
+     "material must be a Material, got str"),
     ("obstacle_shape_tuple", lambda: Obstacle(Material.BRICK, (0.0, -1.0, 0.0, 1.0)), ParameterError,
-     "shape must be a Wall or a Disc, got tuple"),
+     "shape must be a Wall or Disc, got tuple"),
     ("wall_str", lambda: Wall("a", -1.0, 0.0, 1.0), ParameterError, "wall x1 must be a finite number, got 'a'"),
     ("wall_nan", lambda: Wall(0.0, -1.0, 0.0, math.nan), ParameterError, "wall y2 must be a finite number, got nan"),
-    ("disc_radius_negative", lambda: Disc(0, 0, -1.0), ParameterError, "disc radius must be non-negative, got -1.0"),
+    ("disc_radius_negative", lambda: Disc(0, 0, -1.0), ParameterError,
+     "disc radius must be a finite number in \\[0, inf\\], got -1.0"),
     ("disc_inf", lambda: Disc(math.inf, 0.0, 1.0), ParameterError, "disc x must be a finite number, got inf"),
     ("obstacle_loss_nan", lambda: Obstacle(Material.BRICK, _WALL, loss_db=math.nan), ParameterError,
-     "loss_db must be a finite number or None, got nan"),
+     "loss_db must be a finite number, got nan"),
     ("obstacle_near_field_negative", lambda: Obstacle(Material.PLANT_FOLIAGE, _WALL, near_field_m=-0.5),
-     ParameterError, "near_field_m must be a non-negative finite number or None, got -0.5"),
+     ParameterError, "near_field_m must be a finite number in \\[0, inf\\], got -0.5"),
     # scored every channel 0.0: a nan passed the sensitivity floor and the clamp read it as a clear link
     ("bound_success_prob_tx_power_nan", lambda: _bound_success_prob(tx_power_dbm=math.nan), ParameterError,
      "tx_power_dbm must be a finite number, got nan"),
@@ -242,12 +249,50 @@ _HOLES = [
     # and the rest were accepted until the fit bound a channel or scored a nan power as a clear link
     *((f"calibration_target_{name}", lambda fields=fields: CalibrationTarget(**{**_TARGET, **fields}), ParameterError,
        message) for name, fields, message in [
-          ("target_nan", {"target_mean_pct": math.nan}, "target_mean_pct must be a finite number, got nan"),
-          ("target_150", {"target_mean_pct": 150.0}, "target_mean_pct must lie in \\[0, 100\\], got 150.0"),
+          ("target_nan", {"target_mean_pct": math.nan},
+           "target_mean_pct must be a finite number in \\[0, 100\\], got nan"),
+          ("target_150", {"target_mean_pct": 150.0},
+           "target_mean_pct must be a finite number in \\[0, 100\\], got 150.0"),
           ("role_capitalised", {"role": "Fit"}, "target role must be fit\\|holdout, got 'Fit'"),
           ("channel_5", {"channel": 5}, "802.15.4 channel must be 11..26, got 5"),
           ("tx_power_inf", {"tx_power_dbm": math.inf}, "tx_power_dbm must be a finite number, got inf"),
       ]),
+    # each returned counts for a probability outside [0, 1] (nan: none delivered, 1.5: all), or raised numpy's
+    # UFuncTypeError or an AttributeError
+    *((f"echo_runs_{name}", lambda args=args: simulate_echo_runs(*args, 1), ParameterError, message)
+      for name, args, message in [
+          ("p_out_nan", (math.nan, 1.0, _ECHO), "p_out must be a finite number in \\[0, 1\\], got nan"),
+          ("p_out_1.5", (1.5, 1.0, _ECHO), "p_out must be a finite number in \\[0, 1\\], got 1.5"),
+          ("p_out_str", ("x", 1.0, _ECHO), "p_out must be a finite number in \\[0, 1\\], got 'x'"),
+          ("p_in_negative", (1.0, -0.5, _ECHO), "p_in must be a finite number in \\[0, 1\\], got -0.5"),
+          ("cfg_str", (1.0, 1.0, "x"), "cfg must be an EchoTestConfig, got str"),
+      ]),
+    # each raised a TypeError or AttributeError from the text, bytes, path or mapping it was handed
+    ("read_frame_log_str", lambda: read_frame_log("BSLOG1"), ParameterError,
+     "data must be a bytes or bytearray, got str"),
+    ("read_frame_log_none", lambda: read_frame_log(None), ParameterError,
+     "data must be a bytes or bytearray, got NoneType"),
+    ("decode_frame_str", lambda: decode_frame("x" * 16), ParameterError, "buf must be a bytes or bytearray, got str"),
+    ("decode_frame_none", lambda: decode_frame(None), ParameterError,
+     "buf must be a bytes or bytearray, got NoneType"),
+    ("parse_scenario_none", lambda: parse_scenario(None), ParameterError, "text must be a str, got NoneType"),
+    ("parse_scenario_bytes", lambda: parse_scenario(b"[node base]\nx = 0\ny = 0\n"), ParameterError,
+     "text must be a str, got bytes"),
+    ("load_scenario_none", lambda: load_scenario(None), ParameterError,
+     "path_or_preset must be a str or PathLike, got NoneType"),
+    ("load_scenario_int", lambda: load_scenario(5), ParameterError,
+     "path_or_preset must be a str or PathLike, got int"),
+    ("load_targets_int", lambda: load_targets(5), ParameterError, "path must be a str or PathLike, got int"),
+    ("load_calibration_file_none", lambda: load_calibration_file(None), ParameterError,
+     "path must be a str or PathLike, got NoneType"),
+    ("apply_overrides_none", lambda: apply_overrides(load_scenario("apartment"), None), ParameterError,
+     "overrides must be a Mapping, got NoneType"),
+    ("apply_overrides_entry_int", lambda: apply_overrides(load_scenario("apartment"), {"neighbor_ch1_a": 5}),
+     ParameterError, "override of interferer neighbor_ch1_a must be a Mapping, got int"),
+    # each raised an AttributeError, or made a scenario that a scan failed on
+    *((f"scenario_{name}_list", lambda name=name: Scenario("a", **{"nodes": _NODES, name: []}), ParameterError,
+       f"{name} must be a Mapping, got list") for name in ("nodes", "interferers", "obstacles", "material_loss")),
+    ("scenario_name_int", lambda: Scenario(5, nodes=_NODES), ParameterError, "name must be a str, got int"),
 ]
 
 
@@ -255,3 +300,36 @@ _HOLES = [
 def test_a_bad_input_raises_a_typed_error(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def _calls(node, names) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+
+
+def _names_its_file(message) -> bool:
+    """A loader's message begins with its file's `{path}`, and keeps its own text."""
+    first = message.values[0] if isinstance(message, ast.JoinedStr) else None
+    return isinstance(first, ast.FormattedValue) and isinstance(first.value, ast.Name) and first.value.id == "path"
+
+
+def _hand_written_rules(path: Path) -> list[str]:
+    """Each `if not finite_number(...)`, `if not integer(...)` or `if not isinstance(...)` whose body is one
+    `raise ParameterError(...)`, as "<file>:<line> in <function>"."""
+    found = []
+    for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(function) if isinstance(function, ast.FunctionDef) else ():
+            if (isinstance(node, ast.If) and isinstance(node.test, ast.UnaryOp) and isinstance(node.test.op, ast.Not)
+                    and _calls(node.test.operand, ("finite_number", "integer", "isinstance"))
+                    and len(node.body) == 1 and isinstance(node.body[0], ast.Raise)
+                    and _calls(node.body[0].exc, ("ParameterError",))
+                    and not _names_its_file(node.body[0].exc.args[0])):
+                found.append(f"{path.name}:{node.lineno} in {function.name}")
+    return found
+
+
+def test_each_field_rule_is_stated_once_in_errors():
+    """A single-rule check goes through `errors.require_finite`, `require_integer` or `require_type`, which
+    word its message once. `Reception.success_prob` keeps its checks inline: the fit calls it on every step."""
+    found = [site for path in sorted(Path(bsnsim.__file__).parent.glob("*.py")) if path.name != "errors.py"
+             for site in _hand_written_rules(path)]
+    assert [site for site in found if not (site.startswith("rf.py:") and site.endswith(" in success_prob"))] == []

@@ -78,12 +78,12 @@ def _cfg(channel=20, power=0.0, **kw):
         ("tx_power_dbm", math.inf, "tx_power_dbm must be a finite number, got inf"),
         ("tx_power_dbm", True, "tx_power_dbm must be a finite number, got True"),
         ("tx_power_dbm", "0", "tx_power_dbm must be a finite number, got '0'"),
-        ("n_messages", 10.5, "n_messages must be a positive integer, got 10.5"),
-        ("n_messages", 0, "n_messages must be a positive integer, got 0"),
-        ("n_messages", True, "n_messages must be a positive integer, got True"),
-        ("runs", True, "runs must be a positive integer, got True"),
-        ("runs", -1, "runs must be a positive integer, got -1"),
-        ("runs", "3", "runs must be a positive integer, got '3'"),
+        ("n_messages", 10.5, "n_messages must be an integer in [1, inf], got 10.5"),
+        ("n_messages", 0, "n_messages must be an integer in [1, inf], got 0"),
+        ("n_messages", True, "n_messages must be an integer in [1, inf], got True"),
+        ("runs", True, "runs must be an integer in [1, inf], got True"),
+        ("runs", -1, "runs must be an integer in [1, inf], got -1"),
+        ("runs", "3", "runs must be an integer in [1, inf], got '3'"),
     ],
 )
 def test_echo_config_rejects_a_bad_value(field, value, message):

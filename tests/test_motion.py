@@ -100,7 +100,7 @@ def test_parameter_errors():
 @pytest.mark.parametrize("rate_hz", [0.0, float("nan"), float("inf"), -60.0, 5.0])
 def test_trace_rejects_rate_outside_band(rate_hz):
     t = np.arange(3) / 60.0
-    with pytest.raises(ParameterError, match="rate_hz must be within"):
+    with pytest.raises(ParameterError, match="rate_hz must be a finite number in \\[10, 100\\]"):
         AccelTrace(rate_hz=rate_hz, ax=0 * t, ay=0 * t, az=1 + 0 * t, labels=[ActivityKind.REST] * 3)
 
 

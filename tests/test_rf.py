@@ -419,28 +419,24 @@ _OVEN = {"channel": ChannelSpec.microwave_oven(), "position": (0.0, 0.0), "tx_po
 
 # Per case: (id, field, value, the message). Every `Interferer` field has at least one.
 _BAD_FIELDS = [
-    ("channel-int", "channel", 6, "channel must be a ChannelSpec, got 6"),
+    ("channel-int", "channel", 6, "channel must be a ChannelSpec, got int"),
     ("position-inf", "position", (1.0, math.inf), "position must be an (x, y) tuple of finite numbers, got (1.0, inf)"),
     ("position-str", "position", "ab", "position must be an (x, y) tuple of finite numbers, got 'ab'"),
     ("position-triple", "position", (1.0, 2.0, 3.0),
      "position must be an (x, y) tuple of finite numbers, got (1.0, 2.0, 3.0)"),
-    ("activity-str", "activity_factor", "x", "activity_factor must be a finite number, got 'x'"),
-    ("activity-bool", "activity_factor", True, "activity_factor must be a finite number, got True"),
-    ("activity-nan", "activity_factor", math.nan, "activity_factor must be a finite number, got nan"),
-    ("enabled-str", "enabled", "no", "enabled must be a bool, got 'no'"),
-    ("enabled-int", "enabled", 1, "enabled must be a bool, got 1"),
+    ("activity-str", "activity_factor", "x", "activity_factor must be a finite number in [0, 1], got 'x'"),
+    ("activity-bool", "activity_factor", True, "activity_factor must be a finite number in [0, 1], got True"),
+    ("activity-nan", "activity_factor", math.nan, "activity_factor must be a finite number in [0, 1], got nan"),
+    ("enabled-str", "enabled", "no", "enabled must be a bool, got str"),
+    ("enabled-int", "enabled", 1, "enabled must be a bool, got int"),
     ("power-nan", "tx_power_dbm", math.nan, "tx_power_dbm must be a finite number, got nan"),
     ("power-inf", "tx_power_dbm", -math.inf, "tx_power_dbm must be a finite number, got -inf"),
     ("power-str", "tx_power_dbm", "0", "tx_power_dbm must be a finite number, got '0'"),
     ("power-bool", "tx_power_dbm", True, "tx_power_dbm must be a finite number, got True"),
-    ("radius-negative", "influence_radius_m", -1.0,
-     "influence_radius_m must be a non-negative finite number or None, got -1.0"),
-    ("radius-nan", "influence_radius_m", math.nan,
-     "influence_radius_m must be a non-negative finite number or None, got nan"),
-    ("radius-inf", "influence_radius_m", math.inf,
-     "influence_radius_m must be a non-negative finite number or None, got inf"),
-    ("radius-str", "influence_radius_m", "2",
-     "influence_radius_m must be a non-negative finite number or None, got '2'"),
+    ("radius-negative", "influence_radius_m", -1.0, "influence_radius_m must be a finite number in [0, inf], got -1.0"),
+    ("radius-nan", "influence_radius_m", math.nan, "influence_radius_m must be a finite number in [0, inf], got nan"),
+    ("radius-inf", "influence_radius_m", math.inf, "influence_radius_m must be a finite number in [0, inf], got inf"),
+    ("radius-str", "influence_radius_m", "2", "influence_radius_m must be a finite number in [0, inf], got '2'"),
 ]
 
 

@@ -121,7 +121,7 @@ def test_policy_parameter_errors():
         with pytest.raises(ParameterError, match="rescan_period_s must be positive and finite"):
             adaptive_policy([(0.0, env)], 10.0, period)
     for horizon in (math.inf, math.nan, -math.inf):
-        with pytest.raises(ParameterError, match="horizon_s must be finite"):
+        with pytest.raises(ParameterError, match=f"horizon_s must be a finite number, got {horizon}"):
             adaptive_policy([(0.0, env)], horizon, 1.0)
 
 

@@ -602,7 +602,7 @@ class TestReplayMatchesStep:
     def test_frame_fields_out_of_range_rejected(self):
         # at construction, not once the first frame is built
         for name, value in (("node_id", -1), ("node_id", 256), ("seq", -1), ("seq", 0x10000)):
-            with pytest.raises(ParameterError, match=f"{name} must be within"):
+            with pytest.raises(ParameterError, match=f"{name} must be an integer in \\[0, "):
                 initial_state(**{name: value})
 
     def test_non_integer_frame_fields_rejected(self):
@@ -620,7 +620,8 @@ class TestReplayMatchesStep:
         "name, value, problem",
         [("wake_period_s", 0.0, "wake_period_s must be positive"),
          ("wake_period_s", -1.0, "wake_period_s must be positive"),
-         *(("sample_rate_hz", rate, "rate_hz must be within") for rate in (0.0, 5.0, float("nan"), float("inf")))],
+         *(("sample_rate_hz", rate, "rate_hz must be a finite number in \\[10, 100\\]")
+           for rate in (0.0, 5.0, float("nan"), float("inf")))],
     )
     def test_bad_wake_period_or_rate_rejected(self, name, value, problem):
         with pytest.raises(ParameterError, match=problem):
