@@ -90,7 +90,8 @@ _FREE = (
     _Free(None, (), "oven_slope_low_db_per_mhz", 0.05, 10.0),
     _Free(None, (), "oven_slope_high_db_per_mhz", 0.05, 10.0),
 )
-# Interferers and fields a calibration file may override: the ones `fit` adjusts.
+# The scenarios `fit` seeds its parameters from, and the interferers and fields it adjusts, which a file may override.
+_SEED_SCENARIOS = tuple(dict.fromkeys(row.scenario for row in _FREE if row.scenario))
 _OVERRIDE_NAMES = tuple(dict.fromkeys(name for row in _FREE for name in row.interferers))
 _OVERRIDE_FIELDS = tuple(dict.fromkeys(row.field for row in _FREE if row.interferers))
 
@@ -98,10 +99,11 @@ _OVERRIDE_FIELDS = tuple(dict.fromkeys(row.field for row in _FREE if row.interfe
 def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, dict[str, dict[str, float]]]:
     """Read a `CalibrationResult.to_json` file back into constants and overrides.
 
-    The constants are checked by `rf.InterferenceCalibration`, and every
-    override value must be a finite number; JSON integers are read as
-    floats. Overrides may name only the interferers and fields
-    that `fit` adjusts, so a misspelt name is an error, not a no-op.
+    The constants are checked by `rf.InterferenceCalibration`; JSON integers
+    are read as floats. The overrides are checked by `apply_overrides` on each
+    scenario `fit` seeds them from, whatever scenario the file is used with,
+    and may name only the interferers `fit` adjusts, so a misspelt name is an
+    error, not a no-op. Every error names the file.
     """
     require_type("path", path, (str, PathLike))
     try:
@@ -115,19 +117,14 @@ def load_calibration_file(path: str | Path) -> tuple[InterferenceCalibration, di
     if missing:
         raise ParameterError(f"{path}: missing key(s) {', '.join(missing)}")
 
+    overrides = payload.get("interferer_overrides", {})
     try:
         calib = InterferenceCalibration(**{name: payload[name] for name in names})
+        for name in _SEED_SCENARIOS:
+            apply_overrides(_placed_preset(name)[0], overrides)
     except ParameterError as exc:
         raise ParameterError(f"{path}: {exc}") from None
-    overrides = payload.get("interferer_overrides", {})
-    if not isinstance(overrides, dict) or not all(isinstance(o, dict) for o in overrides.values()):
-        raise ParameterError(f"{path}: interferer_overrides must map interferer names to objects")
-    for name, override in overrides.items():
-        for key, value in override.items():
-            if key not in _OVERRIDE_FIELDS:
-                raise ParameterError(f"{path}: interferer_overrides.{name}.{key} is not one of "
-                                     f"{', '.join(_OVERRIDE_FIELDS)}")
-            require_finite(f"{path}: interferer_overrides.{name}.{key}", value)
+    for name in overrides:
         if name not in _OVERRIDE_NAMES:
             raise ParameterError(f"{path}: interferer_overrides.{name} is not one of {', '.join(_OVERRIDE_NAMES)}")
     return calib, overrides
@@ -201,6 +198,7 @@ def apply_overrides(scenario: Scenario, overrides: Mapping[str, Mapping[str, flo
     placed, and `rf.Interferer` checks each value; a bad field or value raises
     a `ParameterError` naming the interferer. An interferer the scenario lacks
     is skipped: one fit result holds the overrides of every fitted scenario."""
+    require_type("scenario", scenario, Scenario)
     require_type("overrides", overrides, Mapping)
     for name, override in overrides.items():
         require_type(f"override of interferer {name}", override, Mapping)
@@ -224,12 +222,15 @@ _placed_preset = lru_cache(maxsize=len(PRESET_NAMES))(_placed)
 def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
     """Least-squares fit of the model constants to the `fit` targets."""
     targets = load_targets() if targets is None else targets
+    require_type("targets", targets, Sequence)
+    for i, target in enumerate(targets):
+        require_type(f"target {i}", target, CalibrationTarget)
     if not any(t.role == "fit" for t in targets):
         raise ParameterError("the targets hold no `fit` row, so there is nothing to fit")
     scenarios, directions = {}, {}
     for name in {t.scenario for t in targets}:
         scenarios[name], directions[name] = (_placed_preset if name in PRESET_NAMES else _placed)(name)
-    missing = [name for name in dict.fromkeys(row.scenario for row in _FREE if row.scenario) if name not in scenarios]
+    missing = [name for name in _SEED_SCENARIOS if name not in scenarios]
     if missing:
         raise ParameterError(f"the fit seeds its parameters from scenario(s) the targets lack: {', '.join(missing)}")
     # Overrides move nothing placed and no channel, so each target's two

@@ -188,8 +188,8 @@ def _cmd_run_star(args, out: Path) -> int:
     atomic_write(out / "frames.log", result.log_bytes())
     atomic_write(out / "frames.csv", _lines(
         "t,node,node_id,seq,timestamp_ms,code_x,code_y,code_z",
-        (f"{t:.6g},{node},{frame.node_id},{frame.seq},{frame.timestamp_ms},"
-         f"{frame.codes[0]},{frame.codes[1]},{frame.codes[2]}" for t, node, frame in result.logged)))
+        (f"{t:.6g},{result.names[node_id - 1]},{node_id},{seq},{stamp},{x},{y},{z}"
+         for t, node_id, seq, stamp, x, y, z in zip(result.t.tolist(), *result.fields[:6].tolist()))))
     deliveries = sorted(result.deliveries.items())
     atomic_write(out / "delivery.csv",
                  _lines("node,emitted,delivered", (f"{name},{d.emitted},{d.delivered}" for name, d in deliveries)))

@@ -63,8 +63,11 @@ TEN_PERCENT_RADIO_PROFILE: dict[str, float] = {ACCELEROMETER: 1.0, MICROCONTROLL
 
 def average_current_ma(components: Sequence[ComponentCurrent], duty: Mapping[str, float]) -> float:
     """Duty-weighted current sum over all components."""
+    require_type("components", components, Sequence)
+    require_type("duty", duty, Mapping)
     total = 0.0
-    for comp in components:
+    for i, comp in enumerate(components):
+        require_type(f"component {i}", comp, ComponentCurrent)
         if comp.name not in duty:
             raise ParameterError(f"missing duty entry for component {comp.name!r}")
         frac = duty[comp.name]
@@ -79,6 +82,7 @@ def battery_life_hours(
     duty: Mapping[str, float],
 ) -> float:
     """Hours until the pack is drained at the profile's average current."""
+    require_type("battery", battery, Battery)
     avg = average_current_ma(components, duty)
     if avg <= 0.0:
         raise UndefinedBatteryLifeError("average current is zero; battery life is unbounded")
@@ -107,8 +111,9 @@ def simulate_energy(
     only for the airtime of the frames actually transmitted.
     """
     require_integer("n_frames", n_frames, 0)
-    if not (isinstance(intervals, Sequence) and all(isinstance(iv, TimelineInterval) for iv in intervals)):
-        raise ParameterError("intervals must be TimelineIntervals")
+    require_type("intervals", intervals, Sequence)
+    for i, interval in enumerate(intervals):
+        require_type(f"interval {i}", interval, TimelineInterval)
     battery = PACK_BATTERY if battery is None else battery
     require_type("battery", battery, Battery)
     by_name = {c.name: c for c in default_components()}

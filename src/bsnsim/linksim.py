@@ -11,10 +11,9 @@ its link with every interferer's path, and a star run places every uplink to
 the base in one `Direction.to` call, whose directions share those paths.
 
 A star run keeps its delivered frames as the columns it sorts them in: their
-times and their (7, k) int64 field matrix (see `frames._frames`).
-`StarResult.log_bytes` packs the log straight from those columns; the
-`(t, node, SensorFrame)` triples of `StarResult.logged` are built only when
-it is first read.
+times and their (7, k) int64 field matrix (see `frames._frames`). The log,
+equality and the CLI's frame table read those columns; `StarResult.logged`
+builds `(t, node, SensorFrame)` triples only when it is read.
 """
 
 from __future__ import annotations
@@ -173,8 +172,8 @@ def run_echo_test(
     calibration: InterferenceCalibration = DEFAULT_CALIBRATION,
 ) -> RunStats:
     """The full echo experiment: probabilities from the scenario, then runs."""
-    if not (isinstance(cfg, EchoTestConfig) and isinstance(scenario, Scenario)):
-        raise ParameterError("run_echo_test takes an EchoTestConfig and a Scenario")
+    require_type("cfg", cfg, EchoTestConfig)
+    require_type("scenario", scenario, Scenario)
     p_out, p_in = echo_success_probs(scenario, echo_directions(scenario), cfg.channel, cfg.tx_power_dbm, calibration)
     return simulate_echo_runs(p_out, p_in, cfg, seed)
 
@@ -191,8 +190,7 @@ class NodeDelivery:
 class StarResult:
     """The per-node deliveries of a star run and its delivered frames in log
     order: their times, their (7, k) field matrix and the node names by node
-    id (node id i is `names[i - 1]`). Two results are equal when their
-    deliveries and logged frames are."""
+    id (node id i is `names[i - 1]`). Two results are equal when all four are."""
 
     deliveries: dict[str, NodeDelivery]
     t: np.ndarray
@@ -209,7 +207,8 @@ class StarResult:
         return LOG_MAGIC + _pack(self.fields)
 
     def __eq__(self, other):
-        return isinstance(other, StarResult) and (self.deliveries, self.logged) == (other.deliveries, other.logged)
+        return (isinstance(other, StarResult) and self.deliveries == other.deliveries and self.names == other.names
+                and np.array_equal(self.t, other.t) and np.array_equal(self.fields, other.fields))
 
 
 def run_star_network(
@@ -227,8 +226,8 @@ def run_star_network(
     probability independently. The logger, node `base`, records deliveries
     in emission order (ties broken by node name).
     """
-    if not (isinstance(scenario, Scenario) and isinstance(traces, Mapping)):
-        raise ParameterError("run_star_network takes a Scenario and a mapping of node name to AccelTrace")
+    require_type("scenario", scenario, Scenario)
+    require_type("traces", traces, Mapping)
     if not traces:
         raise ParameterError("star network needs at least one sensor node trace")
     require_positive("duration_s", duration_s)

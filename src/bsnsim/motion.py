@@ -63,9 +63,8 @@ class AccelTrace:
         require_type("labels", self.labels, (list, tuple))
         if not (len(self.ax) == len(self.ay) == len(self.az) == len(self.labels)):
             raise ParameterError("trace arrays must share one length")
-        for arr in (self.ax, self.ay, self.az):
-            if not np.isfinite(arr).all():
-                raise ParameterError("acceleration values must be finite")
+        if not all(np.isfinite(arr).all() for arr in (self.ax, self.ay, self.az)):
+            _require_finite_acceleration(np.array([self.ax, self.ay, self.az]))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -76,6 +75,14 @@ class AccelTrace:
 
     def total(self) -> np.ndarray:
         return np.sqrt(self.ax**2 + self.ay**2 + self.az**2)
+
+
+def _require_finite_acceleration(acc: np.ndarray) -> None:
+    """Raise at the first non-finite reading of the (3, n) `acc`, in sample order, then x, y, z."""
+    if not np.isfinite(acc).all():
+        bad = ~np.isfinite(acc)
+        k = int(bad.any(axis=0).argmax())
+        raise ParameterError(f"acceleration must be finite, got {float(acc[int(bad[:, k].argmax()), k])}")
 
 
 def sample_count(duration_s: float, rate_hz: float) -> int:
@@ -267,8 +274,7 @@ def compose_schedule(
     require_type("segments", segments, Sequence)
     if not segments:
         raise ParameterError("schedule needs at least one segment")
-    require_finite("rate_hz", rate_hz, RATE_HZ_MIN, RATE_HZ_MAX)
-    require_seed(seed)
+    require_seed(seed)  # here, not in `generate_trace`: `seed + i` raises a TypeError first
     parts = []
     for i, segment in enumerate(segments):
         try:

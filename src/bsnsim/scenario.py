@@ -64,7 +64,6 @@ from .rf import (
     Point,
     RadioStandard,
     Wall,
-    WPAN_INDEX_RANGE,
 )
 
 PRESET_NAMES = (
@@ -234,6 +233,14 @@ def _node(fields: Fields, where: str, line: int) -> Point:
     return (values["x"], values["y"])
 
 
+def _channel(plan: Callable[[int], ChannelSpec], fields: Fields, index: int) -> ChannelSpec:
+    """`plan(index)`, the channel that the `channel` field of `fields` names; the plan's error names that line."""
+    try:
+        return plan(index)
+    except ParameterError as exc:
+        raise ScenarioError(str(exc), fields["channel"][1]) from None
+
+
 def _interferer(fields: Fields, where: str, line: int) -> Interferer:
     values = _read(fields, _INTERFERER, where, line)
     standard, index = values.pop("standard"), values.pop("channel", None)
@@ -242,10 +249,8 @@ def _interferer(fields: Fields, where: str, line: int) -> Interferer:
     elif index is None:
         raise ScenarioError(f"{where} is missing field 'channel'", line)
     else:
-        try:
-            channel = ChannelSpec.wlan(index) if standard is RadioStandard.WLAN_80211 else ChannelSpec.wpan(index)
-        except ParameterError as exc:
-            raise ScenarioError(str(exc), fields["channel"][1]) from None
+        plan = ChannelSpec.wlan if standard is RadioStandard.WLAN_80211 else ChannelSpec.wpan
+        channel = _channel(plan, fields, index)
     return Interferer(channel, (values.pop("x"), values.pop("y")), **values)
 
 
@@ -302,6 +307,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
         raise ScenarioError(f"{source}: scenario file is empty")
 
     values = {"name": Path(source).stem, **_read(top, _TOP, "top level", None)}
+    if "channel" in values:
+        _channel(ChannelSpec.wpan, top, values["channel"])
     entries = {"node": {}, "interferer": {}, "obstacle": {}}
     material_loss = {}
     for kind, name, line, fields in sections:
@@ -319,8 +326,6 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     for required in ("base", "remote"):
         if required not in entries["node"]:
             raise ScenarioError(f"scenario {values['name']!r} is missing node {required!r}")
-    if "channel" in values and values["channel"] not in WPAN_INDEX_RANGE:
-        raise ScenarioError(f"scenario channel must be 11..26, got {values['channel']}")
     return Scenario(**values, nodes=entries["node"], interferers=entries["interferer"], obstacles=entries["obstacle"],
                     material_loss=material_loss)
 
@@ -341,6 +346,7 @@ def _block(header: str, keys: Iterable[str], values: Mapping[str, Any]) -> list[
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Render a scenario back to its file form (parse round-trips exactly)."""
+    require_type("scenario", scenario, Scenario)
     out = _block("", _TOP, vars(scenario))
     for name, (x, y) in scenario.nodes.items():
         out += _block(f"[node {name}]", _NODE, {"x": x, "y": y})

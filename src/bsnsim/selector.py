@@ -46,6 +46,7 @@ def scan(scenario: Scenario, calibration: InterferenceCalibration = DEFAULT_CALI
 
 def select_channel(report: ScanReport) -> int:
     """Channel index with the minimal score; ties break toward channel 11."""
+    require_type("report", report, ScanReport)
     best = min(range(len(report.scores)), key=lambda i: (report.scores[i], i))
     return WPAN_INDEX_RANGE.start + best
 

@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import ParameterError, finite_number, require_finite, require_integer, require_positive, require_type
 from .frames import _RANGE_BYTE, NODE_ID_MAX, SEQ_MAX, TIMESTAMP_MAX, SensorFrame, _frames
-from .motion import DEFAULT_RATE_HZ, RATE_HZ_MAX, RATE_HZ_MIN, AccelTrace
+from .motion import DEFAULT_RATE_HZ, RATE_HZ_MAX, RATE_HZ_MIN, AccelTrace, _require_finite_acceleration
 
 ADC_FULL_SCALE = 65535
 V_REF = 3.3
@@ -166,14 +166,6 @@ def _deviation(values: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(x, y), z)
 
 
-def _require_finite(acc: np.ndarray) -> None:
-    """Raise at the first non-finite reading, in sample order, then x, y, z."""
-    if not np.isfinite(acc).all():
-        bad = ~np.isfinite(acc)
-        k = int(bad.any(axis=0).argmax())
-        raise ParameterError(f"acceleration must be finite, got {float(acc[int(bad[:, k].argmax()), k])}")
-
-
 class SensorMode(Enum):
     SLEEP = "sleep"
     ACTIVE = "active"
@@ -245,8 +237,7 @@ class TimelineInterval:
 class ReplayResult:
     """Outcome of driving one node through a trace: the time of each frame,
     the frames' (7, m) int64 field matrix (see `frames._frames`), the mode
-    intervals and the final state. Two results are equal when their frames,
-    intervals and final states are."""
+    intervals and the final state; two results are equal when all four are."""
 
     t: np.ndarray
     fields: np.ndarray
@@ -259,8 +250,9 @@ class ReplayResult:
         return list(zip(self.t.tolist(), _frames(self.fields.tolist())))
 
     def __eq__(self, other):
-        return isinstance(other, ReplayResult) and (self.frames, self.intervals, self.final_state) == (
-            other.frames, other.intervals, other.final_state)
+        return (isinstance(other, ReplayResult) and np.array_equal(self.t, other.t)
+                and np.array_equal(self.fields, other.fields)
+                and (self.intervals, self.final_state) == (other.intervals, other.final_state))
 
 
 def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
@@ -285,9 +277,8 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
     same node one sample at a time and must give the same frames,
     intervals and final state.
     """
-    if not (isinstance(state, SensorState) and isinstance(trace, AccelTrace)):
-        raise ParameterError(f"replay_trace takes a SensorState and an AccelTrace, "
-                             f"got {type(state).__name__} and {type(trace).__name__}")
+    require_type("state", state, SensorState)
+    require_type("trace", trace, AccelTrace)
     n = len(trace)
     intervals: list[TimelineInterval] = []
     if n == 0:
@@ -362,7 +353,7 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
             cut = int(woke[0]) + 1 if switch else len(idx)
             range_byte = 0
         # both modes: keep the readings up to the cut, then switch mode and start a new chunk, or double it
-        _require_finite(a[:, :cut])
+        _require_finite_acceleration(a[:, :cut])
         chunks.append((t[:cut], codes[:, :cut], range_byte))
         m += cut
         last = t_at[idx[cut - 1]]

@@ -146,19 +146,22 @@ def calibration_text(**changes):
         (calibration_text(logistic_midpoint_db="abc"), "logistic_midpoint_db must be a finite number"),
         (calibration_text(logistic_scale_db=True), "logistic_scale_db must be a finite number"),
         (calibration_text(oven_slope_low_db_per_mhz=float("nan")), "oven_slope_low_db_per_mhz must be a finite"),
-        (calibration_text(interferer_overrides=[1.0]), "interferer_overrides must map interferer names to objects"),
-        (calibration_text(interferer_overrides={"oven": 3.0}), "interferer_overrides must map"),
+        (calibration_text(interferer_overrides=[1.0]), "overrides must be a Mapping, got list"),
+        (calibration_text(interferer_overrides={"oven": 3.0}), "override of interferer oven must be a Mapping, got float"),
         (calibration_text(interferer_overrides={"oven": {"tx_power_dbm": "hot"}}),
-         "interferer_overrides.oven.tx_power_dbm must be a finite number"),
+         "override of interferer oven: tx_power_dbm must be a finite number, got 'hot'"),
         (calibration_text(interferer_overrides={"oven": {"channel": 3.0}}),
-         "interferer_overrides.oven.channel is not one of"),
+         "override of interferer oven: channel is not one of activity_factor, tx_power_dbm"),
+        # checked on the presets the fit seeds from, so refused whatever scenario the file is used with
+        (calibration_text(interferer_overrides={"neighbor_ch1_a": {"activity_factor": 1.5}}),
+         "override of interferer neighbor_ch1_a: activity_factor must be a finite number in [0, 1], got 1.5"),
         (calibration_text(interferer_overrides={"ovn": {"tx_power_dbm": 50.0}}),
          "interferer_overrides.ovn is not one of neighbor_ch1_a, neighbor_ch1_b, house_wlan, oven"),
         ("[" * 100_000, "not valid JSON (maximum recursion depth exceeded"),
     ],
     ids=["missing_key", "malformed_json", "not_an_object", "string_constant", "bool_constant", "nan_constant",
          "overrides_not_object", "override_not_object", "override_value_string", "override_unknown_field",
-         "override_unknown_name", "nested_too_deeply"],
+         "override_out_of_range", "override_unknown_name", "nested_too_deeply"],
 )
 def test_bad_calibration_file_rejected(tmp_path, text, problem):
     path = tmp_path / "calibration.json"

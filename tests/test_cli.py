@@ -248,6 +248,9 @@ def _bad_targets(*rows):
         _bad_calibration(_calibration_text(interferer_overrides={"oven": 3.0}), ("scan",)),
         # an override may name only a fitted field
         _bad_calibration(_calibration_text(interferer_overrides={"oven": {"position": [1.0, 2.0]}})),
+        # refused by the file's own check, whether or not the scenario run holds the interferer
+        *(_bad_calibration(_calibration_text(interferer_overrides={"neighbor_ch1_a": {"activity_factor": 1.5}}),
+                           ("scan", "--scenario", scenario)) for scenario in ("single_house", "apartment")),
         _bad_targets("apartment,twelve,0,99.36,fit"),
         _bad_targets("apartment,12,0"),
         _bad_targets("apartment,12,0,nan,fit"),
@@ -258,25 +261,29 @@ def _bad_targets(*rows):
     ids=["flipped_log_byte", "node_id_over_255", "classify_duration_1e308", "star_duration_1e308",
          "calibration_missing_key", "calibration_malformed", "calibration_string_constant",
          "calibration_bool_constant", "calibration_override_not_object", "calibration_override_position",
+         "calibration_override_out_of_range_single_house", "calibration_override_out_of_range_apartment",
          "targets_channel_not_a_number", "targets_short_row", "targets_nan_target", "targets_without_single_house",
          "targets_without_fit_rows"],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, make_argv):
+    argv = make_argv(tmp_path)
     if make_argv is _flipped_log:
         # one case through the real entry point in a fresh interpreter, where an
         # uncaught exception would show as a traceback on stderr
         env = {**os.environ, "PYTHONPATH": str(Path(bsnsim.__file__).resolve().parents[1])}
-        proc = subprocess.run([sys.executable, "-m", "bsnsim.cli", *make_argv(tmp_path)],
+        proc = subprocess.run([sys.executable, "-m", "bsnsim.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=120)
         code, stderr = proc.returncode, proc.stderr
     else:
         # the rest in-process, without an interpreter start-up each: an exception escaping main fails the test
-        code = main(make_argv(tmp_path))
+        code = main(argv)
         stderr = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in stderr
     lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    if "--calibration" in argv:  # a bad calibration file is named
+        assert lines[0].startswith(f"error: {argv[argv.index('--calibration') + 1]}: ")
 
 
 @pytest.mark.parametrize(
@@ -322,7 +329,7 @@ def test_error_line_escapes_only_line_breaks(tmp_path, capsys):
     path = tmp_path / "calibration.json"
     path.write_text(_calibration_text(interferer_overrides={"ov\nen": {"bogus\tkey": 1.0}}))
     assert main(["run", "scan", "--calibration", str(path), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == (f"error: {path}: interferer_overrides.ov\\nen.bogus\tkey is not one of "
+    assert capsys.readouterr().err == (f"error: {path}: override of interferer ov\\nen: bogus\tkey is not one of "
                                        "activity_factor, tx_power_dbm\n")
 
 

@@ -10,16 +10,17 @@ import numpy as np
 import pytest
 
 import bsnsim
-from bsnsim.calibrate import CalibrationTarget, apply_overrides, load_calibration_file, load_targets
+from bsnsim.calibrate import CalibrationTarget, apply_overrides, fit, load_calibration_file, load_targets
 from bsnsim.classify import classify_window, detect_abnormal
-from bsnsim.energy import Battery, ComponentCurrent, simulate_energy
+from bsnsim.energy import (CONTINUOUS_PROFILE, Battery, ComponentCurrent, average_current_ma, battery_life_hours,
+                           paper_components, simulate_energy)
 from bsnsim.errors import FrameError, ParameterError, finite_number, integer, require_positive
 from bsnsim.frames import SensorFrame, decode_frame, encode_frame, read_frame_log
 from bsnsim.linksim import Direction, EchoTestConfig, run_echo_test, run_star_network, simulate_echo_runs
 from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_trace
 from bsnsim.rf import DEFAULT_CALIBRATION, ChannelSpec, Disc, InterferenceCalibration, Material, Obstacle, Wall
-from bsnsim.scenario import Scenario, load_scenario, parse_scenario
-from bsnsim.selector import ScanReport, adaptive_policy, scan
+from bsnsim.scenario import Scenario, load_scenario, parse_scenario, serialize_scenario
+from bsnsim.selector import ScanReport, adaptive_policy, scan, select_channel
 from bsnsim.sensor import SensorMode, SensorState, TimelineInterval, initial_state, replay_trace
 
 REST = ActivityKind.REST
@@ -148,29 +149,29 @@ _HOLES = [
     *((f"{name}_seed_{seed}", lambda call=call, seed=seed: call(seed), ParameterError,
        "seed must be a non-negative integer") for name, call in _SEED_CALLS.items() for seed in ("x", 1.5, -1)),
     ("replay_trace_list", lambda: replay_trace(initial_state(), [1, 2]), ParameterError,
-     "replay_trace takes a SensorState and an AccelTrace"),
+     "trace must be an AccelTrace, got list"),
     ("replay_state_str", lambda: replay_trace("x", generate_trace(REST, 1.0)), ParameterError,
-     "replay_trace takes a SensorState and an AccelTrace"),
+     "state must be a SensorState, got str"),
     ("star_trace_list", lambda: _star(trace=[1, 2, 3]), ParameterError, "trace of node 'remote' must be an AccelTrace"),
     ("detect_list", lambda: detect_abnormal([1, 2]), ParameterError, "trace must be an AccelTrace"),
     ("energy_intervals_ints", lambda: simulate_energy([1, 2], 3), ParameterError,
-     "intervals must be TimelineIntervals"),
+     "interval 0 must be a TimelineInterval, got int"),
     # each raised a TypeError or AttributeError before its entry point checked the argument's type
     ("schedule_int", lambda: compose_schedule(5, seed=1), ParameterError,
      "segments must be a Sequence, got int"),
-    ("energy_intervals_int", lambda: simulate_energy(5, 3), ParameterError, "intervals must be TimelineIntervals"),
+    ("energy_intervals_int", lambda: simulate_energy(5, 3), ParameterError, "intervals must be a Sequence, got int"),
     ("energy_battery_str", lambda: simulate_energy([], 3, battery="x"), ParameterError,
      "battery must be a Battery, got str"),
     ("star_traces_list", lambda: run_star_network(load_scenario("apartment"), [generate_trace(REST, 1.0)], 1.0, 1),
-     ParameterError, "run_star_network takes a Scenario and a mapping of node name to AccelTrace"),
+     ParameterError, "traces must be a Mapping, got list"),
     ("star_scenario_str", lambda: run_star_network("x", {"remote": generate_trace(REST, 1.0)}, 1.0, 1),
-     ParameterError, "run_star_network takes a Scenario and a mapping of node name to AccelTrace"),
+     ParameterError, "scenario must be a Scenario, got str"),
     ("classify_window_list", lambda: classify_window([1, 2]), ParameterError, "window must be an AccelTrace, got list"),
     ("scan_str", lambda: scan("x"), ParameterError, "scenario must be a Scenario, got str"),
     ("echo_scenario_str", lambda: run_echo_test(EchoTestConfig(ChannelSpec.wpan(12), 0.0), "x", 1), ParameterError,
-     "run_echo_test takes an EchoTestConfig and a Scenario"),
+     "scenario must be a Scenario, got str"),
     ("echo_cfg_str", lambda: run_echo_test("x", load_scenario("apartment"), 1), ParameterError,
-     "run_echo_test takes an EchoTestConfig and a Scenario"),
+     "cfg must be an EchoTestConfig, got str"),
     # each returned another channel's score (5, 10, True), or raised an IndexError or TypeError (27, "x")
     *((f"score_{channel}", lambda channel=channel: ScanReport((0.0,) * 16).score(channel), ParameterError,
        message) for channel, message in [(5, "802.15.4 channel must be 11..26, got 5"),
@@ -293,6 +294,22 @@ _HOLES = [
     *((f"scenario_{name}_list", lambda name=name: Scenario("a", **{"nodes": _NODES, name: []}), ParameterError,
        f"{name} must be a Mapping, got list") for name in ("nodes", "interferers", "obstacles", "material_loss")),
     ("scenario_name_int", lambda: Scenario(5, nodes=_NODES), ParameterError, "name must be a str, got int"),
+    # each raised an AttributeError or TypeError from the argument it was handed
+    ("fit_int_target", lambda: fit([1]), ParameterError, "target 0 must be a CalibrationTarget, got int"),
+    ("fit_str", lambda: fit("abc"), ParameterError, "target 0 must be a CalibrationTarget, got str"),
+    ("select_channel_none", lambda: select_channel(None), ParameterError, "report must be a ScanReport, got NoneType"),
+    ("select_channel_scores", lambda: select_channel((0.1,) * 16), ParameterError,
+     "report must be a ScanReport, got tuple"),
+    ("battery_life_none", lambda: battery_life_hours(None, paper_components(), CONTINUOUS_PROFILE), ParameterError,
+     "battery must be a Battery, got NoneType"),
+    ("average_current_int_component", lambda: average_current_ma([1], {}), ParameterError,
+     "component 0 must be a ComponentCurrent, got int"),
+    ("average_current_duty_none", lambda: average_current_ma(paper_components(), None), ParameterError,
+     "duty must be a Mapping, got NoneType"),
+    ("serialize_scenario_none", lambda: serialize_scenario(None), ParameterError,
+     "scenario must be a Scenario, got NoneType"),
+    ("apply_overrides_scenario_none", lambda: apply_overrides(None, {}), ParameterError,
+     "scenario must be a Scenario, got NoneType"),
 ]
 
 
@@ -306,6 +323,15 @@ def _calls(node, names) -> bool:
     return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
 
 
+def _type_test(node) -> bool:
+    """`isinstance(...)`, `all(isinstance(...) for ...)`, or an `and` of them: a type rule on one or more arguments."""
+    if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+        return all(map(_type_test, node.values))
+    if _calls(node, ("all",)) and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp)):
+        return _calls(node.args[0].elt, ("isinstance",))
+    return _calls(node, ("isinstance",))
+
+
 def _names_its_file(message) -> bool:
     """A loader's message begins with its file's `{path}`, and keeps its own text."""
     first = message.values[0] if isinstance(message, ast.JoinedStr) else None
@@ -313,13 +339,13 @@ def _names_its_file(message) -> bool:
 
 
 def _hand_written_rules(path: Path) -> list[str]:
-    """Each `if not finite_number(...)`, `if not integer(...)` or `if not isinstance(...)` whose body is one
-    `raise ParameterError(...)`, as "<file>:<line> in <function>"."""
+    """Each `if not finite_number(...)`, `if not integer(...)` or `if not <type test>` (see `_type_test`) whose
+    body is one `raise ParameterError(...)`, as "<file>:<line> in <function>"."""
     found = []
     for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         for node in ast.walk(function) if isinstance(function, ast.FunctionDef) else ():
             if (isinstance(node, ast.If) and isinstance(node.test, ast.UnaryOp) and isinstance(node.test.op, ast.Not)
-                    and _calls(node.test.operand, ("finite_number", "integer", "isinstance"))
+                    and (_calls(node.test.operand, ("finite_number", "integer")) or _type_test(node.test.operand))
                     and len(node.body) == 1 and isinstance(node.body[0], ast.Raise)
                     and _calls(node.body[0].exc, ("ParameterError",))
                     and not _names_its_file(node.body[0].exc.args[0])):

@@ -104,6 +104,13 @@ def test_trace_rejects_rate_outside_band(rate_hz):
         AccelTrace(rate_hz=rate_hz, ax=0 * t, ay=0 * t, az=1 + 0 * t, labels=[ActivityKind.REST] * 3)
 
 
+def test_trace_names_its_first_non_finite_sample_as_a_replay_does():
+    # sample order, then x, y, z: sample 1's y comes before its z and before sample 2
+    ay, az = np.array([0.0, np.nan, 0.0]), np.array([1.0, np.inf, -np.inf])
+    with pytest.raises(ParameterError, match="^acceleration must be finite, got nan$"):
+        AccelTrace(rate_hz=60.0, ax=np.zeros(3), ay=ay, az=az, labels=[ActivityKind.REST] * 3)
+
+
 @pytest.mark.parametrize(
     "axis, got",
     [

@@ -127,6 +127,8 @@ MATERIALS = "drywall, plywood, glass, brick, concrete, aluminum_siding, metal_ap
          "line 14: [interferer router] is missing field 'channel'"),
         (MINIMAL + ROUTER.replace("channel = 6", "channel = 12").format(fields="activity_factor = 0.1"),
          "channel = 12", "line 16: 802.11 channel must be 1..11, got 12"),
+        (MINIMAL.lstrip().replace("channel = 15", "channel = 5"), "channel = 5",
+         "line 2: 802.15.4 channel must be 11..26, got 5"),
         (MINIMAL + "\nnot a kv line\n", "not a kv line", "line 14: expected `key = value`, got 'not a kv line'"),
         (MINIMAL + "\n= 5\n", "= 5", "line 14: empty key"),
     ],
@@ -136,8 +138,8 @@ MATERIALS = "drywall, plywood, glass, brick, concrete, aluminum_siding, metal_ap
         "activity_factor_out_of_range", "nan_material_loss", "unknown_top_level_key",
         "unknown_interferer_key", "unknown_disc_key", "disc_key_on_wall", "material_repeated_in_other_case",
         "unterminated_section_header", "unknown_section_kind", "section_header_with_three_words", "duplicate_key",
-        "duplicate_section", "missing_field", "missing_channel", "wlan_channel_out_of_range", "not_key_value",
-        "empty_key",
+        "duplicate_section", "missing_field", "missing_channel", "wlan_channel_out_of_range",
+        "scenario_channel_out_of_range", "not_key_value", "empty_key",
     ],
 )
 def test_parse_error_carries_line_number(text, bad_line, message):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bsnsim import sensor
 from bsnsim.errors import ParameterError
-from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_trace
+from bsnsim.motion import AccelTrace, ActivityKind, _require_finite_acceleration, compose_schedule, generate_trace
 from bsnsim.sensor import (
     _TIME_EPS,
     RANGE_LADDER,
@@ -22,7 +22,6 @@ from bsnsim.sensor import (
     SensorState,
     TimelineInterval,
     _read,
-    _require_finite,
     initial_state,
     replay_trace,
 )
@@ -73,7 +72,7 @@ class TestQuantize:
         # sample by sample, then x, y, z
         acc = np.array([[0.0, 0.0, np.nan], [0.0, -np.inf, 0.0], [1.0, np.nan, 1.0]])
         with pytest.raises(ParameterError, match="acceleration must be finite, got -inf"):
-            _require_finite(acc)
+            _require_finite_acceleration(acc)
 
     def test_round_trip_half_lsb(self):
         code, value, _, clipped = _read_both(0.5, G2_0)
