@@ -120,15 +120,13 @@ def simulate_energy(
 
     active_h = sum((iv.t_end - iv.t_start) for iv in intervals if iv.mode is SensorMode.ACTIVE) / 3600.0
     total_h = sum(iv.t_end - iv.t_start for iv in intervals) / 3600.0
-    sleep_h = max(0.0, total_h - active_h)
     tx_h = min(total_h, n_frames * FRAME_AIRTIME_S / 3600.0)
 
     consumed: dict[str, float] = {}
     duty: dict[str, float] = {}
     for name, on_h in ((ACCELEROMETER, active_h), (MICROCONTROLLER, active_h), (RADIO, tx_h)):
         comp = by_name[name]
-        off_h = total_h - on_h if name == RADIO else sleep_h
-        consumed[name] = comp.active_ma * on_h + comp.sleep_ma * off_h
+        consumed[name] = comp.active_ma * on_h + comp.sleep_ma * (total_h - on_h)
         duty[name] = on_h / total_h if total_h > 0 else 0.0
 
     total_mah = sum(consumed.values())

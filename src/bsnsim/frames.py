@@ -21,7 +21,7 @@ one byte (`crc = (crc << 8) ^ _BYTE_STEP[(crc >> 8) ^ byte]`), and
 `_WORD_STEP`, two such steps, by the two bytes of a big-endian 16-bit word
 (`crc = _WORD_STEP[crc ^ word]`), so a record's 14 bytes take seven numpy
 steps over all records.
-`crc16_ccitt` stays the scalar function, the oracle the tests hold it to.
+The bitwise CRC in `tests/frames_reference.py` is the oracle for `_crcs`.
 
 `_frames` is the one place that turns integer field columns into
 `SensorFrame` tuples: a replay's field matrix, a star run's delivered
@@ -66,11 +66,6 @@ _BYTE_STEP = np.array([binascii.crc_hqx(bytes([b]), 0) for b in range(256)], dty
 # _BYTE_STEP[hi], the register after hi. A word advances any register by `crc = _WORD_STEP[crc ^ word]`.
 _AFTER_HI = _BYTE_STEP[:, None]
 _WORD_STEP = ((_AFTER_HI << 8) ^ _BYTE_STEP[(_AFTER_HI >> 8) ^ np.arange(256, dtype=np.uint16)]).ravel()
-
-
-def crc16_ccitt(data: bytes) -> int:
-    """CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no reflection)."""
-    return binascii.crc_hqx(data, 0xFFFF)
 
 
 class _FrameFields(NamedTuple):

@@ -99,13 +99,6 @@ def _planned(channels: Mapping[int, ChannelSpec], plan: str, index: int) -> Chan
     raise ParameterError(f"channel index must be an integer, got {index!r}")
 
 
-def spectral_overlap(a: ChannelSpec, b: ChannelSpec) -> float:
-    """Width in MHz of the intersection of two occupied-frequency intervals."""
-    lo = max(a.center_mhz - a.occupied_bw_mhz / 2.0, b.center_mhz - b.occupied_bw_mhz / 2.0)
-    hi = min(a.center_mhz + a.occupied_bw_mhz / 2.0, b.center_mhz + b.occupied_bw_mhz / 2.0)
-    return max(0.0, hi - lo)
-
-
 class Material(Enum):
     DRYWALL = "drywall"
     PLYWOOD = "plywood"
@@ -361,16 +354,13 @@ def spectral_weight_db(standard: RadioStandard, delta_mhz: float, calib: Interfe
     return 0.0
 
 
-def _logistic(x: float) -> float:
+def interference_power_factor(isr_db: float, calib: InterferenceCalibration) -> float:
+    """Collision effectiveness in [0, 1] as a logistic of the I/S ratio in dB (exp never overflows)."""
+    x = (isr_db - calib.logistic_midpoint_db) / calib.logistic_scale_db
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
-
-
-def interference_power_factor(isr_db: float, calib: InterferenceCalibration) -> float:
-    """Collision effectiveness in [0, 1] as a logistic of the I/S ratio in dB."""
-    return _logistic((isr_db - calib.logistic_midpoint_db) / calib.logistic_scale_db)
 
 
 @dataclass(frozen=True)
@@ -401,8 +391,7 @@ class Reception:
         low, high = center - width / 2.0, center + width / 2.0
         overlapping = []
         for index, (channel, path, loss_db) in enumerate(interferers):
-            # spectral_overlap(victim, channel), inlined with conditionals in place of
-            # min and max (the same floats): bind runs per channel of every scan
+            # the occupied intervals' overlap, conditionals for min and max (same floats): bind runs per scan channel
             half = channel.occupied_bw_mhz / 2.0
             top, bottom = channel.center_mhz + half, channel.center_mhz - half
             overlap = (top if top < high else high) - (bottom if bottom > low else low)

@@ -48,6 +48,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
+from numbers import Integral
 from os import PathLike
 from pathlib import Path
 from types import MappingProxyType
@@ -331,11 +332,15 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
 
 
 def _format(value: Any) -> str:
+    if type(value) is float or type(value) is int:  # tested first: most values are plain numbers
+        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Enum):
         return value.value
-    return value if isinstance(value, str) else repr(value)
+    if isinstance(value, str):
+        return value
+    return repr(int(value) if isinstance(value, Integral) else float(value))  # a numpy number: plain text
 
 
 def _block(header: str, keys: Iterable[str], values: Mapping[str, Any]) -> list[str]:
@@ -345,8 +350,18 @@ def _block(header: str, keys: Iterable[str], values: Mapping[str, Any]) -> list[
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    """Render a scenario back to its file form (parse round-trips exactly)."""
+    """Render a scenario back to its file form (parse round-trips exactly). A name the file
+    cannot hold is a `ParameterError`: an entry name must be a non-empty str without
+    whitespace or `#`, and the scenario's name one line without `#` or surrounding whitespace."""
     require_type("scenario", scenario, Scenario)
+    if "#" in scenario.name or scenario.name != scenario.name.strip() or len(scenario.name.splitlines()) > 1:
+        raise ParameterError(f"scenario {scenario.name!r} cannot be written: its name must be one line without '#' "
+                             "or surrounding whitespace")
+    for kind in ("node", "interferer", "obstacle"):
+        for entry in getattr(scenario, f"{kind}s"):  # split() as the parser splits a section header
+            if not (isinstance(entry, str) and entry.split() == [entry] and "#" not in entry):
+                raise ParameterError(f"{kind} {entry!r} cannot be written: its name must be non-empty text "
+                                     "without whitespace or '#'")
     out = _block("", _TOP, vars(scenario))
     for name, (x, y) in scenario.nodes.items():
         out += _block(f"[node {name}]", _NODE, {"x": x, "y": y})

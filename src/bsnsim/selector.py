@@ -63,10 +63,13 @@ def adaptive_policy(
     Each timeline entry is scanned once, at the first rescan that falls in
     it, and later rescans in the same entry reuse that report. The channel
     changes only when the scan's best channel beats the current channel's
-    score by more than the DEFAULT_HYSTERESIS margin.
+    score by more than the DEFAULT_HYSTERESIS margin. A horizon of more than
+    2**52 periods is refused: up to there, each `t += rescan_period_s` moves `t`.
     """
     require_finite("horizon_s", horizon_s)
     require_positive("rescan_period_s", rescan_period_s)
+    if horizon_s / rescan_period_s > 2**52:
+        raise ParameterError(f"a {horizon_s} s horizon is more than 2**52 rescan periods of {rescan_period_s} s")
     if not (isinstance(timeline, Sequence) and timeline):
         raise ParameterError("environment timeline must be a non-empty sequence of (time, Scenario) pairs")
     for i, entry in enumerate(timeline):

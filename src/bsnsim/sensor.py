@@ -95,14 +95,10 @@ class MeasurementRange(Enum):
 
 RANGE_LADDER = tuple(MeasurementRange)
 
-# Span and sensitivity by range index (the frame's range code).
-_RANGE_G = tuple(r.range_g for r in RANGE_LADDER)
-_SENSITIVITY = tuple(r.sensitivity_mv_per_g for r in RANGE_LADDER)
 _TOP = len(RANGE_LADDER) - 1
-# The same as arrays for the elementwise ADC model, with the sensitivity
-# also in V/g, and the range one step up.
-_SPAN = np.array(_RANGE_G)
-_MV_PER_G = np.array(_SENSITIVITY)
+# Span and sensitivity (also in V/g) by range code for the elementwise ADC model, and the range one step up.
+_SPAN = np.array([r.range_g for r in RANGE_LADDER])
+_MV_PER_G = np.array([r.sensitivity_mv_per_g for r in RANGE_LADDER])
 _V_PER_G = _MV_PER_G / 1000.0
 _LADDER = np.arange(len(RANGE_LADDER))
 _UP = np.minimum(_LADDER + 1, _TOP)

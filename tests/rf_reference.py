@@ -10,10 +10,10 @@ near-field rule come from `bsnsim.rf`, which keeps them scalar.
 `message_success_prob` judges one victim channel against the link's path and
 each (interferer, path) pair in a single pass, as directly as the model reads:
 the oracle that the two-stage `bsnsim.rf.Reception` (bind, then evaluate) is
-checked against. It shares the overlap (which `Reception.bind` inlines), path
-loss, spectral mask and logistic of `bsnsim.rf`, so the differential tests
-compare what is computed when and in which order, not two copies of one
-formula.
+checked against. It keeps its own `spectral_overlap`, the intersection that
+`Reception.bind` computes inline, and shares the path loss, spectral mask and
+logistic of `bsnsim.rf`, so the differential tests compare what is computed
+when and in which order, not two copies of one formula.
 """
 
 from __future__ import annotations
@@ -35,9 +35,15 @@ from bsnsim.rf import (
     _endpoint_distance,
     _point_segment_distance,
     interference_power_factor,
-    spectral_overlap,
     spectral_weight_db,
 )
+
+
+def spectral_overlap(a: ChannelSpec, b: ChannelSpec) -> float:
+    """Width in MHz of the intersection of two occupied-frequency intervals."""
+    lo = max(a.center_mhz - a.occupied_bw_mhz / 2.0, b.center_mhz - b.occupied_bw_mhz / 2.0)
+    hi = min(a.center_mhz + a.occupied_bw_mhz / 2.0, b.center_mhz + b.occupied_bw_mhz / 2.0)
+    return max(0.0, hi - lo)
 
 
 def _orient(a: Point, b: Point, c: Point) -> float:

@@ -21,8 +21,6 @@ from typing import NamedTuple
 from bsnsim.errors import ParameterError
 from bsnsim.frames import TIMESTAMP_MAX, SensorFrame
 from bsnsim.sensor import (
-    _RANGE_G,
-    _SENSITIVITY,
     _SLEEP_RANGES,
     _TIME_EPS,
     _TOP,
@@ -44,12 +42,12 @@ def _quantize(a_g: float, idx: int) -> tuple[int, bool]:
     flag is set when |a| exceeds the range, whatever the ADC saturation."""
     if not math.isfinite(a_g):
         raise ParameterError(f"acceleration must be finite, got {a_g}")
-    v = V_REF / 2.0 + a_g * _SENSITIVITY[idx] / 1000.0
+    v = V_REF / 2.0 + a_g * RANGE_LADDER[idx].sensitivity_mv_per_g / 1000.0
     if v < 0.0:
         v = 0.0
     elif v > V_REF:
         v = V_REF
-    return round(v / V_REF * ADC_FULL_SCALE), abs(a_g) > _RANGE_G[idx]
+    return round(v / V_REF * ADC_FULL_SCALE), abs(a_g) > RANGE_LADDER[idx].range_g
 
 
 def _dequantize(code: int, idx: int, clipped: bool) -> float:
@@ -57,8 +55,8 @@ def _dequantize(code: int, idx: int, clipped: bool) -> float:
     v = code / ADC_FULL_SCALE * V_REF
     if clipped:
         v_mid = V_REF / 2.0
-        return math.copysign(_RANGE_G[idx], v - v_mid if v != v_mid else 1.0)
-    return (v - V_REF / 2.0) / (_SENSITIVITY[idx] / 1000.0)
+        return math.copysign(RANGE_LADDER[idx].range_g, v - v_mid if v != v_mid else 1.0)
+    return (v - V_REF / 2.0) / (RANGE_LADDER[idx].sensitivity_mv_per_g / 1000.0)
 
 
 def _next_index(value_g: float, idx: int, clipped: bool) -> int:
@@ -66,10 +64,10 @@ def _next_index(value_g: float, idx: int, clipped: bool) -> int:
     current span, steps up one level (saturating at +/-6 g); otherwise the
     smallest range covering the reading wins."""
     mag = abs(value_g)
-    if clipped or mag > _RANGE_G[idx]:
+    if clipped or mag > RANGE_LADDER[idx].range_g:
         return min(idx + 1, _TOP)
-    for k, span in enumerate(_RANGE_G):
-        if mag <= span:
+    for k, measurement_range in enumerate(RANGE_LADDER):
+        if mag <= measurement_range.range_g:
             return k
     return _TOP
 

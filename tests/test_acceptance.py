@@ -29,7 +29,7 @@ from bsnsim.linksim import (
     simulate_echo_runs,
 )
 from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_trace
-from bsnsim.rf import ChannelSpec, spectral_overlap
+from bsnsim.rf import ChannelSpec, RadioPath, Reception
 from bsnsim.scenario import load_scenario, parse_scenario
 from bsnsim.selector import ScanReport, adaptive_policy, scan, select_channel
 from bsnsim.sensor import RANGE_LADDER, SensorMode, SensorState, initial_state, replay_trace
@@ -75,7 +75,9 @@ def test_criterion_2_channel_geometry():
         for index, center in expected.items():
             assert ChannelSpec.wpan(index).center_mhz == center
         victim, wlan1 = ChannelSpec.wpan(12), ChannelSpec.wlan(1)
-        overlap = spectral_overlap(victim, wlan1)
+        path = RadioPath(1.0, ())
+        [(_, _, _, overlap_frac, _)] = Reception.bind(path, victim, [(wlan1, path, 0.0)]).overlapping
+        overlap = overlap_frac * victim.occupied_bw_mhz
         assert overlap == pytest.approx(2.0)
         assert overlap == victim.occupied_bw_mhz  # full containment
         assert abs(victim.center_mhz - wlan1.center_mhz) == pytest.approx(2.0)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import frames_reference
 import rf_reference
 from bsnsim.errors import BsnsimError, ParameterError, ScenarioError
-from bsnsim.frames import FRAME_LEN, LOG_MAGIC, SensorFrame, crc16_ccitt, read_frame_log
+from bsnsim.frames import FRAME_LEN, LOG_MAGIC, SensorFrame, read_frame_log
 from bsnsim.linksim import (
     Direction,
     EchoTestConfig,
@@ -437,7 +437,7 @@ def test_star_results_compare_by_deliveries_and_frames():
 
 # a log body of whole records, each with a valid CRC, reaches the field checks of every record
 _record = st.binary(min_size=FRAME_LEN - 2, max_size=FRAME_LEN - 2).map(
-    lambda body: body + struct.pack(">H", crc16_ccitt(body))
+    lambda body: body + struct.pack(">H", frames_reference.crc16_ccitt_false(body))
 )
 _logs = st.one_of(
     st.binary(max_size=4 * FRAME_LEN),

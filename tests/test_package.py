@@ -1,6 +1,7 @@
 """The package namespace holds what the README's Library section promises, its example runs,
-and every submodule name the README gives exists."""
+every submodule name the README gives exists, and its flag table is the CLI parser's."""
 
+import argparse
 import functools
 import importlib
 import pkgutil
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import bsnsim
 from bsnsim import errors
+from bsnsim.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,3 +50,21 @@ def test_every_readme_submodule_name_resolves():
         except AttributeError:
             missing.append(f"{module}.{chain}")
     assert missing == []
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    [subparsers] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
+def test_readme_flag_table_is_each_run_experiments_options():
+    readme = README.read_text(encoding="utf-8")
+    table = re.search(r"\| experiment \| flags \|\n\| --- \| --- \|\n((?:\|.*\|\n)+)", readme)
+    rows = {}
+    for row in table.group(1).splitlines():
+        experiment, flags = re.fullmatch(r"\| `([\w-]+)` \| (.*) \|", row).groups()
+        rows[experiment] = sorted(re.findall(r"`(--[\w-]+)`", flags))
+    parsed = {experiment: sorted(option for action in parser._actions if not isinstance(action, argparse._HelpAction)
+                                 for option in action.option_strings)
+              for experiment, parser in _subcommands(_subcommands(build_parser())["run"]).items()}
+    assert rows == parsed

@@ -28,7 +28,6 @@ from bsnsim.rf import (
     Wall,
     crossed_obstacles,
     radio_paths,
-    spectral_overlap,
 )
 
 
@@ -40,6 +39,13 @@ def _placed(channel, path):
 def _radio_path(p1, p2, obstacles, table=DEFAULT_MATERIAL_LOSS_DB):
     [path] = radio_paths([p1], p2, obstacles, table)
     return path
+
+
+def _overlap_fraction(victim, channel):
+    """The overlap / victim bandwidth that `Reception.bind` stores for one interferer, or None for no entry."""
+    path = RadioPath(1.0, ())
+    entries = Reception.bind(path, victim, [_placed(channel, path)]).overlapping
+    return entries[0][3] if entries else None
 
 
 def _bind_then_evaluate(tx_power_dbm, link, victim, pairs):
@@ -94,19 +100,21 @@ class TestChannelGeometry:
 
     def test_overlap_full_containment(self):
         # [2409, 2411] inside [2399.5, 2424.5]
-        assert spectral_overlap(ChannelSpec.wpan(12), ChannelSpec.wlan(1)) == pytest.approx(2.0)
+        assert _overlap_fraction(ChannelSpec.wpan(12), ChannelSpec.wlan(1)) == 1.0
 
     def test_overlap_partial(self):
-        # [2449, 2451] vs [2424.5, 2449.5]
-        assert spectral_overlap(ChannelSpec.wpan(20), ChannelSpec.wlan(6)) == pytest.approx(0.5)
+        # [2449, 2451] vs [2424.5, 2449.5]: 0.5 of 2 MHz
+        assert _overlap_fraction(ChannelSpec.wpan(20), ChannelSpec.wlan(6)) == 0.25
 
     def test_self_overlap_is_bandwidth(self):
         ch = ChannelSpec.wpan(15)
-        assert spectral_overlap(ch, ch) == pytest.approx(2.0)
+        assert _overlap_fraction(ch, ch) == 1.0
 
     def test_overlap_symmetric_and_disjoint(self):
-        a, b = ChannelSpec.wpan(11), ChannelSpec.wlan(11)
-        assert spectral_overlap(a, b) == spectral_overlap(b, a) == 0.0
+        # [2404, 2406] vs [2449.5, 2474.5]; two adjacent 802.15.4 channels miss each other either way round
+        assert _overlap_fraction(ChannelSpec.wpan(11), ChannelSpec.wlan(11)) is None
+        a, b = ChannelSpec.wpan(11), ChannelSpec.wpan(12)
+        assert _overlap_fraction(a, b) is _overlap_fraction(b, a) is None
 
 
 class TestPathLoss:

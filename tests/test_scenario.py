@@ -5,6 +5,7 @@ import math
 import pickle
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -190,8 +191,15 @@ def test_round_trip_all_presets(name):
     assert pickle.loads(pickle.dumps(s)) == copy.deepcopy(s) == s
 
 
-_names = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
-_finite = st.floats(allow_nan=False, allow_infinity=False)
+# every name the file can hold: an entry's, a section header's second word, has no whitespace and no
+# '#'; the scenario's, a top-level value, is one line without '#' or surrounding whitespace
+_names = st.text(st.characters(exclude_characters="#"), min_size=1, max_size=8).filter(
+    lambda name: not any(c.isspace() for c in name))
+_scenario_names = st.text(st.characters(exclude_characters="#"), max_size=8).filter(
+    lambda name: name == name.strip() and "".join(name.splitlines()) == name)
+# numpy numbers too: each is written as the plain number
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.floats(allow_nan=False, allow_infinity=False).map(
+    np.float64)
 _non_negative = st.floats(min_value=0.0, allow_infinity=False)
 _points = st.tuples(_finite, _finite)
 _channels = st.one_of(
@@ -206,12 +214,12 @@ _shapes = st.builds(Wall, _finite, _finite, _finite, _finite) | st.builds(Disc, 
 _obstacles = st.builds(Obstacle, st.sampled_from(Material), _shapes, st.none() | _finite, st.none() | _non_negative)
 _scenarios = st.builds(
     Scenario,
-    name=_names,
+    name=_scenario_names,
     nodes=st.builds(lambda base, remote, extra: {**extra, "base": base, "remote": remote},
                     _points, _points, st.dictionaries(_names, _points, max_size=3)),
     interferers=st.dictionaries(_names, _interferers, max_size=4),
     obstacles=st.dictionaries(_names, _obstacles, max_size=4),
-    channel=st.integers(11, 26),
+    channel=st.integers(11, 26) | st.integers(11, 26).map(np.int64),
     tx_power_dbm=_finite,
     material_loss=st.dictionaries(st.sampled_from(Material), _finite, max_size=3),
 )
@@ -223,6 +231,47 @@ def test_serialize_parse_round_trip(scenario):
     again = parse_scenario(text)
     assert again == scenario
     assert serialize_scenario(again) == text
+
+
+def test_numpy_numbers_are_written_as_plain_numbers():
+    scenario = Scenario(
+        "np", nodes={"base": (np.float32(0.5), np.int64(0)), "remote": (np.float64(3.0), np.int32(4))},
+        interferers={"router": Interferer(ChannelSpec.wlan(np.int64(6)), (np.float64(3.0), np.float16(4.0)),
+                                          np.float32(15.0), np.float64(0.02), influence_radius_m=np.uint8(2))},
+        obstacles={"wall": Obstacle(Material.BRICK, Wall(np.int64(-6), np.float64(-4.0), -6.0, 4.0),
+                                    np.float64(5.0), np.float32(0.5))},
+        channel=np.int64(15), tx_power_dbm=np.float32(-3.5), material_loss={Material.GLASS: np.float64(2.5)})
+    text = serialize_scenario(scenario)
+    assert "np." not in text and "channel = 15\n" in text
+    assert parse_scenario(text) == scenario
+
+
+_NODES = {"base": (0.0, 0.0), "remote": (1.0, 1.0)}
+_ROUTER = Interferer(ChannelSpec.wlan(6), (3.0, 4.0), 15.0, 0.02)
+_WALL = Obstacle(Material.BRICK, Wall(0.0, 0.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("scenario, message", [
+    (Scenario("a#b", _NODES), "scenario 'a#b' cannot be written: its name must be one line without '#' "
+                              "or surrounding whitespace"),
+    (Scenario(" ab", _NODES), "scenario ' ab' cannot be written"),
+    (Scenario("ab\t", _NODES), "scenario 'ab\\t' cannot be written"),
+    (Scenario("a\nb", _NODES), "scenario 'a\\nb' cannot be written"),
+    (Scenario("a\u2028b", _NODES), "scenario 'a\\u2028b' cannot be written"),
+    (Scenario("ab", {**_NODES, "a b": (2.0, 2.0)}), "node 'a b' cannot be written: its name must be non-empty "
+                                                     "text without whitespace or '#'"),
+    (Scenario("ab", {**_NODES, 5: (2.0, 2.0)}), "node 5 cannot be written"),
+    (Scenario("ab", {**_NODES, "": (2.0, 2.0)}), "node '' cannot be written"),
+    (Scenario("ab", _NODES, interferers={"wifi#2": _ROUTER}), "interferer 'wifi#2' cannot be written"),
+    (Scenario("ab", _NODES, interferers={"a\x1cb": _ROUTER}), "interferer 'a\\x1cb' cannot be written"),
+    (Scenario("ab", _NODES, obstacles={"west wall": _WALL}), "obstacle 'west wall' cannot be written"),
+    (Scenario("ab", _NODES, obstacles={("w", 1): _WALL}), "obstacle ('w', 1) cannot be written"),
+], ids=["hash_in_name", "leading_space_in_name", "trailing_tab_in_name", "newline_in_name",
+        "line_separator_in_name", "space_in_node", "int_node", "empty_node", "hash_in_interferer",
+        "file_separator_in_interferer", "space_in_obstacle", "tuple_obstacle"])
+def test_serialize_refuses_a_name_the_file_cannot_hold(scenario, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+        serialize_scenario(scenario)
 
 
 # scenario text: grammar-shaped lines built from real keys and headers, mixed with junk

@@ -1,6 +1,7 @@
 """Channel scanning, argmin selection, and hysteresis policy."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,16 @@ def test_policy_parameter_errors():
     for horizon in (math.inf, math.nan, -math.inf):
         with pytest.raises(ParameterError, match=f"horizon_s must be a finite number, got {horizon}"):
             adaptive_policy([(0.0, env)], horizon, 1.0)
+
+
+@pytest.mark.parametrize("horizon_s, period_s", [(1.0, 1e-300), (1e300, 1e-300), (2.0**53, 1.0), (2.0**52, 0.5)])
+def test_policy_refuses_more_than_2_52_rescans(horizon_s, period_s):
+    # beyond 2**52 periods `t += period` can stop moving t, and the loop would never end
+    env = parse_scenario(CLEAN)
+    with pytest.raises(ParameterError, match=re.escape(f"a {horizon_s} s horizon is more than 2**52 rescan "
+                                                       f"periods of {period_s} s")):
+        adaptive_policy([(0.0, env)], horizon_s, period_s)
+    assert adaptive_policy([(0.0, env)], -horizon_s, period_s) == []
 
 
 def test_policy_scans_each_timeline_entry_once(monkeypatch):
