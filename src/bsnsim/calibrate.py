@@ -6,14 +6,14 @@ their bounds and the overrides a calibration file may hold. Targets marked
 analytic (no Monte Carlo inside the loop): each target's predicted mean is the
 product of the two per-direction message probabilities.
 
-No free parameter moves a node, an obstacle or a channel, so `fit` places each
-scenario and binds both directions of every target (`rf.Reception`) once,
-before the optimizer runs. A bundled preset is parsed and placed once per
-process and reused by every later fit; a scenario file is read and placed
-again on every fit, so an edit to it is seen. Each residual call rebuilds
-only the overridden interferers, not a whole scenario, and evaluates every
-target's two receptions with them. A fitted result reaches a scenario,
-as in the CLI's runs, through
+No free parameter moves a node, an obstacle, a channel or a target's tx power,
+so `fit` places each scenario and binds both directions of every target
+(`rf.Reception`) once, at the target's tx power, before the optimizer runs. A
+bundled preset is parsed and placed once per process and reused by every later
+fit; a scenario file is read and placed again on every fit, so an edit to it is
+seen. Each residual call rebuilds only the overridden interferers, not a whole
+scenario, and evaluates every target's two receptions with them. A fitted
+result reaches a scenario, as in the CLI's runs, through
 `apply_overrides(load_scenario(name), result.interferer_overrides)`, which
 applies the overrides through the same helper. scipy is imported by `fit`
 alone, when its optimizer runs, so importing this module does not load it.
@@ -168,12 +168,12 @@ def load_targets(path: str | Path | None = None) -> list[CalibrationTarget]:
 
 
 def predicted_mean_pct(receptions: tuple[Reception, Reception], interferers: Sequence[Interferer],
-                       tx_power_dbm: float, calibration: InterferenceCalibration) -> float:
-    """One target's predicted mean in %: its (outbound, inbound) receptions
-    with the scenario's interferers as overridden now."""
+                       calibration: InterferenceCalibration) -> float:
+    """One target's predicted mean in %: its (outbound, inbound) receptions,
+    bound at its tx power, with the scenario's interferers as overridden now."""
     outbound, inbound = receptions
-    p_out = outbound.success_prob(tx_power_dbm, interferers, calibration)
-    p_in = inbound.success_prob(tx_power_dbm, interferers, calibration)
+    p_out = outbound.success_prob(interferers, calibration)
+    p_in = inbound.success_prob(interferers, calibration)
     return p_out * p_in * 100.0
 
 
@@ -233,10 +233,9 @@ def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
     missing = [name for name in _SEED_SCENARIOS if name not in scenarios]
     if missing:
         raise ParameterError(f"the fit seeds its parameters from scenario(s) the targets lack: {', '.join(missing)}")
-    # Overrides move nothing placed and no channel, so each target's two
-    # directions are bound once, before the optimizer runs.
-    bound = [(t, tuple(d.reception(scenarios[t.scenario], ChannelSpec.wpan(t.channel)) for d in directions[t.scenario]))
-             for t in targets]
+    # Overrides move nothing placed, so each target's two directions are bound once, before the optimizer runs.
+    bound = [(t, tuple(d.reception(scenarios[t.scenario], ChannelSpec.wpan(t.channel), t.tx_power_dbm)
+                       for d in directions[t.scenario])) for t in targets]
     fit_bound = [(t, receptions) for t, receptions in bound if t.role == "fit"]
 
     x0 = []
@@ -261,8 +260,7 @@ def fit(targets: list[CalibrationTarget] | None = None) -> CalibrationResult:
     def predictions(chosen, params):
         calib, overrides = unpack(params)
         interferers = {name: tuple(_overridden(placed[name], overrides).values()) for name in scenarios}
-        return [predicted_mean_pct(receptions, interferers[t.scenario], t.tx_power_dbm, calib)
-                for t, receptions in chosen]
+        return [predicted_mean_pct(receptions, interferers[t.scenario], calib) for t, receptions in chosen]
 
     def residuals(params):
         return np.array([p - t.target_mean_pct for p, (t, _) in zip(predictions(fit_bound, params), fit_bound)])

@@ -8,9 +8,11 @@
     bsn-sim calibrate --targets tables.csv --out out/
     bsn-sim replay-log out/frames.log
 
-Every experiment writes a result JSON embedding the full configuration and
-seed, so re-running it reproduces the output bit for bit. File writes are
-atomic (write-temp-then-rename).
+Every `run` experiment writes a result JSON recording the experiment, the
+scenario's name, the seed and the experiment's own settings. It does not
+record a scenario file's contents or the `--calibration` file, so it alone
+does not rerun an experiment (ROADMAP item 7). File writes are atomic
+(write-temp-then-rename).
 """
 
 from __future__ import annotations
@@ -329,7 +331,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args, args.out)
-    except (BsnsimError, OSError) as exc:
+    except (BsnsimError, OSError, MemoryError) as exc:  # MemoryError: a run too large to allocate
         print(f"error: {str(exc).translate(_ESCAPED_LINE_BREAKS)}", file=sys.stderr)
         return 2
 

@@ -102,16 +102,16 @@ class Direction:
                        for (name, it), path in zip(scenario.interferers.items(), paths[len(tx_nodes):])}
         return [cls(link, interferers) for link in paths[:len(tx_nodes)]]
 
-    def reception(self, scenario: Scenario, channel: ChannelSpec) -> Reception:
-        """This direction bound to a victim channel, with the scenario's
-        interferers as placed, by name in scenario order (one without a path is
-        an error); `Reception.success_prob` checks their channels."""
+    def reception(self, scenario: Scenario, channel: ChannelSpec, tx_power_dbm: float) -> Reception:
+        """This direction bound to a victim channel and tx power, with the
+        scenario's interferers as placed, by name in scenario order (one without
+        a path is an error); `Reception.success_prob` checks their channels."""
         entries = self.interferers
         try:
             placed = [entries[name] for name in scenario.interferers]
         except KeyError as exc:
             raise ParameterError(f"direction has no path for interferer {exc.args[0]!r}") from None
-        return Reception.bind(self.link, channel, placed)
+        return Reception.bind(self.link, channel, tx_power_dbm, placed)
 
 
 def direction_success_prob(
@@ -122,10 +122,10 @@ def direction_success_prob(
     calibration: InterferenceCalibration = DEFAULT_CALIBRATION,
 ) -> float:
     """Per-message delivery probability for one direction of a link, with the
-    scenario's interferers as they are set now; `Reception.success_prob` checks
-    the calibration."""
-    reception = direction.reception(scenario, channel)
-    return reception.success_prob(tx_power_dbm, tuple(scenario.interferers.values()), calibration)
+    scenario's interferers as they are set now; `Reception.bind` checks the tx
+    power and `Reception.success_prob` the calibration."""
+    reception = direction.reception(scenario, channel, tx_power_dbm)
+    return reception.success_prob(tuple(scenario.interferers.values()), calibration)
 
 
 def echo_directions(scenario: Scenario) -> tuple[Direction, Direction]:

@@ -6,13 +6,13 @@ alone decides, the distance and the crossed obstacles' losses, and gives its
 loss at any frequency. `radio_paths` places every path to one receiver in one
 call: `crossed_obstacles` tests all of them against every wall at once, as
 numpy arrays. A channel is judged in two stages: `Reception.bind` fixes the
-victim channel against the link's path and each interferer as placed (its
-channel, its path to the receiver and that path's loss at its own centre),
-and `Reception.success_prob` applies what
-can still change: tx power, enabled flags, activity factors, interferer
-powers, influence radii and the calibration constants. A scan or an echo
-test binds each channel once; the calibration fit binds each target once
-and evaluates it per optimizer step.
+victim channel and the link's tx power against the link's path and each
+interferer as placed (its channel, its path to the receiver and that path's
+loss at its own centre), and checks the tx power, once per binding.
+`Reception.success_prob` applies what can still change: enabled flags,
+activity factors, interferer powers, influence radii and the calibration
+constants. A scan or an echo test binds each channel once; the calibration
+fit binds each target once and evaluates it per optimizer step.
 
 The interferers must be the ones placed, in the same order and on the same
 channels. `linksim.Direction.reception` binds them by name, and
@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, finite_number, finite_point, integer, require_finite, require_positive, require_type
+from .errors import ParameterError, finite_point, integer, require_finite, require_positive, require_type
 
 Point = tuple[float, float]
 
@@ -365,14 +365,14 @@ def interference_power_factor(isr_db: float, calib: InterferenceCalibration) -> 
 
 @dataclass(frozen=True)
 class Reception:
-    """One victim channel received over a link, with each interferer's channel
-    and path bound. What tx powers, enabled flags, activity factors, influence
-    radii and calibration constants cannot change is computed once: the link
-    loss at the victim centre and, per interferer that overlaps the victim,
-    its overlap fraction and offset. Each interferer's path loss at its own
-    centre comes computed at placement, once for every victim channel."""
+    """One victim channel received over a link at one tx power, with each
+    interferer's channel and path bound. What the interferers' settings and the
+    calibration cannot change is computed once: the link's received power at
+    the victim centre and, per interferer that overlaps the victim, its overlap
+    fraction and offset. Each interferer's path loss at its own centre comes
+    computed at placement, once for every victim channel."""
 
-    link_loss_db: float  # at the victim centre
+    rx_power_dbm: float  # the link's tx power less its loss at the victim centre
     channels: tuple[ChannelSpec, ...]  # every bound interferer's channel, in order
     # Per interferer that overlaps the victim, in order: (index among the
     # bound interferers, unclamped path distance, path loss at its own centre,
@@ -380,13 +380,14 @@ class Reception:
     overlapping: tuple[tuple[int, float, float, float, float], ...]
 
     @classmethod
-    def bind(cls, link: RadioPath, victim: ChannelSpec,
+    def bind(cls, link: RadioPath, victim: ChannelSpec, tx_power_dbm: float,
              interferers: Sequence[tuple[ChannelSpec, RadioPath, float]]) -> "Reception":
-        """Bind the link and each interferer to the victim channel. An interferer
-        comes as placed: (its channel, its path to the receiver, that path's loss
-        at the channel's centre)."""
+        """Bind the link, sent at tx_power_dbm, and each interferer to the victim
+        channel. An interferer comes as placed: (its channel, its path to the
+        receiver, that path's loss at the channel's centre)."""
         if victim.standard is not RadioStandard.WPAN_154:
             raise ParameterError("victim channel must be an 802.15.4 channel")
+        require_finite("tx_power_dbm", tx_power_dbm)  # a nan would pass the floor and read as a clear link
         center, width = victim.center_mhz, victim.occupied_bw_mhz
         low, high = center - width / 2.0, center + width / 2.0
         overlapping = []
@@ -397,29 +398,26 @@ class Reception:
             overlap = (top if top < high else high) - (bottom if bottom > low else low)
             if overlap > 0.0:
                 overlapping.append((index, path.distance_m, loss_db, overlap / width, center - channel.center_mhz))
-        return cls(link.loss_db(center), tuple([channel for channel, _, _ in interferers]), tuple(overlapping))
+        return cls(tx_power_dbm - link.loss_db(center), tuple([c for c, _, _ in interferers]), tuple(overlapping))
 
-    def success_prob(self, tx_power_dbm: float, interferers: Sequence[Interferer],
+    def success_prob(self, interferers: Sequence[Interferer],
                      calibration: InterferenceCalibration = DEFAULT_CALIBRATION) -> float:
         """Probability that one message is delivered, with the interferers set as
         given, in the order and on the channels they were bound with. Scans,
         echo tests, star runs and the fit all evaluate here, so this is the
-        one calibration and tx power check.
+        one calibration check.
 
         Zero below the sensitivity floor; otherwise the product over active
         interferers of their independent per-message survival terms.
         """
-        if not isinstance(calibration, InterferenceCalibration):
-            raise ParameterError(f"calibration must be an InterferenceCalibration, got {type(calibration).__name__}")
+        require_type("calibration", calibration, InterferenceCalibration)
         if len(interferers) != len(self.channels):
             raise ParameterError(f"reception was bound with {len(self.channels)} interferer(s), got {len(interferers)}")
         for it, channel in zip(interferers, self.channels):
             if it.channel is not channel and it.channel != channel:
                 raise ParameterError(f"interferer on {it.channel.standard.value} channel {it.channel.index} "
                                      f"was bound on {channel.standard.value} channel {channel.index}")
-        if not finite_number(tx_power_dbm):  # a nan would pass the floor and read as a clear link
-            raise ParameterError(f"tx_power_dbm must be a finite number, got {tx_power_dbm!r}")
-        rx_power_dbm = tx_power_dbm - self.link_loss_db
+        rx_power_dbm = self.rx_power_dbm
         if rx_power_dbm - RECEIVER_SENSITIVITY_DBM < 0:
             return 0.0
         p = 1.0

@@ -331,8 +331,8 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
                     material_loss=material_loss)
 
 
-def _format(value: Any) -> str:
-    if type(value) is float or type(value) is int:  # tested first: most values are plain numbers
+def _format(value: Any, header: str, key: str) -> str:
+    if type(value) is float:  # tested first: most values are plain floats
         return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -340,19 +340,23 @@ def _format(value: Any) -> str:
         return value.value
     if isinstance(value, str):
         return value
-    return repr(int(value) if isinstance(value, Integral) else float(value))  # a numpy number: plain text
+    if float(value) != value:  # read back as a float, it would change (a channel, at most 26, reads back exactly)
+        raise ParameterError(f"{header or 'scenario'} {key} = {value!r} cannot be written: "
+                             f"it reads back as {float(value)!r}")
+    return repr(int(value) if isinstance(value, Integral) else float(value))  # an int or numpy number: plain text
 
 
 def _block(header: str, keys: Iterable[str], values: Mapping[str, Any]) -> list[str]:
     """One section of the file: `key = value` lines in `keys` order, absent (None) values left out."""
-    lines = [f"{key} = {_format(value)}" for key in keys if (value := values.get(key)) is not None]
+    lines = [f"{key} = {_format(value, header, key)}" for key in keys if (value := values.get(key)) is not None]
     return [header, *lines, ""] if header else [*lines, ""]
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    """Render a scenario back to its file form (parse round-trips exactly). A name the file
-    cannot hold is a `ParameterError`: an entry name must be a non-empty str without
-    whitespace or `#`, and the scenario's name one line without `#` or surrounding whitespace."""
+    """Render a scenario back to its file form (parse round-trips exactly). A name or number
+    the file cannot hold is a `ParameterError`: an entry name must be a non-empty str without
+    whitespace or `#`, the scenario's name one line without `#` or surrounding whitespace, and
+    a number one that reads back equal as a float (not 2**53 + 1 or `Fraction(1, 3)`)."""
     require_type("scenario", scenario, Scenario)
     if "#" in scenario.name or scenario.name != scenario.name.strip() or len(scenario.name.splitlines()) > 1:
         raise ParameterError(f"scenario {scenario.name!r} cannot be written: its name must be one line without '#' "

@@ -76,7 +76,7 @@ def test_criterion_2_channel_geometry():
             assert ChannelSpec.wpan(index).center_mhz == center
         victim, wlan1 = ChannelSpec.wpan(12), ChannelSpec.wlan(1)
         path = RadioPath(1.0, ())
-        [(_, _, _, overlap_frac, _)] = Reception.bind(path, victim, [(wlan1, path, 0.0)]).overlapping
+        [(_, _, _, overlap_frac, _)] = Reception.bind(path, victim, 0.0, [(wlan1, path, 0.0)]).overlapping
         overlap = overlap_frac * victim.occupied_bw_mhz
         assert overlap == pytest.approx(2.0)
         assert overlap == victim.occupied_bw_mhz  # full containment

@@ -259,9 +259,9 @@ def test_fit_binds_each_target_once_per_direction(monkeypatch):
     binds, evals = [], []
     bind, predict = Reception.bind.__func__, calibrate.predicted_mean_pct
 
-    def counting_bind(cls, link, victim, interferers):
-        binds.append(victim.index)
-        return bind(cls, link, victim, interferers)
+    def counting_bind(cls, link, victim, tx_power_dbm, interferers):
+        binds.append((victim.index, tx_power_dbm))
+        return bind(cls, link, victim, tx_power_dbm, interferers)
 
     def counting_predict(*args):
         evals.append(args[0])
@@ -271,7 +271,8 @@ def test_fit_binds_each_target_once_per_direction(monkeypatch):
     monkeypatch.setattr(calibrate, "predicted_mean_pct", counting_predict)
     targets = load_targets()
     fit(targets)
-    assert sorted(binds) == sorted(2 * [t.channel for t in targets])  # outbound and inbound, once each
+    # outbound and inbound, once each, at the target's tx power
+    assert sorted(binds) == sorted(2 * [(t.channel, t.tx_power_dbm) for t in targets])
     fit_rows = sum(t.role == "fit" for t in targets)
     assert len(evals) > 10 * fit_rows  # many residual calls, all on the receptions bound before them
     assert len({id(receptions) for receptions in evals}) == len(targets)

@@ -241,6 +241,10 @@ def _bad_targets(*rows):
         # refused before a sample is allocated: the sample count is not a finite float
         lambda tmp_path: ["run", "classify", "--duration", "1e308", "--out", str(tmp_path)],
         lambda tmp_path: ["run", "star", "--duration", "1e308", "--out", str(tmp_path)],
+        # numpy refuses each allocation outright (hundreds of PiB, or 7 PiB), so no memory is used
+        lambda tmp_path: ["run", "classify", "--duration", "1e15", "--out", str(tmp_path)],
+        lambda tmp_path: ["run", "star", "--duration", "1e15", "--nodes", "1", "--out", str(tmp_path)],
+        lambda tmp_path: ["run", "echo", "--messages", "1000000000000000", "--runs", "1", "--out", str(tmp_path)],
         _bad_calibration('{"logistic_midpoint_db": 14.0}'),
         _bad_calibration("{not json"),
         _bad_calibration(_calibration_text(logistic_midpoint_db="abc"), ("scan",)),
@@ -259,6 +263,7 @@ def _bad_targets(*rows):
                      "apartment_microwave,20,-10,96.85,holdout"),
     ],
     ids=["flipped_log_byte", "node_id_over_255", "classify_duration_1e308", "star_duration_1e308",
+         "classify_unallocatable", "star_unallocatable", "echo_unallocatable",
          "calibration_missing_key", "calibration_malformed", "calibration_string_constant",
          "calibration_bool_constant", "calibration_override_not_object", "calibration_override_position",
          "calibration_override_out_of_range_single_house", "calibration_override_out_of_range_apartment",

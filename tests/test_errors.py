@@ -3,6 +3,7 @@ rule's typed error (`errors.require_*`), and the typed error every layer raises 
 
 import ast
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,9 +17,11 @@ from bsnsim.energy import (CONTINUOUS_PROFILE, Battery, ComponentCurrent, averag
                            paper_components, simulate_energy)
 from bsnsim.errors import FrameError, ParameterError, finite_number, integer, require_positive
 from bsnsim.frames import SensorFrame, decode_frame, encode_frame, read_frame_log
-from bsnsim.linksim import Direction, EchoTestConfig, run_echo_test, run_star_network, simulate_echo_runs
+from bsnsim.linksim import (Direction, EchoTestConfig, direction_success_prob, echo_directions, echo_success_probs,
+                            run_echo_test, run_star_network, simulate_echo_runs)
 from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_trace
-from bsnsim.rf import DEFAULT_CALIBRATION, ChannelSpec, Disc, InterferenceCalibration, Material, Obstacle, Wall
+from bsnsim.rf import (ChannelSpec, Disc, InterferenceCalibration, Interferer, Material, Obstacle, RadioPath,
+                       Reception, Wall)
 from bsnsim.scenario import Scenario, load_scenario, parse_scenario, serialize_scenario
 from bsnsim.selector import ScanReport, adaptive_policy, scan, select_channel
 from bsnsim.sensor import SensorMode, SensorState, TimelineInterval, initial_state, replay_trace
@@ -83,11 +86,11 @@ _CALIBRATION_CALLS = {
 }
 
 
-def _bound_success_prob(calibration=DEFAULT_CALIBRATION, tx_power_dbm=-10.0):
+def _bound_success_prob(calibration):
     scenario = load_scenario("apartment")
     outbound = Direction.to(scenario, ["base"], "remote")[0]
-    return outbound.reception(scenario, ChannelSpec.wpan(20)).success_prob(
-        tx_power_dbm, tuple(scenario.interferers.values()), calibration)
+    return outbound.reception(scenario, ChannelSpec.wpan(20), -10.0).success_prob(
+        tuple(scenario.interferers.values()), calibration)
 
 
 def _labelled(labels):
@@ -226,11 +229,6 @@ _HOLES = [
      "loss_db must be a finite number, got nan"),
     ("obstacle_near_field_negative", lambda: Obstacle(Material.PLANT_FOLIAGE, _WALL, near_field_m=-0.5),
      ParameterError, "near_field_m must be a finite number in \\[0, inf\\], got -0.5"),
-    # scored every channel 0.0: a nan passed the sensitivity floor and the clamp read it as a clear link
-    ("bound_success_prob_tx_power_nan", lambda: _bound_success_prob(tx_power_dbm=math.nan), ParameterError,
-     "tx_power_dbm must be a finite number, got nan"),
-    ("bound_success_prob_tx_power_str", lambda: _bound_success_prob(tx_power_dbm="x"), ParameterError,
-     "tx_power_dbm must be a finite number, got 'x'"),
     # each was accepted, then raised an AttributeError or TypeError in a scan, or scored a nan as a clear link
     *((f"scenario_{name}", lambda fields=fields: Scenario("a", **{"nodes": _NODES, **fields}), ParameterError, message)
       for name, fields, message in [
@@ -319,6 +317,32 @@ def test_a_bad_input_raises_a_typed_error(call, error, message):
         call()
 
 
+_POWER_SCENARIO = Scenario("powers", nodes=_NODES)
+_POWER_DIRECTION = Direction.to(_POWER_SCENARIO, ["base"], "remote")[0]
+# Every public entry that takes a tx power, called with it. A nan power once passed the sensitivity
+# floor and read as a clear link; a `Reception` checks the power it was bound with, not each evaluation.
+_TX_POWER_ENTRIES = {
+    "scenario": lambda power: Scenario("a", nodes=_NODES, tx_power_dbm=power),
+    "echo_config": lambda power: EchoTestConfig(ChannelSpec.wpan(12), power),
+    "calibration_target": lambda power: CalibrationTarget(**{**_TARGET, "tx_power_dbm": power}),
+    "interferer": lambda power: Interferer(ChannelSpec.wlan(1), (0.0, 0.0), power, 0.5),
+    "reception_bind": lambda power: Reception.bind(RadioPath(5.0, ()), ChannelSpec.wpan(12), power, []),
+    "direction_reception": lambda power: _POWER_DIRECTION.reception(_POWER_SCENARIO, ChannelSpec.wpan(12), power),
+    "direction_success_prob": lambda power: direction_success_prob(_POWER_SCENARIO, _POWER_DIRECTION,
+                                                                   ChannelSpec.wpan(12), power),
+    "echo_success_probs": lambda power: echo_success_probs(_POWER_SCENARIO, echo_directions(_POWER_SCENARIO),
+                                                           ChannelSpec.wpan(12), power),
+}
+
+
+@pytest.mark.parametrize("power, shown", [(math.nan, "nan"), (-math.inf, "-inf"), ("0", "'0'"), (True, "True")],
+                         ids=["nan", "-inf", "str", "bool"])
+@pytest.mark.parametrize("entry", _TX_POWER_ENTRIES)
+def test_every_tx_power_entry_refuses_a_bad_power(entry, power, shown):
+    with pytest.raises(ParameterError, match=f"^tx_power_dbm must be a finite number, got {re.escape(shown)}$"):
+        _TX_POWER_ENTRIES[entry](power)
+
+
 def _calls(node, names) -> bool:
     return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
 
@@ -355,7 +379,7 @@ def _hand_written_rules(path: Path) -> list[str]:
 
 def test_each_field_rule_is_stated_once_in_errors():
     """A single-rule check goes through `errors.require_finite`, `require_integer` or `require_type`, which
-    word its message once. `Reception.success_prob` keeps its checks inline: the fit calls it on every step."""
+    word its message once."""
     found = [site for path in sorted(Path(bsnsim.__file__).parent.glob("*.py")) if path.name != "errors.py"
              for site in _hand_written_rules(path)]
-    assert [site for site in found if not (site.startswith("rf.py:") and site.endswith(" in success_prob"))] == []
+    assert found == []

@@ -44,13 +44,13 @@ def _radio_path(p1, p2, obstacles, table=DEFAULT_MATERIAL_LOSS_DB):
 def _overlap_fraction(victim, channel):
     """The overlap / victim bandwidth that `Reception.bind` stores for one interferer, or None for no entry."""
     path = RadioPath(1.0, ())
-    entries = Reception.bind(path, victim, [_placed(channel, path)]).overlapping
+    entries = Reception.bind(path, victim, 0.0, [_placed(channel, path)]).overlapping
     return entries[0][3] if entries else None
 
 
 def _bind_then_evaluate(tx_power_dbm, link, victim, pairs):
-    reception = Reception.bind(link, victim, [_placed(it.channel, path) for it, path in pairs])
-    return reception.success_prob(tx_power_dbm, [it for it, _ in pairs])
+    reception = Reception.bind(link, victim, tx_power_dbm, [_placed(it.channel, path) for it, path in pairs])
+    return reception.success_prob([it for it, _ in pairs])
 
 
 class TestChannelGeometry:
@@ -354,14 +354,15 @@ class TestReceptionMatchesReference:
            channels=st.lists(_CHANNELS, min_size=1, max_size=6))
     def test_bind_once_evaluate_many(self, data, victim, link, channels):
         paths = [data.draw(_PATHS) for _ in channels]
-        reception = Reception.bind(link, victim, [_placed(channel, path) for channel, path in zip(channels, paths)])
+        tx_power_dbm = data.draw(st.floats(-40.0, 30.0))
+        reception = Reception.bind(link, victim, tx_power_dbm,
+                                   [_placed(channel, path) for channel, path in zip(channels, paths)])
         for _ in range(3):  # one binding serves every setting, as in the calibration fit
             interferers = data.draw(_settings(channels))
-            tx_power_dbm = data.draw(st.floats(-40.0, 30.0))
             calibration = data.draw(_CALIBRATIONS)
             pairs = list(zip(interferers, paths))
             expected = rf_reference.message_success_prob(tx_power_dbm, link, victim, pairs, calibration)
-            assert reception.success_prob(tx_power_dbm, interferers, calibration) == expected
+            assert reception.success_prob(interferers, calibration) == expected
 
     def test_every_channel_pair_alone(self):
         # One strong interferer at a time keeps the low bits of its power factor in the result.
@@ -372,13 +373,13 @@ class TestReceptionMatchesReference:
         for victim in (ChannelSpec.wpan(i) for i in WPAN_INDEX_RANGE):
             for k, channel in enumerate(channels):
                 path = RadioPath(0.5 + 0.37 * k, (0.5,) * (k % 3))
-                reception = Reception.bind(link, victim, [_placed(channel, path)])
+                reception = Reception.bind(link, victim, -3.0, [_placed(channel, path)])
                 for power in range(-30, 31, 4):
                     for af in (1.0, 0.61):
                         it = Interferer(channel, (0.0, 0.0), power + 0.1 * k, af)
                         for calibration in calibrations:
                             expected = rf_reference.message_success_prob(-3.0, link, victim, [(it, path)], calibration)
-                            assert reception.success_prob(-3.0, [it], calibration) == expected
+                            assert reception.success_prob([it], calibration) == expected
 
     def test_reference_reaches_every_branch(self):
         # a link below the floor, a disabled, an idle, a distant and a live interferer
@@ -389,37 +390,36 @@ class TestReceptionMatchesReference:
                  (live, near)]
         for tx_power_dbm, link in ((0.0, RadioPath(5.0, ())), (-10.0, RadioPath(1.0, (100.0,)))):
             expected = rf_reference.message_success_prob(tx_power_dbm, link, victim, pairs)
-            got = Reception.bind(link, victim, [_placed(it.channel, path) for it, path in pairs]).success_prob(
-                tx_power_dbm, [it for it, _ in pairs])
-            assert got == expected
+            reception = Reception.bind(link, victim, tx_power_dbm, [_placed(it.channel, path) for it, path in pairs])
+            assert reception.success_prob([it for it, _ in pairs]) == expected
         assert 0.0 < rf_reference.message_success_prob(0.0, RadioPath(5.0, ()), victim, pairs) < 1.0
 
     def test_floor_and_radius_edges(self):
         victim, link = ChannelSpec.wpan(20), RadioPath(5.0, ())
         oven = Interferer(ChannelSpec.microwave_oven(), (0.0, 0.0), -20.0, 0.5, influence_radius_m=2.0)
         pairs = [(oven, RadioPath(2.0, ()))]  # exactly at the influence radius: it counts
-        reception = Reception.bind(link, victim, [_placed(oven.channel, RadioPath(2.0, ()))])
+        placed = [_placed(oven.channel, RadioPath(2.0, ()))]
         tx_power_dbm = link.loss_db(victim.center_mhz) + RECEIVER_SENSITIVITY_DBM
         for _ in range(3):
             tx_power_dbm = math.nextafter(tx_power_dbm, -math.inf)
         probs = []
-        for _ in range(6):  # ulp by ulp across the sensitivity floor
+        for _ in range(6):  # ulp by ulp across the sensitivity floor, one binding per power
             expected = rf_reference.message_success_prob(tx_power_dbm, link, victim, pairs)
-            probs.append(reception.success_prob(tx_power_dbm, [oven]))
+            probs.append(Reception.bind(link, victim, tx_power_dbm, placed).success_prob([oven]))
             assert probs[-1] == expected
             tx_power_dbm = math.nextafter(tx_power_dbm, math.inf)
         assert probs[0] == 0.0 and 0.0 < probs[-1] < 1.0
 
     def test_interferer_on_another_channel_rejected(self):
-        bound = Reception.bind(RadioPath(5.0, ()), ChannelSpec.wpan(12),
+        bound = Reception.bind(RadioPath(5.0, ()), ChannelSpec.wpan(12), 0.0,
                                [_placed(ChannelSpec.wlan(1), RadioPath(3.0, ()))])
         equal = Interferer(ChannelSpec.wlan(1), (0.0, 0.0), 15.0, 0.5)  # an equal channel, not the bound object
-        assert bound.success_prob(0.0, [equal]) == rf_reference.message_success_prob(
+        assert bound.success_prob([equal]) == rf_reference.message_success_prob(
             0.0, RadioPath(5.0, ()), ChannelSpec.wpan(12), [(equal, RadioPath(3.0, ()))])
         with pytest.raises(ParameterError, match="interferer on wlan channel 2 was bound on wlan channel 1"):
-            bound.success_prob(0.0, [replace(equal, channel=ChannelSpec.wlan(2))])
+            bound.success_prob([replace(equal, channel=ChannelSpec.wlan(2))])
         with pytest.raises(ParameterError, match="bound with 1 interferer"):
-            bound.success_prob(0.0, [equal, equal])
+            bound.success_prob([equal, equal])
 
 
 _OVEN = {"channel": ChannelSpec.microwave_oven(), "position": (0.0, 0.0), "tx_power_dbm": 0.0, "activity_factor": 0.5}

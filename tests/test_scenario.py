@@ -4,6 +4,8 @@ import copy
 import math
 import pickle
 import re
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -249,6 +251,28 @@ def test_numpy_numbers_are_written_as_plain_numbers():
 _NODES = {"base": (0.0, 0.0), "remote": (1.0, 1.0)}
 _ROUTER = Interferer(ChannelSpec.wlan(6), (3.0, 4.0), 15.0, 0.02)
 _WALL = Obstacle(Material.BRICK, Wall(0.0, 0.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("scenario, message", [
+    (Scenario("ab", _NODES, tx_power_dbm=2**53 + 1),
+     "scenario tx_power_dbm = 9007199254740993 cannot be written: it reads back as 9007199254740992.0"),
+    (Scenario("ab", _NODES, tx_power_dbm=2**60 + 1), "scenario tx_power_dbm = 1152921504606846977 cannot be written"),
+    (Scenario("ab", _NODES, tx_power_dbm=Fraction(1, 3)),
+     "scenario tx_power_dbm = Fraction(1, 3) cannot be written: it reads back as 0.3333333333333333"),
+    (Scenario("ab", {**_NODES, "a": (2**60 + 1, 0.0)}), "[node a] x = 1152921504606846977 cannot be written"),
+    (Scenario("ab", _NODES, interferers={"router": replace(_ROUTER, tx_power_dbm=Fraction(1, 3))}),
+     "[interferer router] tx_power_dbm = Fraction(1, 3) cannot be written"),
+], ids=["int_2_53_plus_1", "int_2_60_plus_1", "fraction_third", "node_x_2_60_plus_1", "interferer_fraction"])
+def test_serialize_refuses_a_number_that_reads_back_changed(scenario, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+        serialize_scenario(scenario)
+
+
+@pytest.mark.parametrize("value", [2**53, -(2**60), 7, Fraction(1, 4)], ids=repr)
+def test_serialize_writes_a_number_that_reads_back_equal(value):
+    scenario = Scenario("ab", {**_NODES, "a": (value, 0.0)}, tx_power_dbm=value)
+    again = parse_scenario(serialize_scenario(scenario))
+    assert again == scenario and again.tx_power_dbm == value and again.nodes["a"] == (value, 0.0)
 
 
 @pytest.mark.parametrize("scenario, message", [
