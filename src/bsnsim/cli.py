@@ -36,8 +36,8 @@ from .energy import (
     battery_life_hours,
     paper_components,
 )
-from .errors import BsnsimError, finite_number, valid_seed
-from .frames import read_frame_log
+from .errors import BsnsimError, finite_number, require_integer, valid_seed
+from .frames import NODE_ID_MAX, read_frame_log
 from .linksim import EchoTestConfig, RunStats, run_echo_test, run_star_network
 from .motion import ActivityKind, compose_schedule, generate_trace
 from .rf import DEFAULT_CALIBRATION, ChannelSpec, WPAN_INDEX_RANGE
@@ -175,6 +175,7 @@ def _cmd_run_scan(args, out: Path) -> int:
 
 
 def _cmd_run_star(args, out: Path) -> int:
+    require_integer("--nodes", args.nodes, 1, NODE_ID_MAX)  # refused before a trace is made
     scenario, calib = _scenario_for(args)
     # synthesize one trace per sensor node around the logger
     traces = {}

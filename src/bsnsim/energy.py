@@ -30,7 +30,7 @@ class ComponentCurrent:
     def __post_init__(self):
         sleep, active = self.sleep_ma, self.active_ma
         if not (finite_number(sleep) and finite_number(active) and 0.0 <= sleep <= active):
-            raise ParameterError(f"{self.name}: need 0 <= sleep_ma <= active_ma < inf, got {sleep}/{active}")
+            raise ParameterError(f"{self.name}: need 0 <= sleep_ma <= active_ma < inf, got {sleep!r}/{active!r}")
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ def require_type(name: str, value, kind: type | tuple[type, ...]) -> None:
 
 def require_positive(name: str, value) -> None:
     if not (finite_number(value) and value > 0):
-        raise ParameterError(f"{name} must be positive and finite, got {value}")
+        raise ParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
 def valid_seed(value) -> bool:

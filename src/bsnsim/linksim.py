@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ParameterError, require_finite, require_integer, require_positive, require_seed, require_type
 # unused here, but bench/spans.py wraps linksim.encode_frame and linksim.read_frame_log
-from .frames import FRAME_LEN, LOG_MAGIC, SensorFrame, _frames, _pack, encode_frame, read_frame_log
+from .frames import FRAME_LEN, LOG_MAGIC, NODE_ID_MAX, SensorFrame, _frames, _pack, encode_frame, read_frame_log
 from .motion import AccelTrace, sample_count
 from .rf import DEFAULT_CALIBRATION, ChannelSpec, InterferenceCalibration, RadioPath, Reception, radio_paths
 from .scenario import Scenario
@@ -97,7 +97,7 @@ class Direction:
         they share the interferers' paths."""
         rx_pos = scenario.node(rx_node)
         sources = [scenario.node(name) for name in tx_nodes] + [it.position for it in scenario.interferers.values()]
-        paths = radio_paths(sources, rx_pos, tuple(scenario.obstacles.values()), scenario.material_table())
+        paths = radio_paths(sources, rx_pos, tuple(scenario.obstacles.values()))
         interferers = {name: (it.channel, path, path.loss_db(it.channel.center_mhz))
                        for (name, it), path in zip(scenario.interferers.items(), paths[len(tx_nodes):])}
         return [cls(link, interferers) for link in paths[:len(tx_nodes)]]
@@ -228,8 +228,7 @@ def run_star_network(
     """
     require_type("scenario", scenario, Scenario)
     require_type("traces", traces, Mapping)
-    if not traces:
-        raise ParameterError("star network needs at least one sensor node trace")
+    require_integer("sensor node count", len(traces), 1, NODE_ID_MAX)  # node ids 1.., each a frame byte
     require_positive("duration_s", duration_s)
     require_seed(seed)
     channel = ChannelSpec.wpan(scenario.channel)

@@ -40,11 +40,12 @@ class ActivityKind(Enum):
     FALL = "fall"
 
 
-@dataclass
+@dataclass(eq=False)
 class AccelTrace:
     """A uniformly sampled trace with per-sample ground-truth labels.
 
     The clock is the rate alone: sample i is at `t[i] = i / rate_hz` s.
+    Two traces are equal when their rates, axes and label sequences are.
     """
 
     rate_hz: float
@@ -65,6 +66,11 @@ class AccelTrace:
             raise ParameterError("trace arrays must share one length")
         if not all(np.isfinite(arr).all() for arr in (self.ax, self.ay, self.az)):
             _require_finite_acceleration(np.array([self.ax, self.ay, self.az]))
+
+    def __eq__(self, other):
+        return (isinstance(other, AccelTrace) and self.rate_hz == other.rate_hz
+                and np.array_equal(self.ax, other.ax) and np.array_equal(self.ay, other.ay)
+                and np.array_equal(self.az, other.az) and list(self.labels) == list(other.labels))
 
     def __len__(self) -> int:
         return len(self.labels)

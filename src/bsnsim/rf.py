@@ -112,8 +112,9 @@ class Material(Enum):
 
 # Per-traversal attenuation. Drywall/plywood/glass/brick/concrete follow the
 # NIST construction-material figures; the appliance and foliage entries are
-# fitted so the qualitative home-test outcomes emerge. All overridable per
-# scenario.
+# fitted so the qualitative home-test outcomes emerge. An obstacle's own
+# `loss_db` overrides its material's entry; a scenario file's `[materials]`
+# block sets it.
 DEFAULT_MATERIAL_LOSS_DB: dict[Material, float] = {
     Material.DRYWALL: 0.5,
     Material.PLYWOOD: 0.5,
@@ -165,7 +166,7 @@ class Obstacle:
 
     material: Material
     shape: Wall | Disc
-    loss_db: float | None = None          # None: use the material table
+    loss_db: float | None = None          # None: use the material default
     near_field_m: float | None = None     # None: use the material default
 
     def __post_init__(self):
@@ -176,8 +177,8 @@ class Obstacle:
         if self.near_field_m is not None:
             require_finite("near_field_m", self.near_field_m, 0.0)
 
-    def effective_loss_db(self, table: Mapping[Material, float]) -> float:
-        return table[self.material] if self.loss_db is None else self.loss_db
+    def effective_loss_db(self) -> float:
+        return DEFAULT_MATERIAL_LOSS_DB[self.material] if self.loss_db is None else self.loss_db
 
     def effective_near_field_m(self) -> float | None:
         return DEFAULT_NEAR_FIELD_M.get(self.material) if self.near_field_m is None else self.near_field_m
@@ -279,12 +280,11 @@ class RadioPath:
         return loss
 
 
-def radio_paths(sources: Sequence[Point], rx: Point, obstacles: Sequence[Obstacle],
-                table: Mapping[Material, float]) -> list[RadioPath]:
-    """The path from each source to rx through the obstacles, with losses from
-    the material table, placed in one `crossed_obstacles` call."""
+def radio_paths(sources: Sequence[Point], rx: Point, obstacles: Sequence[Obstacle]) -> list[RadioPath]:
+    """The path from each source to rx through the obstacles, with each crossed
+    obstacle's effective loss, placed in one `crossed_obstacles` call."""
     crossed = crossed_obstacles(sources, rx, obstacles)
-    return [RadioPath(math.hypot(rx[0] - p[0], rx[1] - p[1]), tuple(ob.effective_loss_db(table) for ob in hit))
+    return [RadioPath(math.hypot(rx[0] - p[0], rx[1] - p[1]), tuple(ob.effective_loss_db() for ob in hit))
             for p, hit in zip(sources, crossed)]
 
 

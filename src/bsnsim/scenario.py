@@ -30,15 +30,17 @@ Grammar (one `key = value` pair per line, `#` starts a comment):
     loss_db = 5.0               # optional per-obstacle override
     near_field_m = 0.5          # optional
 
-    [materials]                 # optional loss-table overrides
-    brick = 4.0
+    [materials]                 # optional: sets loss_db on each obstacle
+    brick = 4.0                 # of that material that gives none
 
 Each section takes only the keys shown for its kind (a wall only x1 y1 x2
 y2, a disc only x y radius); any other key is an error. Every number must be
 finite (`nan` and `inf` are rejected). `radius`, `near_field_m` and
 `influence_radius_m` must be non-negative, and `activity_factor` must lie in
 [0, 1]. Scenarios must define at least the `base` and `remote` nodes. Errors
-raise `ScenarioError` naming the line.
+raise `ScenarioError` naming the line. The `[materials]` losses travel on the
+obstacles, so `serialize_scenario` writes them back as each obstacle's
+`loss_db`.
 """
 
 from __future__ import annotations
@@ -54,9 +56,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Iterable
 
-from .errors import ParameterError, ScenarioError, finite_number, finite_point, require_finite, require_type
+from .errors import ParameterError, ScenarioError, finite_point, require_finite, require_type
 from .rf import (
-    DEFAULT_MATERIAL_LOSS_DB,
     ChannelSpec,
     Disc,
     Interferer,
@@ -90,11 +91,10 @@ class Scenario:
     obstacles: Mapping[str, Obstacle] = field(default_factory=dict)
     channel: int = 12
     tx_power_dbm: float = -10.0
-    material_loss: Mapping[Material, float] = field(default_factory=dict)
 
     def __post_init__(self):
         require_type("name", self.name, str)
-        for name in ("nodes", "interferers", "obstacles", "material_loss"):
+        for name in ("nodes", "interferers", "obstacles"):
             require_type(name, getattr(self, name), Mapping)
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         ChannelSpec.wpan(self.channel)
@@ -106,17 +106,9 @@ class Scenario:
             for name, entry in entries.items():
                 if not isinstance(entry, kind):  # repr(name) only for the error: a scenario holds dozens
                     require_type(repr(name), entry, kind)
-        for material, loss in self.material_loss.items():
-            if not (isinstance(material, Material) and finite_number(loss)):
-                raise ParameterError(f"material_loss must map Materials to finite numbers, got {material!r}: {loss!r}")
 
     def __reduce__(self):  # pickled and deep-copied by its fields as dicts: a read-only mapping does not pickle
         return type(self), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in vars(self).values())
-
-    def material_table(self) -> dict[Material, float]:
-        table = dict(DEFAULT_MATERIAL_LOSS_DB)
-        table.update(self.material_loss)
-        return table
 
     def node(self, name: str) -> Point:
         if name not in self.nodes:
@@ -311,14 +303,14 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     if "channel" in values:
         _channel(ChannelSpec.wpan, top, values["channel"])
     entries = {"node": {}, "interferer": {}, "obstacle": {}}
-    material_loss = {}
+    materials = {}  # the [materials] block: Material -> loss_db
     for kind, name, line, fields in sections:
         if kind == "materials":
             for key, (value, lineno) in fields.items():
                 material = _material(key, "material", lineno)
-                if material in material_loss:
+                if material in materials:
                     raise ScenarioError(f"duplicate material {key!r} = {value!r}", lineno)
-                material_loss[material] = _number(value, key, lineno)
+                materials[material] = _number(value, key, lineno)
             continue
         if name in entries[kind]:
             raise ScenarioError(f"duplicate {kind} {name!r}", line)
@@ -327,8 +319,11 @@ def parse_scenario(text: str, source: str = "<string>") -> Scenario:
     for required in ("base", "remote"):
         if required not in entries["node"]:
             raise ScenarioError(f"scenario {values['name']!r} is missing node {required!r}")
-    return Scenario(**values, nodes=entries["node"], interferers=entries["interferer"], obstacles=entries["obstacle"],
-                    material_loss=material_loss)
+    obstacles = entries["obstacle"]
+    for name, ob in obstacles.items():  # a listed material's loss, on each of its obstacles that gives none
+        if ob.loss_db is None and ob.material in materials:
+            obstacles[name] = replace(ob, loss_db=materials[ob.material])
+    return Scenario(**values, nodes=entries["node"], interferers=entries["interferer"], obstacles=obstacles)
 
 
 def _format(value: Any, header: str, key: str) -> str:
@@ -377,9 +372,6 @@ def serialize_scenario(scenario: Scenario) -> str:
     for name, ob in scenario.obstacles.items():
         shape = "wall" if isinstance(ob.shape, Wall) else "disc"
         out += _block(f"[obstacle {name}]", _OBSTACLE[shape], {**vars(ob), "shape": shape, **vars(ob.shape)})
-    if scenario.material_loss:
-        losses = {material.value: loss for material, loss in scenario.material_loss.items()}
-        out += _block("[materials]", losses, losses)
     return "\n".join(out)
 
 

@@ -225,7 +225,7 @@ class TimelineInterval:
     def __post_init__(self):
         if not (finite_number(self.t_start) and finite_number(self.t_end) and self.t_end >= self.t_start):
             raise ParameterError(f"interval needs finite bounds with t_end >= t_start, "
-                                 f"got [{self.t_start}, {self.t_end}]")
+                                 f"got [{self.t_start!r}, {self.t_end!r}]")
         require_type("mode", self.mode, SensorMode)
 
 

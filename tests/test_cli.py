@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bsnsim
-from bsnsim import cli
+from bsnsim import cli, linksim
 from bsnsim.cli import export_table, main
 from bsnsim.frames import LOG_MAGIC, SensorFrame, encode_frame
 from bsnsim.linksim import RunStats
@@ -103,6 +103,16 @@ def test_run_classify(tmp_path):
                  "--seed", "2", "--out", str(tmp_path)]) == 0
     events = (tmp_path / "events.csv").read_text().strip().splitlines()
     assert len(events) == 2  # header plus the single fall event
+
+
+@pytest.mark.parametrize("nodes", ["0", "256"])
+def test_star_node_count_is_refused_before_a_trace_is_made(tmp_path, capsys, monkeypatch, nodes):
+    made, replayed = [], []
+    monkeypatch.setattr(cli, "compose_schedule", lambda *args, **kwargs: made.append(args))
+    monkeypatch.setattr(linksim, "replay_trace", lambda *args: replayed.append(args))
+    assert main(["run", "star", "--nodes", nodes, "--duration", "1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: --nodes must be an integer in [1, 255], got {nodes}\n"
+    assert made == replayed == []
 
 
 def test_star_then_replay_log(tmp_path, capsys):

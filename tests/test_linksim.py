@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 import frames_reference
 import rf_reference
+from bsnsim import linksim
 from bsnsim.errors import BsnsimError, ParameterError, ScenarioError
-from bsnsim.frames import FRAME_LEN, LOG_MAGIC, SensorFrame, read_frame_log
+from bsnsim.frames import FRAME_LEN, LOG_MAGIC, NODE_ID_MAX, SensorFrame, read_frame_log
 from bsnsim.linksim import (
     Direction,
     EchoTestConfig,
@@ -121,6 +122,18 @@ def test_star_missing_node_rejected(missing):
         run_star_network(dataclasses.replace(scenario, nodes=nodes), traces, 1.0, 1)
 
 
+@pytest.mark.parametrize("count", [0, NODE_ID_MAX + 1])
+def test_star_node_count_is_refused_before_any_node_is_replayed(monkeypatch, count):
+    # node ids count from 1 and fill one frame byte; a count beyond it was refused only after every replay
+    replayed = []
+    monkeypatch.setattr(linksim, "replay_trace", lambda *args: replayed.append(args))
+    trace = generate_trace(ActivityKind.REST, 1.0)
+    traces = {f"sensor_{i + 1}": trace for i in range(count)}
+    with pytest.raises(ParameterError, match=f"^sensor node count must be an integer in \\[1, 255\\], got {count}$"):
+        run_star_network(parse_scenario(CLEAN), traces, 1.0, 1)
+    assert replayed == []
+
+
 def test_direction_depends_only_on_placement():
     scenario = load_scenario("apartment_microwave")
     outbound = Direction.to(scenario, ["base"], "remote")[0]
@@ -145,7 +158,7 @@ def test_direction_records_each_interferer_as_placed():
     for name, it in scenario.interferers.items():
         channel, path, loss_db = outbound.interferers[name]
         assert channel == it.channel
-        losses = tuple(ob.effective_loss_db(scenario.material_table())
+        losses = tuple(ob.effective_loss_db()
                        for ob in rf_reference.crossed_obstacles(it.position, rx, obstacles))
         assert path == RadioPath(math.hypot(rx[0] - it.position[0], rx[1] - it.position[1]), losses)
         assert loss_db == path.loss_db(it.channel.center_mhz)

@@ -74,6 +74,28 @@ def test_determinism_bit_identical():
     assert not np.array_equal(a.az, c.az)
 
 
+def _trace(az, labels=None, rate_hz=60.0):
+    az = np.asarray(az, dtype=float)
+    return AccelTrace(rate_hz, np.zeros(len(az)), np.zeros(len(az)), az, labels or [ActivityKind.REST] * len(az))
+
+
+def test_traces_compare_by_rate_axes_and_labels():
+    a, b = generate_trace(ActivityKind.REST, 1.0, seed=1), generate_trace(ActivityKind.REST, 1.0, seed=1)
+    assert a == b and not a != b
+    # the labels compare as sequences
+    assert a == AccelTrace(a.rate_hz, a.ax.copy(), a.ay.copy(), a.az.copy(), tuple(a.labels))
+    assert a != generate_trace(ActivityKind.REST, 1.0, seed=2)
+    one = _trace([1.0, 1.0])
+    assert one == _trace([1.0, 1.0])
+    assert one != _trace([1.0, 1.5])  # one sample differs
+    assert one != _trace([1.0, 1.0, 1.0]) and one != _trace([1.0])  # another length
+    assert one != _trace([1.0, 1.0], rate_hz=50.0)
+    assert one != _trace([1.0, 1.0], [ActivityKind.REST, ActivityKind.FALL])
+    assert one != (60.0, one.ax, one.ay, one.az, one.labels)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
 def test_sample_spacing():
     trace = generate_trace(ActivityKind.REST, 3.0, 50.0, seed=0)
     assert np.allclose(np.diff(trace.t), 1.0 / 50.0)

@@ -1,5 +1,6 @@
 """The package namespace holds what the README's Library section promises, its example runs,
-every submodule name the README gives exists, and its flag table is the CLI parser's."""
+every submodule name the README gives exists, its flag table is the CLI parser's, and the
+version has one home, `bsnsim.__version__`."""
 
 import argparse
 import functools
@@ -14,6 +15,7 @@ from bsnsim import errors
 from bsnsim.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def _library() -> str:
@@ -68,3 +70,14 @@ def test_readme_flag_table_is_each_run_experiments_options():
                                  for option in action.option_strings)
               for experiment, parser in _subcommands(_subcommands(build_parser())["run"]).items()}
     assert rows == parsed
+
+
+def test_the_version_lives_only_in_the_package():
+    # a regex, not tomllib (Python 3.11+): the [project] table names no literal version, and reads it from bsnsim
+    text = PYPROJECT.read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[)", text, re.S | re.M).group(1)
+    assert not re.search(r"^version\s*=", project, re.M)
+    assert re.search(r'^dynamic\s*=\s*\[[^]]*"version"', project, re.M)
+    assert re.search(r'^\[tool\.setuptools\.dynamic\]\nversion\s*=\s*\{\s*attr\s*=\s*"bsnsim\.__version__"\s*\}$',
+                     text, re.M)
+    assert re.fullmatch(r"\d+\.\d+\.\d+", bsnsim.__version__)

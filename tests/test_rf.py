@@ -36,8 +36,8 @@ def _placed(channel, path):
     return channel, path, path.loss_db(channel.center_mhz)
 
 
-def _radio_path(p1, p2, obstacles, table=DEFAULT_MATERIAL_LOSS_DB):
-    [path] = radio_paths([p1], p2, obstacles, table)
+def _radio_path(p1, p2, obstacles):
+    [path] = radio_paths([p1], p2, obstacles)
     return path
 
 
@@ -143,10 +143,14 @@ class TestPathLoss:
         glass = Obstacle(Material.GLASS, Wall(4, -1, 4, 1), loss_db=7.0)
         far = Obstacle(Material.CONCRETE, Wall(20, -1, 20, 1))
         assert _radio_path((0, 0), (3, 4), []) == RadioPath(5.0, ())
-        paths = radio_paths([(0, 0), (10, 3), (3, 0)], (10, 0), [glass, far, brick],
-                            {**DEFAULT_MATERIAL_LOSS_DB, Material.BRICK: 4.0})
-        assert paths == [RadioPath(10.0, (7.0, 4.0)), RadioPath(3.0, ()), RadioPath(7.0, (7.0,))]
-        assert radio_paths([], (10, 0), [glass, far, brick], DEFAULT_MATERIAL_LOSS_DB) == []
+        paths = radio_paths([(0, 0), (10, 3), (3, 0)], (10, 0), [glass, far, brick])
+        assert paths == [RadioPath(10.0, (7.0, 5.0)), RadioPath(3.0, ()), RadioPath(7.0, (7.0,))]
+        assert radio_paths([], (10, 0), [glass, far, brick]) == []
+
+    def test_an_obstacle_costs_its_own_loss_else_its_material_default(self):
+        for material, default in DEFAULT_MATERIAL_LOSS_DB.items():
+            assert Obstacle(material, Wall(0, 0, 1, 0)).effective_loss_db() is default
+            assert Obstacle(material, Wall(0, 0, 1, 0), loss_db=0.0).effective_loss_db() == 0.0
 
     def test_aluminum_kills_link(self):
         wall = Obstacle(Material.ALUMINUM_SIDING, Wall(-5, -5, -5, 5))

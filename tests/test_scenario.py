@@ -6,6 +6,7 @@ import pickle
 import re
 from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from bsnsim.scenario import (
     parse_scenario,
     serialize_scenario,
 )
+from bsnsim.selector import scan
 
 MINIMAL = """
 name = tiny
@@ -118,6 +120,10 @@ MATERIALS = "drywall, plywood, glass, brick, concrete, aluminum_siding, metal_ap
          "loss_db, near_field_m)"),
         (MINIMAL + "\n[materials]\nbrick = 4.0\nBrick = 9.5\n", "Brick = 9.5",
          "line 16: duplicate material 'Brick' = '9.5'"),
+        (MINIMAL + "\n[materials]\nstone = 4.0\n", "stone = 4.0",
+         f"line 15: field 'material' must be one of {MATERIALS}, got 'stone'"),
+        (MINIMAL + "\n[materials]\nbrick = 4.0\n\n[materials]\nbrick = 9.5\n", "brick = 9.5",
+         "line 18: duplicate material 'brick' = '9.5'"),
         (MINIMAL + "\n[node extra\nx = 1\ny = 1\n", "[node extra",
          "line 14: unterminated section header '[node extra'"),
         (MINIMAL + "\n[room kitchen]\nx = 1\n", "[room kitchen]", "line 14: bad section header '[room kitchen]'"),
@@ -140,6 +146,7 @@ MATERIALS = "drywall, plywood, glass, brick, concrete, aluminum_siding, metal_ap
         "negative_near_field", "negative_radius", "negative_influence_radius",
         "activity_factor_out_of_range", "nan_material_loss", "unknown_top_level_key",
         "unknown_interferer_key", "unknown_disc_key", "disc_key_on_wall", "material_repeated_in_other_case",
+        "unknown_listed_material", "material_listed_in_two_blocks",
         "unterminated_section_header", "unknown_section_kind", "section_header_with_three_words", "duplicate_key",
         "duplicate_section", "missing_field", "missing_channel", "wlan_channel_out_of_range",
         "scenario_channel_out_of_range", "not_key_value", "empty_key",
@@ -176,12 +183,40 @@ def test_bad_key_value_line():
     assert "line" in str(err.value)
 
 
-def test_materials_override():
-    text = MINIMAL + "\n[materials]\nbrick = 8.5\n"
-    s = parse_scenario(text)
-    assert s.material_loss[Material.BRICK] == 8.5
-    assert s.material_table()[Material.BRICK] == 8.5
-    assert s.material_table()[Material.GLASS] == 3.0
+def _preset_text(name):
+    return resources.files("bsnsim").joinpath(f"presets/{name}.scn").read_text()
+
+
+# brick and glass have obstacles in attenuation_brick_glass, concrete has none, and plywood is not listed
+LISTED = "\n[materials]\nbrick = 9.0\nglass = 0.25\nconcrete = 1.5\n"
+
+
+def test_materials_block_reads_as_each_obstacles_own_loss():
+    text = _preset_text("attenuation_brick_glass")
+    listed = parse_scenario(text + LISTED)
+    explicit = parse_scenario(text.replace("material = brick\n", "material = brick\nloss_db = 9.0\n")
+                              .replace("material = glass\n", "material = glass\nloss_db = 0.25\n"))
+    assert listed == explicit
+    assert [ob.effective_loss_db() for ob in listed.obstacles.values()] == [9.0, 0.25, 0.5]
+    assert listed.obstacles["interior_wall"].loss_db is None
+    assert scan(listed) == scan(explicit) != scan(load_scenario("attenuation_brick_glass"))
+    written = serialize_scenario(listed)
+    assert "[materials]" not in written and parse_scenario(written) == listed
+    assert serialize_scenario(parse_scenario(written)) == written
+
+
+def test_an_obstacles_own_loss_wins_over_its_listed_material():
+    # the block may come before the obstacles it sets
+    text = MINIMAL + "\n[materials]\nbrick = 9.0\n" + WALL.format(material="brick") + "loss_db = 2.0\n"
+    assert parse_scenario(text).obstacles["thing"] == Obstacle(Material.BRICK, Wall(0.0, 0.0, 1.0, 1.0), 2.0)
+    unset = parse_scenario(MINIMAL + "\n[materials]\nbrick = 9.0\n" + WALL.format(material="brick"))
+    assert unset.obstacles["thing"] == Obstacle(Material.BRICK, Wall(0.0, 0.0, 1.0, 1.0), 9.0)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_listed_material_without_an_obstacle_changes_nothing(name):
+    listed = parse_scenario(_preset_text(name) + "\n[materials]\nconcrete = 1.5\n", source=f"{name}.scn")
+    assert listed == load_scenario(name)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -223,7 +258,6 @@ _scenarios = st.builds(
     obstacles=st.dictionaries(_names, _obstacles, max_size=4),
     channel=st.integers(11, 26) | st.integers(11, 26).map(np.int64),
     tx_power_dbm=_finite,
-    material_loss=st.dictionaries(st.sampled_from(Material), _finite, max_size=3),
 )
 
 
@@ -242,7 +276,7 @@ def test_numpy_numbers_are_written_as_plain_numbers():
                                           np.float32(15.0), np.float64(0.02), influence_radius_m=np.uint8(2))},
         obstacles={"wall": Obstacle(Material.BRICK, Wall(np.int64(-6), np.float64(-4.0), -6.0, 4.0),
                                     np.float64(5.0), np.float32(0.5))},
-        channel=np.int64(15), tx_power_dbm=np.float32(-3.5), material_loss={Material.GLASS: np.float64(2.5)})
+        channel=np.int64(15), tx_power_dbm=np.float32(-3.5))
     text = serialize_scenario(scenario)
     assert "np." not in text and "channel = 15\n" in text
     assert parse_scenario(text) == scenario
