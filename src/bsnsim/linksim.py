@@ -238,11 +238,8 @@ def run_star_network(
     for idx, name in enumerate(sorted(traces)):
         trace = traces[name]
         require_type(f"trace of node {name!r}", trace, AccelTrace)
-        n_keep = min(len(trace), sample_count(duration_s, trace.rate_hz))
-        clipped = AccelTrace(rate_hz=trace.rate_hz, ax=trace.ax[:n_keep], ay=trace.ay[:n_keep],
-                             az=trace.az[:n_keep], labels=trace.labels[:n_keep])
         state = initial_state(node_id=idx + 1, sample_rate_hz=trace.rate_hz)
-        emissions[name] = replay_trace(state, clipped)
+        emissions[name] = replay_trace(state, trace._head(sample_count(duration_s, trace.rate_hz)))
 
     offered = sum(len(r.t) for r in emissions.values()) * FRAME_AIRTIME_S / duration_s
     drop_prob = 0.0 if offered <= MAC_CAPACITY else 1.0 - MAC_CAPACITY / offered

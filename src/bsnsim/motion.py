@@ -12,6 +12,15 @@ generator enforces a hard envelope by construction:
   samples both below 0.9 g (freefall/descent) and above 1.3 g (impact).
 
 Traces are deterministic for a fixed (kind, duration, rate, seed) tuple.
+
+Where samples are evaluated: a sway segment (rest, sit-stand, left-right
+rotation, slow walk) makes every random draw when it is generated, but
+evaluates its sinusoids only at the samples that are read (`_Sway.at`).
+The run, jump and fall are evaluated in full when generated. A generated or
+composed trace holds its segments as parts: `AccelTrace._samples(idx)`
+evaluates only the samples at `idx`, which is how a sleeping sensor node
+reads its wake ticks, and `ax`, `ay` and `az` materialise together, checked
+finite, on their first read.
 """
 
 from __future__ import annotations
@@ -40,12 +49,22 @@ class ActivityKind(Enum):
     FALL = "fall"
 
 
+_AXES = ("ax", "ay", "az")
+
+
 @dataclass(eq=False)
 class AccelTrace:
     """A uniformly sampled trace with per-sample ground-truth labels.
 
     The clock is the rate alone: sample i is at `t[i] = i / rate_hz` s.
     Two traces are equal when their rates, axes and label sequences are.
+
+    A trace from `generate_trace` or `compose_schedule` holds its segments'
+    parts, not its samples (see `_of_parts`): `_samples(idx)` evaluates the
+    samples at `idx` only, and the first read of `ax`, `ay` or `az`
+    materialises all three, with the constructor's finiteness check. An axis
+    once read or assigned is the trace's own array, which every later read,
+    `_samples` included, sees.
     """
 
     rate_hz: float
@@ -56,7 +75,7 @@ class AccelTrace:
 
     def __post_init__(self):
         require_finite("rate_hz", self.rate_hz, RATE_HZ_MIN, RATE_HZ_MAX)
-        for name in ("ax", "ay", "az"):
+        for name in _AXES:
             arr = getattr(self, name)
             if not (isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype.kind == "f"):
                 got = f"a {arr.ndim}-D {arr.dtype} array" if isinstance(arr, np.ndarray) else type(arr).__name__
@@ -66,6 +85,49 @@ class AccelTrace:
             raise ParameterError("trace arrays must share one length")
         if not all(np.isfinite(arr).all() for arr in (self.ax, self.ay, self.az)):
             _require_finite_acceleration(np.array([self.ax, self.ay, self.az]))
+
+    @classmethod
+    def _of_parts(cls, rate_hz: float, labels: list[ActivityKind], parts) -> AccelTrace:
+        """A trace of `len(labels)` samples held as `parts`, unchecked: `(start, part)`
+        pairs in sample order, each part a `_Sway` or a (3, m) array of its samples."""
+        trace = object.__new__(cls)
+        trace.rate_hz, trace.labels, trace._parts = rate_hz, labels, parts
+        return trace
+
+    def __getattr__(self, name):
+        # reached only for what the instance lacks: an axis not yet materialised
+        if name not in _AXES or self.__dict__.get("_parts") is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._materialise()
+        return self.__dict__[name]
+
+    def _materialise(self) -> None:
+        """Evaluate every part and keep the samples as the axes, checked finite; an assigned axis stays."""
+        acc = _evaluate(self._parts, np.arange(len(self)))
+        _require_finite_acceleration(acc)
+        for axis, row in zip(_AXES, acc):
+            self.__dict__.setdefault(axis, row)
+        self._parts = None
+
+    def _samples(self, idx) -> np.ndarray:
+        """The (3, len(idx)) float64 samples at the ascending indices `idx`.
+
+        While the trace holds its parts and no axis has been read or
+        assigned, only the samples at `idx` are evaluated."""
+        if self.__dict__.get("_parts") is None or any(axis in self.__dict__ for axis in _AXES):
+            return np.array([self.ax[idx], self.ay[idx], self.az[idx]], dtype=float)
+        return _evaluate(self._parts, np.asarray(idx, dtype=np.intp))
+
+    def _head(self, n: int) -> AccelTrace:
+        """The first `n` samples, unchecked: this trace when it has no more,
+        else a trace that shares its parts and views its axes read or assigned."""
+        if n >= len(self):
+            return self
+        head = AccelTrace._of_parts(self.rate_hz, self.labels[:n], self.__dict__.get("_parts"))
+        for axis in _AXES:
+            if axis in self.__dict__:
+                setattr(head, axis, self.__dict__[axis][:n])
+        return head
 
     def __eq__(self, other):
         return (isinstance(other, AccelTrace) and self.rate_hz == other.rate_hz
@@ -99,21 +161,30 @@ def sample_count(duration_s: float, rate_hz: float) -> int:
     return int(round(count))
 
 
-def _oscillation(rng: np.random.Generator, n: int, rate_hz: float, f_lo: float, f_hi: float) -> np.ndarray:
-    """Sum of six random sinusoids in [f_lo, f_hi] Hz, normalized so |signal| <= 1."""
-    t = np.arange(n) / rate_hz
-    freqs = rng.uniform(f_lo, f_hi, 6)
-    phases = rng.uniform(0.0, 2.0 * np.pi, 6)
-    weights = rng.uniform(0.4, 1.0, 6)
-    sig = np.zeros(n)
-    for wave in weights[:, None] * np.sin((2.0 * np.pi * freqs)[:, None] * t + phases[:, None]):
-        sig += wave
-    return sig / weights.sum()
+# Samples `_evaluate` passes to one `_Sway.at` call. A call holds its (18, m)
+# float64 sines and numpy's broadcast buffers for them at once: about 110 KB
+# at m = 256, about 300 KB at m = 1,200, where the sines alone pass glibc's
+# 128 KiB mmap threshold and raise it for the rest of the process.
+_BLOCK = 256
+
+
+def _evaluate(parts, idx: np.ndarray) -> np.ndarray:
+    """The (3, len(idx)) samples of `parts` (see `AccelTrace._of_parts`) at the
+    ascending indices `idx`: each part at its own indices, at most `_BLOCK` at a time."""
+    out = np.empty((3, len(idx)))
+    cuts = np.searchsorted(idx, [start for start, _ in parts]).tolist() + [len(idx)]
+    for (start, part), lo, hi in zip(parts, cuts, cuts[1:]):
+        for a in range(lo, hi, _BLOCK):
+            b = min(a + _BLOCK, hi)
+            local = idx[a:b] - start
+            out[:, a:b] = part[:, local] if isinstance(part, np.ndarray) else part.at(local)
+    return out
 
 
 def _noise(rng: np.random.Generator, n: int, sigma: float, bound: float) -> np.ndarray:
     """Zero-mean Gaussian noise hard-clipped to +/- bound."""
-    return np.clip(rng.normal(0.0, sigma, n), -bound, bound)
+    draw = rng.normal(0.0, sigma, n)
+    return np.minimum(np.maximum(draw, -bound, out=draw), bound, out=draw)
 
 
 def _impact_train(rng: np.random.Generator, n: int, rate_hz: float, f_lo: float, f_hi: float,
@@ -155,10 +226,48 @@ _SWAY = {
 }
 
 
-def _sway(rng: np.random.Generator, n: int, rate_hz: float, band, axes) -> list[np.ndarray]:
-    """Per axis in draw order: offset + amplitude * oscillation in band + clipped noise."""
-    return [off + amp * _oscillation(rng, n, rate_hz, *band) + _noise(rng, n, sigma, bound)
-            for off, amp, sigma, bound in axes]
+class _Sway:
+    """One segment's sway, `offset + amplitude * oscillation + noise` per axis.
+
+    Every random draw is made at construction, per axis in draw order: the
+    oscillation's frequencies, phases and weights, then the noise. The
+    oscillation is six random sinusoids in the band, weighted and normalised
+    so |signal| <= 1. `at(idx)` evaluates the samples at indices `idx` only,
+    one row per axis in draw order, with one `np.sin` for all three axes.
+    """
+
+    def __init__(self, rng: np.random.Generator, n: int, rate_hz: float, band, axes):
+        self.rate_hz = rate_hz
+        self.noise = np.empty((3, n))
+        freqs, phases, weights = [], [], []
+        for k, (_, _, sigma, bound) in enumerate(axes):
+            freqs.append(rng.uniform(*band, 6))
+            phases.append(rng.uniform(0.0, 2.0 * np.pi, 6))
+            weights.append(rng.uniform(0.4, 1.0, 6))
+            self.noise[k] = _noise(rng, n, sigma, bound)
+        self.omega = (2.0 * np.pi * np.concatenate(freqs))[:, None]
+        self.phase = np.concatenate(phases)[:, None]
+        self.weight = np.concatenate(weights)[:, None]
+        self.weight_sum = np.array([[w.sum()] for w in weights])
+        self.amplitude = np.array([[amp] for _, amp, _, _ in axes])
+        # one column of constant offsets, or one per sample: the run's z offset is its footfall train
+        self.offset = np.array(np.broadcast_arrays(*(off for off, *_ in axes))).reshape(3, -1)
+
+    def at(self, idx: np.ndarray) -> np.ndarray:
+        # in place, one (18, len(idx)) temporary: each op is the formula's, in its order
+        t = idx / self.rate_hz
+        waves = self.omega * t
+        waves += self.phase
+        np.sin(waves, out=waves)
+        waves *= self.weight
+        sig = np.zeros((3, len(t)))
+        for wave in waves.reshape(3, 6, -1).swapaxes(0, 1):
+            sig += wave
+        sig /= self.weight_sum
+        sig *= self.amplitude
+        sig += self.offset if self.offset.shape[1] == 1 else self.offset[:, idx]
+        sig += self.noise[:, idx]
+        return sig
 
 
 def _write_event(rng: np.random.Generator, n: int, start: int, samples) -> int:
@@ -177,19 +286,20 @@ def _write_event(rng: np.random.Generator, n: int, start: int, samples) -> int:
     return min(n, start + len(samples))
 
 
-def _gen_run(rng: np.random.Generator, n: int, rate_hz: float):
+def _gen_run(rng: np.random.Generator, n: int, rate_hz: float) -> np.ndarray:
     train = _impact_train(rng, n, rate_hz, 2.4, 3.0, width_s=0.05)
     band, ((z_off, *z_rest), *xy) = _SWAY[ActivityKind.RUN]  # the footfall train rides on z's offset
-    az, ax, ay = _sway(rng, n, rate_hz, band, [(z_off + 0.97 * train, *z_rest), *xy])
-    return ax, ay, az
+    sway = _Sway(rng, n, rate_hz, band, [(z_off + 0.97 * train, *z_rest), *xy])
+    return _evaluate([(0, sway)], np.arange(n))[[1, 2, 0]]
 
 
-def _gen_jump(rng: np.random.Generator, n: int, rate_hz: float):
-    ax, ay, az = _sway(rng, n, rate_hz, *_SWAY[ActivityKind.JUMP])
+def _gen_jump(rng: np.random.Generator, n: int, rate_hz: float) -> np.ndarray:
+    acc = _evaluate([(0, _Sway(rng, n, rate_hz, *_SWAY[ActivityKind.JUMP]))], np.arange(n))
+    ax, ay, az = acc
     if n < 5:
         if n >= 2:  # degenerate segment: flight sample followed by impact
             az[n - 2:] = 0.12, 3.0
-        return ax, ay, az
+        return acc
 
     k_crouch, k_flight, k_settle = (max(1, int(round(s * rate_hz))) for s in (0.15, 0.20, 0.12))
     if n < k_crouch + 1 + k_flight + 1 + k_settle:
@@ -204,13 +314,12 @@ def _gen_jump(rng: np.random.Generator, n: int, rate_hz: float):
     start = min(int(round(0.1 * n)), n - len(event))
     for i in range(start, n - 1, max(period, len(event))):
         _write_event(rng, n, i, event)
-    return ax, ay, az
+    return acc
 
 
-def _gen_fall(rng: np.random.Generator, n: int, rate_hz: float):
-    ax = _noise(rng, n, 0.004, 0.012)
-    ay = _noise(rng, n, 0.004, 0.012)
-    az = 1.0 + _noise(rng, n, 0.004, 0.012)
+def _gen_fall(rng: np.random.Generator, n: int, rate_hz: float) -> np.ndarray:
+    ax, ay, az = acc = np.array([_noise(rng, n, 0.004, 0.012), _noise(rng, n, 0.004, 0.012),
+                                 1.0 + _noise(rng, n, 0.004, 0.012)])
 
     lead = int(min(0.3 * n, 1.0 * rate_hz))
     # timing jitter staggers multi-node simulations that all start at t = 0
@@ -232,7 +341,7 @@ def _gen_fall(rng: np.random.Generator, n: int, rate_hz: float):
         az[j:] = 0.06 + _noise(rng, m, 0.004, 0.012)
         ax[j:] = 0.97 + _noise(rng, m, 0.004, 0.012)
         ay[j:] = _noise(rng, m, 0.004, 0.012)
-    return ax, ay, az
+    return acc
 
 
 _GENERATORS = {
@@ -250,9 +359,12 @@ def generate_trace(
 ) -> AccelTrace:
     """Generate one labeled activity trace.
 
-    Deterministic for a fixed argument tuple. Raises ParameterError for a
-    kind that is not an ActivityKind, a duration that is not positive and
-    finite, a rate outside [10, 100] Hz or a seed that is not an integer >= 0.
+    Deterministic for a fixed argument tuple. Every draw is made here; a
+    sway kind's samples are evaluated where they are read, and the trace
+    materialises its axes on their first read (see `AccelTrace`). Raises
+    ParameterError for a kind that is not an ActivityKind, a duration that
+    is not positive and finite, a rate outside [10, 100] Hz or a seed that
+    is not an integer >= 0.
     """
     require_type("kind", kind, ActivityKind)
     require_positive("duration_s", duration_s)
@@ -261,10 +373,10 @@ def generate_trace(
     n = max(1, sample_count(duration_s, rate_hz))
     rng = np.random.default_rng(seed)
     if kind in _GENERATORS:
-        ax, ay, az = _GENERATORS[kind](rng, n, rate_hz)
+        part = _GENERATORS[kind](rng, n, rate_hz)
     else:
-        ax, ay, az = _sway(rng, n, rate_hz, *_SWAY[kind])
-    return AccelTrace(rate_hz=rate_hz, ax=ax, ay=ay, az=az, labels=[kind] * n)
+        part = _Sway(rng, n, rate_hz, *_SWAY[kind])
+    return AccelTrace._of_parts(rate_hz, [kind] * n, [(0, part)])
 
 
 def compose_schedule(
@@ -272,15 +384,17 @@ def compose_schedule(
     rate_hz: float = DEFAULT_RATE_HZ,
     seed: int = 0,
 ) -> AccelTrace:
-    """Concatenate per-segment traces with continuous timestamps and labels.
+    """Join per-segment traces with continuous timestamps and labels.
 
     Segment i uses seed + i, so a single-segment schedule reproduces
-    generate_trace exactly.
+    generate_trace exactly. The segments are joined as parts, unjoined and
+    unchecked until the trace is read (see `AccelTrace`).
     """
     require_type("segments", segments, Sequence)
     if not segments:
         raise ParameterError("schedule needs at least one segment")
     require_seed(seed)  # here, not in `generate_trace`: `seed + i` raises a TypeError first
+    labels: list[ActivityKind] = []
     parts = []
     for i, segment in enumerate(segments):
         try:
@@ -288,11 +402,7 @@ def compose_schedule(
         except (TypeError, ValueError):
             raise ParameterError(f"segment {i} must be a (kind, duration_s) pair, got {segment!r}") from None
         require_positive(f"segment {i} duration", duration_s)
-        parts.append(generate_trace(kind, duration_s, rate_hz, seed + i))
-    ax = np.concatenate([p.ax for p in parts])
-    ay = np.concatenate([p.ay for p in parts])
-    az = np.concatenate([p.az for p in parts])
-    labels: list[ActivityKind] = []
-    for p in parts:
-        labels.extend(p.labels)
-    return AccelTrace(rate_hz=rate_hz, ax=ax, ay=ay, az=az, labels=labels)
+        generated = generate_trace(kind, duration_s, rate_hz, seed + i)
+        parts += [(len(labels) + start, part) for start, part in generated._parts]
+        labels += generated.labels
+    return AccelTrace._of_parts(rate_hz, labels, parts)

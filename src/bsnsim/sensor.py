@@ -29,6 +29,11 @@ sample into the stretch's next chunk. A stretch is taken in chunks that
 double in size, so the work past a mode switch stays within the stretch's
 own length.
 
+Where samples are evaluated: a sleeping node reads only its wake ticks,
+through `AccelTrace._samples`, so a generated trace evaluates its sway
+segments at those samples alone (see `motion`). The first active read
+materialises the trace and indexes one (3, n) float64 matrix from then on.
+
 `_read` is the one ADC model, elementwise: code, value read back and next
 range index. The ladder needs history only above 1 g (`_SETTLED_G`);
 `_ladder` reads those samples on all four ranges and walks them in order,
@@ -284,8 +289,8 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
     times[0] = state.time_s
     times = np.cumsum(times, out=times)[1:]
     wake = times + _TIME_EPS
-    # float64 in native byte order, one row per axis
-    acc = np.array([trace.ax, trace.ay, trace.az], dtype=float)
+    # the samples, float64 in native byte order, one row per axis: built at the first active read
+    acc = None
     # the wake ticks and the due samples are walked on Python floats
     wake_at, t_at = memoryview(wake), memoryview(times)
 
@@ -319,6 +324,8 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
                     chain.append(next_i)
                     next_i = due[next_i - i]
                 idx, i = np.array(chain), next_i
+            if acc is None:
+                acc = np.array([trace.ax, trace.ay, trace.az], dtype=float)
             a = acc[:, idx]
             steps = _ladder(a, ranges)
             codes, values, _ = _read(a, steps[:, :-1])
@@ -341,7 +348,7 @@ def replay_trace(state: SensorState, trace: AccelTrace) -> ReplayResult:
                 next_at = next_tick if next_tick > now + _TIME_EPS else now + wake_period
                 idx.append(i)
                 i = bisect_left(wake_at, next_at, i + 1)
-            a = acc[:, idx]
+            a = trace._samples(idx)
             codes, values, nxt = _read(a, 0)
             t = times[idx]
             woke = np.flatnonzero(_deviation(values) > threshold)

@@ -30,6 +30,7 @@ from bsnsim.motion import ActivityKind, compose_schedule, generate_trace
 from bsnsim.rf import WPAN_INDEX_RANGE, ChannelSpec, RadioPath, Wall
 from bsnsim.scenario import PRESET_NAMES, load_scenario, parse_scenario
 from bsnsim.selector import scan
+from bsnsim.sensor import initial_state, replay_trace
 
 CLEAN = """
 name = clean
@@ -369,6 +370,24 @@ class TestStarNetwork:
         assert times == sorted(times)
         assert [frame.seq for _, _, frame in result.logged] == list(range(live.emitted))
         assert read_frame_log(result.log_bytes()) == [frame for _, _, frame in result.logged]
+
+    @pytest.mark.parametrize("duration_s", [4.0, 3.5], ids=["whole", "clipped"])
+    def test_a_non_finite_sample_the_node_never_reads_is_accepted(self, duration_s):
+        # sample 30 (0.52 s) comes before the first wake tick, at 1 s: the node never reads it, so the
+        # star, like `replay_trace`, runs as if it were finite; a non-finite sample it reads still raises
+        def trace(bad=None):
+            made = compose_schedule([(ActivityKind.REST, 2.5), (ActivityKind.FALL, 1.5)], seed=4)
+            if bad is not None:
+                made.ax[bad] = math.nan
+            return made
+
+        scenario = load_scenario("apartment")
+        result = run_star_network(scenario, {"remote": trace(30)}, duration_s, seed=1)
+        assert result == run_star_network(scenario, {"remote": trace()}, duration_s, seed=1)
+        if duration_s == 4.0:
+            assert result.deliveries["remote"].emitted == len(replay_trace(initial_state(), trace(30)).t) == 63
+        with pytest.raises(ParameterError, match="^acceleration must be finite, got nan$"):
+            run_star_network(scenario, {"remote": trace(59)}, duration_s, seed=1)
 
     @pytest.mark.parametrize("duration_s", [0.0, -1.0, math.nan, math.inf])
     def test_duration_must_be_positive_and_finite(self, duration_s):
