@@ -16,11 +16,11 @@ Traces are deterministic for a fixed (kind, duration, rate, seed) tuple.
 Where samples are evaluated: a sway segment (rest, sit-stand, left-right
 rotation, slow walk) makes every random draw when it is generated, but
 evaluates its sinusoids only at the samples that are read (`_Sway.at`).
-The run, jump and fall are evaluated in full when generated. A generated or
-composed trace holds its segments as parts: `AccelTrace._samples(idx)`
+The run, jump and fall are evaluated in full when generated. A trace is
+immutable and holds its samples as parts: `AccelTrace._samples(idx)`
 evaluates only the samples at `idx`, which is how a sleeping sensor node
-reads its wake ticks, and `ax`, `ay` and `az` materialise together, checked
-finite, on their first read.
+reads its wake ticks, and the first read of `ax`, `ay` or `az` evaluates
+every part of a generated or composed trace into one, checked finite.
 """
 
 from __future__ import annotations
@@ -52,19 +52,21 @@ class ActivityKind(Enum):
 _AXES = ("ax", "ay", "az")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AccelTrace:
     """A uniformly sampled trace with per-sample ground-truth labels.
 
     The clock is the rate alone: sample i is at `t[i] = i / rate_hz` s.
     Two traces are equal when their rates, axes and label sequences are.
+    A trace is immutable: `dataclasses.replace` makes a checked copy.
 
-    A trace from `generate_trace` or `compose_schedule` holds its segments'
-    parts, not its samples (see `_of_parts`): `_samples(idx)` evaluates the
-    samples at `idx` only, and the first read of `ax`, `ay` or `az`
-    materialises all three, with the constructor's finiteness check. An axis
-    once read or assigned is the trace's own array, which every later read,
-    `_samples` included, sees.
+    Its samples have one home, its parts (see `_of_parts`). The constructor
+    keeps its own stacked copy of the axes, mixed dtypes promoted, as its one
+    part. A trace from `generate_trace` or `compose_schedule` holds its
+    segments' parts, and the first read of `ax`, `ay` or `az` evaluates them
+    into one (3, n) float64 part, with the constructor's finiteness check.
+    The axes are that part's rows, so an in-place edit of a read axis
+    reaches later reads, `_samples` included, and a replay checks them.
     """
 
     rate_hz: float
@@ -83,50 +85,40 @@ class AccelTrace:
         require_type("labels", self.labels, (list, tuple))
         if not (len(self.ax) == len(self.ay) == len(self.az) == len(self.labels)):
             raise ParameterError("trace arrays must share one length")
-        if not all(np.isfinite(arr).all() for arr in (self.ax, self.ay, self.az)):
-            _require_finite_acceleration(np.array([self.ax, self.ay, self.az]))
+        self._hold(np.array([self.ax, self.ay, self.az]))
 
     @classmethod
     def _of_parts(cls, rate_hz: float, labels: list[ActivityKind], parts) -> AccelTrace:
         """A trace of `len(labels)` samples held as `parts`, unchecked: `(start, part)`
         pairs in sample order, each part a `_Sway` or a (3, m) array of its samples."""
         trace = object.__new__(cls)
-        trace.rate_hz, trace.labels, trace._parts = rate_hz, labels, parts
+        trace.__dict__.update(rate_hz=rate_hz, labels=labels, _parts=parts)
         return trace
+
+    def _hold(self, acc: np.ndarray) -> None:
+        """Check the (3, n) `acc` finite and keep it as the one part, its rows as the axes."""
+        _require_finite_acceleration(acc)
+        self.__dict__.update(zip(_AXES, acc), _parts=[(0, acc)])
 
     def __getattr__(self, name):
         # reached only for what the instance lacks: an axis not yet materialised
-        if name not in _AXES or self.__dict__.get("_parts") is None:
+        if name not in _AXES:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self._materialise()
+        self._hold(_evaluate(self._parts, np.arange(len(self))))
         return self.__dict__[name]
 
-    def _materialise(self) -> None:
-        """Evaluate every part and keep the samples as the axes, checked finite; an assigned axis stays."""
-        acc = _evaluate(self._parts, np.arange(len(self)))
-        _require_finite_acceleration(acc)
-        for axis, row in zip(_AXES, acc):
-            self.__dict__.setdefault(axis, row)
-        self._parts = None
-
     def _samples(self, idx) -> np.ndarray:
-        """The (3, len(idx)) float64 samples at the ascending indices `idx`.
-
-        While the trace holds its parts and no axis has been read or
-        assigned, only the samples at `idx` are evaluated."""
-        if self.__dict__.get("_parts") is None or any(axis in self.__dict__ for axis in _AXES):
-            return np.array([self.ax[idx], self.ay[idx], self.az[idx]], dtype=float)
+        """The (3, len(idx)) float64 samples at the ascending indices `idx`, evaluating no others."""
         return _evaluate(self._parts, np.asarray(idx, dtype=np.intp))
 
     def _head(self, n: int) -> AccelTrace:
-        """The first `n` samples, unchecked: this trace when it has no more,
-        else a trace that shares its parts and views its axes read or assigned."""
+        """The first `n` samples, unchecked: this trace when it has no more, else a
+        trace that shares its parts and, once they are materialised, views its axes."""
         if n >= len(self):
             return self
-        head = AccelTrace._of_parts(self.rate_hz, self.labels[:n], self.__dict__.get("_parts"))
-        for axis in _AXES:
-            if axis in self.__dict__:
-                setattr(head, axis, self.__dict__[axis][:n])
+        head = AccelTrace._of_parts(self.rate_hz, self.labels[:n], self._parts)
+        if "ax" in self.__dict__:
+            head.__dict__.update(zip(_AXES, self._parts[0][1][:, :n]))
         return head
 
     def __eq__(self, other):

@@ -30,9 +30,9 @@ double in size, so the work past a mode switch stays within the stretch's
 own length.
 
 Where samples are evaluated: a sleeping node reads only its wake ticks,
-through `AccelTrace._samples`, so a generated trace evaluates its sway
-segments at those samples alone (see `motion`). The first active read
-materialises the trace and indexes one (3, n) float64 matrix from then on.
+from the trace's parts through `AccelTrace._samples`, so a generated trace
+evaluates its sway segments at those samples alone (see `motion`). The first
+active read materialises the trace and indexes a float64 copy from then on.
 
 `_read` is the one ADC model, elementwise: code, value read back and next
 range index. The ladder needs history only above 1 g (`_SETTLED_G`);

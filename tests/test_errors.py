@@ -2,7 +2,10 @@
 rule's typed error (`errors.require_*`), and the typed error every layer raises through them."""
 
 import ast
+import dataclasses
+import importlib
 import math
+import pkgutil
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -385,3 +388,16 @@ def test_each_field_rule_is_stated_once_in_errors():
     found = [site for path in sorted(Path(bsnsim.__file__).parent.glob("*.py")) if path.name != "errors.py"
              for site in _hand_written_rules(path)]
     assert found == []
+
+
+def test_every_checked_dataclass_is_frozen():
+    """A dataclass that checks its fields in `__post_init__` is frozen, so no assignment gets round the check;
+    `dataclasses.replace` is the checked way to change one."""
+    thawed = []
+    for info in pkgutil.iter_modules(bsnsim.__path__):
+        module = importlib.import_module(f"bsnsim.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
+                    and "__post_init__" in vars(cls) and not cls.__dataclass_params__.frozen):
+                thawed.append(f"{info.name}.{cls.__name__}")
+    assert thawed == []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -152,6 +153,30 @@ def test_trace_axes_must_be_1d_real_float_arrays(axis, got):
         AccelTrace(rate_hz=60.0, ax=ok, ay=axis, az=ok + 1.0, labels=[ActivityKind.REST] * 3)
 
 
+_REASSIGNMENTS = {
+    "zero_rate": ("rate_hz", lambda trace: 0.0, "rate_hz must be a finite number in \\[10, 100\\]"),
+    "megahertz_rate": ("rate_hz", lambda trace: 1e6, "rate_hz must be a finite number in \\[10, 100\\]"),
+    "short_labels": ("labels", lambda trace: trace.labels[:10], "trace arrays must share one length"),
+    "list_axis": ("ax", lambda trace: trace.ax.tolist(),
+                  "trace axis ax must be a 1-D numpy array of real floats, got list"),
+    "five_sample_axis": ("ax", lambda trace: np.zeros(5), "trace arrays must share one length"),
+}
+
+
+@pytest.mark.parametrize("made", [lambda: generate_trace(ActivityKind.REST, 1.0, seed=1), lambda: _trace(np.ones(60))],
+                         ids=["generated", "constructed"])
+@pytest.mark.parametrize("field, value, message", _REASSIGNMENTS.values(), ids=_REASSIGNMENTS)
+def test_a_trace_refuses_assignment_and_replace_checks_the_change(made, field, value, message):
+    # an assigned field would escape the constructor's checks: a zero rate divides by zero in a
+    # replay, shortened labels replay 0 frames, a 5-sample axis raises an IndexError
+    trace = made()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(trace, field, value(trace))
+    assert trace == made()
+    with pytest.raises(ParameterError, match=f"^{message}"):
+        dataclasses.replace(trace, **{field: value(trace)})
+
+
 def test_single_segment_schedule_matches_generate():
     single = compose_schedule([(ActivityKind.REST, 2.0)], seed=4)
     direct = generate_trace(ActivityKind.REST, 2.0, seed=4)
@@ -253,18 +278,15 @@ def _bits(acc) -> bytes:
 
 def _sleeping_reads(trace, wake_period_s=1.0):
     """The index lists a replay that never wakes reads through `trace._samples`, in order."""
-    reads, samples = [], trace._samples
+    reads, samples = [], AccelTrace._samples
 
-    def record(idx):
+    def record(self, idx):
         reads.append(list(idx))
-        return samples(idx)
+        return samples(self, idx)
 
-    trace._samples = record
-    try:
+    with mock.patch.object(AccelTrace, "_samples", record):
         replay_trace(initial_state(sample_rate_hz=trace.rate_hz, wake_period_s=wake_period_s,
                                    activation_threshold_g=10.0), trace)
-    finally:
-        del trace._samples
     return reads
 
 
@@ -327,11 +349,6 @@ def test_an_unread_trace_keeps_the_public_contracts():
     assert made() == full and dataclasses.replace(made()) == full
     relabelled = dataclasses.replace(made(), labels=[ActivityKind.RUN] * 240)
     assert np.array_equal(relabelled.ax, full.ax) and relabelled != full
-    # an assigned axis is the trace's own, and every later read sees it
-    trace, ax = made(), np.zeros(240)
-    trace.ax = ax
-    assert trace.ax is ax and np.array_equal(trace.ay, full.ay) and np.array_equal(trace.az, full.az)
-    assert _bits(trace._samples([30, 200])) == _bits(np.array([ax, full.ay, full.az])[:, [30, 200]])
     # an axis once read is the array later reads see, so an edit reaches the node
     trace = made()
     trace.ax[30] = np.nan

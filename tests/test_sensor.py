@@ -576,7 +576,6 @@ class TestReplayMatchesStep:
         woke = round(times[2] * 60.0) - 1
         assert [round(t * 60.0) - 1 for t in times[:4]] == [59, 119, woke, woke + 1] and woke < 200
         # AccelTrace checks its arrays when built, not when changed later
-        trace.ax = trace.ax.copy()
         trace.ax[{"skipped asleep": 30, "wake tick": 59, "active": woke + 5}[where]] = np.nan
         if where == "skipped asleep":
             _assert_replay_matches_steps(state, trace)
@@ -590,7 +589,6 @@ class TestReplayMatchesStep:
         # an active node with a 0.5 s window falls asleep at sample 30, inside its first chunk of
         # 32 samples; sample 31 is read with that chunk, but the node never takes it
         trace = generate_trace(ActivityKind.REST, 3.0, 60.0, seed=1)
-        trace.az = trace.az.copy()
         trace.az[31] = np.nan
         state = initial_state(mode=SensorMode.ACTIVE, inactivity_window_s=0.5, next_sample_at_s=0.0)
         result = _assert_replay_matches_steps(state, trace)
