@@ -17,18 +17,21 @@ Where samples are evaluated: a sway segment (rest, sit-stand, left-right
 rotation, slow walk) makes every random draw when it is generated, but
 evaluates its sinusoids only at the samples that are read (`_Sway.at`).
 The run, jump and fall are evaluated in full when generated. A trace is
-immutable and holds its samples as parts: `AccelTrace._samples(idx)`
-evaluates only the samples at `idx`, which is how a sleeping sensor node
-reads its wake ticks, and the first read of `ax`, `ay` or `az` evaluates
-every part of a generated or composed trace into one, checked finite.
+immutable and holds its samples as parts, adjacent sway segments sharing
+one: `AccelTrace._samples(idx)` evaluates only the samples at `idx`, with
+one sine pass for every sway segment they fall in, which is how a sleeping
+sensor node reads its wake ticks, and the first read of `ax`, `ay` or `az`
+evaluates every part of a generated or composed trace into one, checked
+finite.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import groupby
 
 import numpy as np
 
@@ -62,9 +65,11 @@ class AccelTrace:
 
     Its samples have one home, its parts (see `_of_parts`). The constructor
     keeps its own stacked copy of the axes, mixed dtypes promoted, as its one
-    part. A trace from `generate_trace` or `compose_schedule` holds its
-    segments' parts, and the first read of `ax`, `ay` or `az` evaluates them
-    into one (3, n) float64 part, with the constructor's finiteness check.
+    part, and its labels as a tuple. A trace from `generate_trace` or
+    `compose_schedule` holds its segments' parts, each run of adjacent sway
+    segments as one `_Sway`, so `_samples` makes one sine pass across them;
+    the first read of `ax`, `ay` or `az` evaluates the parts into one (3, n)
+    float64 part, with the constructor's finiteness check.
     The axes are that part's rows, so an in-place edit of a read axis
     reaches later reads, `_samples` included, and a replay checks them.
     """
@@ -73,7 +78,7 @@ class AccelTrace:
     ax: np.ndarray
     ay: np.ndarray
     az: np.ndarray
-    labels: list[ActivityKind]
+    labels: tuple[ActivityKind, ...]
 
     def __post_init__(self):
         require_finite("rate_hz", self.rate_hz, RATE_HZ_MIN, RATE_HZ_MAX)
@@ -83,12 +88,13 @@ class AccelTrace:
                 got = f"a {arr.ndim}-D {arr.dtype} array" if isinstance(arr, np.ndarray) else type(arr).__name__
                 raise ParameterError(f"trace axis {name} must be a 1-D numpy array of real floats, got {got}")
         require_type("labels", self.labels, (list, tuple))
+        self.__dict__["labels"] = tuple(self.labels)  # the caller's list would escape the length check
         if not (len(self.ax) == len(self.ay) == len(self.az) == len(self.labels)):
             raise ParameterError("trace arrays must share one length")
         self._hold(np.array([self.ax, self.ay, self.az]))
 
     @classmethod
-    def _of_parts(cls, rate_hz: float, labels: list[ActivityKind], parts) -> AccelTrace:
+    def _of_parts(cls, rate_hz: float, labels: tuple[ActivityKind, ...], parts) -> AccelTrace:
         """A trace of `len(labels)` samples held as `parts`, unchecked: `(start, part)`
         pairs in sample order, each part a `_Sway` or a (3, m) array of its samples."""
         trace = object.__new__(cls)
@@ -124,7 +130,7 @@ class AccelTrace:
     def __eq__(self, other):
         return (isinstance(other, AccelTrace) and self.rate_hz == other.rate_hz
                 and np.array_equal(self.ax, other.ax) and np.array_equal(self.ay, other.ay)
-                and np.array_equal(self.az, other.az) and list(self.labels) == list(other.labels))
+                and np.array_equal(self.az, other.az) and self.labels == other.labels)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -154,9 +160,10 @@ def sample_count(duration_s: float, rate_hz: float) -> int:
 
 
 # Samples `_evaluate` passes to one `_Sway.at` call. A call holds its (18, m)
-# float64 sines and numpy's broadcast buffers for them at once: about 110 KB
-# at m = 256, about 300 KB at m = 1,200, where the sines alone pass glibc's
-# 128 KiB mmap threshold and raise it for the rest of the process.
+# float64 sines and one gathered (18, m) parameter block at once: about
+# 114 KB at m = 256, about 414 KB at m = 1,200 (tracemalloc peaks), where the
+# sines alone pass glibc's 128 KiB mmap threshold and raise it for the rest
+# of the process.
 _BLOCK = 256
 
 
@@ -198,11 +205,20 @@ def _impact_train(rng: np.random.Generator, n: int, rate_hz: float, f_lo: float,
     return sig
 
 
+def _sway_kind(band, axes):
+    """One `_SWAY` entry: the `low` and `span` columns of the frequency, phase and weight
+    ranges, the amplitude and offset columns, and each axis's (noise sigma, noise bound)."""
+    low = np.array([band[0], 0.0, 0.4])[:, None]
+    span = np.array([band[1], 2.0 * np.pi, 1.0])[:, None] - low
+    offset, amplitude, *noise = zip(*axes)
+    return low, span, np.array(amplitude)[:, None], np.array(offset)[:, None], list(zip(*noise))
+
+
 # Per activity: the oscillation band (Hz), then per axis in draw order
 # (offset g, amplitude g, noise sigma g, noise bound g). The axes are x, y, z,
 # except for the run, which draws z first. The amplitudes keep every draw
 # inside the activity's envelope (see module docstring).
-_SWAY = {
+_SWAY = {kind: _sway_kind(band, axes) for kind, (band, axes) in {
     ActivityKind.REST: (
         (1.0, 3.0), ((0.0, 0.006, 0.002, 0.006), (0.0, 0.006, 0.002, 0.006), (1.0, 0.008, 0.002, 0.006))),
     ActivityKind.SIT_STAND: (
@@ -215,50 +231,74 @@ _SWAY = {
         (2.0, 6.0), ((0.78, 0.04, 0.01, 0.03), (0.0, 0.25, 0.01, 0.03), (0.0, 0.18, 0.01, 0.03))),
     ActivityKind.JUMP: (
         (1.0, 4.0), ((0.0, 0.08, 0.005, 0.015), (0.0, 0.08, 0.005, 0.015), (1.0, 0.04, 0.005, 0.015))),
-}
+}.items()}
 
 
+@dataclass(eq=False)
 class _Sway:
-    """One segment's sway, `offset + amplitude * oscillation + noise` per axis.
+    """The sway of one or more adjacent segments, `offset + amplitude * oscillation + noise` per axis.
 
-    Every random draw is made at construction, per axis in draw order: the
+    Every random draw is made by `draw`, per axis in draw order: the
     oscillation's frequencies, phases and weights, then the noise. The
     oscillation is six random sinusoids in the band, weighted and normalised
-    so |signal| <= 1. `at(idx)` evaluates the samples at indices `idx` only,
-    one row per axis in draw order, with one `np.sin` for all three axes.
+    so |signal| <= 1. The parameters are columns, one per segment, the
+    segment starting at sample `starts[p]`; `join` makes one sway of
+    adjacent ones. `at(idx)` evaluates the samples at indices `idx` only,
+    one row per axis in draw order, with one `np.sin` for all three axes
+    and every segment the indices fall in.
     """
 
-    def __init__(self, rng: np.random.Generator, n: int, rate_hz: float, band, axes):
-        self.rate_hz = rate_hz
-        self.noise = np.empty((3, n))
-        freqs, phases, weights = [], [], []
-        for k, (_, _, sigma, bound) in enumerate(axes):
-            freqs.append(rng.uniform(*band, 6))
-            phases.append(rng.uniform(0.0, 2.0 * np.pi, 6))
-            weights.append(rng.uniform(0.4, 1.0, 6))
-            self.noise[k] = _noise(rng, n, sigma, bound)
-        self.omega = (2.0 * np.pi * np.concatenate(freqs))[:, None]
-        self.phase = np.concatenate(phases)[:, None]
-        self.weight = np.concatenate(weights)[:, None]
-        self.weight_sum = np.array([[w.sum()] for w in weights])
-        self.amplitude = np.array([[amp] for _, amp, _, _ in axes])
-        # one column of constant offsets, or one per sample: the run's z offset is its footfall train
-        self.offset = np.array(np.broadcast_arrays(*(off for off, *_ in axes))).reshape(3, -1)
+    rate_hz: float
+    starts: np.ndarray  # (P,) segment starts, ascending from 0
+    omega: np.ndarray  # (18, P) rad/s, six per axis
+    phase: np.ndarray  # (18, P)
+    weight: np.ndarray  # (18, P)
+    weight_sum: np.ndarray  # (3, P)
+    amplitude: np.ndarray  # (3, P)
+    offset: np.ndarray  # (3, P), or (3, n) for the run, whose z offset is its footfall train
+    noise: np.ndarray  # (3, n)
+
+    @classmethod
+    def draw(cls, rng: np.random.Generator, n: int, rate_hz: float, low, span, amplitude, offset,
+             noise_bounds) -> _Sway:
+        """One segment of `n` samples, from one `_SWAY` entry.
+
+        Each axis draws its frequencies, phases and weights as one (3, 6)
+        block `u`, scaled as `low + span * u`: numpy's own `uniform`
+        arithmetic, so they are the bits of three `rng.uniform` calls.
+        """
+        u, noise = np.empty((3, 3, 6)), np.empty((3, n))
+        for k, (sigma, bound) in enumerate(noise_bounds):
+            u[k] = rng.random((3, 6))
+            noise[k] = _noise(rng, n, sigma, bound)
+        freqs, phases, weights = (low + span * u).swapaxes(0, 1)
+        return cls(rate_hz, np.zeros(1, np.intp), (2.0 * np.pi * freqs).reshape(18, 1), phases.reshape(18, 1),
+                   weights.reshape(18, 1), weights.sum(axis=1, keepdims=True), amplitude, offset, noise)
+
+    @classmethod
+    def join(cls, parts) -> _Sway:
+        """One sway of the adjacent `(start, _Sway)` parts, its starts counted from the first."""
+        first, sway = parts[0]
+        columns = (np.hstack([getattr(part, column.name) for _, part in parts]) for column in fields(cls)[2:])
+        return cls(sway.rate_hz, np.concatenate([start - first + part.starts for start, part in parts]), *columns)
 
     def at(self, idx: np.ndarray) -> np.ndarray:
-        # in place, one (18, len(idx)) temporary: each op is the formula's, in its order
-        t = idx / self.rate_hz
-        waves = self.omega * t
-        waves += self.phase
+        # in place on one (18, len(idx)) array, plus one gathered column block at a time: each op
+        # is the formula's, in its order, on each sample's own segment's parameters and its time
+        # from that segment's start (`take` gathers in about half the time of fancy indexing)
+        seg = np.searchsorted(self.starts, idx, side="right") - 1
+        t = (idx - self.starts.take(seg)) / self.rate_hz
+        waves = self.omega.take(seg, 1) * t
+        waves += self.phase.take(seg, 1)
         np.sin(waves, out=waves)
-        waves *= self.weight
+        waves *= self.weight.take(seg, 1)
         sig = np.zeros((3, len(t)))
         for wave in waves.reshape(3, 6, -1).swapaxes(0, 1):
             sig += wave
-        sig /= self.weight_sum
-        sig *= self.amplitude
-        sig += self.offset if self.offset.shape[1] == 1 else self.offset[:, idx]
-        sig += self.noise[:, idx]
+        sig /= self.weight_sum.take(seg, 1)
+        sig *= self.amplitude.take(seg, 1)
+        sig += self.offset.take(idx if self.offset.shape[1] > len(self.starts) else seg, 1)
+        sig += self.noise.take(idx, 1)
         return sig
 
 
@@ -280,13 +320,15 @@ def _write_event(rng: np.random.Generator, n: int, start: int, samples) -> int:
 
 def _gen_run(rng: np.random.Generator, n: int, rate_hz: float) -> np.ndarray:
     train = _impact_train(rng, n, rate_hz, 2.4, 3.0, width_s=0.05)
-    band, ((z_off, *z_rest), *xy) = _SWAY[ActivityKind.RUN]  # the footfall train rides on z's offset
-    sway = _Sway(rng, n, rate_hz, band, [(z_off + 0.97 * train, *z_rest), *xy])
+    low, span, amplitude, offset, noise_bounds = _SWAY[ActivityKind.RUN]
+    offset = np.repeat(offset, n, axis=1)
+    offset[0] += 0.97 * train  # the footfall train rides on z's offset
+    sway = _Sway.draw(rng, n, rate_hz, low, span, amplitude, offset, noise_bounds)
     return _evaluate([(0, sway)], np.arange(n))[[1, 2, 0]]
 
 
 def _gen_jump(rng: np.random.Generator, n: int, rate_hz: float) -> np.ndarray:
-    acc = _evaluate([(0, _Sway(rng, n, rate_hz, *_SWAY[ActivityKind.JUMP]))], np.arange(n))
+    acc = _evaluate([(0, _Sway.draw(rng, n, rate_hz, *_SWAY[ActivityKind.JUMP]))], np.arange(n))
     ax, ay, az = acc
     if n < 5:
         if n >= 2:  # degenerate segment: flight sample followed by impact
@@ -367,8 +409,8 @@ def generate_trace(
     if kind in _GENERATORS:
         part = _GENERATORS[kind](rng, n, rate_hz)
     else:
-        part = _Sway(rng, n, rate_hz, *_SWAY[kind])
-    return AccelTrace._of_parts(rate_hz, [kind] * n, [(0, part)])
+        part = _Sway.draw(rng, n, rate_hz, *_SWAY[kind])
+    return AccelTrace._of_parts(rate_hz, (kind,) * n, [(0, part)])
 
 
 def compose_schedule(
@@ -379,8 +421,11 @@ def compose_schedule(
     """Join per-segment traces with continuous timestamps and labels.
 
     Segment i uses seed + i, so a single-segment schedule reproduces
-    generate_trace exactly. The segments are joined as parts, unjoined and
-    unchecked until the trace is read (see `AccelTrace`).
+    generate_trace exactly. The segments are joined as parts, unevaluated
+    and unchecked until the trace is read (see `AccelTrace`), and each run
+    of adjacent sway segments (rest, sit-stand, left-right rotation, slow
+    walk) shares one `_Sway` part, so a read evaluates its sines across
+    them in one pass.
     """
     require_type("segments", segments, Sequence)
     if not segments:
@@ -397,4 +442,8 @@ def compose_schedule(
         generated = generate_trace(kind, duration_s, rate_hz, seed + i)
         parts += [(len(labels) + start, part) for start, part in generated._parts]
         labels += generated.labels
-    return AccelTrace._of_parts(rate_hz, labels, parts)
+    joined = []
+    for sway, run in groupby(parts, lambda part: isinstance(part[1], _Sway)):
+        run = list(run)
+        joined += [(run[0][0], _Sway.join(run))] if sway else run
+    return AccelTrace._of_parts(rate_hz, tuple(labels), joined)

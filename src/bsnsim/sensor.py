@@ -31,8 +31,9 @@ own length.
 
 Where samples are evaluated: a sleeping node reads only its wake ticks,
 from the trace's parts through `AccelTrace._samples`, so a generated trace
-evaluates its sway segments at those samples alone (see `motion`). The first
-active read materialises the trace and indexes a float64 copy from then on.
+evaluates its sway segments at those samples alone, adjacent ones in one
+sine pass per read (see `motion`). The first active read materialises the
+trace and indexes a float64 copy from then on.
 
 `_read` is the one ADC model, elementwise: code, value read back and next
 range index. The ladder needs history only above 1 g (`_SETTLED_G`);

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bsnsim.errors import ParameterError
-from bsnsim.motion import AccelTrace, ActivityKind, compose_schedule, generate_trace, sample_count
+from bsnsim.motion import _BLOCK, _SWAY, AccelTrace, ActivityKind, _Sway, compose_schedule, generate_trace, sample_count
 from bsnsim.sensor import initial_state, replay_trace
 
 SLOW = (ActivityKind.SIT_STAND, ActivityKind.LEFT_RIGHT_ROTATION, ActivityKind.SLOW_WALK)
@@ -366,3 +366,118 @@ def test_a_materialised_trace_is_checked_finite():
     trace._parts[0][1].noise[1, 5] = np.inf
     with pytest.raises(ParameterError, match="^acceleration must be finite, got inf$"):
         trace.az
+
+
+# SHA-256 of the ax, ay and az bytes of compose_schedule(segments, rate_hz,
+# seed), fixed while every segment was its own part: a ward_night-like
+# rest/slow-walk/rest, a rest/fall/rest, and sway segments of 1-4 samples
+# (durations given in samples, divided by the rate).
+COMPOSE_SCHEDULES = {
+    "rest_walk_rest": ([(ActivityKind.REST, 7.0), (ActivityKind.SLOW_WALK, 3.0), (ActivityKind.REST, 8.5)], 11),
+    "rest_fall_rest": ([(ActivityKind.REST, 11.0), (ActivityKind.FALL, 3.0), (ActivityKind.REST, 2.0)], 5),
+    "short_sway": ([(ActivityKind.REST, 1), (ActivityKind.SIT_STAND, 2), (ActivityKind.LEFT_RIGHT_ROTATION, 3),
+                    (ActivityKind.SLOW_WALK, 4), (ActivityKind.REST, 1)], 3),
+}
+COMPOSE_SHA256 = {
+    ("rest_walk_rest", 10.0): "c5a2736d7bb3b3cdd18ab8d86c910fac76adf3f7b89a2b7bfca420b2609e51db",
+    ("rest_walk_rest", 60.0): "4191411b2190ae0e9e11dfe8cd9b45b5cd831d94da057530ffe8a6778ab29ac7",
+    ("rest_walk_rest", 100.0): "81acbede51398dbcf0eed04b8352131814e7518cfc4cf710959d07ebc0f03c4e",
+    ("rest_fall_rest", 10.0): "3ca881c8da2711625e5cc176c0cd71464668b1a08a5d470f8bf6271728eebaff",
+    ("rest_fall_rest", 60.0): "4c5ffc7a36fdb5e5e822707baa80c4ef64dac06f537055d5adee33a3a7e7b409",
+    ("rest_fall_rest", 100.0): "b663ff195ed2f6b95ccffbb63bb9ef31d58fff555c8991f3c24ef5c78c9f1ed5",
+    ("short_sway", 10.0): "2d5f035cdee3be4091d86bad682d23765872f4b13712b2a3445281a1e234bd4b",
+    ("short_sway", 60.0): "4570e66982ce7526165a944ff8740e518956fe17c22cb693066076117c230e11",
+    ("short_sway", 100.0): "2553c827794ddaaedf5acd82e0cbe9cd75b1f242b349b2b3accd9c8f7bb8a5db",
+}
+
+
+def _schedule(name, rate_hz):
+    segments, seed = COMPOSE_SCHEDULES[name]
+    if name == "short_sway":
+        segments = [(kind, samples / rate_hz) for kind, samples in segments]
+    return compose_schedule(segments, rate_hz, seed)
+
+
+@pytest.mark.parametrize("name, rate_hz", COMPOSE_SHA256)
+def test_composed_schedules_match_golden_bytes(name, rate_hz):
+    trace = _schedule(name, rate_hz)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in (trace.ax, trace.ay, trace.az))).hexdigest()
+    assert digest == COMPOSE_SHA256[name, rate_hz]
+
+
+def test_adjacent_sway_segments_share_one_part():
+    sway = _schedule("short_sway", 60.0)
+    assert [start for start, _ in sway._parts] == [0] and isinstance(sway._parts[0][1], _Sway)
+    assert sway._parts[0][1].starts.tolist() == [0, 1, 3, 6, 10]
+    fall = _schedule("rest_fall_rest", 60.0)
+    assert [(start, type(part)) for start, part in fall._parts] == [(0, _Sway), (660, np.ndarray), (840, _Sway)]
+    # the run, jump and fall are evaluated when generated and never joined
+    run = compose_schedule([(ActivityKind.REST, 1.0), (ActivityKind.RUN, 1.0), (ActivityKind.SLOW_WALK, 1.0)])
+    assert [type(part) for _, part in run._parts] == [_Sway, np.ndarray, _Sway]
+
+
+def _counting_sway_at():
+    calls, at = [], _Sway.at
+
+    def record(self, idx):
+        calls.append(len(idx))
+        return at(self, idx)
+
+    return calls, mock.patch.object(_Sway, "at", record)
+
+
+@pytest.mark.parametrize("rate_hz", [10.0, 60.0, 100.0])
+def test_a_sleeping_read_is_one_sway_call(rate_hz):
+    trace = _schedule("rest_walk_rest", rate_hz)
+    calls, patch = _counting_sway_at()
+    with patch:
+        reads = _sleeping_reads(trace)
+    # the 18 wake ticks of the 18.5 s rest, walk and rest, read in one `_Sway.at` call per `_samples` call
+    assert len(calls) == len(reads) and sum(calls) == sum(map(len, reads)) == 18
+    (_, sway), = trace._parts
+    assert set(np.searchsorted(sway.starts, np.concatenate(reads), side="right")) == {1, 2, 3}
+
+
+def test_materialising_a_joined_trace_passes_at_most_a_block_per_sway_call():
+    trace = _schedule("rest_walk_rest", 100.0)
+    calls, patch = _counting_sway_at()
+    with patch:
+        trace.ax
+    assert max(calls) == _BLOCK and sum(calls) == len(trace) == 1850
+
+
+# (low, span) of every `_SWAY` band, the phase range and the weight range
+_DRAW_SCALES = sorted({(lo, span) for low, spans, *_ in _SWAY.values() for lo, span in zip(low[:, 0], spans[:, 0])})
+
+
+@pytest.mark.parametrize("lo, span", _DRAW_SCALES)
+def test_uniform_draws_are_the_scaled_unit_draws(lo, span):
+    # `_Sway.draw` scales `rng.random` as numpy's `uniform` does; a numpy release that
+    # changes `uniform`'s arithmetic fails here, naming the cause the byte pins would not
+    hi = lo + span
+    assert hi - lo == span
+    for seed in range(8):
+        drawn = np.random.default_rng(seed).uniform(lo, hi, 6)
+        assert _bits(drawn) == _bits(lo + (hi - lo) * np.random.default_rng(seed).random(6))
+
+
+def test_draw_scales_cover_every_band_the_phase_and_the_weight():
+    bands = {(1.0, 3.0), (1.0, 2.0), (1.0, 2.5), (1.5, 3.5), (2.0, 6.0), (1.0, 4.0)}
+    assert {(lo, lo + span) for lo, span in _DRAW_SCALES} == bands | {(0.0, 2.0 * np.pi), (0.4, 1.0)}
+
+
+@pytest.mark.parametrize("made", [lambda: compose_schedule([(ActivityKind.REST, 2.5), (ActivityKind.FALL, 1.5)], seed=4),
+                                  lambda: _trace(np.ones(240))], ids=["composed", "constructed"])
+def test_a_trace_holds_its_labels_as_a_tuple(made):
+    # an in-place edit of the labels would escape the length check: an appended label made a
+    # replay raise IndexError, and deleted ones made it replay 10 samples and 0 frames
+    trace = made()
+    with pytest.raises(AttributeError):
+        trace.labels.append(ActivityKind.REST)
+    with pytest.raises(TypeError):
+        del trace.labels[10:]
+    assert trace == made() and len(trace) == 240
+    labels = [ActivityKind.REST] * 3
+    constructed = _trace(np.ones(3), labels)
+    labels.append(ActivityKind.FALL)
+    assert constructed.labels == (ActivityKind.REST,) * 3
