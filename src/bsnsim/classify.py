@@ -90,8 +90,10 @@ def detect_abnormal(trace: AccelTrace) -> list[AbnormalEvent]:
     if idx.size == 0:
         return []
 
-    runs = np.split(idx, np.flatnonzero(np.diff(idx) > w) + 1)  # a gap longer than one window closes a run
-    return [_make_event(trace, total, fire_total, run[0], run[-1]) for run in runs]
+    gap = np.diff(idx) > w  # a gap longer than one window closes a run
+    # each run's first index is the first or follows a gap, and its last precedes a gap or is the last
+    starts, ends = idx[np.append(True, gap)].tolist(), idx[np.append(gap, True)].tolist()
+    return [_make_event(trace, total, fire_total, start, end) for start, end in zip(starts, ends)]
 
 
 def _fire_axis(trace: AccelTrace, w: int) -> np.ndarray:
@@ -99,17 +101,18 @@ def _fire_axis(trace: AccelTrace, w: int) -> np.ndarray:
     `max(1, w // 2)` samples up to the first window that reaches the trace's
     end, in which some axis's peak-to-peak change passes the threshold.
 
-    Each axis is extended with its last sample repeated, which leaves every
-    window's extrema unchanged, and one `reduceat` over the (start, start + w)
-    bounds takes every window's maximum, another every minimum."""
+    The stacked (3, n) axes are extended with their last sample repeated,
+    which leaves every window's extrema unchanged, and one `reduceat` over
+    the (start, start + w) bounds takes every window's maximum on every axis,
+    another every minimum."""
     hop = max(1, w // 2)
     starts = np.arange(0, -(-max(0, len(trace) - w) // hop) * hop + 1, hop)
     bounds = np.column_stack([starts, starts + w]).ravel()
-    fires = np.zeros(len(starts), dtype=bool)
-    for arr in (trace.ax, trace.ay, trace.az):
-        extended = np.concatenate([arr, np.repeat(arr[-1:], w + 1)])
-        high, low = np.maximum.reduceat(extended, bounds)[::2], np.minimum.reduceat(extended, bounds)[::2]
-        fires |= high - low > _AXIS_DELTA_THRESHOLD_G
+    acc = np.array([trace.ax, trace.ay, trace.az])
+    extended = np.concatenate([acc, acc[:, -1:].repeat(w + 1, axis=1)], axis=1)
+    high = np.maximum.reduceat(extended, bounds, axis=1)[:, ::2]
+    low = np.minimum.reduceat(extended, bounds, axis=1)[:, ::2]
+    fires = (high - low > _AXIS_DELTA_THRESHOLD_G).any(axis=0)
     fire_axis = np.zeros(len(trace), dtype=bool)
     for start in starts[fires].tolist():
         fire_axis[start:start + w] = True

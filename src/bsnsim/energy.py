@@ -57,6 +57,9 @@ def default_components() -> tuple[ComponentCurrent, ...]:
     return tuple(ComponentCurrent(c.name, c.active_ma, standby_ma[c.name]) for c in paper_components())
 
 
+_DEFAULT_BY_NAME = {c.name: c for c in default_components()}  # `simulate_energy`'s currents, built once
+
+
 CONTINUOUS_PROFILE: dict[str, float] = {ACCELEROMETER: 1.0, MICROCONTROLLER: 1.0, RADIO: 1.0}
 TEN_PERCENT_RADIO_PROFILE: dict[str, float] = {ACCELEROMETER: 1.0, MICROCONTROLLER: 1.0, RADIO: 0.1}
 
@@ -116,7 +119,6 @@ def simulate_energy(
         require_type(f"interval {i}", interval, TimelineInterval)
     battery = PACK_BATTERY if battery is None else battery
     require_type("battery", battery, Battery)
-    by_name = {c.name: c for c in default_components()}
 
     active_h = sum((iv.t_end - iv.t_start) for iv in intervals if iv.mode is SensorMode.ACTIVE) / 3600.0
     total_h = sum(iv.t_end - iv.t_start for iv in intervals) / 3600.0
@@ -125,7 +127,7 @@ def simulate_energy(
     consumed: dict[str, float] = {}
     duty: dict[str, float] = {}
     for name, on_h in ((ACCELEROMETER, active_h), (MICROCONTROLLER, active_h), (RADIO, tx_h)):
-        comp = by_name[name]
+        comp = _DEFAULT_BY_NAME[name]
         consumed[name] = comp.active_ma * on_h + comp.sleep_ma * (total_h - on_h)
         duty[name] = on_h / total_h if total_h > 0 else 0.0
 

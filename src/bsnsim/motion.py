@@ -279,7 +279,8 @@ class _Sway:
     def join(cls, parts) -> _Sway:
         """One sway of the adjacent `(start, _Sway)` parts, its starts counted from the first."""
         first, sway = parts[0]
-        columns = (np.hstack([getattr(part, column.name) for _, part in parts]) for column in fields(cls)[2:])
+        columns = (np.concatenate([getattr(part, column.name) for _, part in parts], axis=1)
+                   for column in fields(cls)[2:])
         return cls(sway.rate_hz, np.concatenate([start - first + part.starts for start, part in parts]), *columns)
 
     def at(self, idx: np.ndarray) -> np.ndarray:
@@ -352,8 +353,9 @@ def _gen_jump(rng: np.random.Generator, n: int, rate_hz: float) -> np.ndarray:
 
 
 def _gen_fall(rng: np.random.Generator, n: int, rate_hz: float) -> np.ndarray:
-    ax, ay, az = acc = np.array([_noise(rng, n, 0.004, 0.012), _noise(rng, n, 0.004, 0.012),
-                                 1.0 + _noise(rng, n, 0.004, 0.012)])
+    # one draw for x, y and z in turn, the bits of one draw per axis
+    ax, ay, az = acc = _noise(rng, 3 * n, 0.004, 0.012).reshape(3, n)
+    az += 1.0
 
     lead = int(min(0.3 * n, 1.0 * rate_hz))
     # timing jitter staggers multi-node simulations that all start at t = 0
@@ -372,9 +374,9 @@ def _gen_fall(rng: np.random.Generator, n: int, rate_hz: float) -> np.ndarray:
     if j < n:
         # lying on the front: gravity moves to the frontal axis
         m = n - j
-        az[j:] = 0.06 + _noise(rng, m, 0.004, 0.012)
-        ax[j:] = 0.97 + _noise(rng, m, 0.004, 0.012)
-        ay[j:] = _noise(rng, m, 0.004, 0.012)
+        az[j:], ax[j:], ay[j:] = _noise(rng, 3 * m, 0.004, 0.012).reshape(3, m)
+        az[j:] += 0.06
+        ax[j:] += 0.97
     return acc
 
 

@@ -85,6 +85,17 @@ def test_rest_fall_rest_yields_one_event_over_fall():
     assert event.peak_total_a > 1.3 or event.peak_total_a < 0.9
 
 
+@pytest.mark.parametrize("apart, runs", [(25, [(40, 65)]), (26, [(40, 40), (66, 66)])])
+def test_firings_one_window_apart_merge_and_further_apart_split(apart, runs):
+    # at 25 Hz a window is 25 samples: a gap of exactly one window keeps one run, one more splits it
+    az = np.ones(120)
+    az[[40, 40 + apart]] = 1.35  # out of band, but a per-axis change of only 0.35 g
+    trace = AccelTrace(rate_hz=25.0, ax=np.zeros(120), ay=np.zeros(120), az=az, labels=[ActivityKind.REST] * 120)
+    found = detect_abnormal(trace)
+    assert [(e.t_start, e.t_end) for e in found] == [(start / 25.0, end / 25.0) for start, end in runs]
+    assert {e.trigger for e in found} == {AbnormalTrigger.TOTAL_ACCEL_BOUND}
+
+
 def test_brute_force_cross_check():
     # every sample with total outside the band must land inside some event
     trace = compose_schedule(

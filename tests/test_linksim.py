@@ -356,6 +356,25 @@ class TestStarNetwork:
         assert result.logged == []
         assert result.log_bytes() == LOG_MAGIC
 
+    def test_each_node_is_replayed_through_the_module_replay_trace(self, monkeypatch):
+        # the benchmark's tracer (bench/spans.py) counts sensor samples and frames where the star
+        # calls `linksim.replay_trace`: a star that replays around that name keeps every output
+        # but reads 0 there
+        traces = {f"sensor_{i + 1}": compose_schedule([(ActivityKind.REST, 2.0), (ActivityKind.FALL, 1.0)], seed=i)
+                  for i in range(3)}
+        replayed, replay = [], linksim.replay_trace
+
+        def counting(state, trace):
+            result = replay(state, trace)
+            replayed.append((state.node_id, len(trace), len(result.t)))
+            return result
+
+        monkeypatch.setattr(linksim, "replay_trace", counting)
+        result = run_star_network(_star_scenario(3), traces, 2.5, seed=6)
+        assert [(node_id, samples) for node_id, samples, _ in replayed] == [(1, 150), (2, 150), (3, 150)]
+        assert [frames for *_, frames in replayed] == [d.emitted for d in result.deliveries.values()]
+        assert all(d.emitted > 0 for d in result.deliveries.values())
+
     def test_dead_link_node_next_to_a_live_one(self):
         scenario = _star_scenario(2)
         scenario = dataclasses.replace(scenario, tx_power_dbm=-10.0, nodes={**scenario.nodes, "sensor_1": (300.0, 0.0)})

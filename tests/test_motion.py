@@ -7,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from bsnsim import motion
 from bsnsim.errors import ParameterError
 from bsnsim.motion import _BLOCK, _SWAY, AccelTrace, ActivityKind, _Sway, compose_schedule, generate_trace, sample_count
 from bsnsim.sensor import initial_state, replay_trace
@@ -414,6 +415,21 @@ def test_adjacent_sway_segments_share_one_part():
     # the run, jump and fall are evaluated when generated and never joined
     run = compose_schedule([(ActivityKind.REST, 1.0), (ActivityKind.RUN, 1.0), (ActivityKind.SLOW_WALK, 1.0)])
     assert [type(part) for _, part in run._parts] == [_Sway, np.ndarray, _Sway]
+
+
+def test_a_schedule_generates_each_segment_through_the_module_generate_trace(monkeypatch):
+    # the benchmark's tracer (bench/spans.py) counts motion samples where `compose_schedule` calls
+    # `motion.generate_trace`: a schedule built around that name keeps its bytes but reads 0 there
+    lengths, generate = [], motion.generate_trace
+
+    def counting(*args):
+        segment = generate(*args)
+        lengths.append(len(segment))
+        return segment
+
+    monkeypatch.setattr(motion, "generate_trace", counting)
+    trace = _schedule("rest_fall_rest", 60.0)
+    assert lengths == [660, 180, 120] and sum(lengths) == len(trace)
 
 
 def _counting_sway_at():
